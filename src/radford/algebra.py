@@ -44,6 +44,53 @@ def basis(ctx):
     ]
 
 
+# g, x, y as basis monomials.
+GENERATOR_MONOMIALS = (Monomial(0, 0, 1), Monomial(0, 1, 0), Monomial(1, 0, 0))
+
+
+def relation_pairs(ctx):
+    """The six basis pairs whose products encode the defining relations.
+
+    (g, x), (g, y), (x, y) multiply to w^-1 xg, w yg, w yx, and
+    (g^(n-1), g), (x^(n-1), x), (y^(n-1), y) to 1, 0, 0.  A map defined as
+    the (anti-)multiplicative extension of generator images along
+    canonical words is an (anti-)homomorphism exactly when it respects
+    these six products: that is the universal property of an algebra
+    given by generators and relations.
+    """
+    g, x, y = GENERATOR_MONOMIALS
+    k = ctx.n - 1
+    return ((g, x), (g, y), (x, y),
+            (Monomial(0, 0, k), g), (Monomial(0, k, 0), x), (Monomial(k, 0, 0), y))
+
+
+@dataclass(frozen=True)
+class Counterexample:
+    """Where a check failed: the basis monomial or pair, and both sides."""
+
+    location: tuple
+    lhs: object
+    rhs: object
+
+
+def _first_counterexample(kind, points, check):
+    """The first point where ``check`` fails, located as (kind, point).
+
+    ``check(point)`` returns None where the law holds and its two
+    differing sides (lhs, rhs) where it does not.
+    """
+    for p in points:
+        sides = check(p)
+        if sides is not None:
+            return Counterexample((kind, p), *sides)
+    return None
+
+
+def _unequal(lhs, rhs):
+    """None when the sides agree, else the pair: the usual ``check`` body."""
+    return None if lhs == rhs else (lhs, rhs)
+
+
 def _mono_mul_parts(n, a, b):
     """(omega exponent mod n, product monomial), or None when it vanishes."""
     r = a[0] + b[0]

@@ -131,14 +131,14 @@ def _cmd_star_apply(args, ctx):
 
 
 def _cmd_verify_hopf(args, ctx):
-    report = verify_hopf_axioms(ctx, max_pairs=args.max_pairs)
+    report = verify_hopf_axioms(ctx)
     _emit(args, jsonio.report_to_json(report), _report_lines(report))
     return 0 if report.all_passed else 1
 
 
 def _cmd_verify_star(args, ctx):
     st = _load_star(args.star, ctx)
-    report = verify_star_axioms(st, max_pairs=args.max_pairs)
+    report = verify_star_axioms(st)
     _emit(args, jsonio.report_to_json(report), _report_lines(report))
     return 0 if report.all_passed else 1
 
@@ -204,7 +204,7 @@ def _cmd_scan(args, ctx):
     grid = None
     if args.grid:
         grid = [parse_scalar(part.strip(), ctx) for part in args.grid.split(",")]
-    survivors = scan_star_candidates(ctx, grid=grid, max_pairs=args.max_pairs)
+    survivors = scan_star_candidates(ctx, grid=grid)
     text = "\n".join(
         [f"survivors {len(survivors)}"]
         + [
@@ -267,23 +267,17 @@ def build_parser():
 
     leaf("star-apply", _cmd_star_apply, conf_star_apply)
 
-    def conf_pairs(p):
-        p.add_argument("--max-pairs", type=int, default=None,
-                       help="sample this many basis pairs for binary laws")
-
     def conf_verify_star(p):
         p.add_argument("--star", required=True)
-        conf_pairs(p)
 
     verify = sub.add_parser("verify")
     vsub = verify.add_subparsers(dest="subcommand", required=True)
     vh = vsub.add_parser("hopf", parents=[shared])
     vh.set_defaults(func=_cmd_verify_hopf)
-    conf_pairs(vh)
     vs = vsub.add_parser("star", parents=[shared])
     vs.set_defaults(func=_cmd_verify_star)
     conf_verify_star(vs)
-    leaf("verify-hopf", _cmd_verify_hopf, conf_pairs)
+    leaf("verify-hopf", _cmd_verify_hopf)
     leaf("verify-star", _cmd_verify_star, conf_verify_star)
 
     def conf_skew(p):
@@ -324,7 +318,6 @@ def build_parser():
         p.add_argument("--grid", default=None,
                        help="comma-separated scalar expressions; default is "
                             "all m-th roots of unity and 0")
-        conf_pairs(p)
 
     leaf("scan", _cmd_scan, conf_scan)
     return top
@@ -335,8 +328,6 @@ def main(argv=None):
     args = top.parse_args(argv)
     if not hasattr(args, "json"):
         args.json = False
-    if not hasattr(args, "max_pairs"):
-        args.max_pairs = None
     if getattr(args, "n", None) is None:
         top.error("--n is required")
     try:

@@ -28,7 +28,15 @@ y^(r-i) x^(s-j) g^l (x) y^i x^j g^(l+s-j+r-i).  The regression test
 
 from __future__ import annotations
 
-from .algebra import Element, Monomial, _mono_mul_parts, basis
+from .algebra import (
+    GENERATOR_MONOMIALS,
+    Element,
+    Monomial,
+    _first_counterexample,
+    _mono_mul_parts,
+    _unequal,
+    relation_pairs,
+)
 from .errors import ContextMismatchError, KernelError
 
 
@@ -285,12 +293,30 @@ def antipode(e):
     return acc
 
 
+def _antipode_reverses(ctx, pair):
+    """Check S(ab) = S(b)S(a) on one basis pair (a, b)."""
+    ea, eb = (Element.monomial(ctx, *mono) for mono in pair)
+    return _unequal(antipode(ea * eb), antipode(eb) * antipode(ea))
+
+
 def antipode_order(ctx):
-    """Least k >= 1 with S^k the identity on every basis monomial."""
-    current = {b: antipode(Element(ctx, {b: ctx.one})) for b in basis(ctx)}
+    """Least k >= 1 with S^k the identity on H_n.
+
+    S is antimultiplicative (checked here on the relation pairs), so for
+    even k S^k is an algebra map and is the identity once it fixes g, x
+    and y.  For odd k it is an anti-homomorphism: fixing g and x it would
+    send xg to gx = w^-1 xg, so also requiring xg fixed excludes odd k.
+    """
+    if _first_counterexample("pair", relation_pairs(ctx),
+                             lambda p: _antipode_reverses(ctx, p)) is not None:
+        raise KernelError("the antipode is not antimultiplicative")
+    points = GENERATOR_MONOMIALS + (Monomial(0, 1, 1),)
+    units = {b: Element(ctx, {b: ctx.one}) for b in points}
+    current = {b: antipode(e) for b, e in units.items()}
     limit = 8 * ctx.n
     for k in range(1, limit + 1):
-        if all(e.terms == {b: ctx.one} for b, e in current.items()):
+        if _first_counterexample("monomial", points,
+                                 lambda b: _unequal(current[b], units[b])) is None:
             return k
         current = {b: antipode(e) for b, e in current.items()}
     raise KernelError(f"antipode order exceeds {limit}")

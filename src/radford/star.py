@@ -11,23 +11,32 @@ images.  Three kinds are supported:
                 that impossibility arguments become executable negative
                 tests.
 
-``verify_star_axioms`` checks the five defining conditions on the whole
-canonical basis (pairs for the binary law) and reports every failed
-check with its first counterexample; failures are data, not errors.
+``verify_star_axioms`` decides the five defining conditions for all of
+H_n by checking them on the six relation pairs and on g, x, y, and
+reports every failed check with its first counterexample; failures are
+data, not errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
-from .algebra import Element, Monomial, _mono_mul_parts, basis
+from .algebra import (
+    GENERATOR_MONOMIALS,
+    Counterexample,
+    Element,
+    Monomial,
+    _first_counterexample,
+    _unequal,
+    basis,
+    relation_pairs,
+)
 from .coalgebra import (
-    TensorElement,
-    _delta_mono,
+    _antipode_reverses,
     antipode,
     counit,
     delta,
+    tensor_map,
     tensor_mul,
     triple_delta_sides,
 )
@@ -167,15 +176,6 @@ def apply_star(st, e):
 
 
 @dataclass(frozen=True)
-class Counterexample:
-    """Where a check failed: the basis monomial or pair, and both sides."""
-
-    location: tuple
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -200,163 +200,154 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def _pair_iter(count, max_pairs, seed):
-    if max_pairs is None or count * count <= max_pairs:
-        for a in range(count):
-            for b in range(count):
-                yield a, b
-        return
-    rng = Random(seed)
-    for _ in range(max_pairs):
-        yield rng.randrange(count), rng.randrange(count)
+def _report(named_counterexamples):
+    return VerificationReport(tuple(
+        CheckResult(name, ce is None, ce) for name, ce in named_counterexamples
+    ))
 
 
-def _antimult_check(st, monos, star_el, max_pairs, seed):
-    ctx = st.ctx
-    n = ctx.n
-    single = []
-    for b in monos:
-        el = star_el[b]
-        if len(el.terms) != 1:
-            single = None
-            break
-        (mono, coeff), = el.terms.items()
-        single.append((coeff, mono))
-    if single is not None and max_pairs is None:
-        # Single-term images: compare coefficients and monomials directly.
-        pows = [ctx.omega_pow(k) for k in range(n)]
-        index = {m: t for t, m in enumerate(monos)}
-        for ia, a in enumerate(monos):
-            ca, ma = single[ia]
-            for ib, b in enumerate(monos):
-                cb, mb = single[ib]
-                parts = _mono_mul_parts(n, a, b)
-                rparts = _mono_mul_parts(n, mb, ma)
-                if parts is None or rparts is None:
-                    if parts is None and rparts is None:
-                        continue
-                    ok = False
-                else:
-                    e, mab = parts
-                    cl, ml = single[index[mab]]
-                    f, mr = rparts
-                    lhs_c = pows[(n - e) % n] * cl if e else cl
-                    rhs_c = cb * ca
-                    if f:
-                        rhs_c = rhs_c * pows[f]
-                    ok = ml == mr and lhs_c == rhs_c
-                if not ok:
-                    ea = Element(ctx, {a: ctx.one})
-                    eb = Element(ctx, {b: ctx.one})
-                    return Counterexample(
-                        ("pair", (a, b)),
-                        apply_star(st, ea * eb),
-                        star_el[b] * star_el[a],
-                    )
+def _scalars_unequal(ctx, lhs, rhs):
+    if lhs == rhs:
         return None
-    for ia, ib in _pair_iter(len(monos), max_pairs, seed):
-        a, b = monos[ia], monos[ib]
-        ea = Element(ctx, {a: ctx.one})
-        eb = Element(ctx, {b: ctx.one})
-        lhs = apply_star(st, ea * eb)
-        rhs = star_el[b] * star_el[a]
-        if lhs != rhs:
-            return Counterexample(("pair", (a, b)), lhs, rhs)
-    return None
+    return Element.from_scalar(ctx, lhs), Element.from_scalar(ctx, rhs)
 
 
-def verify_star_axioms(st, max_pairs=None, seed=0):
-    """Run the five star-structure axioms over the whole canonical basis.
+def _antimult_counterexample(st):
+    """First relation pair (a, b) with (ab)* != b* a*.
 
-    Checks: (1) involution, (2) antimultiplicativity over basis pairs,
-    (3) coproduct compatibility, (4) S(S(h*)*) = h, (5) counit
-    conjugation.  ``max_pairs`` caps the quadratic check (2) by seeded
-    sampling; the default is exhaustive.
+    ``apply_star`` is the conjugate-linear antimultiplicative extension of
+    the generator images, so None means * is antimultiplicative on H_n.
     """
     ctx = st.ctx
-    monos = basis(ctx)
-    star_el = {b: apply_star(st, Element(ctx, {b: ctx.one})) for b in monos}
-    checks = []
 
-    ce = None
-    for b in monos:
-        eb = Element(ctx, {b: ctx.one})
-        back = apply_star(st, star_el[b])
-        if back != eb:
-            ce = Counterexample(("monomial", b), back, eb)
-            break
-    checks.append(CheckResult("involution", ce is None, ce))
+    def check(pair):
+        ea, eb = (Element.monomial(ctx, *mono) for mono in pair)
+        return _unequal(apply_star(st, ea * eb),
+                        apply_star(st, eb) * apply_star(st, ea))
 
-    ce = _antimult_check(st, monos, star_el, max_pairs, seed)
-    checks.append(CheckResult("antimultiplicative", ce is None, ce))
-
-    ce = None
-    for b in monos:
-        lhs = delta(star_el[b])
-        out = {}
-        for (u, v), c in _delta_mono(ctx, b).terms.items():
-            cc = c.conjugate()
-            for mu, cu in star_el[u].terms.items():
-                half = cc * cu
-                for mv, cv in star_el[v].terms.items():
-                    key = (mu, mv)
-                    coeff = half * cv
-                    acc = out.get(key)
-                    out[key] = coeff if acc is None else acc + coeff
-        rhs = TensorElement(ctx, out)
-        if lhs != rhs:
-            ce = Counterexample(("monomial", b), lhs, rhs)
-            break
-    checks.append(CheckResult("delta_compatible", ce is None, ce))
-
-    ce = None
-    for b in monos:
-        eb = Element(ctx, {b: ctx.one})
-        res = antipode(apply_star(st, antipode(star_el[b])))
-        if res != eb:
-            ce = Counterexample(("monomial", b), res, eb)
-            break
-    checks.append(CheckResult("antipode_compatible", ce is None, ce))
-
-    ce = None
-    for b in monos:
-        eb = Element(ctx, {b: ctx.one})
-        lhs = counit(star_el[b])
-        rhs = counit(eb).conjugate()
-        if lhs != rhs:
-            ce = Counterexample(("monomial", b), Element.from_scalar(ctx, lhs),
-                                Element.from_scalar(ctx, rhs))
-            break
-    checks.append(CheckResult("counit_conjugate", ce is None, ce))
-
-    return VerificationReport(tuple(checks))
+    return _first_counterexample("pair", relation_pairs(ctx), check)
 
 
-def verify_hopf_axioms(ctx, delta_fn=None, max_pairs=None, seed=0):
-    """Aggregate Hopf-axiom report over the canonical basis.
+def _structure_checks(ctx, d):
+    """Pair checks: D and e multiplicative, S antimultiplicative."""
 
-    Unary laws (coassociativity, counit, antipode) run on every basis
-    monomial.  Binary laws (coproduct and counit multiplicativity) run on
-    every basis pair when ``max_pairs`` is None and n <= 4, and on a
-    seeded sample otherwise.  ``delta_fn`` swaps in an alternative
-    coproduct for negative fixtures.
+    def delta_multiplicative(pair):
+        ea, eb = (Element.monomial(ctx, *mono) for mono in pair)
+        return _unequal(d(ea * eb), tensor_mul(d(ea), d(eb)))
+
+    def counit_multiplicative(pair):
+        ea, eb = (Element.monomial(ctx, *mono) for mono in pair)
+        return _scalars_unequal(ctx, counit(ea * eb), counit(ea) * counit(eb))
+
+    return (delta_multiplicative, counit_multiplicative,
+            lambda pair: _antipode_reverses(ctx, pair))
+
+
+def _relation_counterexamples(ctx, d):
+    """First failures of the structure checks on the relation pairs.
+
+    The counit check first compares e(y^r x^s g^l) with e(y)^r e(x)^s e(g)^l
+    on every basis monomial, which makes e the multiplicative extension of
+    its generator values; ``delta`` and ``antipode`` are such extensions
+    by construction.
+    """
+    pairs = relation_pairs(ctx)
+    gen_values = [counit(Element.monomial(ctx, *b))
+                  for b in GENERATOR_MONOMIALS]
+    pg, px, py = ([c ** k for k in range(ctx.n)] for c in gen_values)
+
+    def counit_extends(b):
+        return _scalars_unequal(ctx, counit(Element.monomial(ctx, *b)),
+                                py[b.r] * px[b.s] * pg[b.l])
+
+    delta_mult, counit_mult, antipode_anti = _structure_checks(ctx, d)
+    return [
+        _first_counterexample("pair", pairs, delta_mult),
+        _first_counterexample("monomial", basis(ctx), counit_extends)
+        or _first_counterexample("pair", pairs, counit_mult),
+        _first_counterexample("pair", pairs, antipode_anti),
+    ]
+
+
+def verify_star_axioms(st):
+    """The five star-structure axioms, decided for all of H_n.
+
+    Checks: (1) involution, (2) antimultiplicativity, (3) coproduct
+    compatibility, (4) S(S(h*)*) = h, (5) counit conjugation.  (2) runs on
+    the relation pairs, which decides it.  When it holds and D, e, S pass
+    their relation checks, the two sides of each of (1), (3), (4), (5) are
+    maps of one kind: ** and S*S* are algebra maps, D* and (* (x) *)D
+    conjugate-linear anti-maps, e* and conj(e) conjugate-linear algebra
+    maps to the scalars.  Two such maps that agree on g, x, y agree
+    everywhere, so those four run on g, x, y only; otherwise they run on
+    every basis monomial.
+    """
+    ctx = st.ctx
+
+    def star(e):
+        return apply_star(st, e)
+
+    anti_ce = _antimult_counterexample(st)
+    certified = anti_ce is None and not any(_relation_counterexamples(ctx, delta))
+    points = GENERATOR_MONOMIALS if certified else basis(ctx)
+
+    def involution(b):
+        eb = Element.monomial(ctx, *b)
+        return _unequal(star(star(eb)), eb)
+
+    def delta_compatible(b):
+        eb = Element.monomial(ctx, *b)
+        return _unequal(delta(star(eb)), tensor_map(delta(eb), star, star))
+
+    def antipode_compatible(b):
+        eb = Element.monomial(ctx, *b)
+        return _unequal(antipode(star(antipode(star(eb)))), eb)
+
+    def counit_conjugate(b):
+        eb = Element.monomial(ctx, *b)
+        return _scalars_unequal(ctx, counit(star(eb)), counit(eb).conjugate())
+
+    def on_points(check):
+        return _first_counterexample("monomial", points, check)
+
+    return _report([
+        ("involution", on_points(involution)),
+        ("antimultiplicative", anti_ce),
+        ("delta_compatible", on_points(delta_compatible)),
+        ("antipode_compatible", on_points(antipode_compatible)),
+        ("counit_conjugate", on_points(counit_conjugate)),
+    ])
+
+
+def verify_hopf_axioms(ctx, delta_fn=None):
+    """Hopf-axiom report, decided for all of H_n.
+
+    The binary laws (D and e multiplicative, and S antimultiplicative,
+    reported under ``antipode_law``) run on the relation pairs.  When they
+    hold, both sides of coassociativity and of the counit law are algebra
+    maps, and the set where S * id = id * S = 1e holds is closed under
+    products, so the unary laws run on g, x, y only.  When a relation
+    check fails, or ``delta_fn`` swaps in a coproduct for negative
+    fixtures (which need not be a multiplicative extension), the unary
+    laws run on every basis monomial and the binary laws on every basis
+    pair.
     """
     d = delta_fn if delta_fn is not None else delta
-    monos = basis(ctx)
-    checks = []
+    ces = _relation_counterexamples(ctx, d)
+    if delta_fn is None and not any(ces):
+        points = GENERATOR_MONOMIALS
+    else:
+        points = basis(ctx)
+        pairs = [(a, b) for a in points for b in points]
+        ces = [ce or _first_counterexample("pair", pairs, check)
+               for ce, check in zip(ces, _structure_checks(ctx, d))]
+    delta_ce, counit_ce, antipode_ce = ces
 
-    ce = None
-    for b in monos:
-        eb = Element(ctx, {b: ctx.one})
-        lhs, rhs = triple_delta_sides(eb, d)
-        if lhs != rhs:
-            ce = Counterexample(("monomial", b), lhs, rhs)
-            break
-    checks.append(CheckResult("coassociativity", ce is None, ce))
+    def coassociativity(b):
+        return _unequal(*triple_delta_sides(Element.monomial(ctx, *b), d))
 
-    ce = None
-    for b in monos:
-        eb = Element(ctx, {b: ctx.one})
+    def counit_law(b):
+        eb = Element.monomial(ctx, *b)
         left = Element.zero(ctx)
         right = Element.zero(ctx)
         for (u, v), c in d(eb).terms.items():
@@ -364,51 +355,25 @@ def verify_hopf_axioms(ctx, delta_fn=None, max_pairs=None, seed=0):
                 left = left + Element(ctx, {v: c})
             if v.r == 0 and v.s == 0:
                 right = right + Element(ctx, {u: c})
-        if left != eb or right != eb:
-            ce = Counterexample(("monomial", b), left, right)
-            break
-    checks.append(CheckResult("counit_law", ce is None, ce))
+        return None if left == eb and right == eb else (left, right)
 
-    ce = None
-    for b in monos:
-        eb = Element(ctx, {b: ctx.one})
+    def antipode_law(b):
+        eb = Element.monomial(ctx, *b)
         target = Element.from_scalar(ctx, counit(eb))
         left = Element.zero(ctx)
         right = Element.zero(ctx)
         for (u, v), c in d(eb).terms.items():
             left = left + (antipode(Element(ctx, {u: c})) * Element(ctx, {v: ctx.one}))
             right = right + (Element(ctx, {u: c}) * antipode(Element(ctx, {v: ctx.one})))
-        if left != target or right != target:
-            ce = Counterexample(("monomial", b), left, right)
-            break
-    checks.append(CheckResult("antipode_law", ce is None, ce))
+        return None if left == target and right == target else (left, right)
 
-    if max_pairs is None and ctx.n > 4:
-        max_pairs = 2500
-    ce_delta = None
-    ce_counit = None
-    for ia, ib in _pair_iter(len(monos), max_pairs, seed):
-        a, b = monos[ia], monos[ib]
-        ea = Element(ctx, {a: ctx.one})
-        eb = Element(ctx, {b: ctx.one})
-        prod = ea * eb
-        if ce_delta is None:
-            lhs = d(prod)
-            rhs = tensor_mul(d(ea), d(eb))
-            if lhs != rhs:
-                ce_delta = Counterexample(("pair", (a, b)), lhs, rhs)
-        if ce_counit is None:
-            lc = counit(prod)
-            rc = counit(ea) * counit(eb)
-            if lc != rc:
-                ce_counit = Counterexample(
-                    ("pair", (a, b)),
-                    Element.from_scalar(ctx, lc),
-                    Element.from_scalar(ctx, rc),
-                )
-        if ce_delta is not None and ce_counit is not None:
-            break
-    checks.append(CheckResult("delta_multiplicative", ce_delta is None, ce_delta))
-    checks.append(CheckResult("counit_multiplicative", ce_counit is None, ce_counit))
+    def on_points(check):
+        return _first_counterexample("monomial", points, check)
 
-    return VerificationReport(tuple(checks))
+    return _report([
+        ("coassociativity", on_points(coassociativity)),
+        ("counit_law", on_points(counit_law)),
+        ("antipode_law", antipode_ce or on_points(antipode_law)),
+        ("delta_multiplicative", delta_ce),
+        ("counit_multiplicative", counit_ce),
+    ])

@@ -1,0 +1,108 @@
+"""Basis-wide oracles for the generator-level certificates.
+
+Each oracle checks its law on every basis monomial and every basis pair,
+with no reduction to generators or relation pairs, so tests can compare
+the kernel's verdicts with them check for check at small n.
+"""
+
+from radford.algebra import Element, basis
+from radford.classify import apply_automorphism
+from radford.coalgebra import antipode, counit, delta, tensor_map, tensor_mul, \
+    triple_delta_sides
+from radford.star import apply_star
+
+
+def _unit(ctx, b):
+    return Element(ctx, {b: ctx.one})
+
+
+def _all_pairs(ctx, law):
+    monos = basis(ctx)
+    return all(law(_unit(ctx, a), _unit(ctx, b)) for a in monos for b in monos)
+
+
+def _all_monomials(ctx, law):
+    return all(law(_unit(ctx, b)) for b in basis(ctx))
+
+
+def hopf_oracle(ctx, delta_fn=None):
+    """Pass/fail per Hopf check name, over the whole basis and all pairs."""
+    d = delta_fn if delta_fn is not None else delta
+
+    def coassociative(e):
+        lhs, rhs = triple_delta_sides(e, d)
+        return lhs == rhs
+
+    def counit_law(e):
+        left = Element.zero(ctx)
+        right = Element.zero(ctx)
+        for (u, v), c in d(e).terms.items():
+            left = left + Element(ctx, {v: c}).scale(counit(_unit(ctx, u)))
+            right = right + Element(ctx, {u: c}).scale(counit(_unit(ctx, v)))
+        return left == e and right == e
+
+    def antipode_law(e):
+        target = Element.from_scalar(ctx, counit(e))
+        left = Element.zero(ctx)
+        right = Element.zero(ctx)
+        for (u, v), c in d(e).terms.items():
+            eu = Element(ctx, {u: c})
+            ev = _unit(ctx, v)
+            left = left + antipode(eu) * ev
+            right = right + eu * antipode(ev)
+        return left == target and right == target
+
+    return {
+        "coassociativity": _all_monomials(ctx, coassociative),
+        "counit_law": _all_monomials(ctx, counit_law),
+        "antipode_law": _all_pairs(
+            ctx, lambda a, b: antipode(a * b) == antipode(b) * antipode(a))
+        and _all_monomials(ctx, antipode_law),
+        "delta_multiplicative": _all_pairs(
+            ctx, lambda a, b: d(a * b) == tensor_mul(d(a), d(b))),
+        "counit_multiplicative": _all_pairs(
+            ctx, lambda a, b: counit(a * b) == counit(a) * counit(b)),
+    }
+
+
+def star_oracle(st):
+    """Pass/fail per star check name, over the whole basis and all pairs."""
+    ctx = st.ctx
+
+    def star(e):
+        return apply_star(st, e)
+
+    return {
+        "involution": _all_monomials(ctx, lambda e: star(star(e)) == e),
+        "antimultiplicative": _all_pairs(
+            ctx, lambda a, b: star(a * b) == star(b) * star(a)),
+        "delta_compatible": _all_monomials(
+            ctx, lambda e: delta(star(e)) == tensor_map(delta(e), star, star)),
+        "antipode_compatible": _all_monomials(
+            ctx, lambda e: antipode(star(antipode(star(e)))) == e),
+        "counit_conjugate": _all_monomials(
+            ctx, lambda e: counit(star(e)) == counit(e).conjugate()),
+    }
+
+
+def equivalence_oracle(phi, st_a, st_b):
+    """phi(b^{*A}) = phi(b)^{*B} on every basis monomial."""
+    ctx = phi.ctx
+    st_a = st_a.embed(ctx)
+    st_b = st_b.embed(ctx)
+    return _all_monomials(
+        ctx,
+        lambda e: apply_automorphism(phi, apply_star(st_a, e))
+        == apply_star(st_b, apply_automorphism(phi, e)),
+    )
+
+
+def antipode_order_oracle(ctx, limit=100):
+    """Least k with S^k fixing every basis monomial, by brute force."""
+    units = [_unit(ctx, b) for b in basis(ctx)]
+    current = [antipode(e) for e in units]
+    for k in range(1, limit + 1):
+        if current == units:
+            return k
+        current = [antipode(e) for e in current]
+    raise AssertionError(f"antipode order exceeds {limit}")

@@ -197,12 +197,6 @@ class TestVerifyStarAxioms:
 
         assert tensor_map(delta(x), star, star) == delta(star(x))
 
-    def test_sampled_pairs_mode(self):
-        ctx = make_context(3)
-        st = make_star_diag(ctx, ctx.omega(), ctx.one)
-        report = verify_star_axioms(st, max_pairs=100, seed=7)
-        assert report.all_passed
-
 
 class TestVerifyHopfAxioms:
     @pytest.mark.parametrize("n", [2, 5])
