@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import jsonio
@@ -144,8 +145,6 @@ def _cmd_verify_star(args, ctx):
 
 
 def _cmd_solve_skew(args, ctx):
-    if not 0 <= args.w < ctx.n:
-        raise KernelError(f"--w must lie in [0, {ctx.n})")
     vectors = skew_primitive_space(ctx, args.w)
     text = "\n".join(
         [f"dimension {len(vectors)}"] + [format_element(v) for v in vectors]
@@ -336,7 +335,14 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args, ctx)
+        rc = args.func(args, ctx)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader closed stdout: exit quietly, and let the interpreter's
+        # final flush of what is still buffered go to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

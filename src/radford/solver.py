@@ -2,14 +2,17 @@
 
 Three layers:
 
-* Gaussian elimination over the cyclotomic field with deterministic
-  pivoting, used on the sparse operator h -> D(h) - h (x) g^w - 1 (x) h
-  to compute skew-primitive spaces exactly;
+* one sparse Gauss-Jordan elimination with deterministic pivoting, run
+  over the cyclotomic field or over Q.  Over the field it solves the
+  operator h -> D(h) - h (x) g^w - 1 (x) h on the at most 2n basis
+  monomials a skew-primitive can use (g^l, and y^r x^s with
+  r + s = w mod n; see ``skew_primitive_space``), which gives the
+  skew-primitive spaces exactly;
 * a group-likeness predicate D(e) = e (x) e, eps(e) = 1;
 * a Q-linearization for conjugate-linear systems: conjugation is not
   field-linear, so each scalar unknown splits into phi(m) rational
   unknowns and conjugation becomes an exact rational matrix, after which
-  an ordinary rational nullspace applies.
+  the same elimination runs over Q.
 """
 
 from __future__ import annotations
@@ -22,12 +25,15 @@ from .coalgebra import TensorElement, counit, delta, tensor_of
 from .errors import KernelError
 
 
-def _nullspace_from_rows(ctx, ncols, rows):
+def _nullspace_from_rows(rows, ncols, one):
     """Kernel basis from sparse constraint rows (dicts col -> scalar).
 
-    Rows are consumed in the order given; within a row the pivot is its
-    first nonzero column, so the elimination is fully deterministic.
-    Returns dense vectors, one per free column in ascending order.
+    One sparse Gauss-Jordan elimination for any exact field whose unit is
+    ``one`` (a cyclotomic scalar or ``Fraction(1)``).  Rows are consumed in
+    the order given; within a row the pivot is its first nonzero column,
+    so the elimination is fully deterministic.  Returns dense vectors, one
+    per free column in ascending order; as the reduced echelon form is
+    unique, they do not depend on the row order.
     """
     pivots = {}
     for row in rows:
@@ -36,45 +42,50 @@ def _nullspace_from_rows(ctx, ncols, rows):
             c = min(row)
             p = pivots.get(c)
             if p is None:
-                inv = row.pop(c).inverse()
+                inv = one / row.pop(c)
                 pivots[c] = {j: v * inv for j, v in row.items()}
                 break
-            coef = row.pop(c)
-            for j, v in p.items():
-                w = coef * v
-                old = row.get(j)
-                nv = -w if old is None else old - w
-                if nv:
-                    row[j] = nv
-                else:
-                    row.pop(j, None)
+            _eliminate(row, row.pop(c), p)
     # Back-eliminate to reduced echelon form for a canonical kernel basis.
     for c in sorted(pivots, reverse=True):
         prow = pivots[c]
         for c2, prow2 in pivots.items():
             if c2 < c and c in prow2:
-                coef = prow2.pop(c)
-                for j, v in prow.items():
-                    w = coef * v
-                    old = prow2.get(j)
-                    nv = -w if old is None else old - w
-                    if nv:
-                        prow2[j] = nv
-                    else:
-                        prow2.pop(j, None)
-    zero = ctx.zero
+                _eliminate(prow2, prow2.pop(c), prow)
+    zero = one - one
     out = []
     for f in range(ncols):
         if f in pivots:
             continue
         vec = [zero] * ncols
-        vec[f] = ctx.one
+        vec[f] = one
         for c, prow in pivots.items():
             v = prow.get(f)
             if v is not None:
                 vec[c] = -v
         out.append(vec)
     return out
+
+
+# The rational systems call the same elimination under their own name, so
+# per-layer traces (perfbench/tracing.py) time them apart from field ones.
+_rational_kernel = _nullspace_from_rows
+
+
+def _eliminate(row, coef, prow):
+    """row -= coef * prow in place, dropping entries that become zero."""
+    for j, v in prow.items():
+        w = coef * v
+        old = row.get(j)
+        nv = -w if old is None else old - w
+        if nv:
+            row[j] = nv
+        else:
+            row.pop(j, None)
+
+
+def _sparse_rows(dense_rows):
+    return [{j: v for j, v in enumerate(r) if v} for r in dense_rows]
 
 
 class FieldMatrix:
@@ -101,25 +112,36 @@ class FieldMatrix:
 
 def field_nullspace(matrix):
     """Basis of the right nullspace of a FieldMatrix, exactly."""
-    nrows, ncols = matrix.shape
-    sparse_rows = []
-    for r in matrix.rows:
-        row = {j: v for j, v in enumerate(r) if v}
-        if row:
-            sparse_rows.append(row)
-    return _nullspace_from_rows(matrix.ctx, ncols, sparse_rows)
+    return _nullspace_from_rows(
+        _sparse_rows(matrix.rows), matrix.shape[1], matrix.ctx.one
+    )
 
 
 def skew_primitive_space(ctx, w):
     """Basis of {h : D(h) = h (x) g^w + 1 (x) h} as Elements.
 
-    Built column by column from the n^3 basis monomials; the constraint
-    rows live on the n^6 tensor basis but only nonzero rows are kept.
+    Grade H_n by deg y = (1, 0), deg x = (0, 1), deg g = (0, 0).  The
+    operator T(h) = D(h) - h (x) g^w - 1 (x) h maps each block H_(r,s)
+    into the bidegree-(r, s) part of H (x) H, so its kernel is the sum of
+    the per-block kernels.  For
+    (r, s) != (0, 0) and h = sum_l c_l y^r x^s g^l, the H_(r,s) (x) H_(0,0)
+    part of T(h) is sum_l c_l y^r x^s g^l (x) (g^(l+r+s) - g^w) and the
+    H_(0,0) (x) H_(r,s) part is sum_l c_l (g^l - 1) (x) y^r x^s g^l, so
+    c_l = 0 unless l = 0 and r + s = w mod n.  Only the columns g^l and
+    y^r x^s with r + s = w mod n, at most 2n of them, can carry a
+    solution.  A dependency among columns is a kernel vector, so every
+    other column is a pivot column of the full n^3-column system, and
+    dropping them changes neither the free columns nor the reduced
+    echelon form: the basis is the one the full solve would return, in
+    the same (r, s, l) order.
     """
     n = ctx.n
     if not 0 <= w < n:
         raise KernelError(f"skew parameter w={w} outside [0, {n})")
-    monos = basis(ctx)
+    monos = [
+        b for b in basis(ctx)
+        if (b.r, b.s) == (0, 0) or (b.l == 0 and (b.r + b.s) % n == w)
+    ]
     one_m = Monomial(0, 0, 0)
     gw = Monomial(0, 0, w)
     rows_by_key = {}
@@ -131,7 +153,7 @@ def skew_primitive_space(ctx, w):
         for pair, c in image.terms.items():
             rows_by_key.setdefault(pair, {})[col] = c
     rows = [rows_by_key[k] for k in sorted(rows_by_key)]
-    vectors = _nullspace_from_rows(ctx, len(monos), rows)
+    vectors = _nullspace_from_rows(rows, len(monos), ctx.one)
     out = []
     for vec in vectors:
         out.append(Element(ctx, {m: c for m, c in zip(monos, vec) if c}))
@@ -203,54 +225,14 @@ def rationalize(system):
     return RationalizedSystem(ctx, system.num_vars, matrix)
 
 
-def _rational_kernel(matrix, ncols):
-    pivots = {}
-    for r in matrix:
-        row = {j: v for j, v in enumerate(r) if v}
-        while row:
-            c = min(row)
-            p = pivots.get(c)
-            if p is None:
-                lead = row.pop(c)
-                pivots[c] = {j: v / lead for j, v in row.items()}
-                break
-            coef = row.pop(c)
-            for j, v in p.items():
-                nv = row.get(j, Fraction(0)) - coef * v
-                if nv:
-                    row[j] = nv
-                else:
-                    row.pop(j, None)
-    for c in sorted(pivots, reverse=True):
-        prow = pivots[c]
-        for c2, prow2 in pivots.items():
-            if c2 < c and c in prow2:
-                coef = prow2.pop(c)
-                for j, v in prow.items():
-                    nv = prow2.get(j, Fraction(0)) - coef * v
-                    if nv:
-                        prow2[j] = nv
-                    else:
-                        prow2.pop(j, None)
-    out = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for c, prow in pivots.items():
-            vec[c] = -prow.get(f, Fraction(0))
-        out.append(vec)
-    return out
-
-
 def rational_nullspace(rsystem):
     """Kernel of a rationalized system as scalar assignments per unknown."""
     ctx = rsystem.ctx
     d = ctx.degree
     ncols = rsystem.num_vars * d
     out = []
-    for vec in _rational_kernel(rsystem.matrix, ncols):
+    rows = _sparse_rows(rsystem.matrix)
+    for vec in _rational_kernel(rows, ncols, Fraction(1)):
         out.append(
             [ctx.from_coords(vec[v * d:(v + 1) * d]) for v in range(rsystem.num_vars)]
         )

@@ -1,14 +1,17 @@
-"""Basis-wide oracles for the generator-level certificates.
+"""Basis-wide oracles for the generator-level certificates and the solver.
 
 Each oracle checks its law on every basis monomial and every basis pair,
 with no reduction to generators or relation pairs, so tests can compare
-the kernel's verdicts with them check for check at small n.
+the kernel's verdicts with them check for check at small n.  The
+skew-primitive oracle likewise solves on all n^3 basis columns, with no
+restriction by bidegree.
 """
 
-from radford.algebra import Element, basis
+from radford.algebra import Element, Monomial, basis
 from radford.classify import apply_automorphism
-from radford.coalgebra import antipode, counit, delta, tensor_map, tensor_mul, \
-    triple_delta_sides
+from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map, \
+    tensor_mul, triple_delta_sides
+from radford.solver import _nullspace_from_rows
 from radford.star import apply_star
 
 
@@ -106,3 +109,23 @@ def antipode_order_oracle(ctx, limit=100):
             return k
         current = [antipode(e) for e in current]
     raise AssertionError(f"antipode order exceeds {limit}")
+
+
+def skew_primitive_oracle(ctx, w):
+    """Basis of {h : D(h) = h (x) g^w + 1 (x) h} from all n^3 columns."""
+    monos = basis(ctx)
+    one_m = Monomial(0, 0, 0)
+    gw = Monomial(0, 0, w)
+    rows_by_key = {}
+    for col, b in enumerate(monos):
+        image = delta(_unit(ctx, b))
+        # Subtract as two tensors: the keys coincide when b = 1 and w = 0.
+        image = image - TensorElement(ctx, {(b, gw): ctx.one})
+        image = image - TensorElement(ctx, {(one_m, b): ctx.one})
+        for pair, c in image.terms.items():
+            rows_by_key.setdefault(pair, {})[col] = c
+    rows = [rows_by_key[k] for k in sorted(rows_by_key)]
+    return [
+        Element(ctx, {m: c for m, c in zip(monos, vec) if c})
+        for vec in _nullspace_from_rows(rows, len(monos), ctx.one)
+    ]

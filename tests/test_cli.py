@@ -16,12 +16,13 @@ from radford.star import make_star_diag, make_star_matrix, make_star_raw, \
     verify_star_axioms
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "radford", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
     return proc
 
@@ -248,6 +249,33 @@ class TestCommands:
     def test_solve_skew_flat_alias(self):
         p = run_cli("--n", "3", "solve-skew", "--w", "1", "--json")
         assert json.loads(p.stdout)["dimension"] == 3
+
+    @pytest.mark.parametrize("w, dim", [(1, 3), (0, 0), (5, 1)])
+    def test_solve_skew_large_n(self, w, dim):
+        p = run_cli("--n", "24", "solve", "skew", "--w", str(w), timeout=60)
+        assert p.returncode == 0
+        assert p.stdout.splitlines()[0] == f"dimension {dim}"
+
+    def test_solve_skew_w_out_of_range(self):
+        p = run_cli("--n", "3", "solve", "skew", "--w", "3")
+        assert p.returncode == 2
+        assert p.stderr == "error: skew parameter w=3 outside [0, 3)\n"
+
+    @pytest.mark.parametrize("args", [
+        ("--n", "12", "antipode-order", "--json"),
+        ("--n", "16", "solve", "skew", "--w", "1"),
+    ])
+    def test_closed_stdout_exits_quietly(self, args):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "radford", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == ""  # no BrokenPipeError traceback
+        assert proc.returncode == 1
 
     def test_grouplike_exit_codes(self):
         assert run_cli("--n", "3", "grouplike", "g^2").returncode == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import skew_primitive_oracle
 from radford.algebra import Element, Monomial, basis, generators
 from radford.coalgebra import delta, tensor_of
 from radford.errors import KernelError
@@ -114,6 +115,14 @@ class TestSkewPrimitives:
                 gw = Element.monomial(ctx, 0, 0, w)
                 for v in skew_primitive_space(ctx, w):
                     assert delta(v) == tensor_of(v, gw) + tensor_of(one, v)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_full_basis_oracle(self, n):
+        # The bidegree-restricted columns return the same basis, in the
+        # same order, as the elimination on all n^3 columns.
+        ctx = make_context(n)
+        for w in range(n):
+            assert skew_primitive_space(ctx, w) == skew_primitive_oracle(ctx, w), w
 
     def test_w_range_checked(self):
         with pytest.raises(KernelError):
