@@ -5,8 +5,9 @@ omega-commutation relations xg = w gx, gy = w yg, xy = w yx; it carries
 a Hopf structure whose antipode has order 2n.  This package computes in
 H_n exactly over Q(zeta_m), verifies every Hopf and star-structure
 axiom, solves the structural linear systems (group-likes,
-skew-primitives), and builds equivalence witnesses between star
-structures, including the n = 2 matrix criterion A L = conj(L) B.
+skew-primitives), and decides equivalence of star structures exactly,
+with a verified witness: square-root-free diagonal witnesses for n > 2
+and the n = 2 matrix criterion A L = conj(L) B.
 """
 
 from .algebra import Element, FreeWord, Monomial, basis, generators, \
@@ -41,12 +42,11 @@ from .errors import (
     InvalidAutomorphismError,
     InvalidStarStructureError,
     KernelError,
-    NotARootOfUnityError,
 )
 from .parser import format_element, format_scalar, format_tensor, parse, \
     parse_element
 from .scalars import CyclotomicScalar, FieldContext, Rational, make_context, \
-    sqrt_of_root_of_unity, unify_contexts
+    unify_contexts
 from .solver import (
     ConjTerm,
     ConjugateLinearSystem,

@@ -7,22 +7,23 @@ Covers three jobs:
   construction re-verifies the defining relations and the coproduct
   condition on generators instead of assuming them.
 * Witness construction: for n > 2 every diagonal structure diag(alpha,
-  beta) with root-of-unity parameters is carried to the trivial one by
-  phi = diag(l1, l2) with l1^2 = conj(alpha), l2^2 = conj(beta); square
-  roots may extend the conductor from m to 2m and every verification then
-  runs in the extended field.
+  beta) is carried to the trivial one by phi = diag(l(alpha), l(beta))
+  with l(a) = (1 + conj(a))/2, or l(-1) = i.  This is the Cayley form of
+  Hilbert's Theorem 90: conj(l(a)) = a l(a) for every norm-one a, so the
+  witness lives in the input's own field and needs no square root.
 * The n = 2 criterion: structures given by matrices A and B are
   equivalent iff an invertible Lambda solves A*Lambda = conj(Lambda)*B.
-  The solution space is computed exactly over Q; invertibility inside it
-  is located by a bounded deterministic search, and exhausting the bound
-  is reported as its own verdict, distinct from an empty solution space.
+  The solution space is computed exactly over Q; det restricted to it is
+  a quadratic form, which by polarization vanishes identically iff it
+  vanishes at every basis vector e_i and every e_i + e_j, so testing
+  those points decides the question.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations
 
 from .algebra import (
     GENERATOR_MONOMIALS,
@@ -35,7 +36,9 @@ from .algebra import (
 )
 from .coalgebra import delta, tensor_of
 from .errors import InvalidAutomorphismError, KernelError
-from .scalars import sqrt_of_root_of_unity, unify_contexts
+from .scalars import unify_contexts
+from .solver import ConjTerm, ConjugateLinearSystem, rational_nullspace, \
+    rationalize
 from .star import StarStructure, _antimult_counterexample, apply_star, \
     make_star_diag, verify_star_axioms
 
@@ -159,79 +162,52 @@ def verify_equivalence(phi, st_a, st_b):
     return _first_counterexample("monomial", points, check) is None
 
 
+def _cayley(a):
+    """l with conj(l) = a * l for a norm-one scalar a, in a's own field.
+
+    l = (1 + conj(a))/2 gives conj(l) = (1 + a)/2 = a * l because
+    a conj(a) = 1; it vanishes only at a = -1, where l = i works.
+    """
+    ctx = a.ctx
+    if a == -1:
+        return ctx.i()
+    return (ctx.one + a.conjugate()) * ctx.from_fraction(Fraction(1, 2))
+
+
 def equivalence_witness_diag(st_a):
     """Automorphism carrying diag(alpha, beta) to the trivial diag(1, 1).
 
-    Needs n > 2 and root-of-unity parameters; the required square roots
-    are lambda_i with lambda_i^2 = conj(parameter), taken in the extended
-    conductor when the exponent is odd.  The returned automorphism has
-    already passed verify_equivalence against the embedded structures.
+    Needs n > 2.  The witness diag(l(alpha), l(beta)) of ``_cayley``
+    lives in the structure's own context, and it has already passed
+    verify_equivalence when it is returned.
     """
     ctx = st_a.ctx
     if ctx.n <= 2:
         raise KernelError("diagonal witnesses apply to n > 2 only")
     if st_a.kind != "diag":
         raise KernelError("expected a diagonal star structure")
-    l1, ctx1 = sqrt_of_root_of_unity(st_a.alpha.conjugate())
-    l2, ctx2 = sqrt_of_root_of_unity(st_a.beta.conjugate())
-    common = unify_contexts(ctx1, ctx2)
-    phi = make_automorphism_diag(common, l1.embed(common), l2.embed(common))
-    trivial = make_star_diag(common, common.one, common.one)
-    if not verify_equivalence(phi, st_a.embed(common), trivial):
+    phi = make_automorphism_diag(ctx, _cayley(st_a.alpha), _cayley(st_a.beta))
+    trivial = make_star_diag(ctx, ctx.one, ctx.one)
+    if not verify_equivalence(phi, st_a, trivial):
         raise KernelError("constructed witness failed verification")
     return phi
 
 
 @dataclass(frozen=True)
 class EquivalenceResult:
-    """Outcome of an equivalence query.
+    """Outcome of an equivalence query; a True verdict carries a verified witness."""
 
-    ``equivalent`` is True, False, or the string "unknown-within-bound"
-    when the solution space is nonzero but the bounded search found no
-    invertible point.  A True verdict always carries a verified witness.
-    """
-
-    equivalent: object
+    equivalent: bool
     witness: Automorphism | None
-    nullspace_dimension: int
+    nullspace_dimension: int | None
 
 
-def _search_values(height_bound):
-    vals = set()
-    for q in range(1, height_bound + 1):
-        for p in range(-height_bound, height_bound + 1):
-            if p != 0:
-                vals.add(Fraction(p, q))
-    return sorted(
-        vals,
-        key=lambda f: (
-            max(abs(f.numerator), f.denominator),
-            f.denominator,
-            abs(f.numerator),
-            0 if f > 0 else 1,
-        ),
-    )
+def _matrix_equation_kernel(ctx, a, b):
+    """Q-basis of the Lambda in ctx^4 with A Lambda = conj(Lambda) B.
 
-
-def solve_equivalence_n2(st_a, st_b, height_bound=3, max_candidates=200_000):
-    """Decide equivalence of two n = 2 matrix structures via A L = conj(L) B.
-
-    The conjugate-linear system is rationalized and solved exactly; the
-    search for an invertible point enumerates rational coefficient
-    vectors over the kernel basis, fewest nonzero positions first, values
-    by ascending height up to ``height_bound``, stopping at the first
-    invertible candidate or at ``max_candidates``.
+    A, B and Lambda are 2x2 matrices as row-major 4-tuples; the
+    conjugate-linear system is rationalized and solved exactly.
     """
-    from .solver import ConjTerm, ConjugateLinearSystem, rational_nullspace, \
-        rationalize
-
-    if st_a.kind != "matrix2" or st_b.kind != "matrix2":
-        raise KernelError("both structures must be of matrix kind (n = 2)")
-    ctx = unify_contexts(st_a.ctx, st_b.ctx)
-    st_a = st_a.embed(ctx)
-    st_b = st_b.embed(ctx)
-    a = st_a.matrix
-    b_m = st_b.matrix
     system = ConjugateLinearSystem(ctx, 4)
     for i in range(2):
         for j in range(2):
@@ -239,38 +215,49 @@ def solve_equivalence_n2(st_a, st_b, height_bound=3, max_candidates=200_000):
             for k in range(2):
                 if a[2 * i + k]:
                     terms.append(ConjTerm(a[2 * i + k], 2 * k + j, False))
-                if b_m[2 * k + j]:
-                    terms.append(ConjTerm(-b_m[2 * k + j], 2 * i + k, True))
+                if b[2 * k + j]:
+                    terms.append(ConjTerm(-b[2 * k + j], 2 * i + k, True))
             system.add_equation(terms)
-    kernel = rational_nullspace(rationalize(system))
-    dim = len(kernel)
-    if dim == 0:
-        return EquivalenceResult(False, None, 0)
+    return rational_nullspace(rationalize(system))
 
-    values = _search_values(height_bound)
-    tried = 0
-    for nnz in range(1, dim + 1):
-        for positions in combinations(range(dim), nnz):
-            for coeffs in product(values, repeat=nnz):
-                tried += 1
-                if tried > max_candidates:
-                    return EquivalenceResult("unknown-within-bound", None, dim)
-                lam = [ctx.zero] * 4
-                for pos, cf in zip(positions, coeffs):
-                    vec = kernel[pos]
-                    scale = ctx.from_fraction(cf)
-                    for t in range(4):
-                        lam[t] = lam[t] + scale * vec[t]
-                det = lam[0] * lam[3] - lam[1] * lam[2]
-                if not det:
-                    continue
-                phi = make_automorphism_matrix(ctx, tuple(lam))
-                if not verify_equivalence(phi, st_a, st_b):
-                    raise KernelError(
-                        "solution of the matrix equation failed re-verification"
-                    )
-                return EquivalenceResult(True, phi, dim)
-    return EquivalenceResult("unknown-within-bound", None, dim)
+
+def _invertible_point(kernel):
+    """An invertible Lambda in the Q-span of ``kernel``, or None if none exists.
+
+    q(t) = det(sum t_i K_i) is a quadratic form, and in characteristic 0
+    q(e_i + e_j) = q(e_i) + q(e_j) + 2 B(e_i, e_j), so q vanishes
+    identically iff it vanishes at every e_i and every e_i + e_j.  Those
+    points are tried in the order e_1..e_d, then e_i + e_j for i < j.
+    """
+    sums = ([u + v for u, v in zip(kernel[i], kernel[j])]
+            for i, j in combinations(range(len(kernel)), 2))
+    for lam in chain(kernel, sums):
+        if lam[0] * lam[3] - lam[1] * lam[2]:
+            return tuple(lam)
+    return None
+
+
+def solve_equivalence_n2(st_a, st_b):
+    """Decide equivalence of two n = 2 matrix structures via A L = conj(L) B.
+
+    The verdict is exact: an invertible point of the solution space is
+    re-verified as a witness, and when ``_invertible_point`` finds none,
+    no invertible complex solution exists (README, "Why equivalence needs
+    no square roots and no search").
+    """
+    if st_a.kind != "matrix2" or st_b.kind != "matrix2":
+        raise KernelError("both structures must be of matrix kind (n = 2)")
+    ctx = unify_contexts(st_a.ctx, st_b.ctx)
+    st_a = st_a.embed(ctx)
+    st_b = st_b.embed(ctx)
+    kernel = _matrix_equation_kernel(ctx, st_a.matrix, st_b.matrix)
+    lam = _invertible_point(kernel)
+    if lam is None:
+        return EquivalenceResult(False, None, len(kernel))
+    phi = make_automorphism_matrix(ctx, lam)
+    if not verify_equivalence(phi, st_a, st_b):
+        raise KernelError("solution of the matrix equation failed re-verification")
+    return EquivalenceResult(True, phi, len(kernel))
 
 
 def scan_star_candidates(ctx, grid=None):

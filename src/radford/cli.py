@@ -1,8 +1,9 @@
 """Command-line interface: `radford --n N [--m M] [--json] COMMAND ...`.
 
 Exit codes: 0 on success / all checks passing; 1 when a verification
-fails or an equivalence query answers "not equivalent" or
-"unknown-within-bound"; 2 on usage, parse, or malformed-input errors.
+fails or an equivalence query answers "not equivalent"; 2 on usage,
+parse, or malformed-input errors, including a conductor above
+``scalars.MAX_CONDUCTOR``.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import sys
 from . import jsonio
 from .algebra import Element
 from .classify import (
+    EquivalenceResult,
     equivalence_witness_diag,
     scan_star_candidates,
     solve_equivalence_n2,
-    verify_equivalence,
 )
 from .coalgebra import antipode, antipode_order, counit, delta, delta_closed
-from .errors import ExprSyntaxError, KernelError, NotARootOfUnityError
+from .errors import ExprSyntaxError, KernelError
 from .parser import format_element, format_scalar, format_tensor, parse_element, \
     parse_scalar
 from .scalars import make_context, unify_contexts
@@ -159,44 +160,25 @@ def _cmd_grouplike(args, ctx):
     return 0 if verdict else 1
 
 
+def _emit_equivalence(args, result):
+    _emit(args, jsonio.equivalence_to_json(result),
+          "equivalent" if result.equivalent else "not equivalent")
+    return 0 if result.equivalent else 1
+
+
 def _cmd_equiv_diag(args, ctx):
     if ctx.n <= 2:
         raise KernelError("equiv diag applies to n > 2; use equiv n2 for n = 2")
-    alpha = parse_scalar(args.alpha, ctx)
-    beta = parse_scalar(args.beta, ctx)
-    st = make_star_diag(ctx, alpha, beta)
-    try:
-        phi = equivalence_witness_diag(st)
-    except NotARootOfUnityError as exc:
-        payload = {"equivalent": "unknown-within-bound", "witness": None,
-                   "nullspace_dimension": None, "error": str(exc)}
-        _emit(args, payload, f"unknown-within-bound: {exc}")
-        return 1
-    trivial = make_star_diag(phi.ctx, phi.ctx.one, phi.ctx.one)
-    ok = verify_equivalence(phi, st.embed(phi.ctx), trivial)
-    payload = {
-        "equivalent": bool(ok),
-        "witness": jsonio.automorphism_to_json(phi) if ok else None,
-        "nullspace_dimension": None,
-    }
-    _emit(args, payload,
-          "equivalent" if ok else "not equivalent")
-    return 0 if ok else 1
+    st = make_star_diag(ctx, parse_scalar(args.alpha, ctx),
+                        parse_scalar(args.beta, ctx))
+    phi = equivalence_witness_diag(st)
+    return _emit_equivalence(args, EquivalenceResult(True, phi, None))
 
 
 def _cmd_equiv_n2(args, ctx):
     st_a = _load_star(args.a, ctx)
     st_b = _load_star(args.b, ctx)
-    result = solve_equivalence_n2(st_a, st_b, height_bound=args.height_bound)
-    payload = jsonio.equivalence_to_json(result)
-    if result.equivalent is True:
-        text = "equivalent"
-    elif result.equivalent is False:
-        text = "not equivalent"
-    else:
-        text = "unknown-within-bound"
-    _emit(args, payload, text)
-    return 0 if result.equivalent is True else 1
+    return _emit_equivalence(args, solve_equivalence_n2(st_a, st_b))
 
 
 def _cmd_scan(args, ctx):
@@ -214,10 +196,6 @@ def _cmd_scan(args, ctx):
     )
     _emit(args, jsonio.scan_to_json(survivors), text)
     return 0
-
-
-def _add_expr(p):
-    p.add_argument("expr", help="element expression, e.g. 'x*g + w*g*x'")
 
 
 def build_parser():
@@ -240,85 +218,55 @@ def build_parser():
                      help="emit JSON instead of text")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def leaf(name, func, configure=None):
-        p = sub.add_parser(name, parents=[shared])
+    def leaf(name, func, *options, group=sub):
+        p = group.add_parser(name, parents=[shared])
         p.set_defaults(func=func)
-        if configure:
-            configure(p)
+        for args, kwargs in options:
+            p.add_argument(*args, **kwargs)
         return p
 
-    leaf("normalize", _cmd_normalize, _add_expr)
+    def group(name):
+        return sub.add_parser(name).add_subparsers(dest="subcommand",
+                                                   required=True)
 
-    def conf_mul(p):
-        p.add_argument("lhs")
-        p.add_argument("rhs")
+    def opt(*args, **kwargs):
+        return args, kwargs
 
-    leaf("mul", _cmd_mul, conf_mul)
-    leaf("delta", _cmd_delta, _add_expr)
-    leaf("delta-closed", _cmd_delta_closed, _add_expr)
-    leaf("counit", _cmd_counit, _add_expr)
-    leaf("antipode", _cmd_antipode, _add_expr)
+    expr = opt("expr", help="element expression, e.g. 'x*g + w*g*x'")
+    star_file = opt("--star", required=True, help="star-structure JSON file")
+
+    leaf("normalize", _cmd_normalize, expr)
+    leaf("mul", _cmd_mul, opt("lhs"), opt("rhs"))
+    leaf("delta", _cmd_delta, expr)
+    leaf("delta-closed", _cmd_delta_closed, expr)
+    leaf("counit", _cmd_counit, expr)
+    leaf("antipode", _cmd_antipode, expr)
     leaf("antipode-order", _cmd_antipode_order)
+    leaf("star-apply", _cmd_star_apply, star_file, expr)
 
-    def conf_star_apply(p):
-        p.add_argument("--star", required=True, help="star-structure JSON file")
-        _add_expr(p)
+    verify = group("verify")
+    leaf("hopf", _cmd_verify_hopf, group=verify)
+    leaf("star", _cmd_verify_star, star_file, group=verify)
 
-    leaf("star-apply", _cmd_star_apply, conf_star_apply)
+    leaf("skew", _cmd_solve_skew,
+         opt("--w", type=int, required=True,
+             help="group-like exponent in D(h) = h(x)g^w + 1(x)h"),
+         group=group("solve"))
 
-    def conf_verify_star(p):
-        p.add_argument("--star", required=True)
+    leaf("grouplike", _cmd_grouplike, expr)
 
-    verify = sub.add_parser("verify")
-    vsub = verify.add_subparsers(dest="subcommand", required=True)
-    vh = vsub.add_parser("hopf", parents=[shared])
-    vh.set_defaults(func=_cmd_verify_hopf)
-    vs = vsub.add_parser("star", parents=[shared])
-    vs.set_defaults(func=_cmd_verify_star)
-    conf_verify_star(vs)
-    leaf("verify-hopf", _cmd_verify_hopf)
-    leaf("verify-star", _cmd_verify_star, conf_verify_star)
+    equiv = group("equiv")
+    leaf("diag", _cmd_equiv_diag,
+         opt("--alpha", required=True, help="scalar expression"),
+         opt("--beta", required=True, help="scalar expression"), group=equiv)
+    leaf("n2", _cmd_equiv_n2,
+         opt("--a", required=True, help="star-structure JSON file"),
+         opt("--b", required=True, help="star-structure JSON file"), group=equiv)
 
-    def conf_skew(p):
-        p.add_argument("--w", type=int, required=True,
-                       help="group-like exponent in D(h) = h(x)g^w + 1(x)h")
-
-    solve = sub.add_parser("solve")
-    ssub = solve.add_subparsers(dest="subcommand", required=True)
-    sk = ssub.add_parser("skew", parents=[shared])
-    sk.set_defaults(func=_cmd_solve_skew)
-    conf_skew(sk)
-    leaf("solve-skew", _cmd_solve_skew, conf_skew)
-
-    leaf("grouplike", _cmd_grouplike, _add_expr)
-
-    def conf_equiv_diag(p):
-        p.add_argument("--alpha", required=True, help="scalar expression")
-        p.add_argument("--beta", required=True, help="scalar expression")
-
-    def conf_equiv_n2(p):
-        p.add_argument("--a", required=True, help="star-structure JSON file")
-        p.add_argument("--b", required=True, help="star-structure JSON file")
-        p.add_argument("--height-bound", type=int, default=3,
-                       help="height cap for the invertibility search")
-
-    equiv = sub.add_parser("equiv")
-    esub = equiv.add_subparsers(dest="subcommand", required=True)
-    ed = esub.add_parser("diag", parents=[shared])
-    ed.set_defaults(func=_cmd_equiv_diag)
-    conf_equiv_diag(ed)
-    en = esub.add_parser("n2", parents=[shared])
-    en.set_defaults(func=_cmd_equiv_n2)
-    conf_equiv_n2(en)
-    leaf("equiv-diag", _cmd_equiv_diag, conf_equiv_diag)
-    leaf("equiv-n2", _cmd_equiv_n2, conf_equiv_n2)
-
-    def conf_scan(p):
-        p.add_argument("--grid", default=None,
-                       help="comma-separated scalar expressions; default is "
-                            "all m-th roots of unity and 0")
-
-    leaf("scan", _cmd_scan, conf_scan)
+    leaf("scan", _cmd_scan,
+         opt("--grid", default=None,
+             help="comma-separated scalar expressions; default is "
+                  "all m-th roots of unity and 0"))
     return top
 
 
@@ -346,9 +294,6 @@ def main(argv=None):
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    except NotARootOfUnityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except KernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

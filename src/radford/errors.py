@@ -9,10 +9,6 @@ class ContextMismatchError(KernelError):
     """Two values from incompatible field contexts were combined."""
 
 
-class NotARootOfUnityError(KernelError):
-    """A scalar expected to be a root of unity is not one."""
-
-
 class InvalidStarStructureError(KernelError):
     """A candidate star structure violates its construction precondition."""
 

@@ -24,12 +24,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ContextMismatchError, KernelError, NotARootOfUnityError
+from .errors import ContextMismatchError, KernelError
 
 # Exact rationals are stdlib Fractions: reduced, positive denominator.
 Rational = Fraction
 
 _MUL_CACHE_LIMIT = 1 << 18
+
+# Largest conductor make_context accepts.  A context holds a table of
+# about m * phi(m) integers and every product costs phi(m)^2 operations,
+# so an oversized --n or --m is refused up front instead of hanging.
+MAX_CONDUCTOR = 1024
 
 
 def _poly_trim(coeffs):
@@ -83,14 +88,18 @@ _context_cache = {}
 def make_context(n, m=None):
     """Build (or reuse) the field context for order n and conductor m.
 
-    Rejects n < 2 and any explicit m not divisible by both n and 4.
-    The default conductor is lcm(4, n), the smallest one housing both
-    omega and i.
+    Rejects n < 2, any explicit m not divisible by both n and 4, and any
+    conductor above MAX_CONDUCTOR.  The default conductor is lcm(4, n),
+    the smallest one housing both omega and i.
     """
     if n < 2:
         raise KernelError(f"order n must be at least 2, got {n}")
     if m is None:
         m = math.lcm(4, n)
+    if m > MAX_CONDUCTOR:
+        raise KernelError(
+            f"conductor m={m} exceeds the limit {MAX_CONDUCTOR}"
+        )
     if m % n != 0 or m % 4 != 0:
         raise KernelError(f"conductor m={m} must be divisible by n={n} and by 4")
     key = (n, m)
@@ -469,23 +478,3 @@ def unify_contexts(ctx_a, ctx_b):
             f"different orders n={ctx_a.n} and n={ctx_b.n}"
         )
     return make_context(ctx_a.n, math.lcm(ctx_a.m, ctx_b.m))
-
-
-def sqrt_of_root_of_unity(a):
-    """A square root of a root of unity, extending the conductor if needed.
-
-    For a = zeta^k with k even the root zeta^(k/2) lives in the same
-    context; for odd k it is zeta_{2m}^k in the context of conductor 2m
-    (every existing scalar embeds there via zeta_m = zeta_{2m}^2).
-    Returns (root, context_of_root).
-    """
-    ctx = a.ctx
-    k = ctx.zeta_log(a)
-    if k is None:
-        raise NotARootOfUnityError(
-            "scalar is not a power of zeta; no exact square root available"
-        )
-    if k % 2 == 0:
-        return ctx.zeta(k // 2), ctx
-    big = make_context(ctx.n, 2 * ctx.m)
-    return big.zeta(k), big

@@ -4,13 +4,19 @@ Each oracle checks its law on every basis monomial and every basis pair,
 with no reduction to generators or relation pairs, so tests can compare
 the kernel's verdicts with them check for check at small n.  The
 skew-primitive oracle likewise solves on all n^3 basis columns, with no
-restriction by bidegree.
+restriction by bidegree.  The n = 2 equivalence oracle searches the
+rational solution space of A L = conj(L) B by height instead of testing
+the polarization points.
 """
 
+from fractions import Fraction
+from itertools import combinations, product
+
 from radford.algebra import Element, Monomial, basis
-from radford.classify import apply_automorphism
+from radford.classify import _matrix_equation_kernel, apply_automorphism
 from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map, \
     tensor_mul, triple_delta_sides
+from radford.scalars import unify_contexts
 from radford.solver import _nullspace_from_rows
 from radford.star import apply_star
 
@@ -129,3 +135,40 @@ def skew_primitive_oracle(ctx, w):
         Element(ctx, {m: c for m, c in zip(monos, vec) if c})
         for vec in _nullspace_from_rows(rows, len(monos), ctx.one)
     ]
+
+
+def _search_values(height_bound):
+    vals = {Fraction(p, q) for q in range(1, height_bound + 1)
+            for p in range(-height_bound, height_bound + 1) if p}
+    return sorted(vals, key=lambda f: (max(abs(f.numerator), f.denominator),
+                                       f.denominator, abs(f.numerator), f < 0))
+
+
+def n2_search_oracle(st_a, st_b, height_bound=3, max_candidates=200_000):
+    """Invertible L with A L = conj(L) B by bounded search, or a verdict.
+
+    Enumerates rational combinations of the kernel basis, fewest nonzero
+    coefficients first, values by ascending height up to
+    ``height_bound``.  Returns the first invertible L as a 4-tuple, False
+    when the solution space is zero, and None when the search runs out.
+    """
+    ctx = unify_contexts(st_a.ctx, st_b.ctx)
+    kernel = _matrix_equation_kernel(
+        ctx, st_a.embed(ctx).matrix, st_b.embed(ctx).matrix)
+    if not kernel:
+        return False
+    values = _search_values(height_bound)
+    tried = 0
+    for nnz in range(1, len(kernel) + 1):
+        for positions in combinations(range(len(kernel)), nnz):
+            for coeffs in product(values, repeat=nnz):
+                tried += 1
+                if tried > max_candidates:
+                    return None
+                lam = [ctx.zero] * 4
+                for pos, cf in zip(positions, coeffs):
+                    scale = ctx.from_fraction(cf)
+                    lam = [u + scale * v for u, v in zip(lam, kernel[pos])]
+                if lam[0] * lam[3] - lam[1] * lam[2]:
+                    return tuple(lam)
+    return None

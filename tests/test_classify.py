@@ -7,6 +7,7 @@ import pytest
 from radford.algebra import Element, Monomial, basis, generators
 from radford.coalgebra import delta, tensor_of
 from radford.classify import (
+    _invertible_point,
     apply_automorphism,
     equivalence_witness_diag,
     make_automorphism_diag,
@@ -15,13 +16,11 @@ from radford.classify import (
     solve_equivalence_n2,
     verify_equivalence,
 )
-from radford.errors import (
-    InvalidAutomorphismError,
-    KernelError,
-    NotARootOfUnityError,
-)
+from radford.errors import InvalidAutomorphismError, KernelError
 from radford.scalars import make_context
 from radford.star import make_star_diag, make_star_matrix
+
+from oracles import n2_search_oracle
 
 
 class TestAutomorphisms:
@@ -92,27 +91,24 @@ class TestVerifyEquivalence:
 
     def test_direction_conjugate_square(self):
         # phi = diag(l1, 1) with l1^2 = conj(alpha) carries diag(alpha, 1)
-        # to the trivial structure.
+        # to the trivial structure; alpha = zeta_12, l1 = zeta_24^(-1).
         ctx = make_context(3)
-        alpha = ctx.omega()
-        l1, lctx = __import__("radford.scalars", fromlist=["sqrt_of_root_of_unity"]) \
-            .sqrt_of_root_of_unity(alpha.conjugate())
-        phi = make_automorphism_diag(lctx, l1.embed(lctx), lctx.one)
+        big = make_context(3, 24)
+        alpha = ctx.zeta(1)
+        phi = make_automorphism_diag(big, big.zeta(-1), big.one)
         st = make_star_diag(ctx, alpha, ctx.one)
-        trivial = make_star_diag(lctx, lctx.one, lctx.one)
+        trivial = make_star_diag(big, big.one, big.one)
         assert verify_equivalence(phi, st, trivial)
 
     def test_direction_plain_square_is_the_reverse(self):
-        # With l1^2 = alpha the same shape of map carries the trivial
-        # structure to diag(alpha, 1), not the other way around.
+        # With l1^2 = alpha (l1 = zeta_24) the same shape of map carries the
+        # trivial structure to diag(alpha, 1), not the other way around.
         ctx = make_context(3)
-        alpha = ctx.omega()
-        from radford.scalars import sqrt_of_root_of_unity
-
-        l1, lctx = sqrt_of_root_of_unity(alpha)
-        phi = make_automorphism_diag(lctx, l1.embed(lctx), lctx.one)
+        big = make_context(3, 24)
+        alpha = ctx.zeta(1)
+        phi = make_automorphism_diag(big, big.zeta(1), big.one)
         st = make_star_diag(ctx, alpha, ctx.one)
-        trivial = make_star_diag(lctx, lctx.one, lctx.one)
+        trivial = make_star_diag(big, big.one, big.one)
         assert verify_equivalence(phi, trivial, st)
         assert not verify_equivalence(phi, st, trivial)
 
@@ -139,13 +135,39 @@ class TestWitnessDiag:
         trivial = make_star_diag(phi.ctx, phi.ctx.one, phi.ctx.one)
         assert verify_equivalence(phi, st.embed(phi.ctx), trivial)
 
-    def test_odd_exponent_extends_field(self):
+    def test_odd_exponent_stays_in_context(self):
         ctx = make_context(3)
         st = make_star_diag(ctx, ctx.zeta(1), ctx.one)
         phi = equivalence_witness_diag(st)
-        assert phi.ctx.m == 24
-        trivial = make_star_diag(phi.ctx, phi.ctx.one, phi.ctx.one)
-        assert verify_equivalence(phi, st.embed(phi.ctx), trivial)
+        assert phi.ctx is ctx
+        trivial = make_star_diag(ctx, ctx.one, ctx.one)
+        assert verify_equivalence(phi, st, trivial)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_cayley_witness_for_every_root_pair(self, n):
+        ctx = make_context(n)
+        trivial = make_star_diag(ctx, ctx.one, ctx.one)
+        for j in range(ctx.m):
+            for k in range(ctx.m):
+                st = make_star_diag(ctx, ctx.zeta(j), ctx.zeta(k))
+                phi = equivalence_witness_diag(st)
+                assert phi.ctx is ctx, (n, j, k)
+                assert verify_equivalence(phi, st, trivial), (n, j, k)
+
+    @pytest.mark.parametrize("re_", [3, -3])
+    def test_cayley_witness_for_pythagorean_parameters(self, re_):
+        # (+-3 + 4i)/5 has norm one but is not a root of unity.
+        for n in (3, 4, 5, 6):
+            ctx = make_context(n)
+            a = (ctx.from_int(re_) + ctx.from_int(4) * ctx.i()) \
+                * ctx.from_fraction(Fraction(1, 5))
+            trivial = make_star_diag(ctx, ctx.one, ctx.one)
+            for k in range(ctx.m):
+                for pair in ((a, ctx.zeta(k)), (ctx.zeta(k), a)):
+                    st = make_star_diag(ctx, *pair)
+                    phi = equivalence_witness_diag(st)
+                    assert phi.ctx is ctx, (n, k)
+                    assert verify_equivalence(phi, st, trivial), (n, k)
 
     def test_rejected_for_n2(self):
         ctx = make_context(2)
@@ -154,12 +176,16 @@ class TestWitnessDiag:
             equivalence_witness_diag(st)
 
     def test_non_root_parameter_reported(self):
+        # (3 + 4i)/5 is no root of unity; its witness is (1 + conj a)/2.
         ctx = make_context(3)
         a = (ctx.from_int(3) + ctx.from_int(4) * ctx.i()) \
             * ctx.from_fraction(Fraction(1, 5))
         st = make_star_diag(ctx, a, ctx.one)
-        with pytest.raises(NotARootOfUnityError):
-            equivalence_witness_diag(st)
+        phi = equivalence_witness_diag(st)
+        assert phi.ctx is ctx
+        assert phi.lambda1 == (ctx.from_int(4) - ctx.from_int(2) * ctx.i()) \
+            * ctx.from_fraction(Fraction(1, 5))
+        assert phi.lambda2 == 1
 
 
 def _matrix_witness_set(ctx):
@@ -169,6 +195,22 @@ def _matrix_witness_set(ctx):
         make_star_matrix(ctx, (ctx.zero, ctx.one, ctx.one, ctx.zero)),
         make_star_matrix(ctx, (ctx.i(), ctx.zero, ctx.zero, -ctx.i())),
         make_star_matrix(ctx, (ctx.zero, ctx.from_int(2), half, ctx.zero)),
+    ]
+
+
+def _more_matrix_witnesses(ctx):
+    # Every A with conj(A) A = I is S conj(S)^-1; [[1, 2i], [0, 1]] comes
+    # from S = [[1, i], [0, 1]].
+    i = ctx.i()
+    fifth = ctx.from_fraction(Fraction(1, 5))
+    half = ctx.from_fraction(Fraction(1, 2))
+    return [
+        make_star_matrix(ctx, (i, ctx.zero, ctx.zero, i)),
+        make_star_matrix(ctx, ((ctx.from_int(3) + ctx.from_int(4) * i) * fifth,
+                               ctx.zero, ctx.zero, ctx.one)),
+        make_star_matrix(ctx, (ctx.zero, ctx.one + i, (ctx.one + i) * half,
+                               ctx.zero)),
+        make_star_matrix(ctx, (ctx.one, ctx.from_int(2) * i, ctx.zero, ctx.one)),
     ]
 
 
@@ -228,6 +270,62 @@ class TestSolveEquivalenceN2:
         st = make_star_diag(ctx, ctx.one, ctx.one)
         with pytest.raises(KernelError):
             solve_equivalence_n2(st, st)
+
+    def test_agrees_with_search_oracle(self):
+        ctx = make_context(2)
+        stars = _matrix_witness_set(ctx) + _more_matrix_witnesses(ctx)
+        for st_a in stars:
+            for st_b in stars:
+                res = solve_equivalence_n2(st_a, st_b)
+                found = n2_search_oracle(st_a, st_b)
+                assert found is not None, "search bound exhausted"
+                assert res.equivalent is bool(found)
+                if res.equivalent:
+                    assert res.witness.matrix == found
+                    assert verify_equivalence(res.witness, st_a, st_b)
+
+    def test_larger_conductor(self):
+        # Structures from Q(i) embedded in Q(zeta_8): the rational kernel
+        # doubles in dimension and the verdicts stay the same.
+        ctx = make_context(2)
+        big = make_context(2, 8)
+        stars = _matrix_witness_set(ctx) + _more_matrix_witnesses(ctx)
+        for st_a in stars:
+            for st_b in stars:
+                res = solve_equivalence_n2(st_a.embed(big), st_b)
+                assert res.equivalent is True
+                assert res.witness.ctx is big
+                assert res.nullspace_dimension \
+                    == 2 * solve_equivalence_n2(st_a, st_b).nullspace_dimension
+                found = n2_search_oracle(st_a.embed(big), st_b)
+                assert res.witness.matrix == found
+
+
+class TestInvertiblePoint:
+    @staticmethod
+    def _unit_matrices(ctx):
+        return [[ctx.one if t == k else ctx.zero for t in range(4)]
+                for k in range(4)]
+
+    def test_degenerate_kernel_has_no_witness(self):
+        # span{E11, E12}: every matrix in it has a zero second row.
+        ctx = make_context(2)
+        e11, e12, _, _ = self._unit_matrices(ctx)
+        assert _invertible_point([e11, e12]) is None
+        assert _invertible_point([]) is None
+
+    def test_sum_of_singular_basis_vectors(self):
+        # span{E11, E22}: both basis vectors are singular, E11 + E22 is not.
+        ctx = make_context(2)
+        e11, _, _, e22 = self._unit_matrices(ctx)
+        assert _invertible_point([e11, e22]) \
+            == (ctx.one, ctx.zero, ctx.zero, ctx.one)
+
+    def test_basis_vectors_come_first(self):
+        ctx = make_context(2)
+        e11, e12, e21, e22 = self._unit_matrices(ctx)
+        swap = [a + b for a, b in zip(e12, e21)]
+        assert _invertible_point([e11, e22, swap]) == tuple(swap)
 
 
 class TestScan:

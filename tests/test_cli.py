@@ -200,9 +200,17 @@ class TestCommands:
         assert "PASS coassociativity" in p.stdout
 
     def test_verify_hopf_flat_alias(self):
-        p = run_cli("--n", "3", "--json", "verify-hopf")
+        # The hyphenated alias is gone; the spaced form carries the JSON.
+        assert run_cli("--n", "3", "--json", "verify-hopf").returncode == 2
+        p = run_cli("--n", "3", "--json", "verify", "hopf")
         assert p.returncode == 0
         validate(json.loads(p.stdout), "verification_report")
+
+    @pytest.mark.parametrize("alias", ["verify-star", "equiv-diag", "equiv-n2"])
+    def test_other_flat_aliases_removed(self, alias):
+        p = run_cli("--n", "3", alias)
+        assert p.returncode == 2
+        assert "invalid choice" in p.stderr
 
     def test_verify_star_pass_and_fail(self, star_files):
         p = run_cli("--n", "3", "verify", "star", "--star",
@@ -247,7 +255,8 @@ class TestCommands:
         assert v == one_minus_g2.scale(c)
 
     def test_solve_skew_flat_alias(self):
-        p = run_cli("--n", "3", "solve-skew", "--w", "1", "--json")
+        assert run_cli("--n", "3", "solve-skew", "--w", "1").returncode == 2
+        p = run_cli("--n", "3", "solve", "skew", "--w", "1", "--json")
         assert json.loads(p.stdout)["dimension"] == 3
 
     @pytest.mark.parametrize("w, dim", [(1, 3), (0, 0), (5, 1)])
@@ -299,14 +308,25 @@ class TestCommands:
         assert p.returncode == 2
 
     def test_equiv_diag_non_root_parameter(self):
-        # (3 + 4i)/5 has norm one but no exact square root in any
-        # cyclotomic extension we construct: reported, exit 1.
+        # (3 + 4i)/5 has norm one but is not a root of unity; the Cayley
+        # witness (1 + conj(alpha))/2 = 4/5 - 2/5*i needs no extension.
         p = run_cli("--n", "3", "--json", "equiv", "diag",
                     "--alpha", "3/5 + 4/5*i", "--beta", "1")
-        assert p.returncode == 1
+        assert p.returncode == 0
         obj = json.loads(p.stdout)
-        assert obj["equivalent"] == "unknown-within-bound"
-        assert "error" in obj
+        validate(obj, "equivalence_result")
+        assert obj["equivalent"] is True
+        assert obj["witness"]["context"] == {"n": 3, "m": 12}
+        assert obj["witness"]["lambda1"] == ["4/5", "0", "0", "-2/5"]
+
+    @pytest.mark.parametrize("n", [3, 9, 12])
+    def test_equiv_diag_odd_exponent_stays_in_conductor(self, n):
+        p = run_cli("--n", str(n), "--json", "equiv", "diag",
+                    "--alpha", "z", "--beta", "z^3")
+        assert p.returncode == 0
+        obj = json.loads(p.stdout)
+        assert obj["equivalent"] is True
+        assert obj["witness"]["context"] == {"n": n, "m": make_context(n).m}
 
     def test_equiv_diag_norm_violation_is_usage_error(self):
         p = run_cli("--n", "3", "equiv", "diag", "--alpha", "2", "--beta", "1")
@@ -323,15 +343,23 @@ class TestCommands:
         assert obj["witness"] is not None
 
     def test_equiv_n2_swapscaled(self, star_files):
-        p = run_cli("--n", "2", "--json", "equiv-n2",
+        p = run_cli("--n", "2", "--json", "equiv", "n2",
                     "--a", str(star_files / "ident.json"),
                     "--b", str(star_files / "swapscaled.json"))
         obj = json.loads(p.stdout)
         validate(obj, "equivalence_result")
-        if obj["equivalent"] is True:
-            assert p.returncode == 0 and obj["witness"] is not None
-        else:
-            assert p.returncode == 1
+        assert obj["equivalent"] is True
+        assert p.returncode == 0 and obj["witness"] is not None
+
+    def test_equiv_n2_larger_conductor(self, star_files):
+        p = run_cli("--n", "2", "--m", "8", "--json", "equiv", "n2",
+                    "--a", str(star_files / "ident.json"),
+                    "--b", str(star_files / "diag_i.json"))
+        assert p.returncode == 0
+        obj = json.loads(p.stdout)
+        validate(obj, "equivalence_result")
+        assert obj["equivalent"] is True
+        assert obj["witness"]["context"] == {"n": 2, "m": 8}
 
     def test_scan_json(self):
         p = run_cli("--n", "2", "--json", "scan", "--grid", "0,1,-1")
@@ -352,6 +380,15 @@ class TestCommands:
     def test_bad_conductor_exit_2(self):
         p = run_cli("--n", "3", "--m", "8", "normalize", "x")
         assert p.returncode == 2
+
+    @pytest.mark.parametrize("args", [
+        ("--n", "100000", "antipode-order"),
+        ("--n", "3", "--m", "120000", "normalize", "1"),
+    ])
+    def test_oversized_conductor_exit_2(self, args):
+        p = run_cli(*args, timeout=10)
+        assert p.returncode == 2
+        assert "exceeds the limit" in p.stderr
 
     def test_wrong_order_star_file_exit_2(self, star_files):
         p = run_cli("--n", "2", "verify", "star", "--star",

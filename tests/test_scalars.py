@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, Symbol, cyclotomic_poly
 
-from radford.errors import (
-    ContextMismatchError,
-    KernelError,
-    NotARootOfUnityError,
-)
-from radford.scalars import make_context, sqrt_of_root_of_unity, unify_contexts
+from radford.errors import ContextMismatchError, KernelError
+from radford.scalars import MAX_CONDUCTOR, make_context, unify_contexts
 
 
 def small_fractions():
@@ -68,6 +64,13 @@ class TestContext:
         ctx = make_context(3, 24)
         assert ctx.omega() ** 3 == 1
         assert ctx.i() * ctx.i() == -1
+
+    def test_conductor_budget(self):
+        assert make_context(4, MAX_CONDUCTOR).m == MAX_CONDUCTOR
+        with pytest.raises(KernelError):
+            make_context(4, 2 * MAX_CONDUCTOR)
+        with pytest.raises(KernelError):
+            make_context(MAX_CONDUCTOR + 1)
 
     def test_contexts_interned(self):
         assert make_context(3) is make_context(3, 12)
@@ -171,41 +174,6 @@ class TestNormOne:
         ctx = make_context(n)
         for k in range(ctx.m):
             assert ctx.zeta(k).is_norm_one()
-
-
-class TestSqrt:
-    def test_sqrt_of_one(self):
-        r, ctx = sqrt_of_root_of_unity(CTX3.one)
-        assert ctx is CTX3 and r == 1
-
-    def test_sqrt_of_minus_one_is_i(self):
-        ctx = make_context(2)
-        r, rctx = sqrt_of_root_of_unity(ctx.from_int(-1))
-        assert rctx is ctx
-        assert r == ctx.i()
-
-    def test_odd_exponent_extends_conductor(self):
-        r, rctx = sqrt_of_root_of_unity(CTX3.zeta(1))
-        assert rctx.m == 24
-        assert r * r == CTX3.zeta(1).embed(rctx)
-
-    def test_even_exponent_stays(self):
-        r, rctx = sqrt_of_root_of_unity(CTX3.zeta(6))
-        assert rctx is CTX3
-        assert r == CTX3.zeta(3)
-
-    def test_non_root_reported(self):
-        with pytest.raises(NotARootOfUnityError):
-            sqrt_of_root_of_unity(CTX3.from_int(2))
-
-    def test_norm_one_non_root_reported(self):
-        # (3 + 4i)/5 has norm one but is not a root of unity.
-        ctx = make_context(2)
-        a = (ctx.from_int(3) + ctx.from_int(4) * ctx.i()) \
-            * ctx.from_fraction(Fraction(1, 5))
-        assert a.is_norm_one()
-        with pytest.raises(NotARootOfUnityError):
-            sqrt_of_root_of_unity(a)
 
 
 class TestEmbedding:
