@@ -30,8 +30,6 @@ from .coalgebra import (
     counit,
     delta,
     delta_closed,
-    qbinom,
-    tensor_flip,
     tensor_map,
     tensor_mul,
     tensor_of,

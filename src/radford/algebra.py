@@ -250,10 +250,6 @@ def monomial_mul(ctx, a, b):
     return Element(ctx, {mono: ctx.omega_pow(e)})
 
 
-def element_pow(e, k):
-    return e ** k
-
-
 @dataclass(frozen=True)
 class FreeWord:
     """Word over the alphabet {G, X, Y} with an optional scalar coefficient."""

@@ -14,14 +14,13 @@ import os
 import sys
 
 from . import jsonio
-from .algebra import Element
 from .classify import (
     EquivalenceResult,
     equivalence_witness_diag,
     scan_star_candidates,
     solve_equivalence_n2,
 )
-from .coalgebra import antipode, antipode_order, counit, delta, delta_closed
+from .coalgebra import antipode, antipode_order, counit, delta
 from .errors import ExprSyntaxError, KernelError
 from .parser import format_element, format_scalar, format_tensor, parse_element, \
     parse_scalar
@@ -88,20 +87,6 @@ def _cmd_mul(args, ctx):
 def _cmd_delta(args, ctx):
     t = delta(parse_element(args.expr, ctx))
     _emit(args, jsonio.tensor_to_json(t), format_tensor(t))
-    return 0
-
-
-def _cmd_delta_closed(args, ctx):
-    e = parse_element(args.expr, ctx)
-    acc = None
-    for mono, c in e.terms.items():
-        piece = delta_closed(ctx, mono).scale(c)
-        acc = piece if acc is None else acc + piece
-    if acc is None:
-        from .coalgebra import TensorElement
-
-        acc = TensorElement.zero(ctx)
-    _emit(args, jsonio.tensor_to_json(acc), format_tensor(acc))
     return 0
 
 
@@ -238,7 +223,7 @@ def build_parser():
     leaf("normalize", _cmd_normalize, expr)
     leaf("mul", _cmd_mul, opt("lhs"), opt("rhs"))
     leaf("delta", _cmd_delta, expr)
-    leaf("delta-closed", _cmd_delta_closed, expr)
+    leaf("delta-closed", _cmd_delta, expr)
     leaf("counit", _cmd_counit, expr)
     leaf("antipode", _cmd_antipode, expr)
     leaf("antipode-order", _cmd_antipode_order)

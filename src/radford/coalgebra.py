@@ -6,24 +6,38 @@ On generators
     e(g) = 1, e(x) = e(y) = 0,
     S(g) = g^(n-1),  S(x) = -x g^(n-1),  S(y) = -y g^(n-1).
 
-The coproduct of a monomial is computed multiplicatively as
-D(y)^r D(x)^s D(g)^l; that is the ground truth.  The closed double-sum
-form (``delta_closed``) reproduces it with Gaussian binomial
-coefficients; which base each binomial takes was settled by experiment
-(see below), not by trusting any single printed formula.
+Each structure map is computed by one closed formula on the basis
+monomials y^r x^s g^l and extended linearly:
 
-Resolved q-base convention
---------------------------
-With the q-Pascal recurrence  C(k,j)_q = C(k-1,j-1)_q + q^j C(k-1,j)_q,
-fitting the multiplicatively computed D(y^r) and D(x^s) for n in
-{3, 4, 5} forces
+    D(y^r x^s g^l) = sum over i <= r, j <= s of
+                     w^(-(r-i)j) C(r,i)_w C(s,j)_{w^-1}
+                     y^(r-i) x^(s-j) g^l (x) y^i x^j g^(l+r-i+s-j),
+    e(y^r x^s g^l) = 1 if r = s = 0 else 0,
+    S(y^r x^s g^l) = (-1)^(r+s) w^(s(s-1)/2 - r(r-1)/2 + l(s-r))
+                     y^r x^s g^(-(l+r+s)),
 
-    y-leg base q_y = w        (from (y (x) g)(1 (x) y) = w (1 (x) y)(y (x) g)),
-    x-leg base q_x = w^(-1)   (from (x (x) g)(1 (x) x) = w^(-1) (1 (x) x)(x (x) g)),
+with C(k,j)_q the Gaussian binomial from the q-Pascal recurrence
+C(k,j)_q = C(k-1,j-1)_q + q^j C(k-1,j)_q.  Each formula is the
+(anti)multiplicative extension of the generator table along the
+canonical word: D(y)^r D(x)^s D(g)^l, e(y)^r e(x)^s e(g)^l and
+S(g)^l S(x)^s S(y)^r.  The verifiers in ``star`` rely on exactly that.
+The multiplicative forms are kept as test oracles (``tests/oracles.py``),
+and the suite compares them with these formulas term for term on every
+basis monomial for n = 2..8.
 
-so D(y^r x^s g^l) has coefficient  w^(-(r-i)j) C(r,i)_w C(s,j)_{w^-1}  on
-y^(r-i) x^(s-j) g^l (x) y^i x^j g^(l+s-j+r-i).  The regression test
-``test_qbase_convention_resolved_by_experiment`` re-runs the fit.
+Why the q-bases are w and w^-1
+------------------------------
+In H (x) H put a = 1 (x) y and b = y (x) g.  Then ba = w ab, so by the
+q-binomial theorem for q-commuting pairs (Kassel, *Quantum Groups*,
+GTM 155, Ch. IV.2)
+
+    D(y)^r = (a + b)^r = sum_i C(r,i)_w  y^(r-i) (x) y^i g^(r-i).
+
+For x, (x (x) g)(1 (x) x) = w^-1 (1 (x) x)(x (x) g), so the x-leg takes
+base w^-1.  Multiplying D(y^r) D(x^s) D(g^l) moves g^(r-i) of the right
+leg past x^j, which costs w^(-(r-i)j).  The regression test
+``test_qbase_convention_resolved_by_experiment`` fits both bases against
+the multiplicative oracle; at n >= 3 the two candidates differ.
 """
 
 from __future__ import annotations
@@ -144,11 +158,6 @@ def tensor_of(e1, e2):
     return TensorElement(e1.ctx, out)
 
 
-def tensor_flip(t):
-    """Swap the two legs."""
-    return TensorElement(t.ctx, {(b, a): c for (a, b), c in t.terms.items()})
-
-
 def tensor_map(t, f_left, f_right):
     """Apply Element maps legwise; coefficients ride through the left map.
 
@@ -165,101 +174,56 @@ def tensor_map(t, f_left, f_right):
     return acc
 
 
-def qbinom(k, j, q):
-    """Gaussian binomial C(k, j)_q from the q-Pascal recurrence.
+def _qbinom_row(ctx, k, sign):
+    """Gaussian binomials C(k, 0..k)_q with q = w^sign, by q-Pascal rows.
 
-    C(k,0) = C(k,k) = 1 and C(k,j) = C(k-1,j-1) + q^j * C(k-1,j).
+    C(i,0) = C(i,i) = 1 and C(i,t) = C(i-1,t-1) + q^t C(i-1,t).
     """
-    if j < 0 or j > k:
-        raise KernelError(f"q-binomial index j={j} outside [0, {k}]")
-    ctx = q.ctx
     one = ctx.one
     row = [one]
     for i in range(1, k + 1):
-        new = [one]
-        for t in range(1, i):
-            new.append(row[t - 1] + (q ** t) * row[t])
-        new.append(one)
-        row = new
-    return row[j]
-
-
-_GEN_DELTAS = {}
-
-
-def _generator_deltas(ctx):
-    key = (ctx.n, ctx.m)
-    hit = _GEN_DELTAS.get(key)
-    if hit is None:
-        one = Monomial(0, 0, 0)
-        g = Monomial(0, 0, 1)
-        x = Monomial(0, 1, 0)
-        y = Monomial(1, 0, 0)
-        dg = TensorElement(ctx, {(g, g): ctx.one})
-        dx = TensorElement(ctx, {(x, g): ctx.one, (one, x): ctx.one})
-        dy = TensorElement(ctx, {(y, g): ctx.one, (one, y): ctx.one})
-        hit = (dg, dx, dy)
-        _GEN_DELTAS[key] = hit
-    return hit
-
-
-_DELTA_CACHE = {}
-
-
-def _delta_mono(ctx, mono):
-    key = (ctx.n, ctx.m, mono)
-    hit = _DELTA_CACHE.get(key)
-    if hit is not None:
-        return hit
-    dg, dx, dy = _generator_deltas(ctx)
-    acc = TensorElement(ctx, {(Monomial(0, 0, 0), Monomial(0, 0, 0)): ctx.one})
-    for _ in range(mono.r):
-        acc = tensor_mul(acc, dy)
-    for _ in range(mono.s):
-        acc = tensor_mul(acc, dx)
-    for _ in range(mono.l):
-        acc = tensor_mul(acc, dg)
-    _DELTA_CACHE[key] = acc
-    return acc
-
-
-def delta(e):
-    """Coproduct by multiplicative extension of the generator table."""
-    acc = TensorElement.zero(e.ctx)
-    for mono, c in e.terms.items():
-        acc = acc + _delta_mono(e.ctx, mono).scale(c)
-    return acc
+        row = [one] + [row[t - 1] + ctx.omega_pow(sign * t) * row[t]
+                       for t in range(1, i)] + [one]
+    return row
 
 
 def delta_closed(ctx, mono):
-    """Closed-form coproduct of one basis monomial (resolved q-bases).
+    """Coproduct of one basis monomial by the closed formula.
 
-    Must agree term for term with :func:`delta`; the suite checks every
-    basis monomial for n up to 6.
+    The two q-binomial rows are built once per call; distinct (i, j) give
+    distinct tensor monomials, so no terms collect.
     """
     n = ctx.n
-    omega = ctx.omega_pow(1)
-    omega_inv = ctx.omega_pow(n - 1)
     r, s, l = mono
+    x_row = _qbinom_row(ctx, s, -1)
     out = {}
-    for i in range(r + 1):
-        ci = qbinom(r, i, omega)
-        for j in range(s + 1):
-            coeff = ci * qbinom(s, j, omega_inv)
-            e = (-(r - i) * j) % n
+    for i, ci in enumerate(_qbinom_row(ctx, r, 1)):
+        for j, cj in enumerate(x_row):
+            coeff = ci * cj
+            e = -(r - i) * j % n
             if e:
                 coeff = coeff * ctx.omega_pow(e)
-            if not coeff:
-                continue
             left = Monomial(r - i, s - j, l)
-            right = Monomial(i, j, (l + s - j + r - i) % n)
-            acc = out.get((left, right))
-            out[(left, right)] = coeff if acc is None else acc + coeff
+            right = Monomial(i, j, (l + r - i + s - j) % n)
+            out[(left, right)] = coeff
     return TensorElement(ctx, out)
 
 
+def delta(e):
+    """The coproduct: the linear extension of :func:`delta_closed`."""
+    acc = TensorElement.zero(e.ctx)
+    for mono, c in e.terms.items():
+        acc = acc + delta_closed(e.ctx, mono).scale(c)
+    return acc
+
+
 def counit(e):
-    """e(y^r x^s g^l) = 1 if r = s = 0 else 0, extended linearly."""
+    """e(y^r x^s g^l) = e(y)^r e(x)^s e(g)^l, extended linearly.
+
+    With e(g) = 1, e(x) = e(y) = 0 and 0^0 = 1 this is 1 when r = s = 0
+    and 0 otherwise, so e is the multiplicative extension of its
+    generator values by construction.
+    """
     acc = e.ctx.zero
     for mono, c in e.terms.items():
         if mono.r == 0 and mono.s == 0:
@@ -267,30 +231,34 @@ def counit(e):
     return acc
 
 
-_ANTIPODE_CACHE = {}
-
-
-def _antipode_mono(ctx, mono):
-    key = (ctx.n, ctx.m, mono)
-    hit = _ANTIPODE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = ctx.n
-    sg = Element.monomial(ctx, 0, 0, (n - 1) % n)
-    sx = Element.monomial(ctx, 0, 1, n - 1, -ctx.one)
-    sy = Element.monomial(ctx, 1, 0, n - 1, -ctx.one)
-    # Antimultiplicative: S(y^r x^s g^l) = S(g)^l S(x)^s S(y)^r.
-    acc = (sg ** mono.l) * (sx ** mono.s) * (sy ** mono.r)
-    _ANTIPODE_CACHE[key] = acc
-    return acc
-
-
 def antipode(e):
-    """The antipode S, extended linearly from the generator images."""
-    acc = Element.zero(e.ctx)
-    for mono, c in e.terms.items():
-        acc = acc + _antipode_mono(e.ctx, mono).scale(c)
-    return acc
+    """The antipode S, one signed monomial per basis monomial.
+
+    S(y^r x^s g^l) = S(g)^l S(x)^s S(y)^r = g^(-l) (-x g^-1)^s (-y g^-1)^r.
+    With the twist exponent l1 r2 + s1 r2 - l1 s2 of
+    ``algebra._mono_mul_parts``:
+
+    * (x g^-1)^s = w^(s(s-1)/2) x^s g^(-s), since the (k+1)-th factor
+      moves g^-k past one x, costing w^k;
+    * (y g^-1)^r = w^(-r(r-1)/2) y^r g^(-r), likewise costing w^-k;
+    * g^(-l) x^s g^(-s) = w^(ls) x^s g^(-l-s);
+    * x^s g^(-l-s) y^r g^(-r) = w^((-l-s)r + sr) y^r x^s g^(-l-s-r).
+
+    Together
+
+        S(y^r x^s g^l) = (-1)^(r+s) w^(s(s-1)/2 - r(r-1)/2 + l(s-r))
+                         y^r x^s g^(-(l+r+s)).
+
+    For fixed (r, s) the map l -> -(l+r+s) is a bijection mod n, so
+    distinct terms of e land on distinct monomials.
+    """
+    ctx = e.ctx
+    n = ctx.n
+    out = {}
+    for (r, s, l), c in e.terms.items():
+        c = c * ctx.omega_pow(s * (s - 1) // 2 - r * (r - 1) // 2 + l * (s - r))
+        out[Monomial(r, s, -(l + r + s) % n)] = -c if (r + s) % 2 else c
+    return Element(ctx, out)
 
 
 def _antipode_reverses(ctx, pair):

@@ -246,27 +246,13 @@ def _structure_checks(ctx, d):
 def _relation_counterexamples(ctx, d):
     """First failures of the structure checks on the relation pairs.
 
-    The counit check first compares e(y^r x^s g^l) with e(y)^r e(x)^s e(g)^l
-    on every basis monomial, which makes e the multiplicative extension of
-    its generator values; ``delta`` and ``antipode`` are such extensions
-    by construction.
+    ``delta``, ``counit`` and ``antipode`` are the (anti)multiplicative
+    extensions of their generator values along canonical words by
+    construction (see ``coalgebra``), so these checks decide them.
     """
     pairs = relation_pairs(ctx)
-    gen_values = [counit(Element.monomial(ctx, *b))
-                  for b in GENERATOR_MONOMIALS]
-    pg, px, py = ([c ** k for k in range(ctx.n)] for c in gen_values)
-
-    def counit_extends(b):
-        return _scalars_unequal(ctx, counit(Element.monomial(ctx, *b)),
-                                py[b.r] * px[b.s] * pg[b.l])
-
-    delta_mult, counit_mult, antipode_anti = _structure_checks(ctx, d)
-    return [
-        _first_counterexample("pair", pairs, delta_mult),
-        _first_counterexample("monomial", basis(ctx), counit_extends)
-        or _first_counterexample("pair", pairs, counit_mult),
-        _first_counterexample("pair", pairs, antipode_anti),
-    ]
+    return [_first_counterexample("pair", pairs, check)
+            for check in _structure_checks(ctx, d)]
 
 
 def verify_star_axioms(st):

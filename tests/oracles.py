@@ -6,13 +6,16 @@ the kernel's verdicts with them check for check at small n.  The
 skew-primitive oracle likewise solves on all n^3 basis columns, with no
 restriction by bidegree.  The n = 2 equivalence oracle searches the
 rational solution space of A L = conj(L) B by height instead of testing
-the polarization points.
+the polarization points.  The coproduct and antipode oracles build each
+basis image as the (anti)multiplicative extension of the generator table,
+D(y)^r D(x)^s D(g)^l and S(g)^l S(x)^s S(y)^r, for comparison with the
+kernel's closed formulas.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from radford.algebra import Element, Monomial, basis
+from radford.algebra import GENERATOR_MONOMIALS, Element, Monomial, basis
 from radford.classify import _matrix_equation_kernel, apply_automorphism
 from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map, \
     tensor_mul, triple_delta_sides
@@ -32,6 +35,29 @@ def _all_pairs(ctx, law):
 
 def _all_monomials(ctx, law):
     return all(law(_unit(ctx, b)) for b in basis(ctx))
+
+
+def delta_oracle(ctx, mono):
+    """D(y)^r D(x)^s D(g)^l for mono = y^r x^s g^l, by tensor products."""
+    g, x, y = GENERATOR_MONOMIALS
+    one = Monomial(0, 0, 0)
+    dg = TensorElement(ctx, {(g, g): ctx.one})
+    dx = TensorElement(ctx, {(x, g): ctx.one, (one, x): ctx.one})
+    dy = TensorElement(ctx, {(y, g): ctx.one, (one, y): ctx.one})
+    acc = TensorElement.basis_term(ctx, one, one)
+    for factor, k in ((dy, mono.r), (dx, mono.s), (dg, mono.l)):
+        for _ in range(k):
+            acc = tensor_mul(acc, factor)
+    return acc
+
+
+def antipode_oracle(ctx, mono):
+    """S(g)^l S(x)^s S(y)^r for mono = y^r x^s g^l, by Element powers."""
+    k = ctx.n - 1
+    sg = Element.monomial(ctx, 0, 0, k)
+    sx = Element.monomial(ctx, 0, 1, k, -ctx.one)
+    sy = Element.monomial(ctx, 1, 0, k, -ctx.one)
+    return (sg ** mono.l) * (sx ** mono.s) * (sy ** mono.r)
 
 
 def hopf_oracle(ctx, delta_fn=None):

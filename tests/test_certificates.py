@@ -26,7 +26,7 @@ from radford.classify import (
     solve_equivalence_n2,
     verify_equivalence,
 )
-from radford.coalgebra import TensorElement, antipode_order, delta, tensor_flip
+from radford.coalgebra import TensorElement, antipode_order, delta
 from radford.scalars import make_context
 from radford.star import (
     apply_star,
@@ -53,6 +53,18 @@ def x_primitive_delta(e):
         else:
             acc = acc + delta(Element(ctx, {mono: c}))
     return acc
+
+
+def tensor_flip(t):
+    """Swap the two legs."""
+    return TensorElement(t.ctx, {(b, a): c for (a, b), c in t.terms.items()})
+
+
+def test_tensor_flip():
+    ctx = make_context(3)
+    x, g = Monomial(0, 1, 0), Monomial(0, 0, 1)
+    t = TensorElement.basis_term(ctx, x, g)
+    assert tensor_flip(t) == TensorElement.basis_term(ctx, g, x)
 
 
 def co_opposite_delta(e):

@@ -259,11 +259,22 @@ class TestCommands:
         p = run_cli("--n", "3", "solve", "skew", "--w", "1", "--json")
         assert json.loads(p.stdout)["dimension"] == 3
 
-    @pytest.mark.parametrize("w, dim", [(1, 3), (0, 0), (5, 1)])
-    def test_solve_skew_large_n(self, w, dim):
-        p = run_cli("--n", "24", "solve", "skew", "--w", str(w), timeout=60)
+    @pytest.mark.parametrize("n, w, dim, timeout", [
+        pytest.param(24, 1, 3, 60, id="1-3"),
+        pytest.param(24, 0, 0, 60, id="0-0"),
+        pytest.param(24, 5, 1, 60, id="5-1"),
+        pytest.param(48, 1, 3, 10, id="n48-1-3"),
+    ])
+    def test_solve_skew_large_n(self, n, w, dim, timeout):
+        p = run_cli("--n", str(n), "solve", "skew", "--w", str(w),
+                    timeout=timeout)
         assert p.returncode == 0
         assert p.stdout.splitlines()[0] == f"dimension {dim}"
+
+    def test_verify_hopf_n48(self):
+        p = run_cli("--n", "48", "verify", "hopf", timeout=10)
+        assert p.returncode == 0
+        assert "FAIL" not in p.stdout
 
     def test_solve_skew_w_out_of_range(self):
         p = run_cli("--n", "3", "solve", "skew", "--w", "3")
