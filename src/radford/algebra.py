@@ -21,7 +21,6 @@ exponent  e = l1*r2 + s1*r2 - l1*s2  for a full monomial product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ContextMismatchError, KernelError
@@ -64,8 +63,7 @@ def relation_pairs(ctx):
             (Monomial(0, 0, k), g), (Monomial(0, k, 0), x), (Monomial(k, 0, 0), y))
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """Where a check failed: the basis monomial or pair, and both sides."""
 
     location: tuple
@@ -106,8 +104,9 @@ def _mono_mul_parts(n, a, b):
 class Element:
     """Sparse linear combination of basis monomials; zero coefficients pruned.
 
-    Values are immutable: every operation returns a fresh Element, and the
-    term map must never be mutated after construction.
+    Values are immutable: no operation mutates an Element (``e ** 1`` may
+    return ``e`` itself), and the term map must never be mutated after
+    construction.
     """
 
     __slots__ = ("ctx", "terms")
@@ -211,14 +210,16 @@ class Element:
     def __pow__(self, k):
         if k < 0:
             raise KernelError("negative powers of algebra elements")
-        acc = Element.one(self.ctx)
-        base = self
-        while k:
+        # Square-and-multiply with no product by 1 and no squaring past the
+        # top bit of k.
+        acc, base = None, self
+        while True:
             if k & 1:
-                acc = acc * base
-            base = base * base
+                acc = base if acc is None else acc * base
             k >>= 1
-        return acc
+            if not k:
+                return Element.one(self.ctx) if acc is None else acc
+            base = base * base
 
     def coefficient(self, r, s, l):
         return self.terms.get(Monomial(r, s, l), self.ctx.zero)
@@ -250,17 +251,17 @@ def monomial_mul(ctx, a, b):
     return Element(ctx, {mono: ctx.omega_pow(e)})
 
 
-@dataclass(frozen=True)
 class FreeWord:
     """Word over the alphabet {G, X, Y} with an optional scalar coefficient."""
 
-    letters: str
-    coefficient: CyclotomicScalar | None = None
+    __slots__ = ("letters", "coefficient")
 
-    def __post_init__(self):
-        bad = set(self.letters.upper()) - set("GXY")
+    def __init__(self, letters, coefficient=None):
+        bad = set(letters.upper()) - set("GXY")
         if bad:
             raise KernelError(f"letters outside alphabet GXY: {sorted(bad)}")
+        self.letters = letters
+        self.coefficient = coefficient
 
 
 # Weighted inversion swaps for sorting into Y < X < G order:

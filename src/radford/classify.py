@@ -21,9 +21,9 @@ Covers three jobs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from typing import NamedTuple
 
 from .algebra import (
     GENERATOR_MONOMIALS,
@@ -193,8 +193,7 @@ def equivalence_witness_diag(st_a):
     return phi
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     """Outcome of an equivalence query; a True verdict carries a verified witness."""
 
     equivalent: bool

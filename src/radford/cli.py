@@ -9,7 +9,6 @@ parse, or malformed-input errors, including a conductor above
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -32,6 +31,8 @@ from .star import apply_star, make_star_diag, verify_hopf_axioms, \
 
 def _emit(args, payload, text):
     if args.json:
+        import json
+
         print(json.dumps(payload))
     else:
         print(text)
@@ -57,6 +58,8 @@ def _report_lines(report):
 
 
 def _load_star(path, ctx):
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)

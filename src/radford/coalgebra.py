@@ -213,7 +213,8 @@ def delta(e):
     """The coproduct: the linear extension of :func:`delta_closed`."""
     acc = TensorElement.zero(e.ctx)
     for mono, c in e.terms.items():
-        acc = acc + delta_closed(e.ctx, mono).scale(c)
+        d = delta_closed(e.ctx, mono)
+        acc = acc + (d if c == 1 else d.scale(c))
     return acc
 
 

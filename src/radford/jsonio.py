@@ -9,9 +9,7 @@ raises KernelError, which the CLI maps to a usage error.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from importlib import resources
 
 from .algebra import Element, Monomial
 from .coalgebra import TensorElement
@@ -228,5 +226,8 @@ def scan_to_json(survivors):
 
 def load_schema(name):
     """One of the schemas shipped under radford/schemas."""
+    import json
+    from importlib import resources
+
     text = resources.files("radford").joinpath(f"schemas/{name}.json").read_text()
     return json.loads(text)

@@ -16,15 +16,14 @@ in the power basis over 'z', so parse(format(e)) evaluates back to e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Element
 from .errors import ExprSyntaxError
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUM NAME OP END
     text: str
     line: int
@@ -74,30 +73,25 @@ def _tokenize(text):
 
 
 # Parse tree nodes.
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     negated: bool
     factors: tuple
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(NamedTuple):
     first: Term
     rest: tuple  # of (sign, Term) with sign in {+1, -1}
 

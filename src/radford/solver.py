@@ -17,8 +17,8 @@ Three layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Element, Monomial, basis
 from .coalgebra import TensorElement, counit, delta, tensor_of
@@ -167,8 +167,7 @@ def is_grouplike(e):
     return delta(e) == tensor_of(e, e)
 
 
-@dataclass(frozen=True)
-class ConjTerm:
+class ConjTerm(NamedTuple):
     """One summand  coeff * u_var  or  coeff * conj(u_var)  of an equation."""
 
     coeff: object
@@ -176,13 +175,13 @@ class ConjTerm:
     conjugated: bool = False
 
 
-@dataclass
 class ConjugateLinearSystem:
     """Homogeneous system of conjugate-linear equations in scalar unknowns."""
 
-    ctx: object
-    num_vars: int
-    equations: list = field(default_factory=list)
+    def __init__(self, ctx, num_vars):
+        self.ctx = ctx
+        self.num_vars = num_vars
+        self.equations = []
 
     def add_equation(self, terms):
         for t in terms:
@@ -191,8 +190,7 @@ class ConjugateLinearSystem:
         self.equations.append(list(terms))
 
 
-@dataclass
-class RationalizedSystem:
+class RationalizedSystem(NamedTuple):
     """Q-matrix acting on the stacked rational coordinates of the unknowns."""
 
     ctx: object

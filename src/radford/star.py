@@ -19,7 +19,7 @@ data, not errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     GENERATOR_MONOMIALS,
@@ -78,11 +78,14 @@ class StarStructure:
         return f"StarStructure(kind={self.kind!r}, n={self.ctx.n}, m={self.ctx.m})"
 
     def star_of_monomial(self, mono):
-        """(g*)^l (x*)^s (y*)^r, cached per structure."""
+        """(g*)^l (x*)^s (y*)^r, cached per structure; zero exponents skipped."""
         hit = self._mono_cache.get(mono)
         if hit is None:
-            hit = (self.g_img ** mono.l) * (self.x_img ** mono.s) \
-                * (self.y_img ** mono.r)
+            pairs = ((self.g_img, mono.l), (self.x_img, mono.s), (self.y_img, mono.r))
+            powers = [img ** k for img, k in pairs if k]
+            hit = powers[0] if powers else Element.one(self.ctx)
+            for p in powers[1:]:
+                hit = hit * p
             self._mono_cache[mono] = hit
         return hit
 
@@ -175,15 +178,13 @@ def apply_star(st, e):
     return acc
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     counterexample: Counterexample | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple
 
     @property

@@ -129,6 +129,17 @@ class TestElementOps:
         if ctx.n >= 3:
             assert x ** 2 == Element.monomial(ctx, 0, 2, 0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_pow_is_the_repeated_product(self, n):
+        ctx = make_context(n)
+        g, x, y = generators(ctx)
+        # A unit, a nilpotent, and a mix with a scalar and a g-part.
+        for e in (g, x + y, Element.one(ctx) + x.scale(ctx.i()) + g * y):
+            expected = Element.one(ctx)
+            for k in range(2 * n + 1):
+                assert e ** k == expected, (n, k)
+                expected = expected * e
+
     def test_monomial_bounds_checked(self, ctx):
         with pytest.raises(KernelError):
             Element.monomial(ctx, ctx.n, 0, 0)
