@@ -101,7 +101,47 @@ def _mono_mul_parts(n, a, b):
     return e, Monomial(r, s, (a[2] + b[2]) % n)
 
 
-class Element:
+class SparseTerms:
+    """Immutable sparse map from basis keys to nonzero scalars.
+
+    The shared part of ``Element`` and ``coalgebra.TensorElement``; the
+    arithmetic stays on each class.
+    """
+
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx, terms):
+        self.ctx = ctx
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    @classmethod
+    def zero(cls, ctx):
+        return cls(ctx, {})
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def _check(self, other):
+        if self.ctx is not other.ctx and (
+            self.ctx.n != other.ctx.n or self.ctx.m != other.ctx.m
+        ):
+            raise ContextMismatchError(
+                f"{type(self).__name__}s from different contexts")
+
+
+class Element(SparseTerms):
     """Sparse linear combination of basis monomials; zero coefficients pruned.
 
     Values are immutable: no operation mutates an Element (``e ** 1`` may
@@ -109,15 +149,7 @@ class Element:
     construction.
     """
 
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms):
-        self.ctx = ctx
-        self.terms = {m: c for m, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, {})
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, ctx, r, s, l, coeff=None):
@@ -136,31 +168,10 @@ class Element:
     def from_scalar(cls, ctx, c):
         return cls(ctx, {Monomial(0, 0, 0): c})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         from .parser import format_element
 
         return f"<{format_element(self)}>"
-
-    def _check(self, other):
-        if self.ctx is not other.ctx and (
-            self.ctx.n != other.ctx.n or self.ctx.m != other.ctx.m
-        ):
-            raise ContextMismatchError("elements from different contexts")
 
     def __add__(self, other):
         self._check(other)

@@ -1,6 +1,6 @@
-"""Classification machinery: equivalence of star structures.
+"""Classification machinery: equivalence of star structures and ``scan``.
 
-Covers three jobs:
+Covers four jobs:
 
 * Hopf algebra automorphisms of H_n fixing g, either diagonal rescalings
   (any n) or arbitrary invertible 2x2 mixes of x and y (n = 2 only);
@@ -17,6 +17,10 @@ Covers three jobs:
   a quadratic form, which by polarization vanishes identically iff it
   vanishes at every basis vector e_i and every e_i + e_j, so testing
   those points decides the question.
+* ``scan``: the star structures among lemma-shaped candidates on a
+  grid.  Each generator image is screened once on the relation pairs
+  that involve it alone, and only pairs of screened images face the
+  verifier (README, "Why scan screens each image alone").
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .algebra import (
     _unequal,
     basis,
     generators,
+    relation_pairs,
 )
 from .coalgebra import delta, tensor_of
 from .errors import InvalidAutomorphismError, KernelError
@@ -260,54 +265,41 @@ def solve_equivalence_n2(st_a, st_b):
 
 
 def scan_star_candidates(ctx, grid=None):
-    """Brute-force the lemma-shaped candidate space and keep axiom survivors.
+    """Star structures among lemma-shaped candidates, each one verified.
 
     Candidates: g -> g^w for 1 <= w < n; for w = 1 the x and y images
     range over grid-combinations of {x, y, 1 - g}, and for w > 1 over
-    grid multiples of 1 - g^w.  Every candidate faces the full axiom
-    verifier; a cheap generator-level prescreen (a strict subset of the
-    verifier's own checks) only skips candidates that already fail it.
+    grid multiples of 1 - g^w.  A relation pair without y involves only
+    g* and x*, and one without x only g* and y*, so each image is
+    screened once on its own pairs; survivors are returned in the order
+    of the full x-image by y-image product, and each pair of screened
+    images faces the involution on g, x, y and then the full verifier.
     """
     if grid is None:
         grid = [ctx.zeta(k) for k in range(ctx.m)] + [ctx.zero]
     g_el, x_el, y_el = generators(ctx)
     one = Element.one(ctx)
+    zero = Element.zero(ctx)
+    pairs = relation_pairs(ctx)
+    x_pairs = [p for p in pairs if not any(mono.r for mono in p)]
+    y_pairs = [p for p in pairs if not any(mono.s for mono in p)]
     survivors = []
     for w in range(1, ctx.n):
         g_img = Element.monomial(ctx, 0, 0, w)
         if w == 1:
-            span = (x_el, y_el, one - g_el)
-            image_choices = [
-                span[0].scale(c1) + span[1].scale(c2) + span[2].scale(c3)
-                for c1 in grid for c2 in grid for c3 in grid
-            ]
-            candidates = (
-                (xi, yi) for xi in image_choices for yi in image_choices
-            )
+            images = [x_el.scale(c1) + y_el.scale(c2) + (one - g_el).scale(c3)
+                      for c1 in grid for c2 in grid for c3 in grid]
         else:
-            base = one - Element.monomial(ctx, 0, 0, w)
-            mults = [base.scale(c) for c in grid]
-            candidates = ((xi, yi) for xi in mults for yi in mults)
-        for x_img, y_img in candidates:
-            st = StarStructure("raw", ctx, g_img, x_img, y_img)
-            if not _prescreen(st, g_el, x_el, y_el):
-                continue
-            if verify_star_axioms(st).all_passed:
-                survivors.append(st)
+            images = [(one - g_img).scale(c) for c in grid]
+        x_imgs = [xi for xi in images if _antimult_counterexample(
+            StarStructure("raw", ctx, g_img, xi, zero), x_pairs) is None]
+        y_imgs = [yi for yi in images if _antimult_counterexample(
+            StarStructure("raw", ctx, g_img, zero, yi), y_pairs) is None]
+        for x_img in x_imgs:
+            for y_img in y_imgs:
+                st = StarStructure("raw", ctx, g_img, x_img, y_img)
+                if all(apply_star(st, apply_star(st, gen)) == gen
+                       for gen in (g_el, x_el, y_el)) \
+                        and verify_star_axioms(st).all_passed:
+                    survivors.append(st)
     return survivors
-
-
-def _prescreen(st, g_el, x_el, y_el):
-    # Generator-level instances of the involution and coproduct checks.
-    for gen in (g_el, x_el, y_el):
-        if apply_star(st, apply_star(st, gen)) != gen:
-            return False
-    one = Element.one(st.ctx)
-    star_g = apply_star(st, g_el)
-    for gen in (x_el, y_el):
-        img = apply_star(st, gen)
-        if delta(img) != tensor_of(img, star_g) + tensor_of(one, img):
-            return False
-    if delta(star_g) != tensor_of(star_g, star_g):
-        return False
-    return True

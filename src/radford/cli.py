@@ -3,7 +3,8 @@
 Exit codes: 0 on success / all checks passing; 1 when a verification
 fails or an equivalence query answers "not equivalent"; 2 on usage,
 parse, or malformed-input errors, including a conductor above
-``scalars.MAX_CONDUCTOR``.
+``scalars.MAX_CONDUCTOR`` and an input number or expression that can
+exceed ``scalars.MAX_INPUT_DIGITS`` digits.
 """
 
 from __future__ import annotations
@@ -39,20 +40,16 @@ def _emit(args, payload, text):
 
 
 def _report_lines(report):
+    def word(mono):
+        return f"y^{mono.r}*x^{mono.s}*g^{mono.l}"
+
     lines = []
     for c in report.checks:
-        mark = "PASS" if c.passed else "FAIL"
-        line = f"{mark} {c.name}"
+        line = f"{'PASS' if c.passed else 'FAIL'} {c.name}"
         if c.counterexample is not None:
             kind, at = c.counterexample.location
-            if kind == "monomial":
-                where = f"y^{at.r}*x^{at.s}*g^{at.l}"
-            else:
-                a, b = at
-                where = (
-                    f"(y^{a.r}*x^{a.s}*g^{a.l}, y^{b.r}*x^{b.s}*g^{b.l})"
-                )
-            line += f" at {where}"
+            line += " at " + (word(at) if kind == "monomial"
+                              else f"({word(at[0])}, {word(at[1])})")
         lines.append(line)
     return "\n".join(lines)
 
@@ -65,7 +62,8 @@ def _load_star(path, ctx):
             obj = json.load(f)
     except OSError as exc:
         raise KernelError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Bad syntax, bad UTF-8, or an integer past Python's digit limit.
         raise KernelError(f"{path} is not valid JSON: {exc}") from exc
     st = jsonio.star_from_json(obj)
     if st.ctx.n != ctx.n:
@@ -75,16 +73,18 @@ def _load_star(path, ctx):
     return st.embed(unify_contexts(st.ctx, ctx))
 
 
-def _cmd_normalize(args, ctx):
-    e = parse_element(args.expr, ctx)
+def _emit_element(args, e):
     _emit(args, jsonio.element_to_json(e), format_element(e))
     return 0
+
+
+def _cmd_normalize(args, ctx):
+    return _emit_element(args, parse_element(args.expr, ctx))
 
 
 def _cmd_mul(args, ctx):
-    e = parse_element(args.lhs, ctx) * parse_element(args.rhs, ctx)
-    _emit(args, jsonio.element_to_json(e), format_element(e))
-    return 0
+    lhs, rhs = (parse_element(text, ctx) for text in (args.lhs, args.rhs))
+    return _emit_element(args, lhs * rhs)
 
 
 def _cmd_delta(args, ctx):
@@ -102,9 +102,7 @@ def _cmd_counit(args, ctx):
 
 
 def _cmd_antipode(args, ctx):
-    e = antipode(parse_element(args.expr, ctx))
-    _emit(args, jsonio.element_to_json(e), format_element(e))
-    return 0
+    return _emit_element(args, antipode(parse_element(args.expr, ctx)))
 
 
 def _cmd_antipode_order(args, ctx):
@@ -115,9 +113,7 @@ def _cmd_antipode_order(args, ctx):
 
 def _cmd_star_apply(args, ctx):
     st = _load_star(args.star, ctx)
-    e = apply_star(st, parse_element(args.expr, st.ctx))
-    _emit(args, jsonio.element_to_json(e), format_element(e))
-    return 0
+    return _emit_element(args, apply_star(st, parse_element(args.expr, st.ctx)))
 
 
 def _cmd_verify_hopf(args, ctx):

@@ -46,26 +46,19 @@ from .algebra import (
     GENERATOR_MONOMIALS,
     Element,
     Monomial,
+    SparseTerms,
     _first_counterexample,
     _mono_mul_parts,
     _unequal,
     relation_pairs,
 )
-from .errors import ContextMismatchError, KernelError
+from .errors import KernelError
 
 
-class TensorElement:
+class TensorElement(SparseTerms):
     """Sparse element of H (x) H over pairs of basis monomials."""
 
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms):
-        self.ctx = ctx
-        self.terms = {p: c for p, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, {})
+    __slots__ = ()
 
     @classmethod
     def basis_term(cls, ctx, left, right, coeff=None):
@@ -73,31 +66,10 @@ class TensorElement:
             coeff = ctx.one
         return cls(ctx, {(left, right): coeff})
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         from .parser import format_tensor
 
         return f"<{format_tensor(self)}>"
-
-    def _check(self, other):
-        if self.ctx is not other.ctx and (
-            self.ctx.n != other.ctx.n or self.ctx.m != other.ctx.m
-        ):
-            raise ContextMismatchError("tensor elements from different contexts")
 
     def __add__(self, other):
         self._check(other)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algebra import Element, Monomial
 from .coalgebra import TensorElement
 from .errors import KernelError
-from .scalars import make_context
+from .scalars import MAX_INPUT_DIGITS, make_context
 from .star import (
     CheckResult,
     Counterexample,
@@ -33,7 +33,7 @@ def context_to_json(ctx):
 def context_from_json(obj):
     try:
         return make_context(int(obj["n"]), int(obj["m"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise KernelError(f"bad context header: {exc}") from exc
 
 
@@ -43,20 +43,34 @@ def scalar_to_json(c):
 
 def scalar_from_json(ctx, obj):
     try:
-        return ctx.from_coords([Fraction(s) for s in obj])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        coords = [Fraction(s) for s in obj]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise KernelError(f"bad scalar coordinates: {exc}") from exc
+    if any(len(str(c)) > MAX_INPUT_DIGITS for c in coords):
+        raise KernelError(f"scalar coordinate longer than {MAX_INPUT_DIGITS} digits")
+    return ctx.from_coords(coords)
 
 
 def _mono_to_json(mono):
     return {"r": mono.r, "s": mono.s, "l": mono.l}
 
 
-def _mono_from_json(obj):
+def _mono_from_json(ctx, obj):
+    """A basis monomial y^r x^s g^l; each exponent must lie in [0, n)."""
     try:
-        return Monomial(int(obj["r"]), int(obj["s"]), int(obj["l"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        mono = Monomial(int(obj["r"]), int(obj["s"]), int(obj["l"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise KernelError(f"bad monomial: {exc}") from exc
+    if not all(0 <= k < ctx.n for k in mono):
+        raise KernelError(f"monomial exponents {tuple(mono)} outside [0, {ctx.n})")
+    return mono
+
+
+def _term_objects(obj):
+    terms = obj.get("terms", []) if isinstance(obj, dict) else None
+    if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
+        raise KernelError("expected a JSON object with a list of term objects")
+    return terms
 
 
 def element_to_json(e):
@@ -69,11 +83,12 @@ def element_to_json(e):
 
 
 def element_from_json(obj, ctx=None):
+    term_objs = _term_objects(obj)
     if ctx is None:
         ctx = context_from_json(obj.get("context", {}))
     terms = {}
-    for t in obj.get("terms", []):
-        mono = _mono_from_json(t)
+    for t in term_objs:
+        mono = _mono_from_json(ctx, t)
         terms[mono] = scalar_from_json(ctx, t.get("coeff", []))
     return Element(ctx, terms)
 
@@ -92,11 +107,13 @@ def tensor_to_json(t):
 
 
 def tensor_from_json(obj, ctx=None):
+    term_objs = _term_objects(obj)
     if ctx is None:
         ctx = context_from_json(obj.get("context", {}))
     terms = {}
-    for t in obj.get("terms", []):
-        pair = (_mono_from_json(t["left"]), _mono_from_json(t["right"]))
+    for t in term_objs:
+        pair = (_mono_from_json(ctx, t.get("left")),
+                _mono_from_json(ctx, t.get("right")))
         terms[pair] = scalar_from_json(ctx, t.get("coeff", []))
     return TensorElement(ctx, terms)
 
@@ -121,29 +138,29 @@ def star_from_json(obj):
         ctx = context_from_json(obj["context"])
     except (KeyError, TypeError) as exc:
         raise KernelError(f"bad star structure: {exc}") from exc
-    if kind == "diag":
-        return make_star_diag(
-            ctx,
-            scalar_from_json(ctx, obj["alpha"]),
-            scalar_from_json(ctx, obj["beta"]),
-        )
-    if kind == "matrix2":
-        entries = obj.get("a", [])
-        if len(entries) != 4:
-            raise KernelError("matrix star needs exactly 4 entries")
-        return make_star_matrix(
-            ctx, tuple(scalar_from_json(ctx, c) for c in entries)
-        )
-    if kind == "raw":
-        try:
+    try:
+        if kind == "diag":
+            return make_star_diag(
+                ctx,
+                scalar_from_json(ctx, obj["alpha"]),
+                scalar_from_json(ctx, obj["beta"]),
+            )
+        if kind == "matrix2":
+            entries = obj["a"]
+            if not isinstance(entries, list) or len(entries) != 4:
+                raise KernelError("matrix star needs a list of exactly 4 entries")
+            return make_star_matrix(
+                ctx, tuple(scalar_from_json(ctx, c) for c in entries)
+            )
+        if kind == "raw":
             return make_star_raw(
                 ctx,
                 element_from_json(obj["g_img"], ctx),
                 element_from_json(obj["x_img"], ctx),
                 element_from_json(obj["y_img"], ctx),
             )
-        except KeyError as exc:
-            raise KernelError(f"raw star missing image: {exc}") from exc
+    except KeyError as exc:
+        raise KernelError(f"{kind} star is missing {exc}") from exc
     raise KernelError(f"unknown star kind {kind!r}")
 
 

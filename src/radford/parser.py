@@ -12,6 +12,10 @@ Grammar (explicit '*', no juxtaposition; '^' binds tighter than '*',
 'w' is the order-n root of unity zeta^(m/n), 'z' is zeta_m itself, 'i'
 is zeta^(m/4).  Formatting sorts terms by (r, s, l) and prints scalars
 in the power basis over 'z', so parse(format(e)) evaluates back to e.
+
+``parse`` enforces the input budget before anything is evaluated: at
+most ``scalars.MAX_INPUT_DIGITS`` digits (``_digit_bound``) and
+MAX_EXPR_DEPTH nested parentheses.
 """
 
 from __future__ import annotations
@@ -20,7 +24,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import Element
-from .errors import ExprSyntaxError
+from .errors import ExprSyntaxError, KernelError
+from .scalars import MAX_INPUT_DIGITS
+
+# Deepest parenthesis nesting; well inside the recursion limit.
+MAX_EXPR_DEPTH = 100
 
 
 class Token(NamedTuple):
@@ -55,6 +63,9 @@ def _tokenize(text):
             while i < len(text) and text[i].isdigit():
                 i += 1
                 col += 1
+            if i - start > MAX_INPUT_DIGITS:
+                raise ExprSyntaxError(
+                    f"number longer than {MAX_INPUT_DIGITS} digits", line, startcol)
             tokens.append(Token("NUM", text[start:i], line, startcol))
             continue
         if ch in _NAMES:
@@ -100,6 +111,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     @property
     def cur(self):
@@ -160,21 +172,48 @@ class _Parser:
             return Atom(tok.text)
         if tok.kind == "OP" and tok.text == "(":
             self.pos += 1
+            self.depth += 1
+            if self.depth > MAX_EXPR_DEPTH:
+                self._fail(f"more than {MAX_EXPR_DEPTH} nested parentheses")
             inner = self.parse_expr()
             if not self.eat_op(")"):
                 self._fail("expected ')'")
+            self.depth -= 1
             return inner
         if tok.kind == "END":
             self._fail("unexpected end of input")
         self._fail(f"unexpected {tok.text!r}")
 
 
+def _digit_bound(node):
+    """Length of p/q that a coefficient of ``node``'s value can reach.
+
+    Up to a few digits per step: a sum or product of fractions has at
+    most as many digits as its operands together, and a power multiplies
+    them by its exponent.  A power of an atom weighs 1, like the atom: it
+    is a monomial or a root of unity.
+    """
+    if isinstance(node, Expr):
+        return sum(map(_digit_bound, (node.first, *(t for _, t in node.rest))))
+    if isinstance(node, Term):
+        return sum(map(_digit_bound, node.factors))
+    if isinstance(node, Pow) and not isinstance(node.base, Atom):
+        return node.exponent * _digit_bound(node.base)
+    return len(str(node.value)) if isinstance(node, Num) else 1
+
+
 def parse(text):
-    """Parse expression text into a tree; raises ExprSyntaxError."""
+    """Parse expression text into a tree within the input budget.
+
+    Raises ExprSyntaxError on bad syntax and KernelError past the budget.
+    """
     parser = _Parser(_tokenize(text))
     expr = parser.parse_expr()
     if parser.cur.kind != "END":
         parser._fail(f"unexpected {parser.cur.text!r}")
+    if _digit_bound(expr) > MAX_INPUT_DIGITS:
+        raise KernelError(
+            f"expression exceeds the input budget of {MAX_INPUT_DIGITS} digits")
     return expr
 
 

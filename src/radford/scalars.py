@@ -36,35 +36,20 @@ _MUL_CACHE_LIMIT = 1 << 18
 # so an oversized --n or --m is refused up front instead of hanging.
 MAX_CONDUCTOR = 1024
 
+# Most digits an input number may take, written as a fraction p/q: a
+# rational coordinate of a JSON file, and the bound ``parser._digit_bound``
+# puts on everything an expression can evaluate to.  It sits far below
+# Python's 4300-digit limit on int <-> str conversion, so the product of
+# two inputs still prints, and it refuses (1+z)^100000 before its
+# integers grow.
+MAX_INPUT_DIGITS = 1000
+
 
 def _poly_trim(coeffs):
     i = len(coeffs)
     while i > 0 and coeffs[i - 1] == 0:
         i -= 1
     return coeffs[:i]
-
-
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod_monic_int(num, den):
-    """Divide integer polynomials, den monic; returns (quotient, remainder)."""
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * max(len(num) - dd, 1)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c:
-            q[k - dd] = c
-            for j in range(dd + 1):
-                num[k - dd + j] -= c * den[j]
-    return _poly_trim(q), _poly_trim(num)
 
 
 def _cyclotomic_poly(m, _cache={}):
@@ -74,7 +59,7 @@ def _cyclotomic_poly(m, _cache={}):
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            q, r = _poly_divmod_monic_int(poly, _cyclotomic_poly(d))
+            q, r = _poly_divmod(poly, _cyclotomic_poly(d))
             if r:
                 raise AssertionError(f"Phi_{d} does not divide X^{m} - 1")
             poly = q
@@ -88,9 +73,9 @@ _context_cache = {}
 def make_context(n, m=None):
     """Build (or reuse) the field context for order n and conductor m.
 
-    Rejects n < 2, any explicit m not divisible by both n and 4, and any
-    conductor above MAX_CONDUCTOR.  The default conductor is lcm(4, n),
-    the smallest one housing both omega and i.
+    Rejects n < 2, any explicit m that is not a positive multiple of both
+    n and 4, and any conductor above MAX_CONDUCTOR.  The default
+    conductor is lcm(4, n), the smallest one housing both omega and i.
     """
     if n < 2:
         raise KernelError(f"order n must be at least 2, got {n}")
@@ -100,8 +85,9 @@ def make_context(n, m=None):
         raise KernelError(
             f"conductor m={m} exceeds the limit {MAX_CONDUCTOR}"
         )
-    if m % n != 0 or m % 4 != 0:
-        raise KernelError(f"conductor m={m} must be divisible by n={n} and by 4")
+    if m < 1 or m % n != 0 or m % 4 != 0:
+        raise KernelError(
+            f"conductor m={m} must be a positive multiple of n={n} and of 4")
     key = (n, m)
     ctx = _context_cache.get(key)
     if ctx is None:
@@ -379,14 +365,14 @@ class CyclotomicScalar:
         r0, r1 = phi, _poly_trim(a)
         u0, u1 = [Fraction(0)], [Fraction(1)]
         while len(r1) > 1:
-            q, r = _poly_divmod_frac(r0, r1)
+            q, r = _poly_divmod(r0, r1)
             u0, u1 = u1, _poly_sub_frac(u0, _poly_mul_frac(q, u1))
             r0, r1 = r1, r
         if not r1:
             raise ZeroDivisionError("scalar shares a factor with Phi_m")
         g = r1[0]
         inv = [c / g for c in u1]
-        _, rem = _poly_divmod_frac(inv, phi)
+        _, rem = _poly_divmod(inv, phi)
         rem = rem + [Fraction(0)] * (self.ctx.degree - len(rem))
         return self.ctx.from_coords(rem)
 
@@ -437,14 +423,15 @@ class CyclotomicScalar:
         return CyclotomicScalar(big_ctx, out, self.den)
 
 
-def _poly_divmod_frac(num, den):
+def _poly_divmod(num, den):
+    """(quotient, remainder); integer polynomials stay integral when den is monic."""
     num = list(num)
     dd = len(den) - 1
     lead = den[dd]
-    q = [Fraction(0)] * max(len(num) - dd, 1)
+    q = [0] * max(len(num) - dd, 1)
     for k in range(len(num) - 1, dd - 1, -1):
         if num[k]:
-            c = num[k] / lead
+            c = num[k] if lead == 1 else num[k] / lead
             q[k - dd] = c
             for j in range(dd + 1):
                 num[k - dd + j] -= c * den[j]

@@ -106,9 +106,6 @@ class FieldMatrix:
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
-    def nullspace(self):
-        return field_nullspace(self)
-
 
 def field_nullspace(matrix):
     """Basis of the right nullspace of a FieldMatrix, exactly."""

@@ -134,33 +134,17 @@ def make_star_matrix(ctx, entries):
             f"matrix star structures require n = 2, got n = {ctx.n}"
         )
     a11, a12, a21, a22 = entries
-    prod = (
-        a11.conjugate() * a11 + a12.conjugate() * a21,
-        a11.conjugate() * a12 + a12.conjugate() * a22,
-        a21.conjugate() * a11 + a22.conjugate() * a21,
-        a21.conjugate() * a12 + a22.conjugate() * a22,
-    )
-    expect = (ctx.one, ctx.zero, ctx.zero, ctx.one)
-    for pos, (got, want) in enumerate(zip(prod, expect)):
-        if got != want:
-            i, j = divmod(pos, 2)
-            raise InvalidStarStructureError(
-                f"conj(A)A differs from I2 at entry ({i + 1},{j + 1})"
-            )
-    x_img = Element(
-        ctx, {Monomial(0, 1, 0): a11, Monomial(1, 0, 0): a12}
-    )
-    y_img = Element(
-        ctx, {Monomial(0, 1, 0): a21, Monomial(1, 0, 0): a22}
-    )
-    return StarStructure(
-        "matrix2",
-        ctx,
-        Element.monomial(ctx, 0, 0, 1),
-        x_img,
-        y_img,
-        matrix=tuple(entries),
-    )
+    for i in range(2):
+        for j in range(2):
+            got = entries[2 * i].conjugate() * entries[j] \
+                + entries[2 * i + 1].conjugate() * entries[2 + j]
+            if got != int(i == j):
+                raise InvalidStarStructureError(
+                    f"conj(A)A differs from I2 at entry ({i + 1},{j + 1})")
+    x_img = Element(ctx, {Monomial(0, 1, 0): a11, Monomial(1, 0, 0): a12})
+    y_img = Element(ctx, {Monomial(0, 1, 0): a21, Monomial(1, 0, 0): a22})
+    return StarStructure("matrix2", ctx, Element.monomial(ctx, 0, 0, 1),
+                         x_img, y_img, matrix=tuple(entries))
 
 
 def make_star_raw(ctx, g_img, x_img, y_img):
@@ -213,11 +197,12 @@ def _scalars_unequal(ctx, lhs, rhs):
     return Element.from_scalar(ctx, lhs), Element.from_scalar(ctx, rhs)
 
 
-def _antimult_counterexample(st):
-    """First relation pair (a, b) with (ab)* != b* a*.
+def _antimult_counterexample(st, pairs=None):
+    """First pair (a, b) in ``pairs`` with (ab)* != b* a*.
 
-    ``apply_star`` is the conjugate-linear antimultiplicative extension of
-    the generator images, so None means * is antimultiplicative on H_n.
+    ``pairs`` defaults to the relation pairs.  ``apply_star`` is the
+    conjugate-linear antimultiplicative extension of the generator images,
+    so None on the relation pairs means * is antimultiplicative on H_n.
     """
     ctx = st.ctx
 
@@ -226,7 +211,9 @@ def _antimult_counterexample(st):
         return _unequal(apply_star(st, ea * eb),
                         apply_star(st, eb) * apply_star(st, ea))
 
-    return _first_counterexample("pair", relation_pairs(ctx), check)
+    if pairs is None:
+        pairs = relation_pairs(ctx)
+    return _first_counterexample("pair", pairs, check)
 
 
 def _structure_checks(ctx, d):

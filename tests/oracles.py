@@ -9,7 +9,9 @@ rational solution space of A L = conj(L) B by height instead of testing
 the polarization points.  The coproduct and antipode oracles build each
 basis image as the (anti)multiplicative extension of the generator table,
 D(y)^r D(x)^s D(g)^l and S(g)^l S(x)^s S(y)^r, for comparison with the
-kernel's closed formulas.
+kernel's closed formulas.  The scan oracle runs the prescreen and the
+verifier on every grid⁶ candidate pair instead of screening each image
+on its own relation pairs first.
 """
 
 from fractions import Fraction
@@ -18,10 +20,10 @@ from itertools import combinations, product
 from radford.algebra import GENERATOR_MONOMIALS, Element, Monomial, basis
 from radford.classify import _matrix_equation_kernel, apply_automorphism
 from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map, \
-    tensor_mul, triple_delta_sides
+    tensor_mul, tensor_of, triple_delta_sides
 from radford.scalars import unify_contexts
 from radford.solver import _nullspace_from_rows
-from radford.star import apply_star
+from radford.star import StarStructure, apply_star, verify_star_axioms
 
 
 def _unit(ctx, b):
@@ -198,3 +200,44 @@ def n2_search_oracle(st_a, st_b, height_bound=3, max_candidates=200_000):
                 if lam[0] * lam[3] - lam[1] * lam[2]:
                     return tuple(lam)
     return None
+
+
+def scan_oracle(ctx, grid=None):
+    """Every grid⁶ (x*, y*) candidate of the scan, one by one.
+
+    Same candidate space and order as ``classify.scan_star_candidates``;
+    each candidate passes a generator-level prescreen (involution on g,
+    x, y and the coproduct condition on the images), then the full
+    verifier, with no screening of the images on their own pairs.
+    """
+    if grid is None:
+        grid = [ctx.zeta(k) for k in range(ctx.m)] + [ctx.zero]
+    g_el = Element.monomial(ctx, 0, 0, 1)
+    x_el = Element.monomial(ctx, 0, 1, 0)
+    y_el = Element.monomial(ctx, 1, 0, 0)
+    one = Element.one(ctx)
+
+    def prescreen(st):
+        if any(apply_star(st, apply_star(st, gen)) != gen
+               for gen in (g_el, x_el, y_el)):
+            return False
+        star_g = apply_star(st, g_el)
+        for gen in (x_el, y_el):
+            img = apply_star(st, gen)
+            if delta(img) != tensor_of(img, star_g) + tensor_of(one, img):
+                return False
+        return delta(star_g) == tensor_of(star_g, star_g)
+
+    survivors = []
+    for w in range(1, ctx.n):
+        g_img = Element.monomial(ctx, 0, 0, w)
+        if w == 1:
+            images = [x_el.scale(c1) + y_el.scale(c2) + (one - g_el).scale(c3)
+                      for c1 in grid for c2 in grid for c3 in grid]
+        else:
+            images = [(one - g_img).scale(c) for c in grid]
+        for x_img, y_img in product(images, repeat=2):
+            st = StarStructure("raw", ctx, g_img, x_img, y_img)
+            if prescreen(st) and verify_star_axioms(st).all_passed:
+                survivors.append(st)
+    return survivors

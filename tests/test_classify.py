@@ -17,10 +17,11 @@ from radford.classify import (
     verify_equivalence,
 )
 from radford.errors import InvalidAutomorphismError, KernelError
+from radford.parser import parse_scalar
 from radford.scalars import make_context
 from radford.star import make_star_diag, make_star_matrix
 
-from oracles import n2_search_oracle
+from oracles import n2_search_oracle, scan_oracle
 
 
 class TestAutomorphisms:
@@ -376,3 +377,24 @@ class TestScan:
         assert survivors
         for st in survivors:
             assert st.g_img == g_el
+
+    # The grids used elsewhere in the tests, the n = 2 default grid, and
+    # small grids mixing units, Pythagorean values and non-units.
+    @pytest.mark.parametrize("n, grid", [
+        (2, "0,1,-1"),
+        (3, "0,1,-1"),
+        (2, "0,1,-1,i,-i"),
+        (3, "0,1,-1,i,-i"),
+        (2, None),
+        (3, "0,3/5+4/5*i,2"),
+        (4, "-i,0,1/2,3/5-4/5*i"),
+        (5, "0,i,1+i,-4/5+3/5*i"),
+    ])
+    def test_matches_brute_force_oracle(self, n, grid):
+        ctx = make_context(n)
+        if grid is not None:
+            grid = [parse_scalar(t, ctx) for t in grid.split(",")]
+        got = scan_star_candidates(ctx, grid=grid)
+        want = scan_oracle(ctx, grid=grid)
+        assert [(st.g_img, st.x_img, st.y_img) for st in got] \
+            == [(st.g_img, st.x_img, st.y_img) for st in want]

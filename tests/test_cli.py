@@ -105,6 +105,45 @@ class TestJsonRoundTrips:
         with pytest.raises(KernelError):
             jsonio.scalar_from_json(ctx, ["1", "x", "0", "0"])
 
+    def test_oversized_scalar_coordinate_rejected(self):
+        ctx = make_context(3)
+        from radford.errors import KernelError
+
+        with pytest.raises(KernelError, match="longer than"):
+            jsonio.scalar_from_json(ctx, ["7" * 1001, "0", "0", "0"])
+
+    @pytest.mark.parametrize("mono", [
+        {"r": 0, "s": 7, "l": 0}, {"r": -1, "s": 0, "l": 0},
+        {"r": 0, "s": 0, "l": 3},
+    ])
+    def test_out_of_range_exponent_rejected(self, mono):
+        ctx = make_context(3)
+        from radford.errors import KernelError
+
+        obj = {"terms": [dict(mono, coeff=["1", "0", "0", "0"])]}
+        with pytest.raises(KernelError, match="outside"):
+            jsonio.element_from_json(obj, ctx)
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": "diag", "context": {"n": 3, "m": Infinity}}',
+        '{"kind": "diag", "context": {"n": 3, "m": 12}, "alpha": [NaN, 0, 0, 0]}',
+        '{"kind": "raw", "context": {"n": 3, "m": 12}, "x_img": {}, "y_img": {},'
+        ' "g_img": {"terms": [{"r": -Infinity, "s": 0, "l": 0}]}}',
+    ])
+    def test_non_finite_json_numbers_rejected(self, text):
+        from radford.errors import KernelError
+
+        with pytest.raises(KernelError):
+            jsonio.star_from_json(json.loads(text))
+
+    @pytest.mark.parametrize("obj", [[1], "x", {"terms": [1]}, {"terms": {}}])
+    def test_non_object_element_rejected(self, obj):
+        ctx = make_context(3)
+        from radford.errors import KernelError
+
+        with pytest.raises(KernelError):
+            jsonio.element_from_json(obj, ctx)
+
 
 @pytest.fixture(scope="module")
 def star_files(tmp_path_factory):
@@ -135,6 +174,13 @@ def star_files(tmp_path_factory):
                       Element.monomial(ctx3, 0, 1, 0, ctx3.from_int(2)),
                       Element.monomial(ctx3, 1, 0, 0))
     )))
+    raw_obj = jsonio.star_to_json(make_star_raw(
+        ctx3, *(Element.monomial(ctx3, *mono) for mono in
+                ((0, 0, 1), (0, 1, 0), (1, 0, 0)))))
+    raw_obj["x_img"]["terms"][0]["s"] = 7
+    (root / "x_pow7.json").write_text(json.dumps(raw_obj))
+    raw_obj["x_img"] = [1]
+    (root / "list_img.json").write_text(json.dumps(raw_obj))
     corrupt = root / "corrupt.json"
     corrupt.write_text('{"kind": "diag", "context": {')
     invalid = root / "invalid.json"
@@ -405,3 +451,35 @@ class TestCommands:
         p = run_cli("--n", "2", "verify", "star", "--star",
                     str(star_files / "diag3.json"))
         assert p.returncode == 2
+
+    @pytest.mark.parametrize("name, message", [
+        ("x_pow7.json", "outside [0, 3)"),
+        ("list_img.json", "expected a JSON object"),
+    ])
+    def test_malformed_raw_image_exit_2(self, star_files, name, message):
+        p = run_cli("--n", "3", "star-apply", "--star", str(star_files / name),
+                    "x")
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr.count("\n") == 1 and message in p.stderr
+
+    @pytest.mark.parametrize("expr", [
+        "9" * 5000,
+        "(1+z)^100000",
+        "(1+z)^1000000000",
+        "(" * 5000 + "1" + ")" * 5000,
+    ])
+    def test_hostile_expression_exit_2(self, expr):
+        p = run_cli("--n", "3", "normalize", expr, timeout=10)
+        assert p.returncode == 2
+        assert p.stderr.count("\n") == 1 and "error: " in p.stderr
+
+    def test_n3_default_scan(self):
+        p = run_cli("--n", "3", "scan", timeout=60)
+        assert p.returncode == 0
+        assert p.stdout.startswith("survivors 144\n")
+
+    def test_n4_unit_grid_scan(self):
+        p = run_cli("--n", "4", "scan", "--grid", "0,1,-1,i,-i", timeout=10)
+        assert p.returncode == 0
+        assert p.stdout.startswith("survivors 16\n")

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radford.algebra import Element, Monomial, generators
-from radford.errors import ExprSyntaxError
+from radford.errors import ExprSyntaxError, KernelError
 from radford.parser import (
+    MAX_EXPR_DEPTH,
     format_element,
     format_scalar,
     parse,
     parse_element,
     parse_scalar,
 )
-from radford.scalars import make_context
+from radford.scalars import MAX_INPUT_DIGITS, make_context
 
 CTX3 = make_context(3)
 
@@ -160,3 +161,25 @@ class TestFormatting:
                 terms[mono] = c
         e = Element(ctx, terms)
         assert parse_element(format_element(e), ctx) == e
+
+
+class TestInputBudget:
+    @pytest.mark.parametrize("text", [
+        "2^1000", "(1+z)^500", "1" * MAX_INPUT_DIGITS, "g^1000000001",
+        "(" * MAX_EXPR_DEPTH + "x" + ")" * MAX_EXPR_DEPTH,
+    ])
+    def test_within_budget(self, text):
+        parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "2^1001", "(1+z)^501", "1" * (MAX_INPUT_DIGITS + 1),
+        "x^" + "9" * (MAX_INPUT_DIGITS + 1), "(g)^1001",
+        "(" * (MAX_EXPR_DEPTH + 1) + "x" + ")" * (MAX_EXPR_DEPTH + 1),
+    ])
+    def test_over_budget(self, text):
+        with pytest.raises(KernelError):
+            parse(text)
+
+    def test_powers_of_atoms_stay_small(self):
+        assert parse_element("g^1000000001", CTX3) \
+            == Element.monomial(CTX3, 0, 0, 1000000001 % 3)
