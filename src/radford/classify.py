@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import NamedTuple
 
+from . import solver
 from .algebra import (
     GENERATOR_MONOMIALS,
     Element,
@@ -41,9 +42,7 @@ from .algebra import (
 )
 from .coalgebra import delta, tensor_of
 from .errors import InvalidAutomorphismError, KernelError
-from .scalars import unify_contexts
-from .solver import ConjTerm, ConjugateLinearSystem, rational_nullspace, \
-    rationalize
+from .scalars import MAX_SCAN_CANDIDATES, unify_contexts
 from .star import StarStructure, _antimult_counterexample, apply_star, \
     make_star_diag, verify_star_axioms
 
@@ -212,17 +211,17 @@ def _matrix_equation_kernel(ctx, a, b):
     A, B and Lambda are 2x2 matrices as row-major 4-tuples; the
     conjugate-linear system is rationalized and solved exactly.
     """
-    system = ConjugateLinearSystem(ctx, 4)
+    system = solver.ConjugateLinearSystem(ctx, 4)
     for i in range(2):
         for j in range(2):
             terms = []
             for k in range(2):
                 if a[2 * i + k]:
-                    terms.append(ConjTerm(a[2 * i + k], 2 * k + j, False))
+                    terms.append(solver.ConjTerm(a[2 * i + k], 2 * k + j, False))
                 if b[2 * k + j]:
-                    terms.append(ConjTerm(-b[2 * k + j], 2 * i + k, True))
+                    terms.append(solver.ConjTerm(-b[2 * k + j], 2 * i + k, True))
             system.add_equation(terms)
-    return rational_nullspace(rationalize(system))
+    return solver.rational_nullspace(solver.rationalize(system))
 
 
 def _invertible_point(kernel):
@@ -277,6 +276,12 @@ def scan_star_candidates(ctx, grid=None):
     """
     if grid is None:
         grid = [ctx.zeta(k) for k in range(ctx.m)] + [ctx.zero]
+    k = len(grid)
+    candidates = k ** 3 + (ctx.n - 2) * k + (k ** 4 if ctx.n == 2 else 0)
+    if candidates > MAX_SCAN_CANDIDATES:
+        raise KernelError(
+            f"scan of {k} grid values at n={ctx.n} has {candidates} candidates, "
+            f"above the limit {MAX_SCAN_CANDIDATES}; pass a smaller --grid")
     g_el, x_el, y_el = generators(ctx)
     one = Element.one(ctx)
     zero = Element.zero(ctx)

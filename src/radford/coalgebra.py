@@ -190,6 +190,17 @@ def delta(e):
     return acc
 
 
+def delta_coords(e):
+    """How many field coordinates :func:`delta` computes for ``e``.
+
+    Per monomial y^r x^s g^l: the (r+1)(s+1) terms and the r(r+1)/2 +
+    s(s+1)/2 entries of the q-Pascal rows r and s, phi(m) coordinates each.
+    """
+    entries = sum((r + 1) * (s + 1) + (r * (r + 1) + s * (s + 1)) // 2
+                  for r, s, _ in e.terms)
+    return entries * e.ctx.degree
+
+
 def counit(e):
     """e(y^r x^s g^l) = e(y)^r e(x)^s e(g)^l, extended linearly.
 

@@ -11,19 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import coalgebra, star
 from .algebra import Element, Monomial
-from .coalgebra import TensorElement
 from .errors import KernelError
 from .scalars import MAX_INPUT_DIGITS, make_context
-from .star import (
-    CheckResult,
-    Counterexample,
-    StarStructure,
-    VerificationReport,
-    make_star_diag,
-    make_star_matrix,
-    make_star_raw,
-)
 
 
 def context_to_json(ctx):
@@ -115,7 +106,7 @@ def tensor_from_json(obj, ctx=None):
         pair = (_mono_from_json(ctx, t.get("left")),
                 _mono_from_json(ctx, t.get("right")))
         terms[pair] = scalar_from_json(ctx, t.get("coeff", []))
-    return TensorElement(ctx, terms)
+    return coalgebra.TensorElement(ctx, terms)
 
 
 def star_to_json(st):
@@ -140,7 +131,7 @@ def star_from_json(obj):
         raise KernelError(f"bad star structure: {exc}") from exc
     try:
         if kind == "diag":
-            return make_star_diag(
+            return star.make_star_diag(
                 ctx,
                 scalar_from_json(ctx, obj["alpha"]),
                 scalar_from_json(ctx, obj["beta"]),
@@ -149,11 +140,11 @@ def star_from_json(obj):
             entries = obj["a"]
             if not isinstance(entries, list) or len(entries) != 4:
                 raise KernelError("matrix star needs a list of exactly 4 entries")
-            return make_star_matrix(
+            return star.make_star_matrix(
                 ctx, tuple(scalar_from_json(ctx, c) for c in entries)
             )
         if kind == "raw":
-            return make_star_raw(
+            return star.make_star_raw(
                 ctx,
                 element_from_json(obj["g_img"], ctx),
                 element_from_json(obj["x_img"], ctx),
@@ -167,7 +158,7 @@ def star_from_json(obj):
 def _value_to_json(v):
     if isinstance(v, Element):
         return {"type": "element", "value": element_to_json(v)}
-    if isinstance(v, TensorElement):
+    if isinstance(v, coalgebra.TensorElement):
         return {"type": "tensor", "value": tensor_to_json(v)}
     if isinstance(v, dict):
         # Triple-tensor dicts from coassociativity checks.

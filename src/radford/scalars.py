@@ -9,8 +9,8 @@ conjugation and norm-one tests are exact and decidable.
 
 The conductor m must be divisible by both n (so omega = zeta^(m/n) has
 order exactly n) and 4 (so i = zeta^(m/4) squares to -1); the default is
-lcm(4, n).  Phi_m is computed by iterated exact division of X^m - 1, not
-from tables, so any valid conductor works.
+lcm(4, n).  Phi_m is computed by the Moebius product over the divisors
+of m, not from tables, so any valid conductor works.
 
 Internally a scalar stores an integer numerator vector plus one positive
 denominator (Phi_m is monic over Z, so reduction never leaves that form);
@@ -44,6 +44,23 @@ MAX_CONDUCTOR = 1024
 # integers grow.
 MAX_INPUT_DIGITS = 1000
 
+# Most candidates ``classify.scan_star_candidates`` takes on, counted
+# before any screening.  A grid of k values gives k^3 + (n - 2) k
+# generator images to screen.  At n = 2 every c x + c' y passes both
+# screens, so k^4 image pairs face the verifier as well; at n > 2 only
+# the k multiples c x (or c y) pass at w = 1.  An admitted
+# scan ends within about 2 s at the default conductor (--n 3 on 21 grid
+# values: 1.7 s) and within about 7 s at m = 1020.
+MAX_SCAN_CANDIDATES = 10_000
+
+# Most field coordinates ``radford delta`` may compute, counted by
+# ``coalgebra.delta_coords`` before D is computed: the (r + 1)(s + 1) terms
+# of D(y^r x^s g^l) and the entries of the q-Pascal rows r and s behind
+# their coefficients, phi(m) coordinates each.  The rows count because
+# y^254 x alone has 510 terms but 32 385 row entries.  At m = 1020 the
+# largest admitted inputs, such as y^13 x^13 g, take under a second.
+MAX_DELTA_COORDS = 100_000
+
 
 def _poly_trim(coeffs):
     i = len(coeffs)
@@ -52,19 +69,41 @@ def _poly_trim(coeffs):
     return coeffs[:i]
 
 
-def _cyclotomic_poly(m, _cache={}):
-    """Coefficients of Phi_m, ascending, by exact division of X^m - 1."""
-    if m in _cache:
-        return _cache[m]
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            q, r = _poly_divmod(poly, _cyclotomic_poly(d))
-            if r:
-                raise AssertionError(f"Phi_{d} does not divide X^{m} - 1")
+def _mobius(k):
+    """The Moebius function mu(k), by trial division."""
+    mu, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if k > 1 else mu
+
+
+def _cyclotomic_poly(m):
+    """Coefficients of Phi_m, ascending, as prod over d | m of (X^d - 1)^mu(m/d).
+
+    The binomials with mu = 1 are multiplied in first, then those with
+    mu = -1 are divided out exactly; each step costs O(degree).
+    """
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(m // d) == 1:
+            out = [0] * d + poly
+            for k, c in enumerate(poly):
+                out[k] -= c
+            poly = out
+    for d in divisors:
+        if _mobius(m // d) == -1:
+            # poly = q * (X^d - 1), so q[k] = q[k - d] - poly[k] from the bottom.
+            q = [0] * (len(poly) - d)
+            for k in range(len(q)):
+                q[k] = (q[k - d] if k >= d else 0) - poly[k]
             poly = q
-    _cache[m] = tuple(poly)
-    return _cache[m]
+    return tuple(poly)
 
 
 _context_cache = {}

@@ -11,7 +11,9 @@ basis image as the (anti)multiplicative extension of the generator table,
 D(y)^r D(x)^s D(g)^l and S(g)^l S(x)^s S(y)^r, for comparison with the
 kernel's closed formulas.  The scan oracle runs the prescreen and the
 verifier on every grid⁶ candidate pair instead of screening each image
-on its own relation pairs first.
+on its own relation pairs first.  The cyclotomic polynomial oracle divides
+X^m - 1 by Phi_d for every proper divisor d of m, where the kernel takes
+the Moebius product.
 """
 
 from fractions import Fraction
@@ -21,9 +23,21 @@ from radford.algebra import GENERATOR_MONOMIALS, Element, Monomial, basis
 from radford.classify import _matrix_equation_kernel, apply_automorphism
 from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map, \
     tensor_mul, tensor_of, triple_delta_sides
-from radford.scalars import unify_contexts
+from radford.scalars import _poly_divmod, unify_contexts
 from radford.solver import _nullspace_from_rows
 from radford.star import StarStructure, apply_star, verify_star_axioms
+
+
+def cyclotomic_division_oracle(m, _cache={}):
+    """Coefficients of Phi_m, ascending, by exact division of X^m - 1."""
+    if m not in _cache:
+        poly = [-1] + [0] * (m - 1) + [1]
+        for d in range(1, m):
+            if m % d == 0:
+                poly, rem = _poly_divmod(poly, cyclotomic_division_oracle(d))
+                assert not rem, f"Phi_{d} does not divide X^{m} - 1"
+        _cache[m] = tuple(poly)
+    return _cache[m]
 
 
 def _unit(ctx, b):

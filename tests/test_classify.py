@@ -18,7 +18,7 @@ from radford.classify import (
 )
 from radford.errors import InvalidAutomorphismError, KernelError
 from radford.parser import parse_scalar
-from radford.scalars import make_context
+from radford.scalars import MAX_SCAN_CANDIDATES, make_context
 from radford.star import make_star_diag, make_star_matrix
 
 from oracles import n2_search_oracle, scan_oracle
@@ -398,3 +398,14 @@ class TestScan:
         want = scan_oracle(ctx, grid=grid)
         assert [(st.g_img, st.x_img, st.y_img) for st in got] \
             == [(st.g_img, st.x_img, st.y_img) for st in want]
+
+    # 10^3 images and 10^4 pairs at n = 2, 22^3 + 22 images at n = 3: the
+    # smallest grids above the limit (9 and 21 values fit).
+    @pytest.mark.parametrize("n, size, count", [(2, 10, 11000), (3, 22, 10670)])
+    def test_oversized_grid_is_refused_before_screening(self, n, size, count):
+        assert (size - 1) ** 3 + (size - 1) ** (4 if n == 2 else 1) \
+            <= MAX_SCAN_CANDIDATES < count
+        ctx = make_context(n)
+        grid = [ctx.from_int(k) for k in range(size)]
+        with pytest.raises(KernelError, match=f"has {count} candidates"):
+            scan_star_candidates(ctx, grid=grid)

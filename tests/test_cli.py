@@ -10,8 +10,10 @@ import pytest
 
 from radford import jsonio
 from radford.algebra import Element, Monomial, generators
-from radford.coalgebra import delta
-from radford.scalars import make_context
+from radford.cli import main
+from radford.coalgebra import delta, delta_coords
+from radford.parser import parse_element
+from radford.scalars import MAX_DELTA_COORDS, MAX_SCAN_CANDIDATES, make_context
 from radford.star import make_star_diag, make_star_matrix, make_star_raw, \
     verify_star_axioms
 
@@ -483,3 +485,99 @@ class TestCommands:
         p = run_cli("--n", "4", "scan", "--grid", "0,1,-1,i,-i", timeout=10)
         assert p.returncode == 0
         assert p.stdout.startswith("survivors 16\n")
+
+    # 121 values at n = 3 (121^3 + 121 candidates), and 12 values at n = 2,
+    # where the 12^4 pairs of c x + c' y images count as well.
+    @pytest.mark.parametrize("args, size, count", [
+        (("--n", "3", "--m", "120", "scan"), 121, 1771682),
+        (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(12))),
+         12, 22464),
+    ])
+    def test_oversized_scan_exit_2(self, args, size, count):
+        p = run_cli(*args, timeout=10)
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr == (
+            f"error: scan of {size} grid values at n={args[1]} has {count} "
+            f"candidates, above the limit {MAX_SCAN_CANDIDATES}; "
+            "pass a smaller --grid\n")
+
+    # The top monomial at n = 255 has 65 025 terms; y^254 x has only 510,
+    # but its q-Pascal row 254 has 32 385 entries.
+    @pytest.mark.parametrize("expr", ["y^254*x^254*g", "y^254*x", "y^14*x^14*g"])
+    def test_oversized_delta_exit_2(self, expr):
+        p = run_cli("--n", "255", "delta", expr, timeout=10)
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr.count("\n") == 1
+        assert f"above the limit {MAX_DELTA_COORDS}" in p.stderr
+
+    def test_largest_admitted_delta(self):
+        expr = "y^13*x^13*g"
+        ctx = make_context(255)
+        assert delta_coords(parse_element(expr, ctx)) <= MAX_DELTA_COORDS
+        p = run_cli("--n", "255", "delta", expr, timeout=30)
+        assert p.returncode == 0
+        assert p.stdout.count("⊗") == 14 * 14
+
+
+TOP_USAGE = """\
+usage: radford [-h] [--n N] [--m M] [--json]
+               {normalize,mul,delta,delta-closed,counit,antipode,antipode-order,star-apply,verify,solve,grouplike,equiv,scan}
+               ...
+"""
+
+# Usage, help and argparse errors, byte for byte as they were when every
+# call built all seventeen subparsers.
+USAGE_CASES = [
+    (["normalize", "x"], 2, "",
+     TOP_USAGE + "radford: error: --n is required\n"),
+    (["--n", "3", "bogus"], 2, "",
+     TOP_USAGE + "radford: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'normalize', 'mul', 'delta', 'delta-closed', 'counit', "
+     "'antipode', 'antipode-order', 'star-apply', 'verify', 'solve', "
+     "'grouplike', 'equiv', 'scan')\n"),
+    (["--n", "3", "verify"], 2, "",
+     "usage: radford verify [-h] {hopf,star} ...\n"
+     "radford verify: error: the following arguments are required: subcommand\n"),
+    (["--n", "3", "--m", "x", "normalize", "x"], 2, "",
+     TOP_USAGE + "radford: error: argument --m: invalid int value: 'x'\n"),
+    (["-h"], 0, TOP_USAGE + """
+Exact kernel for the Radford Hopf algebra H_n
+
+positional arguments:
+  {normalize,mul,delta,delta-closed,counit,antipode,antipode-order,star-apply,verify,solve,grouplike,equiv,scan}
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 order of the root of unity (required)
+  --m M                 conductor, a multiple of lcm(4, n)
+  --json                emit JSON instead of text
+""", ""),
+    (["--n", "3", "scan", "-h"], 0, """\
+usage: radford scan [-h] [--json] [--n N] [--m M] [--grid GRID]
+
+options:
+  -h, --help   show this help message and exit
+  --json       emit JSON instead of text
+  --n N        order of the root of unity (required)
+  --m M        conductor, a multiple of lcm(4, n)
+  --grid GRID  comma-separated scalar expressions; default is all m-th roots
+               of unity and 0
+""", ""),
+    (["--n", "3", "solve", "skew"], 2, "",
+     "usage: radford solve skew [-h] [--json] [--n N] [--m M] --w W\n"
+     "radford solve skew: error: the following arguments are required: --w\n"),
+]
+
+
+@pytest.mark.parametrize("argv, rc, out, err", USAGE_CASES,
+                         ids=[" ".join(case[0]) for case in USAGE_CASES])
+def test_usage_output(argv, rc, out, err, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == rc
+    assert capsys.readouterr() == (out, err)

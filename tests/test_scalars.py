@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly, Symbol, cyclotomic_poly
 
 from radford.errors import ContextMismatchError, KernelError
-from radford.scalars import MAX_CONDUCTOR, make_context, unify_contexts
+from radford.scalars import MAX_CONDUCTOR, _cyclotomic_poly, make_context, \
+    unify_contexts
+
+from oracles import cyclotomic_division_oracle
 
 
 def small_fractions():
@@ -49,6 +52,10 @@ class TestContext:
             ctx = make_context(2, m) if m % 2 == 0 else make_context(m, m)
             expected = Poly(cyclotomic_poly(m, xsym), xsym).all_coeffs()[::-1]
             assert list(ctx.phi_m) == [int(c) for c in expected]
+
+    def test_phi_matches_division_oracle_up_to_the_cap(self):
+        for m in range(1, MAX_CONDUCTOR + 1):
+            assert _cyclotomic_poly(m) == cyclotomic_division_oracle(m), m
 
     def test_rejects_small_n(self):
         with pytest.raises(KernelError):
