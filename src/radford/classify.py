@@ -11,12 +11,10 @@ Covers four jobs:
   with l(a) = (1 + conj(a))/2, or l(-1) = i.  This is the Cayley form of
   Hilbert's Theorem 90: conj(l(a)) = a l(a) for every norm-one a, so the
   witness lives in the input's own field and needs no square root.
-* The n = 2 criterion: structures given by matrices A and B are
-  equivalent iff an invertible Lambda solves A*Lambda = conj(Lambda)*B.
-  The solution space is computed exactly over Q; det restricted to it is
-  a quadratic form, which by polarization vanishes identically iff it
-  vanishes at every basis vector e_i and every e_i + e_j, so testing
-  those points decides the question.
+* The n = 2 witness, Hilbert's Theorem 90 for GL_2: for every A with
+  conj(A) A = I some L_c = c I + conj(c) conj(A), c in (1, i, 1 + i), is
+  invertible and has A L_c = conj(L_c), so L_A L_B^-1 carries A to B and
+  all n = 2 structures are equivalent.
 * ``scan``: the star structures among lemma-shaped candidates on a
   grid.  Each generator image is screened once on the relation pairs
   that involve it alone, and only pairs of screened images face the
@@ -26,10 +24,8 @@ Covers four jobs:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
 from typing import NamedTuple
 
-from . import solver
 from .algebra import (
     GENERATOR_MONOMIALS,
     Element,
@@ -202,65 +198,52 @@ class EquivalenceResult(NamedTuple):
 
     equivalent: bool
     witness: Automorphism | None
-    nullspace_dimension: int | None
 
 
-def _matrix_equation_kernel(ctx, a, b):
-    """Q-basis of the Lambda in ctx^4 with A Lambda = conj(Lambda) B.
+def _det(m):
+    return m[0] * m[3] - m[1] * m[2]
 
-    A, B and Lambda are 2x2 matrices as row-major 4-tuples; the
-    conjugate-linear system is rationalized and solved exactly.
+
+def _cayley_matrix(ctx, a):
+    """Invertible L = c I + conj(c) conj(A) with A L = conj(L), for conj(A) A = I.
+
+    conj(A) A = I gives A conj(A) = I, so A L = c A + conj(c) I = conj(L).
+    L is singular only when -c/conj(c) is an eigenvalue of conj(A), and
+    c = 1, i, 1 + i give the three values -1, 1, -i.
     """
-    system = solver.ConjugateLinearSystem(ctx, 4)
-    for i in range(2):
-        for j in range(2):
-            terms = []
-            for k in range(2):
-                if a[2 * i + k]:
-                    terms.append(solver.ConjTerm(a[2 * i + k], 2 * k + j, False))
-                if b[2 * k + j]:
-                    terms.append(solver.ConjTerm(-b[2 * k + j], 2 * i + k, True))
-            system.add_equation(terms)
-    return solver.rational_nullspace(solver.rationalize(system))
-
-
-def _invertible_point(kernel):
-    """An invertible Lambda in the Q-span of ``kernel``, or None if none exists.
-
-    q(t) = det(sum t_i K_i) is a quadratic form, and in characteristic 0
-    q(e_i + e_j) = q(e_i) + q(e_j) + 2 B(e_i, e_j), so q vanishes
-    identically iff it vanishes at every e_i and every e_i + e_j.  Those
-    points are tried in the order e_1..e_d, then e_i + e_j for i < j.
-    """
-    sums = ([u + v for u, v in zip(kernel[i], kernel[j])]
-            for i, j in combinations(range(len(kernel)), 2))
-    for lam in chain(kernel, sums):
-        if lam[0] * lam[3] - lam[1] * lam[2]:
-            return tuple(lam)
-    return None
+    a_bar = [v.conjugate() for v in a]
+    for c in (ctx.one, ctx.i(), ctx.one + ctx.i()):
+        cb = c.conjugate()
+        lam = [cb * v for v in a_bar]
+        lam[0] += c
+        lam[3] += c
+        if _det(lam):
+            return lam
+    raise KernelError("matrix star structure has conj(A)A != I")
 
 
 def solve_equivalence_n2(st_a, st_b):
-    """Decide equivalence of two n = 2 matrix structures via A L = conj(L) B.
+    """Verified witness carrying one n = 2 matrix structure to another.
 
-    The verdict is exact: an invertible point of the solution space is
-    re-verified as a witness, and when ``_invertible_point`` finds none,
-    no invertible complex solution exists (README, "Why equivalence needs
-    no square roots and no search").
+    Lambda = L_A L_B^-1 of ``_cayley_matrix`` solves A Lambda =
+    conj(Lambda) B, because conj(L_B) = B L_B (README, "Why equivalence
+    needs no square roots and no search").
     """
     if st_a.kind != "matrix2" or st_b.kind != "matrix2":
         raise KernelError("both structures must be of matrix kind (n = 2)")
     ctx = unify_contexts(st_a.ctx, st_b.ctx)
     st_a = st_a.embed(ctx)
     st_b = st_b.embed(ctx)
-    kernel = _matrix_equation_kernel(ctx, st_a.matrix, st_b.matrix)
-    lam = _invertible_point(kernel)
-    if lam is None:
-        return EquivalenceResult(False, None, len(kernel))
+    p = _cayley_matrix(ctx, st_a.matrix)
+    q = _cayley_matrix(ctx, st_b.matrix)
+    inv = _det(q).inverse()
+    q_inv = (q[3] * inv, -q[1] * inv, -q[2] * inv, q[0] * inv)
+    lam = tuple(p[2 * i] * q_inv[j] + p[2 * i + 1] * q_inv[2 + j]
+                for i in range(2) for j in range(2))
     phi = make_automorphism_matrix(ctx, lam)
     if not verify_equivalence(phi, st_a, st_b):
-        raise KernelError("solution of the matrix equation failed re-verification")
-    return EquivalenceResult(True, phi, len(kernel))
+        raise KernelError("constructed witness failed verification")
+    return EquivalenceResult(True, phi)
 
 
 def scan_star_candidates(ctx, grid=None):

@@ -1,12 +1,13 @@
 """Command-line interface: `radford --n N [--m M] [--json] COMMAND ...`.
 
-Exit codes: 0 on success / all checks passing; 1 when a verification
-fails or an equivalence query answers "not equivalent"; 2 on usage,
-parse, or malformed-input errors, including a conductor above
+Exit codes: 0 on success / all checks passing (every equivalence query
+answers "equivalent"); 1 when a verification fails; 2 on usage, parse,
+or malformed-input errors, including a conductor above
 ``scalars.MAX_CONDUCTOR``, an input number or expression that can
-exceed ``scalars.MAX_INPUT_DIGITS`` digits, a scan of more than
-``scalars.MAX_SCAN_CANDIDATES`` candidates and a coproduct that needs
-more than ``scalars.MAX_DELTA_COORDS`` field coordinates.
+exceed ``scalars.MAX_INPUT_DIGITS`` digits, an expression whose
+products exceed ``parser.MAX_EXPR_COORDS`` field coordinates, a scan of
+more than ``scalars.MAX_SCAN_CANDIDATES`` candidates and a coproduct
+that needs more than ``scalars.MAX_DELTA_COORDS`` field coordinates.
 """
 
 from __future__ import annotations
@@ -169,9 +170,8 @@ def _cmd_grouplike(args, ctx):
 
 
 def _emit_equivalence(args, result):
-    _emit(args, lambda: jsonio.equivalence_to_json(result),
-          lambda: "equivalent" if result.equivalent else "not equivalent")
-    return 0 if result.equivalent else 1
+    _emit(args, lambda: jsonio.equivalence_to_json(result), lambda: "equivalent")
+    return 0
 
 
 def _cmd_equiv_diag(args, ctx):
@@ -180,7 +180,7 @@ def _cmd_equiv_diag(args, ctx):
     st = star.make_star_diag(ctx, parser.parse_scalar(args.alpha, ctx),
                              parser.parse_scalar(args.beta, ctx))
     phi = classify.equivalence_witness_diag(st)
-    return _emit_equivalence(args, classify.EquivalenceResult(True, phi, None))
+    return _emit_equivalence(args, classify.EquivalenceResult(True, phi))
 
 
 def _cmd_equiv_n2(args, ctx):

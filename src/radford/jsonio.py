@@ -217,7 +217,6 @@ def equivalence_to_json(result):
         "witness": automorphism_to_json(result.witness)
         if result.witness is not None
         else None,
-        "nullspace_dimension": result.nullspace_dimension,
     }
 
 

@@ -15,12 +15,14 @@ in the power basis over 'z', so parse(format(e)) evaluates back to e.
 
 ``parse`` enforces the input budget before anything is evaluated: at
 most ``scalars.MAX_INPUT_DIGITS`` digits (``_digit_bound``) and
-MAX_EXPR_DEPTH nested parentheses.
+MAX_EXPR_DEPTH nested parentheses.  ``parse_element`` also bounds the
+products the tree asks for in its context (``_expansion_bound``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
 from .algebra import Element
@@ -29,6 +31,11 @@ from .scalars import MAX_INPUT_DIGITS
 
 # Deepest parenthesis nesting; well inside the recursion limit.
 MAX_EXPR_DEPTH = 100
+
+# Most field coordinates the products of an expression may compute: the
+# term pairs ``_expansion_bound`` counts, phi(m) coordinates each.  At
+# m = 1020 a pair of dense coefficients costs about 2 ms.
+MAX_EXPR_COORDS = 100_000
 
 
 class Token(NamedTuple):
@@ -217,6 +224,51 @@ def parse(text):
     return expr
 
 
+_EXPONENTS = {"y": (1, 0, 0), "x": (0, 1, 0), "g": (0, 0, 1)}
+
+
+def _expansion_bound(node, n):
+    """(bound, pairs): how large the value of ``node`` in H_n can get, and
+    how many term pairs its products multiply on the way.
+
+    bound = (terms, r, s, l) caps the term count and the exponents of y,
+    x and g.  A product has at most the product of its factors' term
+    counts, and no value more than the (r+1)(s+1)(l+1) <= n^3 monomials
+    its exponents allow, so a scalar is one term however it is written.
+    Products are taken in the order of ``evaluate`` and square-and-multiply.
+    """
+    pairs = 0
+
+    def box(terms, r, s, l):
+        return min(terms, (r + 1) * (s + 1) * (l + 1)), r, s, l
+
+    def times(a, b):
+        nonlocal pairs
+        pairs += a[0] * b[0]
+        return box(a[0] * b[0], *(min(n - 1, u + v) for u, v in zip(a[1:], b[1:])))
+
+    def walk(node):
+        if isinstance(node, Expr):
+            parts = [walk(t) for t in (node.first, *(t for _, t in node.rest))]
+            return box(sum(p[0] for p in parts),
+                       *(max(p[k] for p in parts) for k in (1, 2, 3)))
+        if isinstance(node, Term):
+            return reduce(times, map(walk, node.factors), (1, 0, 0, 0))
+        if isinstance(node, Pow):
+            acc, base, k = (1, 0, 0, 0), walk(node.base), node.exponent
+            while k:
+                if k & 1:
+                    acc = times(acc, base)
+                k >>= 1
+                if k:
+                    base = times(base, base)
+            return acc
+        return (1, *_EXPONENTS.get(getattr(node, "name", None), (0, 0, 0)))
+
+    bound = walk(node)
+    return bound, pairs
+
+
 def evaluate(node, ctx):
     """Evaluate a parse tree to an Element of H_n over the given context."""
     if isinstance(node, Expr):
@@ -250,7 +302,14 @@ def evaluate(node, ctx):
 
 
 def parse_element(text, ctx):
-    return evaluate(parse(text), ctx)
+    """Parse and evaluate, refusing first what expands past MAX_EXPR_COORDS."""
+    tree = parse(text)
+    coords = _expansion_bound(tree, ctx.n)[1] * ctx.degree
+    if coords > MAX_EXPR_COORDS:
+        raise KernelError(
+            f"expression expands to {coords} field coordinates of products, "
+            f"above the limit {MAX_EXPR_COORDS}")
+    return evaluate(tree, ctx)
 
 
 def parse_scalar(text, ctx):

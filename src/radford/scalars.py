@@ -167,7 +167,7 @@ class FieldContext:
         self._zeta_pow = tuple(tuple(row) for row in pows)
         if self._zeta_pow[m] != self._zeta_pow[0]:
             raise AssertionError(f"zeta^{m} != 1 in context m={m}")
-        self._zeta_index = {self._zeta_pow[k]: k for k in range(m)}
+        self._zeta_index = None
         self._mul_cache = {}
         self._omega_pows = None
         # i^2 = -1 and omega has order exactly n; cheap one-time checks.
@@ -229,11 +229,13 @@ class FieldContext:
         return CyclotomicScalar(self, num, den)
 
     def zeta_log(self, a):
-        """Return k with a = zeta^k, or None if a is not a root of unity."""
+        """Return k with a = zeta^k, or None; the table is built on first use."""
         if a.ctx is not self:
             raise ContextMismatchError("scalar from another context")
         if a.den != 1:
             return None
+        if self._zeta_index is None:
+            self._zeta_index = {self._zeta_pow[k]: k for k in range(self.m)}
         return self._zeta_index.get(a.num)
 
     def _mul_nums(self, n1, d1, n2, d2):

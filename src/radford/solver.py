@@ -1,26 +1,17 @@
-"""Exact linear algebra: nullspaces over Q(zeta_m) and over Q.
+"""Exact linear algebra over Q(zeta_m): nullspaces and skew-primitives.
 
-Three layers:
-
-* one sparse Gauss-Jordan elimination with deterministic pivoting, run
-  over the cyclotomic field or over Q.  Over the field it solves the
-  operator h -> D(h) - h (x) g^w - 1 (x) h on the at most 2n basis
-  monomials a skew-primitive can use (g^l, and y^r x^s with
-  r + s = w mod n; see ``skew_primitive_space``), which gives the
-  skew-primitive spaces exactly;
-* a group-likeness predicate D(e) = e (x) e, eps(e) = 1;
-* a Q-linearization for conjugate-linear systems: conjugation is not
-  field-linear, so each scalar unknown splits into phi(m) rational
-  unknowns and conjugation becomes an exact rational matrix, after which
-  the same elimination runs over Q.
+* one sparse Gauss-Jordan elimination with deterministic pivoting, for
+  any exact field.  On the at most n + 2 basis monomials a skew-primitive
+  can use (g^l, and x and y when w = 1; see ``skew_primitive_space``) it
+  solves h -> D(h) - h (x) g^w - 1 (x) h, which gives the skew-primitive
+  spaces exactly.  ``tests/oracles.py`` also runs it over Q, on
+  Q-linearized conjugate-linear systems;
+* a group-likeness predicate D(e) = e (x) e, eps(e) = 1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
-
-from .algebra import Element, Monomial, basis
+from .algebra import Element, Monomial
 from .coalgebra import TensorElement, counit, delta, tensor_of
 from .errors import KernelError
 
@@ -67,8 +58,8 @@ def _nullspace_from_rows(rows, ncols, one):
     return out
 
 
-# The rational systems call the same elimination under their own name, so
-# per-layer traces (perfbench/tracing.py) time them apart from field ones.
+# The elimination under a second name, which the per-layer tracer
+# (perfbench/tracing.py) wraps and times apart from field solves.
 _rational_kernel = _nullspace_from_rows
 
 
@@ -82,10 +73,6 @@ def _eliminate(row, coef, prow):
             row[j] = nv
         else:
             row.pop(j, None)
-
-
-def _sparse_rows(dense_rows):
-    return [{j: v for j, v in enumerate(r) if v} for r in dense_rows]
 
 
 class FieldMatrix:
@@ -109,36 +96,29 @@ class FieldMatrix:
 
 def field_nullspace(matrix):
     """Basis of the right nullspace of a FieldMatrix, exactly."""
-    return _nullspace_from_rows(
-        _sparse_rows(matrix.rows), matrix.shape[1], matrix.ctx.one
-    )
+    rows = [{j: v for j, v in enumerate(r) if v} for r in matrix.rows]
+    return _nullspace_from_rows(rows, matrix.shape[1], matrix.ctx.one)
 
 
 def skew_primitive_space(ctx, w):
     """Basis of {h : D(h) = h (x) g^w + 1 (x) h} as Elements.
 
-    Grade H_n by deg y = (1, 0), deg x = (0, 1), deg g = (0, 0).  The
-    operator T(h) = D(h) - h (x) g^w - 1 (x) h maps each block H_(r,s)
-    into the bidegree-(r, s) part of H (x) H, so its kernel is the sum of
-    the per-block kernels.  For
-    (r, s) != (0, 0) and h = sum_l c_l y^r x^s g^l, the H_(r,s) (x) H_(0,0)
-    part of T(h) is sum_l c_l y^r x^s g^l (x) (g^(l+r+s) - g^w) and the
-    H_(0,0) (x) H_(r,s) part is sum_l c_l (g^l - 1) (x) y^r x^s g^l, so
-    c_l = 0 unless l = 0 and r + s = w mod n.  Only the columns g^l and
-    y^r x^s with r + s = w mod n, at most 2n of them, can carry a
-    solution.  A dependency among columns is a kernel vector, so every
-    other column is a pivot column of the full n^3-column system, and
-    dropping them changes neither the free columns nor the reduced
-    echelon form: the basis is the one the full solve would return, in
-    the same (r, s, l) order.
+    Only the columns g^l, plus x and y when w = 1, can carry a solution.
+    T(h) = D(h) - h (x) g^w - 1 (x) h preserves the grading deg y = (1, 0),
+    deg x = (0, 1), deg g = (0, 0); a block (r, s) != (0, 0) can only
+    contribute y^r x^s with r + s = w mod n; and for r + s >= 2, T of that
+    column has a term in bidegree (r, s-1) (x) (0, 1), or (r-1, s) (x)
+    (1, 0), that nothing cancels (README, "Why the skew-primitive solve
+    needs only n + 2 columns").  Every other column is thus a pivot column
+    of the full n^3-column system, and the basis is the one the full solve
+    returns, in the same (r, s, l) order.
     """
     n = ctx.n
     if not 0 <= w < n:
         raise KernelError(f"skew parameter w={w} outside [0, {n})")
-    monos = [
-        b for b in basis(ctx)
-        if (b.r, b.s) == (0, 0) or (b.l == 0 and (b.r + b.s) % n == w)
-    ]
+    monos = [Monomial(0, 0, l) for l in range(n)]
+    if w == 1:
+        monos += [Monomial(0, 1, 0), Monomial(1, 0, 0)]
     one_m = Monomial(0, 0, 0)
     gw = Monomial(0, 0, w)
     rows_by_key = {}
@@ -162,87 +142,3 @@ def is_grouplike(e):
     if counit(e) != 1:
         return False
     return delta(e) == tensor_of(e, e)
-
-
-class ConjTerm(NamedTuple):
-    """One summand  coeff * u_var  or  coeff * conj(u_var)  of an equation."""
-
-    coeff: object
-    var: int
-    conjugated: bool = False
-
-
-class ConjugateLinearSystem:
-    """Homogeneous system of conjugate-linear equations in scalar unknowns."""
-
-    def __init__(self, ctx, num_vars):
-        self.ctx = ctx
-        self.num_vars = num_vars
-        self.equations = []
-
-    def add_equation(self, terms):
-        for t in terms:
-            if not 0 <= t.var < self.num_vars:
-                raise KernelError(f"unknown index {t.var} out of range")
-        self.equations.append(list(terms))
-
-
-class RationalizedSystem(NamedTuple):
-    """Q-matrix acting on the stacked rational coordinates of the unknowns."""
-
-    ctx: object
-    num_vars: int
-    matrix: list
-
-
-def rationalize(system):
-    """Expand scalar unknowns into phi(m) rational unknowns each.
-
-    A coefficient acting on an unknown contributes the coordinates of
-    coeff * zeta^j; acting on a conjugated unknown it contributes those
-    of coeff * zeta^(-j), the exact matrix of conjugation in the power
-    basis.
-    """
-    ctx = system.ctx
-    d = ctx.degree
-    width = system.num_vars * d
-    matrix = []
-    for eq in system.equations:
-        block = [[Fraction(0)] * width for _ in range(d)]
-        for term in eq:
-            for j in range(d):
-                z = ctx.zeta(-j) if term.conjugated else ctx.zeta(j)
-                col = term.var * d + j
-                for i, coord in enumerate((term.coeff * z).coords):
-                    if coord:
-                        block[i][col] += coord
-        matrix.extend(block)
-    return RationalizedSystem(ctx, system.num_vars, matrix)
-
-
-def rational_nullspace(rsystem):
-    """Kernel of a rationalized system as scalar assignments per unknown."""
-    ctx = rsystem.ctx
-    d = ctx.degree
-    ncols = rsystem.num_vars * d
-    out = []
-    rows = _sparse_rows(rsystem.matrix)
-    for vec in _rational_kernel(rows, ncols, Fraction(1)):
-        out.append(
-            [ctx.from_coords(vec[v * d:(v + 1) * d]) for v in range(rsystem.num_vars)]
-        )
-    return out
-
-
-def substitute(system, assignment):
-    """Evaluate every equation at an assignment; the residual scalars."""
-    out = []
-    for eq in system.equations:
-        acc = system.ctx.zero
-        for term in eq:
-            u = assignment[term.var]
-            if term.conjugated:
-                u = u.conjugate()
-            acc = acc + term.coeff * u
-        out.append(acc)
-    return out

@@ -4,9 +4,11 @@ Each oracle checks its law on every basis monomial and every basis pair,
 with no reduction to generators or relation pairs, so tests can compare
 the kernel's verdicts with them check for check at small n.  The
 skew-primitive oracle likewise solves on all n^3 basis columns, with no
-restriction by bidegree.  The n = 2 equivalence oracle searches the
-rational solution space of A L = conj(L) B by height instead of testing
-the polarization points.  The coproduct and antipode oracles build each
+restriction by bidegree.  Two n = 2 equivalence oracles solve
+A L = conj(L) B as a Q-linearized conjugate-linear system, where the
+kernel writes L down in closed form: one tests the polarization points
+of det on the rational solution space, the other searches that space by
+height.  The coproduct and antipode oracles build each
 basis image as the (anti)multiplicative extension of the generator table,
 D(y)^r D(x)^s D(g)^l and S(g)^l S(x)^s S(y)^r, for comparison with the
 kernel's closed formulas.  The scan oracle runs the prescreen and the
@@ -17,12 +19,14 @@ the Moebius product.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from typing import NamedTuple
 
 from radford.algebra import GENERATOR_MONOMIALS, Element, Monomial, basis
-from radford.classify import _matrix_equation_kernel, apply_automorphism
+from radford.classify import apply_automorphism
 from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map, \
     tensor_mul, tensor_of, triple_delta_sides
+from radford.errors import KernelError
 from radford.scalars import _poly_divmod, unify_contexts
 from radford.solver import _nullspace_from_rows
 from radford.star import StarStructure, apply_star, verify_star_axioms
@@ -177,6 +181,140 @@ def skew_primitive_oracle(ctx, w):
         Element(ctx, {m: c for m, c in zip(monos, vec) if c})
         for vec in _nullspace_from_rows(rows, len(monos), ctx.one)
     ]
+
+
+class ConjTerm(NamedTuple):
+    """One summand  coeff * u_var  or  coeff * conj(u_var)  of an equation."""
+
+    coeff: object
+    var: int
+    conjugated: bool = False
+
+
+class ConjugateLinearSystem:
+    """Homogeneous system of conjugate-linear equations in scalar unknowns."""
+
+    def __init__(self, ctx, num_vars):
+        self.ctx = ctx
+        self.num_vars = num_vars
+        self.equations = []
+
+    def add_equation(self, terms):
+        for t in terms:
+            if not 0 <= t.var < self.num_vars:
+                raise KernelError(f"unknown index {t.var} out of range")
+        self.equations.append(list(terms))
+
+
+class RationalizedSystem(NamedTuple):
+    """Q-matrix acting on the stacked rational coordinates of the unknowns."""
+
+    ctx: object
+    num_vars: int
+    matrix: list
+
+
+def rationalize(system):
+    """Expand scalar unknowns into phi(m) rational unknowns each.
+
+    A coefficient acting on an unknown contributes the coordinates of
+    coeff * zeta^j; acting on a conjugated unknown it contributes those
+    of coeff * zeta^(-j), the exact matrix of conjugation in the power
+    basis.
+    """
+    ctx = system.ctx
+    d = ctx.degree
+    width = system.num_vars * d
+    matrix = []
+    for eq in system.equations:
+        block = [[Fraction(0)] * width for _ in range(d)]
+        for term in eq:
+            for j in range(d):
+                z = ctx.zeta(-j) if term.conjugated else ctx.zeta(j)
+                col = term.var * d + j
+                for i, coord in enumerate((term.coeff * z).coords):
+                    if coord:
+                        block[i][col] += coord
+        matrix.extend(block)
+    return RationalizedSystem(ctx, system.num_vars, matrix)
+
+
+def rational_nullspace(rsystem):
+    """Kernel of a rationalized system as scalar assignments per unknown."""
+    ctx = rsystem.ctx
+    d = ctx.degree
+    rows = [{j: v for j, v in enumerate(r) if v} for r in rsystem.matrix]
+    return [
+        [ctx.from_coords(vec[v * d:(v + 1) * d]) for v in range(rsystem.num_vars)]
+        for vec in _nullspace_from_rows(rows, rsystem.num_vars * d, Fraction(1))
+    ]
+
+
+def substitute(system, assignment):
+    """Evaluate every equation at an assignment; the residual scalars."""
+    out = []
+    for eq in system.equations:
+        acc = system.ctx.zero
+        for term in eq:
+            u = assignment[term.var]
+            if term.conjugated:
+                u = u.conjugate()
+            acc = acc + term.coeff * u
+        out.append(acc)
+    return out
+
+
+def _matrix_equation_kernel(ctx, a, b):
+    """Q-basis of the Lambda in ctx^4 with A Lambda = conj(Lambda) B.
+
+    A, B and Lambda are 2x2 matrices as row-major 4-tuples; the
+    conjugate-linear system is rationalized and solved exactly.
+    """
+    system = ConjugateLinearSystem(ctx, 4)
+    for i in range(2):
+        for j in range(2):
+            terms = []
+            for k in range(2):
+                if a[2 * i + k]:
+                    terms.append(ConjTerm(a[2 * i + k], 2 * k + j, False))
+                if b[2 * k + j]:
+                    terms.append(ConjTerm(-b[2 * k + j], 2 * i + k, True))
+            system.add_equation(terms)
+    return rational_nullspace(rationalize(system))
+
+
+def _invertible_point(kernel):
+    """An invertible Lambda in the Q-span of ``kernel``, or None if none exists.
+
+    q(t) = det(sum t_i K_i) is a quadratic form, and in characteristic 0
+    q(e_i + e_j) = q(e_i) + q(e_j) + 2 B(e_i, e_j), so q vanishes
+    identically iff it vanishes at every e_i and every e_i + e_j.  Those
+    points are tried in the order e_1..e_d, then e_i + e_j for i < j.
+    """
+    sums = ([u + v for u, v in zip(kernel[i], kernel[j])]
+            for i, j in combinations(range(len(kernel)), 2))
+    for lam in chain(kernel, sums):
+        if lam[0] * lam[3] - lam[1] * lam[2]:
+            return tuple(lam)
+    return None
+
+
+def n2_polarization_oracle(st_a, st_b):
+    """Invertible L with A L = conj(L) B from the rational kernel, or None.
+
+    The verdict is exact, because rational points decide the complex
+    question.  Since 4 | m, the field is K = K0(i) with K0 = K cap R.
+    Write L = P + iQ with P, Q real: the equations split into real and
+    imaginary parts with coefficients in K0, so the system is K0-linear
+    in (P, Q), and its real solution space is the R-span of its
+    K0-solutions, which are the K-points the Q-basis spans.  det is a
+    polynomial function on that real space; if it vanishes on every
+    rational combination of the basis it is the zero polynomial, and no
+    complex L is invertible.
+    """
+    ctx = unify_contexts(st_a.ctx, st_b.ctx)
+    return _invertible_point(_matrix_equation_kernel(
+        ctx, st_a.embed(ctx).matrix, st_b.embed(ctx).matrix))
 
 
 def _search_values(height_bound):

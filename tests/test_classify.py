@@ -7,7 +7,7 @@ import pytest
 from radford.algebra import Element, Monomial, basis, generators
 from radford.coalgebra import delta, tensor_of
 from radford.classify import (
-    _invertible_point,
+    _cayley_matrix,
     apply_automorphism,
     equivalence_witness_diag,
     make_automorphism_diag,
@@ -21,7 +21,8 @@ from radford.parser import parse_scalar
 from radford.scalars import MAX_SCAN_CANDIDATES, make_context
 from radford.star import make_star_diag, make_star_matrix
 
-from oracles import n2_search_oracle, scan_oracle
+from oracles import _invertible_point, n2_polarization_oracle, n2_search_oracle, \
+    scan_oracle
 
 
 class TestAutomorphisms:
@@ -281,13 +282,12 @@ class TestSolveEquivalenceN2:
                 found = n2_search_oracle(st_a, st_b)
                 assert found is not None, "search bound exhausted"
                 assert res.equivalent is bool(found)
-                if res.equivalent:
-                    assert res.witness.matrix == found
-                    assert verify_equivalence(res.witness, st_a, st_b)
+                assert res.equivalent is bool(n2_polarization_oracle(st_a, st_b))
+                assert verify_equivalence(res.witness, st_a, st_b)
 
     def test_larger_conductor(self):
-        # Structures from Q(i) embedded in Q(zeta_8): the rational kernel
-        # doubles in dimension and the verdicts stay the same.
+        # Structures from Q(i) embedded in Q(zeta_8): the witness lives in
+        # the larger field and the verdicts stay the same.
         ctx = make_context(2)
         big = make_context(2, 8)
         stars = _matrix_witness_set(ctx) + _more_matrix_witnesses(ctx)
@@ -296,10 +296,36 @@ class TestSolveEquivalenceN2:
                 res = solve_equivalence_n2(st_a.embed(big), st_b)
                 assert res.equivalent is True
                 assert res.witness.ctx is big
-                assert res.nullspace_dimension \
-                    == 2 * solve_equivalence_n2(st_a, st_b).nullspace_dimension
-                found = n2_search_oracle(st_a.embed(big), st_b)
-                assert res.witness.matrix == found
+                assert verify_equivalence(res.witness, st_a.embed(big),
+                                          st_b.embed(big))
+                assert n2_search_oracle(st_a.embed(big), st_b)
+                assert n2_polarization_oracle(st_a.embed(big), st_b)
+
+    # L_c = c I + conj(c) conj(A) for the first c in (1, i, 1 + i) that
+    # makes it invertible.  -I takes c = i, diag(1, -1) needs c = 1 + i,
+    # and the last two rows need c = 1 (i and 1 + i fail) and c = i (1 and
+    # 1 + i fail), so dropping any c leaves some A without a witness.
+    @pytest.mark.parametrize("a, lam", [
+        ((1, 0, 0, 1), (2, 0, 0, 2)),
+        ((-1, 0, 0, -1), (2j, 0, 0, 2j)),
+        ((1, 0, 0, -1), (2, 0, 0, 2j)),
+        ((1, 0, 0, 1j), (2, 0, 0, 1 - 1j)),
+        ((-1, 0, 0, 1j), (2j, 0, 0, -1 + 1j)),
+    ])
+    def test_cayley_matrix_takes_the_first_invertible_c(self, a, lam):
+        ctx = make_context(2)
+
+        def scalar(v):
+            v = complex(v)
+            return ctx.from_int(int(v.real)) + ctx.from_int(int(v.imag)) * ctx.i()
+
+        a = tuple(map(scalar, a))
+        assert _cayley_matrix(ctx, a) == list(map(scalar, lam))
+        st = make_star_matrix(ctx, a)
+        trivial = make_star_matrix(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one))
+        for st_a, st_b in ((st, trivial), (trivial, st), (st, st)):
+            assert verify_equivalence(
+                solve_equivalence_n2(st_a, st_b).witness, st_a, st_b)
 
 
 class TestInvertiblePoint:

@@ -12,7 +12,7 @@ from radford import jsonio
 from radford.algebra import Element, Monomial, generators
 from radford.cli import main
 from radford.coalgebra import delta, delta_coords
-from radford.parser import parse_element
+from radford.parser import MAX_EXPR_COORDS, parse_element
 from radford.scalars import MAX_DELTA_COORDS, MAX_SCAN_CANDIDATES, make_context
 from radford.star import make_star_diag, make_star_matrix, make_star_raw, \
     verify_star_axioms
@@ -312,6 +312,8 @@ class TestCommands:
         pytest.param(24, 0, 0, 60, id="0-0"),
         pytest.param(24, 5, 1, 60, id="5-1"),
         pytest.param(48, 1, 3, 10, id="n48-1-3"),
+        pytest.param(255, 1, 3, 10, id="n255-1-3"),
+        pytest.param(255, 5, 1, 10, id="n255-5-1"),
     ])
     def test_solve_skew_large_n(self, n, w, dim, timeout):
         p = run_cli("--n", str(n), "solve", "skew", "--w", str(w),
@@ -475,6 +477,17 @@ class TestCommands:
         p = run_cli("--n", "3", "normalize", expr, timeout=10)
         assert p.returncode == 2
         assert p.stderr.count("\n") == 1 and "error: " in p.stderr
+
+    # A dozen characters each, which expand past the budget on products.
+    @pytest.mark.parametrize("n, expr", [
+        (64, "(x+y+g)^63"), (128, "(x+y+g)^100"), (255, "(x+y)^120"),
+    ])
+    def test_expanding_expression_exit_2(self, n, expr):
+        p = run_cli("--n", str(n), "normalize", expr, timeout=10)
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr.count("\n") == 1
+        assert f"above the limit {MAX_EXPR_COORDS}" in p.stderr
 
     def test_n3_default_scan(self):
         p = run_cli("--n", "3", "scan", timeout=60)

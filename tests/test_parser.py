@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from radford.algebra import Element, Monomial, generators
 from radford.errors import ExprSyntaxError, KernelError
 from radford.parser import (
+    MAX_EXPR_COORDS,
     MAX_EXPR_DEPTH,
+    _expansion_bound,
     format_element,
     format_scalar,
     parse,
@@ -183,3 +185,31 @@ class TestInputBudget:
     def test_powers_of_atoms_stay_small(self):
         assert parse_element("g^1000000001", CTX3) \
             == Element.monomial(CTX3, 0, 0, 1000000001 % 3)
+
+    # The largest powers admitted at n = 255 (m = 1020, phi(m) = 256) and
+    # the next ones up; the bound counts the term pairs square-and-multiply
+    # takes, phi(m) coordinates each.
+    @pytest.mark.parametrize("text, admitted", [
+        ("(x+y)^7", True), ("(x+y)^8", False),
+        ("(x+y+g)^4", True), ("(x+y+g)^5", False),
+    ])
+    def test_expansion_budget_at_the_cap(self, text, admitted):
+        ctx = make_context(255)
+        if admitted:
+            assert parse_element(text, ctx).terms
+        else:
+            with pytest.raises(KernelError, match=f"above the limit {MAX_EXPR_COORDS}"):
+                parse_element(text, ctx)
+
+    def test_expansion_bound_counts_terms_and_exponents(self):
+        # (terms, r, s, l): a scalar is one term however it is written;
+        # (x+y)^k has at most 2^k terms and at most (r+1)(s+1), and y^n = 0
+        # caps each exponent at n - 1.
+        def bound(text, n):
+            return _expansion_bound(parse(text), n)[0]
+
+        assert bound("(1+z+z^2)^9", 3) == (1, 0, 0, 0)
+        assert bound("(x+y)^2", 5) == (4, 2, 2, 0)
+        assert bound("(x+y)^4", 5) == (16, 4, 4, 0)
+        assert bound("(x+y)^8", 5) == (25, 4, 4, 0)
+        assert bound("y^7*g*x", 3) == (1, 2, 1, 1)

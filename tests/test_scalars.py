@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly, Symbol, cyclotomic_poly
 
 from radford.errors import ContextMismatchError, KernelError
-from radford.scalars import MAX_CONDUCTOR, _cyclotomic_poly, make_context, \
-    unify_contexts
+from radford.scalars import MAX_CONDUCTOR, FieldContext, _cyclotomic_poly, \
+    make_context, unify_contexts
 
 from oracles import cyclotomic_division_oracle
 
@@ -56,6 +56,14 @@ class TestContext:
     def test_phi_matches_division_oracle_up_to_the_cap(self):
         for m in range(1, MAX_CONDUCTOR + 1):
             assert _cyclotomic_poly(m) == cyclotomic_division_oracle(m), m
+
+    def test_zeta_log_builds_its_table_on_first_use(self):
+        ctx = FieldContext(3, 12)  # not interned, so no other test touched it
+        assert ctx._zeta_index is None
+        assert [ctx.zeta_log(ctx.zeta(k)) for k in range(12)] == list(range(12))
+        assert len(ctx._zeta_index) == 12
+        assert ctx.zeta_log(ctx.from_int(2)) is None
+        assert ctx.zeta_log(ctx.one + ctx.i()) is None
 
     def test_rejects_small_n(self):
         with pytest.raises(KernelError):

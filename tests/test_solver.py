@@ -1,26 +1,22 @@
-"""Nullspaces over the field and over Q; structural solution spaces."""
+"""Nullspaces over the field and over Q; structural solution spaces.
+
+The conjugate-linear systems are test oracles (``tests/oracles.py``);
+``TestRationalize`` keeps them honest.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import skew_primitive_oracle
+from oracles import ConjTerm, ConjugateLinearSystem, rational_nullspace, \
+    rationalize, skew_primitive_oracle, substitute
 from radford.algebra import Element, Monomial, basis, generators
 from radford.coalgebra import delta, tensor_of
 from radford.errors import KernelError
 from radford.scalars import make_context
-from radford.solver import (
-    ConjTerm,
-    ConjugateLinearSystem,
-    FieldMatrix,
-    field_nullspace,
-    is_grouplike,
-    rational_nullspace,
-    rationalize,
-    skew_primitive_space,
-    substitute,
-)
+from radford.solver import FieldMatrix, field_nullspace, is_grouplike, \
+    skew_primitive_space
 
 
 class TestFieldNullspace:

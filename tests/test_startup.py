@@ -65,6 +65,24 @@ def test_command_runs_only_the_layers_it_reaches(argv, untouched):
     assert not ran & untouched, sorted(ran & untouched)
 
 
+def test_equiv_n2_runs_no_solver(tmp_path):
+    # The n = 2 witness is a closed form: no linear system is solved.
+    paths = []
+    for name, a in (("a", [["1", "0"], ["0", "0"], ["0", "0"], ["1", "0"]]),
+                    ("b", [["0", "0"], ["0", "1"], ["0", "1"], ["0", "0"]])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(
+            {"kind": "matrix2", "context": {"n": 2, "m": 4}, "a": a}))
+        paths.append(str(path))
+    argv = ["--n", "2", "equiv", "n2", "--a", paths[0], "--b", paths[1]]
+    code = ("import sys\n"
+            "import radford.cli\n"
+            f"assert radford.cli.main({argv!r}) == 0\n" + RAN)
+    ran = set(last_line(code).split())
+    assert "classify" in ran
+    assert "solver" not in ran
+
+
 def test_package_import_runs_no_layer():
     assert last_line("import sys\nimport radford\n" + RAN) == ""
 
