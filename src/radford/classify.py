@@ -16,14 +16,14 @@ Covers four jobs:
   invertible and has A L_c = conj(L_c), so L_A L_B^-1 carries A to B and
   all n = 2 structures are equivalent.
 * ``scan``: the star structures among lemma-shaped candidates on a
-  grid.  Each generator image is screened once on the relation pairs
-  that involve it alone, and only pairs of screened images face the
-  verifier (README, "Why scan screens each image alone").
+  grid, found by listing the grid points of the paper's family and
+  verifying each one (README, "Why scan lists the paper's family").
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 from .algebra import (
@@ -34,13 +34,12 @@ from .algebra import (
     _unequal,
     basis,
     generators,
-    relation_pairs,
 )
 from .coalgebra import delta, tensor_of
 from .errors import InvalidAutomorphismError, KernelError
 from .scalars import MAX_SCAN_CANDIDATES, unify_contexts
-from .star import StarStructure, _antimult_counterexample, apply_star, \
-    make_star_diag, verify_star_axioms
+from .star import StarStructure, _antimult_counterexample, \
+    _star_matrix_defect, apply_star, make_star_diag, verify_star_axioms
 
 
 class Automorphism:
@@ -249,13 +248,15 @@ def solve_equivalence_n2(st_a, st_b):
 def scan_star_candidates(ctx, grid=None):
     """Star structures among lemma-shaped candidates, each one verified.
 
-    Candidates: g -> g^w for 1 <= w < n; for w = 1 the x and y images
-    range over grid-combinations of {x, y, 1 - g}, and for w > 1 over
-    grid multiples of 1 - g^w.  A relation pair without y involves only
-    g* and x*, and one without x only g* and y*, so each image is
-    screened once on its own pairs; survivors are returned in the order
-    of the full x-image by y-image product, and each pair of screened
-    images faces the involution on g, x, y and then the full verifier.
+    Candidates: g -> g^w for 1 <= w < n, with x and y images among the
+    grid combinations of x, y, 1 - g at w = 1, or of 1 - g^w at w > 1.
+    Only the paper's family can pass, so it is listed, in the order of
+    the x-image by y-image product, and the verifier judges each member.
+    At w = 1, (xg = w gx)* gives g x* = w^-1 x* g, which for
+    x* = c1 x + c2 y + c3 (1 - g) forces c3 = 0, and c2 = 0 unless
+    w^2 = 1 (n = 2); likewise for y*.  Then x** = x needs |a| = 1 for
+    x* = a x, or conj(A) A = I for (x*, y*) = A (x, y) at n = 2.  At
+    w > 1, x* = c (1 - g^w) gives x** = conj(c) (1 - g^(w^2)) != x.
     """
     if grid is None:
         grid = [ctx.zeta(k) for k in range(ctx.m)] + [ctx.zero]
@@ -265,29 +266,19 @@ def scan_star_candidates(ctx, grid=None):
         raise KernelError(
             f"scan of {k} grid values at n={ctx.n} has {candidates} candidates, "
             f"above the limit {MAX_SCAN_CANDIDATES}; pass a smaller --grid")
+    if len(set(grid)) < k:
+        raise KernelError("scan grid repeats a value; list each value once")
+    if ctx.zero not in grid:
+        return []
     g_el, x_el, y_el = generators(ctx)
-    one = Element.one(ctx)
-    zero = Element.zero(ctx)
-    pairs = relation_pairs(ctx)
-    x_pairs = [p for p in pairs if not any(mono.r for mono in p)]
-    y_pairs = [p for p in pairs if not any(mono.s for mono in p)]
-    survivors = []
-    for w in range(1, ctx.n):
-        g_img = Element.monomial(ctx, 0, 0, w)
-        if w == 1:
-            images = [x_el.scale(c1) + y_el.scale(c2) + (one - g_el).scale(c3)
-                      for c1 in grid for c2 in grid for c3 in grid]
-        else:
-            images = [(one - g_img).scale(c) for c in grid]
-        x_imgs = [xi for xi in images if _antimult_counterexample(
-            StarStructure("raw", ctx, g_img, xi, zero), x_pairs) is None]
-        y_imgs = [yi for yi in images if _antimult_counterexample(
-            StarStructure("raw", ctx, g_img, zero, yi), y_pairs) is None]
-        for x_img in x_imgs:
-            for y_img in y_imgs:
-                st = StarStructure("raw", ctx, g_img, x_img, y_img)
-                if all(apply_star(st, apply_star(st, gen)) == gen
-                       for gen in (g_el, x_el, y_el)) \
-                        and verify_star_axioms(st).all_passed:
-                    survivors.append(st)
-    return survivors
+    if ctx.n == 2:
+        listed = [(x_el.scale(a11) + y_el.scale(a12),
+                   x_el.scale(a21) + y_el.scale(a22))
+                  for a11, a12, a21, a22 in product(grid, repeat=4)
+                  if _star_matrix_defect((a11, a12, a21, a22)) is None]
+    else:
+        units = [c for c in grid if c.is_norm_one()]
+        listed = [(x_el.scale(a), y_el.scale(d)) for a in units for d in units]
+    stars = (StarStructure("raw", ctx, g_el, x_img, y_img)
+             for x_img, y_img in listed)
+    return [st for st in stars if verify_star_axioms(st).all_passed]

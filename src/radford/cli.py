@@ -199,7 +199,7 @@ def _scan_lines(survivors):
 
 def _cmd_scan(args, ctx):
     grid = None
-    if args.grid:
+    if args.grid is not None:
         grid = [parser.parse_scalar(part.strip(), ctx)
                 for part in args.grid.split(",")]
     survivors = classify.scan_star_candidates(ctx, grid=grid)

@@ -44,13 +44,14 @@ MAX_CONDUCTOR = 1024
 # integers grow.
 MAX_INPUT_DIGITS = 1000
 
-# Most candidates ``classify.scan_star_candidates`` takes on, counted
-# before any screening.  A grid of k values gives k^3 + (n - 2) k
-# generator images to screen.  At n = 2 every c x + c' y passes both
-# screens, so k^4 image pairs face the verifier as well; at n > 2 only
-# the k multiples c x (or c y) pass at w = 1.  An admitted
-# scan ends within about 2 s at the default conductor (--n 3 on 21 grid
-# values: 1.7 s) and within about 7 s at m = 1020.
+# Most candidates ``classify.scan_star_candidates`` answers for, counted
+# before any work: k grid values span k^3 + (n - 2) k generator images,
+# and at n = 2 k^4 pairs of c x + c' y images too.  This sizes the
+# candidate space, not the work, which is one verifier call per listed
+# member of the paper's family.  An admitted scan ends within 0.3 s at
+# the default conductor (--n 3, 21 values).  At m = 1020 each verifier
+# call grows with n: 21 values take 7 s at n = 20, 20 values 138 s at
+# n = 102.
 MAX_SCAN_CANDIDATES = 10_000
 
 # Most field coordinates ``radford delta`` may compute, counted by

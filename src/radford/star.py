@@ -124,6 +124,17 @@ def make_star_diag(ctx, alpha, beta):
     )
 
 
+def _star_matrix_defect(entries):
+    """First entry (i, j) of conj(A)A != I2, 1-based, A row-major, or None."""
+    for i in range(2):
+        for j in range(2):
+            got = entries[2 * i].conjugate() * entries[j] \
+                + entries[2 * i + 1].conjugate() * entries[2 + j]
+            if got != int(i == j):
+                return i + 1, j + 1
+    return None
+
+
 def make_star_matrix(ctx, entries):
     """Validated n = 2 structure from a 2x2 matrix with conj(A)A = I2.
 
@@ -133,14 +144,11 @@ def make_star_matrix(ctx, entries):
         raise InvalidStarStructureError(
             f"matrix star structures require n = 2, got n = {ctx.n}"
         )
+    bad = _star_matrix_defect(entries)
+    if bad is not None:
+        raise InvalidStarStructureError(
+            f"conj(A)A differs from I2 at entry ({bad[0]},{bad[1]})")
     a11, a12, a21, a22 = entries
-    for i in range(2):
-        for j in range(2):
-            got = entries[2 * i].conjugate() * entries[j] \
-                + entries[2 * i + 1].conjugate() * entries[2 + j]
-            if got != int(i == j):
-                raise InvalidStarStructureError(
-                    f"conj(A)A differs from I2 at entry ({i + 1},{j + 1})")
     x_img = Element(ctx, {Monomial(0, 1, 0): a11, Monomial(1, 0, 0): a12})
     y_img = Element(ctx, {Monomial(0, 1, 0): a21, Monomial(1, 0, 0): a22})
     return StarStructure("matrix2", ctx, Element.monomial(ctx, 0, 0, 1),
@@ -197,12 +205,11 @@ def _scalars_unequal(ctx, lhs, rhs):
     return Element.from_scalar(ctx, lhs), Element.from_scalar(ctx, rhs)
 
 
-def _antimult_counterexample(st, pairs=None):
-    """First pair (a, b) in ``pairs`` with (ab)* != b* a*.
+def _antimult_counterexample(st):
+    """First relation pair (a, b) with (ab)* != b* a*.
 
-    ``pairs`` defaults to the relation pairs.  ``apply_star`` is the
-    conjugate-linear antimultiplicative extension of the generator images,
-    so None on the relation pairs means * is antimultiplicative on H_n.
+    ``apply_star`` is the conjugate-linear antimultiplicative extension of
+    the generator images, so None means * is antimultiplicative on H_n.
     """
     ctx = st.ctx
 
@@ -211,9 +218,7 @@ def _antimult_counterexample(st, pairs=None):
         return _unequal(apply_star(st, ea * eb),
                         apply_star(st, eb) * apply_star(st, ea))
 
-    if pairs is None:
-        pairs = relation_pairs(ctx)
-    return _first_counterexample("pair", pairs, check)
+    return _first_counterexample("pair", relation_pairs(ctx), check)
 
 
 def _structure_checks(ctx, d):

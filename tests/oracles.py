@@ -11,9 +11,9 @@ of det on the rational solution space, the other searches that space by
 height.  The coproduct and antipode oracles build each
 basis image as the (anti)multiplicative extension of the generator table,
 D(y)^r D(x)^s D(g)^l and S(g)^l S(x)^s S(y)^r, for comparison with the
-kernel's closed formulas.  The scan oracle runs the prescreen and the
-verifier on every grid⁶ candidate pair instead of screening each image
-on its own relation pairs first.  The cyclotomic polynomial oracle divides
+kernel's closed formulas.  The scan oracle runs a prescreen and the
+verifier on every grid⁶ candidate pair, where the kernel lists only the
+paper's family among them.  The cyclotomic polynomial oracle divides
 X^m - 1 by Phi_d for every proper divisor d of m, where the kernel takes
 the Moebius product.
 """
@@ -357,10 +357,11 @@ def n2_search_oracle(st_a, st_b, height_bound=3, max_candidates=200_000):
 def scan_oracle(ctx, grid=None):
     """Every grid⁶ (x*, y*) candidate of the scan, one by one.
 
-    Same candidate space and order as ``classify.scan_star_candidates``;
-    each candidate passes a generator-level prescreen (involution on g,
-    x, y and the coproduct condition on the images), then the full
-    verifier, with no screening of the images on their own pairs.
+    Same candidate space and order as ``classify.scan_star_candidates``,
+    which lists only the paper's family within that space; here each
+    candidate passes a generator-level prescreen (involution on g, x, y
+    and the coproduct condition on the images), then the full verifier,
+    with no argument about which candidates can survive.
     """
     if grid is None:
         grid = [ctx.zeta(k) for k in range(ctx.m)] + [ctx.zero]

@@ -415,6 +415,8 @@ class TestScan:
         (3, "0,3/5+4/5*i,2"),
         (4, "-i,0,1/2,3/5-4/5*i"),
         (5, "0,i,1+i,-4/5+3/5*i"),
+        (2, "0,3/5,4/5,-3/5,-4/5"),
+        (4, "1,-1,i"),
     ])
     def test_matches_brute_force_oracle(self, n, grid):
         ctx = make_context(n)
@@ -434,4 +436,17 @@ class TestScan:
         ctx = make_context(n)
         grid = [ctx.from_int(k) for k in range(size)]
         with pytest.raises(KernelError, match=f"has {count} candidates"):
+            scan_star_candidates(ctx, grid=grid)
+
+    # The same field element twice, written alike or differently (z^6 = -1
+    # at m = 12, z = i at m = 4): every repeat multiplies the survivors.
+    @pytest.mark.parametrize("n, m, grid", [
+        (3, None, "0,1,0"),
+        (3, 12, "0,-1,z^6"),
+        (2, None, "0,i,z"),
+    ])
+    def test_repeated_grid_value_is_refused(self, n, m, grid):
+        ctx = make_context(n, m)
+        grid = [parse_scalar(t, ctx) for t in grid.split(",")]
+        with pytest.raises(KernelError, match="repeats a value"):
             scan_star_candidates(ctx, grid=grid)

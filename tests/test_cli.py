@@ -515,6 +515,22 @@ class TestCommands:
             f"candidates, above the limit {MAX_SCAN_CANDIDATES}; "
             "pass a smaller --grid\n")
 
+    # Ten zeros count only 11^3 + 11 candidates, but every repeated value
+    # multiplies the structures the scan lists and verifies.
+    def test_repeated_scan_grid_value_exit_2(self):
+        p = run_cli("--n", "3", "scan", "--grid", "0,0,0,0,0,0,0,0,0,0,1",
+                    timeout=10)
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr == (
+            "error: scan grid repeats a value; list each value once\n")
+
+    def test_empty_scan_grid_exit_2(self):
+        p = run_cli("--n", "3", "scan", "--grid", "", timeout=10)
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr.startswith("syntax error")
+
     # The top monomial at n = 255 has 65 025 terms; y^254 x has only 510,
     # but its q-Pascal row 254 has 32 385 entries.
     @pytest.mark.parametrize("expr", ["y^254*x^254*g", "y^254*x", "y^14*x^14*g"])
