@@ -253,15 +253,6 @@ def generators(ctx):
     )
 
 
-def monomial_mul(ctx, a, b):
-    """Closed-form product of two basis monomials."""
-    parts = _mono_mul_parts(ctx.n, a, b)
-    if parts is None:
-        return Element.zero(ctx)
-    e, mono = parts
-    return Element(ctx, {mono: ctx.omega_pow(e)})
-
-
 class FreeWord:
     """Word over the alphabet {G, X, Y} with an optional scalar coefficient."""
 
@@ -309,8 +300,3 @@ def rewrite_word(ctx, word):
         return Element.zero(ctx)
     coeff = coeff * ctx.omega_pow(exp % n)
     return Element.monomial(ctx, r, s, l % n, coeff)
-
-
-def word_of_monomial(mono):
-    """Letter expansion of a basis monomial in canonical order."""
-    return "Y" * mono.r + "X" * mono.s + "G" * mono.l

@@ -18,6 +18,10 @@ Covers four jobs:
 * ``scan``: the star structures among lemma-shaped candidates on a
   grid, found by listing the grid points of the paper's family and
   verifying each one (README, "Why scan lists the paper's family").
+
+Every function takes all its values from one field context and changes
+no conductor: combining two contexts raises ContextMismatchError.  The
+CLI builds that one context, of conductor lcm(--m, each star file's m).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .algebra import (
 )
 from .coalgebra import delta, tensor_of
 from .errors import InvalidAutomorphismError, KernelError
-from .scalars import MAX_SCAN_CANDIDATES, unify_contexts
+from .scalars import MAX_SCAN_COST
 from .star import StarStructure, _antimult_counterexample, \
     _star_matrix_defect, apply_star, make_star_diag, verify_star_axioms
 
@@ -127,8 +131,6 @@ def make_automorphism_matrix(ctx, entries):
 
 def apply_automorphism(phi, e):
     """Algebra-map extension of the generator images."""
-    if e.ctx is not phi.ctx:
-        e = e.embed(phi.ctx)
     acc = Element.zero(phi.ctx)
     for mono, c in e.terms.items():
         acc = acc + phi.image_of_monomial(mono).scale(c)
@@ -145,8 +147,6 @@ def verify_equivalence(phi, st_a, st_b):
     agree on g, x and y; otherwise every basis monomial is compared.
     """
     ctx = phi.ctx
-    st_a = st_a.embed(ctx)
-    st_b = st_b.embed(ctx)
     if _antimult_counterexample(st_a) is None \
             and _antimult_counterexample(st_b) is None:
         points = GENERATOR_MONOMIALS
@@ -230,9 +230,7 @@ def solve_equivalence_n2(st_a, st_b):
     """
     if st_a.kind != "matrix2" or st_b.kind != "matrix2":
         raise KernelError("both structures must be of matrix kind (n = 2)")
-    ctx = unify_contexts(st_a.ctx, st_b.ctx)
-    st_a = st_a.embed(ctx)
-    st_b = st_b.embed(ctx)
+    ctx = st_a.ctx
     p = _cayley_matrix(ctx, st_a.matrix)
     q = _cayley_matrix(ctx, st_b.matrix)
     inv = _det(q).inverse()
@@ -257,15 +255,15 @@ def scan_star_candidates(ctx, grid=None):
     w^2 = 1 (n = 2); likewise for y*.  Then x** = x needs |a| = 1 for
     x* = a x, or conj(A) A = I for (x*, y*) = A (x, y) at n = 2.  At
     w > 1, x* = c (1 - g^w) gives x** = conj(c) (1 - g^(w^2)) != x.
+    Before any work the cost of at most k^2 listed structures (n > 2) or
+    of the k^4 matrix tests (n = 2) is checked; at n = 2 the structures
+    that pass are counted once listed, before they are verified.
     """
     if grid is None:
         grid = [ctx.zeta(k) for k in range(ctx.m)] + [ctx.zero]
     k = len(grid)
-    candidates = k ** 3 + (ctx.n - 2) * k + (k ** 4 if ctx.n == 2 else 0)
-    if candidates > MAX_SCAN_CANDIDATES:
-        raise KernelError(
-            f"scan of {k} grid values at n={ctx.n} has {candidates} candidates, "
-            f"above the limit {MAX_SCAN_CANDIDATES}; pass a smaller --grid")
+    tests = k ** 4 if ctx.n == 2 else 0
+    _check_scan_cost(ctx, k, tests, 0 if ctx.n == 2 else k * k)
     if len(set(grid)) < k:
         raise KernelError("scan grid repeats a value; list each value once")
     if ctx.zero not in grid:
@@ -276,9 +274,21 @@ def scan_star_candidates(ctx, grid=None):
                    x_el.scale(a21) + y_el.scale(a22))
                   for a11, a12, a21, a22 in product(grid, repeat=4)
                   if _star_matrix_defect((a11, a12, a21, a22)) is None]
+        _check_scan_cost(ctx, k, tests, len(listed))
     else:
         units = [c for c in grid if c.is_norm_one()]
         listed = [(x_el.scale(a), y_el.scale(d)) for a in units for d in units]
     stars = (StarStructure("raw", ctx, g_el, x_img, y_img)
              for x_img, y_img in listed)
     return [st for st in stars if verify_star_axioms(st).all_passed]
+
+
+def _check_scan_cost(ctx, k, tests, structures):
+    """Refuse a scan whose matrix tests and verified structures cost more
+    than ``MAX_SCAN_COST`` (its comment gives the weights)."""
+    cost = (tests * 2 * (ctx.degree + 32)
+            + structures * (ctx.n + 30) * (ctx.degree + 512))
+    if cost > MAX_SCAN_COST:
+        raise KernelError(
+            f"scan of {k} grid values at n={ctx.n}, m={ctx.m} costs {cost} "
+            f"units, above the limit {MAX_SCAN_COST}; pass a smaller --grid")

@@ -5,8 +5,8 @@ answers "equivalent"); 1 when a verification fails; 2 on usage, parse,
 or malformed-input errors, including a conductor above
 ``scalars.MAX_CONDUCTOR``, an input number or expression that can
 exceed ``scalars.MAX_INPUT_DIGITS`` digits, an expression whose
-products exceed ``parser.MAX_EXPR_COORDS`` field coordinates, a scan of
-more than ``scalars.MAX_SCAN_CANDIDATES`` candidates and a coproduct
+products exceed ``parser.MAX_EXPR_COORDS`` field coordinates, a scan
+that costs more than ``scalars.MAX_SCAN_COST`` units and a coproduct
 that needs more than ``scalars.MAX_DELTA_COORDS`` field coordinates.
 """
 
@@ -69,23 +69,32 @@ def _report_lines(report):
     return "\n".join(lines)
 
 
-def _load_star(path, ctx):
+def _load_stars(ctx, *paths):
+    """The star files, decoded into the one context of the call: order n and
+    conductor lcm(--m, every file's m)."""
     import json
+    import math
 
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-    except OSError as exc:
-        raise KernelError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        # Bad syntax, bad UTF-8, or an integer past Python's digit limit.
-        raise KernelError(f"{path} is not valid JSON: {exc}") from exc
-    st = jsonio.star_from_json(obj)
-    if st.ctx.n != ctx.n:
-        raise KernelError(
-            f"star structure has n={st.ctx.n}, command requested n={ctx.n}"
-        )
-    return st.embed(scalars.unify_contexts(st.ctx, ctx))
+    objs, conductors = [], []
+    for path in paths:
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                obj = json.load(f)
+        except OSError as exc:
+            raise KernelError(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:
+            # Bad syntax, bad UTF-8, or an integer past Python's digit limit.
+            raise KernelError(f"{path} is not valid JSON: {exc}") from exc
+        own = jsonio.star_context(obj)
+        if own.n != ctx.n:
+            raise KernelError(
+                f"star structure has n={own.n}, command requested n={ctx.n}")
+        # A file that does not fit with --m alone is refused at once, with
+        # the conductor of that pair.
+        conductors.append(scalars.make_context(ctx.n, math.lcm(ctx.m, own.m)).m)
+        objs.append(obj)
+    ctx = scalars.make_context(ctx.n, math.lcm(*conductors))
+    return [jsonio.star_from_json(obj, ctx) for obj in objs]
 
 
 def _emit_element(args, e):
@@ -134,7 +143,7 @@ def _cmd_antipode_order(args, ctx):
 
 
 def _cmd_star_apply(args, ctx):
-    st = _load_star(args.star, ctx)
+    [st] = _load_stars(ctx, args.star)
     return _emit_element(args, star.apply_star(
         st, parser.parse_element(args.expr, st.ctx)))
 
@@ -147,7 +156,7 @@ def _cmd_verify_hopf(args, ctx):
 
 
 def _cmd_verify_star(args, ctx):
-    st = _load_star(args.star, ctx)
+    [st] = _load_stars(ctx, args.star)
     report = star.verify_star_axioms(st)
     _emit(args, lambda: jsonio.report_to_json(report),
           lambda: _report_lines(report))
@@ -184,9 +193,8 @@ def _cmd_equiv_diag(args, ctx):
 
 
 def _cmd_equiv_n2(args, ctx):
-    st_a = _load_star(args.a, ctx)
-    st_b = _load_star(args.b, ctx)
-    return _emit_equivalence(args, classify.solve_equivalence_n2(st_a, st_b))
+    return _emit_equivalence(args, classify.solve_equivalence_n2(
+        *_load_stars(ctx, args.a, args.b)))
 
 
 def _scan_lines(survivors):
@@ -306,8 +314,9 @@ def build_parser():
         }),
         "scan": _leaf(_cmd_scan, _opt(
             "--grid", default=None,
-            help="comma-separated scalar expressions; default is "
-                 "all m-th roots of unity and 0")),
+            help="comma-separated scalar expressions; write --grid=-1,1 "
+                 "when the first one starts with '-'; default is all m-th "
+                 "roots of unity and 0")),
     })
     return top
 

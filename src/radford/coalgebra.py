@@ -17,13 +17,23 @@ monomials y^r x^s g^l and extended linearly:
                      y^r x^s g^(-(l+r+s)),
 
 with C(k,j)_q the Gaussian binomial from the q-Pascal recurrence
-C(k,j)_q = C(k-1,j-1)_q + q^j C(k-1,j)_q.  Each formula is the
-(anti)multiplicative extension of the generator table along the
-canonical word: D(y)^r D(x)^s D(g)^l, e(y)^r e(x)^s e(g)^l and
-S(g)^l S(x)^s S(y)^r.  The verifiers in ``star`` rely on exactly that.
-The multiplicative forms are kept as test oracles (``tests/oracles.py``),
-and the suite compares them with these formulas term for term on every
-basis monomial for n = 2..8.
+C(k,j)_q = C(k-1,j-1)_q + q^j C(k-1,j)_q.  The top row needs no
+recurrence: q = w^(+-1) is a primitive n-th root of unity, so
+(1 - q^(n-i))/(1 - q^i) = (1 - q^-i)/(1 - q^i) = -q^-i and
+
+    C(n-1,t)_q = prod over i <= t of (1 - q^(n-i))/(1 - q^i)
+               = (-1)^t q^(-t(t+1)/2)
+
+(Kassel, GTM 155, Ch. IV.2).  The relation pairs (x^(n-1), x) and
+(y^(n-1), y) need D(x^(n-1)) and D(y^(n-1)), so the certificates build
+no O(n^2) q-Pascal triangle.
+
+Each formula is the (anti)multiplicative extension of the generator
+table along the canonical word: D(y)^r D(x)^s D(g)^l, e(y)^r e(x)^s
+e(g)^l and S(g)^l S(x)^s S(y)^r.  The verifiers in ``star`` rely on
+exactly that.  The multiplicative forms are kept as test oracles
+(``tests/oracles.py``), and the suite compares them with these formulas
+term for term on every basis monomial for n = 2..8.
 
 Why the q-bases are w and w^-1
 ------------------------------
@@ -59,12 +69,6 @@ class TensorElement(SparseTerms):
     """Sparse element of H (x) H over pairs of basis monomials."""
 
     __slots__ = ()
-
-    @classmethod
-    def basis_term(cls, ctx, left, right, coeff=None):
-        if coeff is None:
-            coeff = ctx.one
-        return cls(ctx, {(left, right): coeff})
 
     def __repr__(self):
         from .parser import format_tensor
@@ -149,9 +153,14 @@ def tensor_map(t, f_left, f_right):
 def _qbinom_row(ctx, k, sign):
     """Gaussian binomials C(k, 0..k)_q with q = w^sign, by q-Pascal rows.
 
-    C(i,0) = C(i,i) = 1 and C(i,t) = C(i-1,t-1) + q^t C(i-1,t).
+    C(i,0) = C(i,i) = 1 and C(i,t) = C(i-1,t-1) + q^t C(i-1,t).  The top
+    row k = n - 1, the one the relation certificates need, is closed:
+    C(n-1,t)_q = (-1)^t q^(-t(t+1)/2) (module docstring).
     """
     one = ctx.one
+    if k == ctx.n - 1:
+        row = [ctx.omega_pow(-sign * t * (t + 1) // 2) for t in range(k + 1)]
+        return [-c if t % 2 else c for t, c in enumerate(row)]
     row = [one]
     for i in range(1, k + 1):
         row = [one] + [row[t - 1] + ctx.omega_pow(sign * t) * row[t]

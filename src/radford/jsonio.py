@@ -97,18 +97,6 @@ def tensor_to_json(t):
     return {"context": context_to_json(t.ctx), "terms": terms}
 
 
-def tensor_from_json(obj, ctx=None):
-    term_objs = _term_objects(obj)
-    if ctx is None:
-        ctx = context_from_json(obj.get("context", {}))
-    terms = {}
-    for t in term_objs:
-        pair = (_mono_from_json(ctx, t.get("left")),
-                _mono_from_json(ctx, t.get("right")))
-        terms[pair] = scalar_from_json(ctx, t.get("coeff", []))
-    return coalgebra.TensorElement(ctx, terms)
-
-
 def star_to_json(st):
     out = {"kind": st.kind, "context": context_to_json(st.ctx)}
     if st.kind == "diag":
@@ -123,33 +111,43 @@ def star_to_json(st):
     return out
 
 
-def star_from_json(obj):
+def star_context(obj):
+    """The context a star-structure object declares in its header."""
     try:
-        kind = obj["kind"]
-        ctx = context_from_json(obj["context"])
+        return context_from_json(obj["context"])
     except (KeyError, TypeError) as exc:
         raise KernelError(f"bad star structure: {exc}") from exc
+
+
+def star_from_json(obj, ctx):
+    """Decode a star structure into ``ctx``.
+
+    Each value is read in the object's own context and embedded in
+    ``ctx``, whose conductor must be a multiple of the object's.
+    """
+    own = star_context(obj)
+    try:
+        kind = obj["kind"]
+    except KeyError as exc:
+        raise KernelError(f"bad star structure: {exc}") from exc
+
+    def scalar(v):
+        return scalar_from_json(own, v).embed(ctx)
+
+    def element(v):
+        return element_from_json(v, own).embed(ctx)
+
     try:
         if kind == "diag":
-            return star.make_star_diag(
-                ctx,
-                scalar_from_json(ctx, obj["alpha"]),
-                scalar_from_json(ctx, obj["beta"]),
-            )
+            return star.make_star_diag(ctx, scalar(obj["alpha"]), scalar(obj["beta"]))
         if kind == "matrix2":
             entries = obj["a"]
             if not isinstance(entries, list) or len(entries) != 4:
                 raise KernelError("matrix star needs a list of exactly 4 entries")
-            return star.make_star_matrix(
-                ctx, tuple(scalar_from_json(ctx, c) for c in entries)
-            )
+            return star.make_star_matrix(ctx, tuple(scalar(c) for c in entries))
         if kind == "raw":
-            return star.make_star_raw(
-                ctx,
-                element_from_json(obj["g_img"], ctx),
-                element_from_json(obj["x_img"], ctx),
-                element_from_json(obj["y_img"], ctx),
-            )
+            return star.make_star_raw(ctx, element(obj["g_img"]),
+                                      element(obj["x_img"]), element(obj["y_img"]))
     except KeyError as exc:
         raise KernelError(f"{kind} star is missing {exc}") from exc
     raise KernelError(f"unknown star kind {kind!r}")
@@ -229,12 +227,3 @@ def skew_to_json(vectors):
 
 def scan_to_json(survivors):
     return {"survivors": [star_to_json(st) for st in survivors]}
-
-
-def load_schema(name):
-    """One of the schemas shipped under radford/schemas."""
-    import json
-    from importlib import resources
-
-    text = resources.files("radford").joinpath(f"schemas/{name}.json").read_text()
-    return json.loads(text)

@@ -15,8 +15,17 @@ of m, not from tables, so any valid conductor works.
 Internally a scalar stores an integer numerator vector plus one positive
 denominator (Phi_m is monic over Z, so reduction never leaves that form);
 the ``coords`` property exposes the Fraction view.  Multiplication is
-memoized per context because verification loops hit a tiny set of scalar
-values billions of times.
+memoized per context, because the verifiers multiply the same few roots
+of unity over and over (measured in-process):
+
+    command or workload                       products   memo hit ratio
+    benchmark ops (seed 1, mean per op)        51-288      0.76-0.89
+    --n 3 scan                                 30 638      1.00
+    --n 128 verify hopf, q-Pascal top rows     17 182      0.06
+    --n 128 verify hopf, closed top rows        1 180      0.70
+
+With the q-Pascal top rows the memo also held 93 MB at n = 128, against
+15 MB without it; the closed rows need 15 MB either way.
 """
 
 from __future__ import annotations
@@ -25,9 +34,6 @@ import math
 from fractions import Fraction
 
 from .errors import ContextMismatchError, KernelError
-
-# Exact rationals are stdlib Fractions: reduced, positive denominator.
-Rational = Fraction
 
 _MUL_CACHE_LIMIT = 1 << 18
 
@@ -44,15 +50,31 @@ MAX_CONDUCTOR = 1024
 # integers grow.
 MAX_INPUT_DIGITS = 1000
 
-# Most candidates ``classify.scan_star_candidates`` answers for, counted
-# before any work: k grid values span k^3 + (n - 2) k generator images,
-# and at n = 2 k^4 pairs of c x + c' y images too.  This sizes the
-# candidate space, not the work, which is one verifier call per listed
-# member of the paper's family.  An admitted scan ends within 0.3 s at
-# the default conductor (--n 3, 21 values).  At m = 1020 each verifier
-# call grows with n: 21 values take 7 s at n = 20, 20 values 138 s at
-# n = 102.
-MAX_SCAN_CANDIDATES = 10_000
+# Most work ``classify.scan_star_candidates`` takes on, in cost units
+# counted before the work is done.  Verifying one listed structure costs
+# (n + 30)(phi(m) + 512) units and testing one grid matrix for
+# conj(A)A = I at n = 2 costs 2 (phi(m) + 32).  k grid values list at most
+# k^2 structures for n > 2; at n = 2 the k^4 matrix tests are counted
+# first, and the matrices that pass once listed, before they are
+# verified.  A unit took 0.07-0.21 us in these scans of 0 and k - 1 roots
+# of unity (in-process after a warm-up scan; Python 3.11, 2-core shared
+# VM):
+#
+#       n     m  phi(m)   k  structures  seconds  units
+#       3    12     4    13     144        0.41    2.5M
+#       5    20     8    21     400        0.97    7.3M
+#      12    12     4    13     144        0.46    3.1M
+#      51   204    64    16     225        0.89   10.5M
+#      12  1020   256    16     225        1.34    7.3M
+#     102  1020   256    10      81        1.43    8.2M
+#     255  1020   256     6      25        0.72    5.5M
+#       2     4     2     5      52        0.10    0.9M
+#       2   120    32    16     240        1.71   12.6M
+#       2  1024   512     5      20        0.28    1.3M
+#
+# The limit admits `--n 3 scan`, `--n 5 scan` and `--n 8 scan`, and it
+# refuses 20 values at n = 102, m = 1020 (41M units, 6 s) up front.
+MAX_SCAN_COST = 10_000_000
 
 # Most field coordinates ``radford delta`` may compute, counted by
 # ``coalgebra.delta_coords`` before D is computed: the (r + 1)(s + 1) terms
@@ -496,14 +518,3 @@ def _poly_sub_frac(a, b):
     for i, v in enumerate(b):
         out[i] -= v
     return _poly_trim(out)
-
-
-def unify_contexts(ctx_a, ctx_b):
-    """Smallest shared context: same n, conductor lcm(m_a, m_b)."""
-    if ctx_a is ctx_b:
-        return ctx_a
-    if ctx_a.n != ctx_b.n:
-        raise ContextMismatchError(
-            f"different orders n={ctx_a.n} and n={ctx_b.n}"
-        )
-    return make_context(ctx_a.n, math.lcm(ctx_a.m, ctx_b.m))

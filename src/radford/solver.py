@@ -75,31 +75,6 @@ def _eliminate(row, coef, prow):
             row.pop(j, None)
 
 
-class FieldMatrix:
-    """Rectangular matrix of cyclotomic scalars."""
-
-    __slots__ = ("ctx", "rows")
-
-    def __init__(self, ctx, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise KernelError("ragged matrix rows")
-        self.ctx = ctx
-        self.rows = rows
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-
-def field_nullspace(matrix):
-    """Basis of the right nullspace of a FieldMatrix, exactly."""
-    rows = [{j: v for j, v in enumerate(r) if v} for r in matrix.rows]
-    return _nullspace_from_rows(rows, matrix.shape[1], matrix.ctx.one)
-
-
 def skew_primitive_space(ctx, w):
     """Basis of {h : D(h) = h (x) g^w + 1 (x) h} as Elements.
 

@@ -89,23 +89,6 @@ class StarStructure:
             self._mono_cache[mono] = hit
         return hit
 
-    def embed(self, big_ctx):
-        """The same structure over an extended-conductor context."""
-        if big_ctx is self.ctx:
-            return self
-        return StarStructure(
-            self.kind,
-            big_ctx,
-            self.g_img.embed(big_ctx),
-            self.x_img.embed(big_ctx),
-            self.y_img.embed(big_ctx),
-            alpha=self.alpha.embed(big_ctx) if self.alpha is not None else None,
-            beta=self.beta.embed(big_ctx) if self.beta is not None else None,
-            matrix=tuple(c.embed(big_ctx) for c in self.matrix)
-            if self.matrix is not None
-            else None,
-        )
-
 
 def make_star_diag(ctx, alpha, beta):
     """Validated diagonal structure g* = g, x* = alpha x, y* = beta y."""
@@ -162,8 +145,6 @@ def make_star_raw(ctx, g_img, x_img, y_img):
 
 def apply_star(st, e):
     """Conjugate-linear antimultiplicative extension of the images."""
-    if e.ctx is not st.ctx:
-        e = e.embed(st.ctx)
     acc = Element.zero(st.ctx)
     for mono, c in e.terms.items():
         acc = acc + st.star_of_monomial(mono).scale(c.conjugate())
@@ -182,15 +163,6 @@ class VerificationReport(NamedTuple):
     @property
     def all_passed(self):
         return all(c.passed for c in self.checks)
-
-    def failed_names(self):
-        return [c.name for c in self.checks if not c.passed]
-
-    def check(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def _report(named_counterexamples):

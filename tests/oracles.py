@@ -15,7 +15,15 @@ kernel's closed formulas.  The scan oracle runs a prescreen and the
 verifier on every grid⁶ candidate pair, where the kernel lists only the
 paper's family among them.  The cyclotomic polynomial oracle divides
 X^m - 1 by Phi_d for every proper divisor d of m, where the kernel takes
-the Moebius product.
+the Moebius product.  The q-binomial oracle builds the top row
+C(n-1, .)_q from the q-Pascal recurrence, where the kernel writes it in
+closed form.
+
+The module also holds the helpers only tests use, so that the package
+ships what the kernel calls: ``FieldMatrix`` and ``field_nullspace`` (the
+kernel's elimination over Q(zeta_m)), ``word_of_monomial`` for the
+rewriting oracle, report lookups by check name, ``tensor_from_json`` for
+round trips, and ``load_schema``.
 """
 
 from fractions import Fraction
@@ -27,7 +35,9 @@ from radford.classify import apply_automorphism
 from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map, \
     tensor_mul, tensor_of, triple_delta_sides
 from radford.errors import KernelError
-from radford.scalars import _poly_divmod, unify_contexts
+from radford.jsonio import _mono_from_json, _term_objects, context_from_json, \
+    scalar_from_json
+from radford.scalars import _poly_divmod
 from radford.solver import _nullspace_from_rows
 from radford.star import StarStructure, apply_star, verify_star_axioms
 
@@ -64,7 +74,7 @@ def delta_oracle(ctx, mono):
     dg = TensorElement(ctx, {(g, g): ctx.one})
     dx = TensorElement(ctx, {(x, g): ctx.one, (one, x): ctx.one})
     dy = TensorElement(ctx, {(y, g): ctx.one, (one, y): ctx.one})
-    acc = TensorElement.basis_term(ctx, one, one)
+    acc = TensorElement(ctx, {(one, one): ctx.one})
     for factor, k in ((dy, mono.r), (dx, mono.s), (dg, mono.l)):
         for _ in range(k):
             acc = tensor_mul(acc, factor)
@@ -143,8 +153,6 @@ def star_oracle(st):
 def equivalence_oracle(phi, st_a, st_b):
     """phi(b^{*A}) = phi(b)^{*B} on every basis monomial."""
     ctx = phi.ctx
-    st_a = st_a.embed(ctx)
-    st_b = st_b.embed(ctx)
     return _all_monomials(
         ctx,
         lambda e: apply_automorphism(phi, apply_star(st_a, e))
@@ -312,9 +320,8 @@ def n2_polarization_oracle(st_a, st_b):
     rational combination of the basis it is the zero polynomial, and no
     complex L is invertible.
     """
-    ctx = unify_contexts(st_a.ctx, st_b.ctx)
     return _invertible_point(_matrix_equation_kernel(
-        ctx, st_a.embed(ctx).matrix, st_b.embed(ctx).matrix))
+        st_a.ctx, st_a.matrix, st_b.matrix))
 
 
 def _search_values(height_bound):
@@ -332,9 +339,8 @@ def n2_search_oracle(st_a, st_b, height_bound=3, max_candidates=200_000):
     ``height_bound``.  Returns the first invertible L as a 4-tuple, False
     when the solution space is zero, and None when the search runs out.
     """
-    ctx = unify_contexts(st_a.ctx, st_b.ctx)
-    kernel = _matrix_equation_kernel(
-        ctx, st_a.embed(ctx).matrix, st_b.embed(ctx).matrix)
+    ctx = st_a.ctx
+    kernel = _matrix_equation_kernel(ctx, st_a.matrix, st_b.matrix)
     if not kernel:
         return False
     values = _search_values(height_bound)
@@ -394,3 +400,81 @@ def scan_oracle(ctx, grid=None):
             if prescreen(st) and verify_star_axioms(st).all_passed:
                 survivors.append(st)
     return survivors
+
+
+def qbinom_pascal_oracle(ctx, k, sign):
+    """C(k, 0..k)_q with q = w^sign, by the q-Pascal rows for every k.
+
+    The kernel's ``coalgebra._qbinom_row`` writes the top row k = n - 1 in
+    closed form; this builds it from the recurrence, as for every other row.
+    """
+    row = [ctx.one]
+    for i in range(1, k + 1):
+        row = [ctx.one] + [row[t - 1] + ctx.omega_pow(sign * t) * row[t]
+                           for t in range(1, i)] + [ctx.one]
+    return row
+
+
+def word_of_monomial(mono):
+    """Letter expansion of a basis monomial in canonical order."""
+    return "Y" * mono.r + "X" * mono.s + "G" * mono.l
+
+
+class FieldMatrix:
+    """Rectangular matrix of cyclotomic scalars."""
+
+    __slots__ = ("ctx", "rows")
+
+    def __init__(self, ctx, rows):
+        rows = tuple(tuple(r) for r in rows)
+        if rows:
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
+                raise KernelError("ragged matrix rows")
+        self.ctx = ctx
+        self.rows = rows
+
+    @property
+    def shape(self):
+        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
+
+
+def field_nullspace(matrix):
+    """Basis of the right nullspace of a FieldMatrix, by the kernel's elimination."""
+    rows = [{j: v for j, v in enumerate(r) if v} for r in matrix.rows]
+    return _nullspace_from_rows(rows, matrix.shape[1], matrix.ctx.one)
+
+
+def failed_names(report):
+    """Names of the failed checks of a verification report, in report order."""
+    return [c.name for c in report.checks if not c.passed]
+
+
+def named_check(report, name):
+    """The check of a verification report with the given name."""
+    for c in report.checks:
+        if c.name == name:
+            return c
+    raise KeyError(name)
+
+
+def tensor_from_json(obj, ctx=None):
+    """Decode a tensor of ``jsonio.tensor_to_json``, for round-trip tests."""
+    term_objs = _term_objects(obj)
+    if ctx is None:
+        ctx = context_from_json(obj.get("context", {}))
+    terms = {}
+    for t in term_objs:
+        pair = (_mono_from_json(ctx, t.get("left")),
+                _mono_from_json(ctx, t.get("right")))
+        terms[pair] = scalar_from_json(ctx, t.get("coeff", []))
+    return TensorElement(ctx, terms)
+
+
+def load_schema(name):
+    """One of the JSON schemas shipped under radford/schemas."""
+    import json
+    from importlib import resources
+
+    text = resources.files("radford").joinpath(f"schemas/{name}.json").read_text()
+    return json.loads(text)

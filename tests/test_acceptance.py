@@ -14,16 +14,15 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from oracles import delta_oracle
+from oracles import FieldMatrix, delta_oracle, failed_names, field_nullspace, \
+    load_schema, named_check, word_of_monomial
 from radford import jsonio
 from radford.algebra import (
     Element,
     Monomial,
     basis,
     generators,
-    monomial_mul,
     rewrite_word,
-    word_of_monomial,
 )
 from radford.classify import (
     equivalence_witness_diag,
@@ -34,12 +33,7 @@ from radford.classify import (
 from radford.coalgebra import antipode, antipode_order, delta_closed
 from radford.parser import format_element, parse_element
 from radford.scalars import make_context
-from radford.solver import (
-    FieldMatrix,
-    field_nullspace,
-    is_grouplike,
-    skew_primitive_space,
-)
+from radford.solver import is_grouplike, skew_primitive_space
 from radford.star import (
     make_star_diag,
     make_star_matrix,
@@ -70,7 +64,7 @@ def test_criterion_1_hopf_axioms():
     for n in ALL_N:
         ctx = make_context(n)
         report = verify_hopf_axioms(ctx)
-        assert report.all_passed, (n, report.failed_names())
+        assert report.all_passed, (n, failed_names(report))
 
 
 @criterion(2, "antipode order 2n and the square twist")
@@ -144,7 +138,7 @@ def test_criterion_6_star_structures():
             for k in range(ctx.m):
                 st = make_star_diag(ctx, alpha, ctx.zeta(k))
                 report = verify_star_axioms(st)
-                assert report.all_passed, (n, j, k, report.failed_names())
+                assert report.all_passed, (n, j, k, failed_names(report))
     ctx = make_context(2)
     half = ctx.from_fraction(Fraction(1, 2))
     witness_matrices = [
@@ -169,7 +163,7 @@ def test_criterion_7_negative_candidates():
     )
     report = verify_star_axioms(scaled_x)
     assert not report.all_passed
-    inv = report.check("involution")
+    inv = named_check(report, "involution")
     assert not inv.passed
     kind, at = inv.counterexample.location
     assert kind == "monomial" and at == Monomial(0, 1, 0)
@@ -178,10 +172,10 @@ def test_criterion_7_negative_candidates():
     g2 = Element.monomial(ctx, 0, 0, 2)
     moved_g = make_star_raw(ctx, g2, one - g2, one - g2)
     report = verify_star_axioms(moved_g)
-    failed = report.failed_names()
+    failed = failed_names(report)
     assert failed
     for name in failed:
-        ce = report.check(name).counterexample
+        ce = named_check(report, name).counterexample
         assert ce is not None
         assert ce.location[0] in ("monomial", "pair")
 
@@ -195,8 +189,7 @@ def test_criterion_8_diag_witnesses():
                 st = make_star_diag(ctx, ctx.zeta(j), ctx.zeta(k))
                 phi = equivalence_witness_diag(st)
                 trivial = make_star_diag(phi.ctx, phi.ctx.one, phi.ctx.one)
-                assert verify_equivalence(phi, st.embed(phi.ctx), trivial), \
-                    (n, j, k)
+                assert verify_equivalence(phi, st, trivial), (n, j, k)
 
 
 @criterion(9, "matrix criterion: hand witness and solver agree")
@@ -239,7 +232,7 @@ def test_criterion_10_oracle_equivalence():
         for a in basis(ctx):
             wa = word_of_monomial(a)
             for b in basis(ctx):
-                lhs = monomial_mul(ctx, a, b)
+                lhs = Element(ctx, {a: ctx.one}) * Element(ctx, {b: ctx.one})
                 rhs = rewrite_word(ctx, wa + word_of_monomial(b))
                 assert lhs == rhs, (n, a, b)
                 comparisons += 1
@@ -338,4 +331,4 @@ def test_criterion_11_cli_contract(tmp_path):
         proc = _run_cli(*argv)
         assert proc.returncode == 0, (argv, proc.stderr)
         payload = json.loads(proc.stdout)
-        jsonschema.validate(payload, jsonio.load_schema(schema_name))
+        jsonschema.validate(payload, load_schema(schema_name))

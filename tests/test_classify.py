@@ -16,9 +16,10 @@ from radford.classify import (
     solve_equivalence_n2,
     verify_equivalence,
 )
-from radford.errors import InvalidAutomorphismError, KernelError
+from radford.errors import ContextMismatchError, InvalidAutomorphismError, \
+    KernelError
 from radford.parser import parse_scalar
-from radford.scalars import MAX_SCAN_CANDIDATES, make_context
+from radford.scalars import MAX_SCAN_COST, make_context
 from radford.star import make_star_diag, make_star_matrix
 
 from oracles import _invertible_point, n2_polarization_oracle, n2_search_oracle, \
@@ -94,22 +95,20 @@ class TestVerifyEquivalence:
     def test_direction_conjugate_square(self):
         # phi = diag(l1, 1) with l1^2 = conj(alpha) carries diag(alpha, 1)
         # to the trivial structure; alpha = zeta_12, l1 = zeta_24^(-1).
-        ctx = make_context(3)
         big = make_context(3, 24)
-        alpha = ctx.zeta(1)
+        alpha = big.zeta(2)
         phi = make_automorphism_diag(big, big.zeta(-1), big.one)
-        st = make_star_diag(ctx, alpha, ctx.one)
+        st = make_star_diag(big, alpha, big.one)
         trivial = make_star_diag(big, big.one, big.one)
         assert verify_equivalence(phi, st, trivial)
 
     def test_direction_plain_square_is_the_reverse(self):
         # With l1^2 = alpha (l1 = zeta_24) the same shape of map carries the
         # trivial structure to diag(alpha, 1), not the other way around.
-        ctx = make_context(3)
         big = make_context(3, 24)
-        alpha = ctx.zeta(1)
+        alpha = big.zeta(2)
         phi = make_automorphism_diag(big, big.zeta(1), big.one)
-        st = make_star_diag(ctx, alpha, ctx.one)
+        st = make_star_diag(big, alpha, big.one)
         trivial = make_star_diag(big, big.one, big.one)
         assert verify_equivalence(phi, trivial, st)
         assert not verify_equivalence(phi, st, trivial)
@@ -135,7 +134,7 @@ class TestWitnessDiag:
         st = make_star_diag(ctx, ctx.omega(), ctx.omega(2))
         phi = equivalence_witness_diag(st)
         trivial = make_star_diag(phi.ctx, phi.ctx.one, phi.ctx.one)
-        assert verify_equivalence(phi, st.embed(phi.ctx), trivial)
+        assert verify_equivalence(phi, st, trivial)
 
     def test_odd_exponent_stays_in_context(self):
         ctx = make_context(3)
@@ -286,20 +285,18 @@ class TestSolveEquivalenceN2:
                 assert verify_equivalence(res.witness, st_a, st_b)
 
     def test_larger_conductor(self):
-        # Structures from Q(i) embedded in Q(zeta_8): the witness lives in
-        # the larger field and the verdicts stay the same.
-        ctx = make_context(2)
+        # Structures with entries in Q(i), built in Q(zeta_8): the witness
+        # lives in the larger field and the verdicts stay the same.
         big = make_context(2, 8)
-        stars = _matrix_witness_set(ctx) + _more_matrix_witnesses(ctx)
+        stars = _matrix_witness_set(big) + _more_matrix_witnesses(big)
         for st_a in stars:
             for st_b in stars:
-                res = solve_equivalence_n2(st_a.embed(big), st_b)
+                res = solve_equivalence_n2(st_a, st_b)
                 assert res.equivalent is True
                 assert res.witness.ctx is big
-                assert verify_equivalence(res.witness, st_a.embed(big),
-                                          st_b.embed(big))
-                assert n2_search_oracle(st_a.embed(big), st_b)
-                assert n2_polarization_oracle(st_a.embed(big), st_b)
+                assert verify_equivalence(res.witness, st_a, st_b)
+                assert n2_search_oracle(st_a, st_b)
+                assert n2_polarization_oracle(st_a, st_b)
 
     # L_c = c I + conj(c) conj(A) for the first c in (1, i, 1 + i) that
     # makes it invertible.  -I takes c = i, diag(1, -1) needs c = 1 + i,
@@ -427,16 +424,26 @@ class TestScan:
         assert [(st.g_img, st.x_img, st.y_img) for st in got] \
             == [(st.g_img, st.x_img, st.y_img) for st in want]
 
-    # 10^3 images and 10^4 pairs at n = 2, 22^3 + 22 images at n = 3: the
-    # smallest grids above the limit (9 and 21 values fit).
-    @pytest.mark.parametrize("n, size, count", [(2, 10, 11000), (3, 22, 10670)])
-    def test_oversized_grid_is_refused_before_screening(self, n, size, count):
-        assert (size - 1) ** 3 + (size - 1) ** (4 if n == 2 else 1) \
-            <= MAX_SCAN_CANDIDATES < count
+    # 20^4 matrix tests of 2 * 34 units at n = 2, and 25^2 structures of
+    # 33 * 516 units at n = 3: the smallest grids above the limit (19 and
+    # 24 values fit).
+    @pytest.mark.parametrize("n, size, power, weight",
+                             [(2, 20, 4, 68), (3, 25, 2, 33 * 516)])
+    def test_oversized_grid_is_refused_before_screening(self, n, size, power,
+                                                        weight):
+        cost = size ** power * weight
+        assert (size - 1) ** power * weight <= MAX_SCAN_COST < cost
         ctx = make_context(n)
         grid = [ctx.from_int(k) for k in range(size)]
-        with pytest.raises(KernelError, match=f"has {count} candidates"):
+        with pytest.raises(KernelError, match=f"costs {cost} units"):
             scan_star_candidates(ctx, grid=grid)
+
+    def test_listed_n2_structures_count_before_verification(self):
+        # 17^4 matrix tests fit (6.7M units), but the 784 matrices with
+        # conj(A) A = I among 0 and the 16th roots of unity do not.
+        ctx = make_context(2, 16)
+        with pytest.raises(KernelError, match=f"costs {17 ** 4 * 80 + 784 * 32 * 520} units"):
+            scan_star_candidates(ctx)
 
     # The same field element twice, written alike or differently (z^6 = -1
     # at m = 12, z = i at m = 4): every repeat multiplies the survivors.
@@ -450,3 +457,30 @@ class TestScan:
         grid = [parse_scalar(t, ctx) for t in grid.split(",")]
         with pytest.raises(KernelError, match="repeats a value"):
             scan_star_candidates(ctx, grid=grid)
+
+
+class TestOneContext:
+    """Every argument of a call shares one context; nothing is embedded."""
+
+    def setup_method(self):
+        self.small, self.big = make_context(2), make_context(2, 8)
+        self.st_small = _matrix_witness_set(self.small)[2]
+        self.st_big = _matrix_witness_set(self.big)[2]
+        self.phi_big = make_automorphism_matrix(
+            self.big, (self.big.zero, self.big.one, self.big.one, self.big.zero))
+
+    def test_solve_equivalence_n2(self):
+        with pytest.raises(ContextMismatchError):
+            solve_equivalence_n2(self.st_small, self.st_big)
+        with pytest.raises(ContextMismatchError):
+            solve_equivalence_n2(self.st_big, self.st_small)
+
+    def test_verify_equivalence(self):
+        with pytest.raises(ContextMismatchError):
+            verify_equivalence(self.phi_big, self.st_small, self.st_big)
+        with pytest.raises(ContextMismatchError):
+            verify_equivalence(self.phi_big, self.st_big, self.st_small)
+
+    def test_apply_automorphism(self):
+        with pytest.raises(ContextMismatchError):
+            apply_automorphism(self.phi_big, Element.monomial(self.small, 0, 1, 0))

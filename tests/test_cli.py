@@ -8,12 +8,14 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+from oracles import load_schema, tensor_from_json
 from radford import jsonio
 from radford.algebra import Element, Monomial, generators
 from radford.cli import main
 from radford.coalgebra import delta, delta_coords
+from radford.errors import ContextMismatchError
 from radford.parser import MAX_EXPR_COORDS, parse_element
-from radford.scalars import MAX_DELTA_COORDS, MAX_SCAN_CANDIDATES, make_context
+from radford.scalars import MAX_DELTA_COORDS, MAX_SCAN_COST, make_context
 from radford.star import make_star_diag, make_star_matrix, make_star_raw, \
     verify_star_axioms
 
@@ -30,7 +32,7 @@ def run_cli(*args, cwd=None, timeout=None):
 
 
 def validate(payload, schema_name):
-    jsonschema.validate(payload, jsonio.load_schema(schema_name))
+    jsonschema.validate(payload, load_schema(schema_name))
 
 
 class TestJsonRoundTrips:
@@ -58,14 +60,14 @@ class TestJsonRoundTrips:
         t = delta(x * y)
         obj = jsonio.tensor_to_json(t)
         validate(obj, "tensor_element")
-        assert jsonio.tensor_from_json(obj) == t
+        assert tensor_from_json(obj) == t
 
     def test_star_kinds(self):
         ctx3 = make_context(3)
         st = make_star_diag(ctx3, ctx3.omega(), -ctx3.one)
         obj = jsonio.star_to_json(st)
         validate(obj, "star_structure")
-        assert jsonio.star_from_json(obj) == st
+        assert jsonio.star_from_json(obj, ctx3) == st
 
         ctx2 = make_context(2)
         stm = make_star_matrix(
@@ -74,7 +76,7 @@ class TestJsonRoundTrips:
         )
         obj = jsonio.star_to_json(stm)
         validate(obj, "star_structure")
-        assert jsonio.star_from_json(obj) == stm
+        assert jsonio.star_from_json(obj, ctx2) == stm
 
         raw = make_star_raw(
             ctx3,
@@ -84,7 +86,21 @@ class TestJsonRoundTrips:
         )
         obj = jsonio.star_to_json(raw)
         validate(obj, "star_structure")
-        assert jsonio.star_from_json(obj) == raw
+        assert jsonio.star_from_json(obj, ctx3) == raw
+
+    def test_star_decodes_into_a_larger_conductor(self):
+        ctx = make_context(3)
+        big = make_context(3, 24)
+        obj = jsonio.star_to_json(make_star_diag(ctx, ctx.omega(), ctx.from_int(-1)))
+        st = jsonio.star_from_json(obj, big)
+        assert st.ctx is big
+        assert st.alpha == ctx.omega().embed(big)
+        assert verify_star_axioms(st).all_passed
+        # 36 is not a multiple of 24, and 6 is another order.
+        obj = jsonio.star_to_json(make_star_diag(big, big.zeta(1), big.one))
+        for other in (make_context(3, 36), make_context(6, 24)):
+            with pytest.raises(ContextMismatchError):
+                jsonio.star_from_json(obj, other)
 
     def test_report_with_counterexample(self):
         ctx = make_context(3)
@@ -136,7 +152,7 @@ class TestJsonRoundTrips:
         from radford.errors import KernelError
 
         with pytest.raises(KernelError):
-            jsonio.star_from_json(json.loads(text))
+            jsonio.star_from_json(json.loads(text), make_context(3))
 
     @pytest.mark.parametrize("obj", [[1], "x", {"terms": [1]}, {"terms": {}}])
     def test_non_object_element_rejected(self, obj):
@@ -326,6 +342,22 @@ class TestCommands:
         assert p.returncode == 0
         assert "FAIL" not in p.stdout
 
+    # The relation certificates read the top q-binomial rows in closed form;
+    # from the q-Pascal triangle these took minutes.
+    def test_verify_hopf_at_the_conductor_cap(self):
+        p = run_cli("--n", "1024", "verify", "hopf", timeout=10)
+        assert p.returncode == 0
+        assert p.stdout.count("PASS") == 5
+
+    def test_verify_star_n255(self, tmp_path):
+        ctx = make_context(255)
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps(jsonio.star_to_json(
+            make_star_diag(ctx, ctx.zeta(1), ctx.one))))
+        p = run_cli("--n", "255", "verify", "star", "--star", str(path), timeout=10)
+        assert p.returncode == 0
+        assert p.stdout.count("PASS") == 5
+
     def test_solve_skew_w_out_of_range(self):
         p = run_cli("--n", "3", "solve", "skew", "--w", "3")
         assert p.returncode == 2
@@ -499,21 +531,29 @@ class TestCommands:
         assert p.returncode == 0
         assert p.stdout.startswith("survivors 16\n")
 
-    # 121 values at n = 3 (121^3 + 121 candidates), and 12 values at n = 2,
-    # where the 12^4 pairs of c x + c' y images count as well.
-    @pytest.mark.parametrize("args, size, count", [
-        (("--n", "3", "--m", "120", "scan"), 121, 1771682),
-        (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(12))),
-         12, 22464),
+    # 121 values at n = 3 (121^2 structures of 33 * 544 units), 20 at
+    # n = 102, m = 1020 (20^2 structures of 132 * 768 units), and 20 at
+    # n = 2, where the 20^4 matrix tests alone cost 2 * 34 units each.
+    @pytest.mark.parametrize("args, size, m, cost", [
+        (("--n", "3", "--m", "120", "scan"), 121, 120, 262835232),
+        (("--n", "102", "--m", "1020", "scan", "--grid=" + ",".join(
+            ["0", "1"] + [f"z^{k}" for k in range(1, 19)])), 20, 1020, 40550400),
+        (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(20))),
+         20, 4, 10880000),
     ])
-    def test_oversized_scan_exit_2(self, args, size, count):
-        p = run_cli(*args, timeout=10)
+    def test_oversized_scan_exit_2(self, args, size, m, cost):
+        p = run_cli(*args, timeout=3)
         assert p.returncode == 2
         assert p.stdout == ""
         assert p.stderr == (
-            f"error: scan of {size} grid values at n={args[1]} has {count} "
-            f"candidates, above the limit {MAX_SCAN_CANDIDATES}; "
+            f"error: scan of {size} grid values at n={args[1]}, m={m} costs "
+            f"{cost} units, above the limit {MAX_SCAN_COST}; "
             "pass a smaller --grid\n")
+
+    def test_negative_first_grid_value(self):
+        p = run_cli("--n", "3", "scan", "--grid=-1,0,1", timeout=10)
+        assert p.returncode == 0
+        assert p.stdout.startswith("survivors 4\n")
 
     # Ten zeros count only 11^3 + 11 candidates, but every repeated value
     # multiplies the structures the scan lists and verifies.
@@ -591,8 +631,9 @@ options:
   --json       emit JSON instead of text
   --n N        order of the root of unity (required)
   --m M        conductor, a multiple of lcm(4, n)
-  --grid GRID  comma-separated scalar expressions; default is all m-th roots
-               of unity and 0
+  --grid GRID  comma-separated scalar expressions; write --grid=-1,1 when the
+               first one starts with '-'; default is all m-th roots of unity
+               and 0
 """, ""),
     (["--n", "3", "solve", "skew"], 2, "",
      "usage: radford solve skew [-h] [--json] [--n N] [--m M] --w W\n"

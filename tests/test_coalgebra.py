@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import antipode_oracle, delta_oracle
+from oracles import antipode_oracle, delta_oracle, qbinom_pascal_oracle
 from radford.algebra import Element, Monomial, basis, generators
 from radford.coalgebra import (
     TensorElement,
@@ -47,6 +47,14 @@ class TestQBinom:
                 for j in range(1, k):
                     assert row[j] == prev[j - 1] + (q ** j) * prev[j]
 
+    # The closed top row (-1)^t q^(-t(t+1)/2) against the q-Pascal rows.
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_top_row_matches_pascal(self, n):
+        ctx = make_context(n)
+        for sign in (1, -1):
+            assert _qbinom_row(ctx, n - 1, sign) \
+                == qbinom_pascal_oracle(ctx, n - 1, sign), sign
+
 
 class TestTensorOps:
     def test_xg_tensor_twist(self):
@@ -54,8 +62,8 @@ class TestTensorOps:
         x = Monomial(0, 1, 0)
         g = Monomial(0, 0, 1)
         one = Monomial(0, 0, 0)
-        t1 = TensorElement.basis_term(ctx, x, g)
-        t2 = TensorElement.basis_term(ctx, one, x)
+        t1 = TensorElement(ctx, {(x, g): ctx.one})
+        t2 = TensorElement(ctx, {(one, x): ctx.one})
         prod = tensor_mul(t1, t2)
         # right leg gx = w^-1 xg
         expected = TensorElement(
@@ -69,8 +77,8 @@ class TestTensorOps:
         g = Monomial(0, 0, 1)
         one = Monomial(0, 0, 0)
         prod = tensor_mul(
-            TensorElement.basis_term(ctx, y, g),
-            TensorElement.basis_term(ctx, one, y),
+            TensorElement(ctx, {(y, g): ctx.one}),
+            TensorElement(ctx, {(one, y): ctx.one}),
         )
         expected = TensorElement(ctx, {(y, Monomial(1, 0, 1)): ctx.omega()})
         assert prod == expected
@@ -82,7 +90,7 @@ class TestTensorOps:
             ctx,
             {(Monomial(1, 0, 0), Monomial(0, 1, 2)): ctx.omega()},
         )
-        unit = TensorElement.basis_term(ctx, one, one)
+        unit = TensorElement(ctx, {(one, one): ctx.one})
         assert tensor_mul(unit, t) == t
         assert tensor_mul(t, unit) == t
 

@@ -8,7 +8,7 @@ from sympy import Poly, Symbol, cyclotomic_poly
 
 from radford.errors import ContextMismatchError, KernelError
 from radford.scalars import MAX_CONDUCTOR, FieldContext, _cyclotomic_poly, \
-    make_context, unify_contexts
+    make_context
 
 from oracles import cyclotomic_division_oracle
 
@@ -207,13 +207,6 @@ class TestEmbedding:
     def test_embed_rejects_non_multiple(self):
         with pytest.raises(ContextMismatchError):
             make_context(2, 8).one.embed(make_context(2, 4))
-
-    def test_unify(self):
-        a = make_context(2, 4)
-        b = make_context(2, 8)
-        assert unify_contexts(a, b) is b
-        with pytest.raises(ContextMismatchError):
-            unify_contexts(make_context(2), make_context(3))
 
 
 class TestCoords:

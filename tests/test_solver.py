@@ -9,14 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ConjTerm, ConjugateLinearSystem, rational_nullspace, \
-    rationalize, skew_primitive_oracle, substitute
+from oracles import ConjTerm, ConjugateLinearSystem, FieldMatrix, field_nullspace, \
+    rational_nullspace, rationalize, skew_primitive_oracle, substitute
 from radford.algebra import Element, Monomial, basis, generators
 from radford.coalgebra import delta, tensor_of
 from radford.errors import KernelError
 from radford.scalars import make_context
-from radford.solver import FieldMatrix, field_nullspace, is_grouplike, \
-    skew_primitive_space
+from radford.solver import is_grouplike, skew_primitive_space
 
 
 class TestFieldNullspace:

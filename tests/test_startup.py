@@ -11,9 +11,12 @@ compiled, only when a command first reads one of its attributes.  So each
 command runs only the layers it reaches, and `import radford` runs none.
 """
 
+import ast
 import json
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,51 @@ def test_tracer_finds_the_layers(tmp_path):
     with open(spans, encoding="utf-8") as f:
         names = json.loads(f.readline())["names"]
     assert "parser.parse_element" in names
+
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _public_definitions(tree):
+    """Public top-level names of a module, each with its defining node."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for leaf in (n for t in targets for n in ast.walk(t)):
+                if isinstance(leaf, ast.Name):
+                    out[leaf.id] = node
+    return {name: node for name, node in out.items() if not name.startswith("_")}
+
+
+def _references(node):
+    """How often each name is read under ``node``: as a name, an attribute
+    or an imported name."""
+    seen = Counter()
+    for leaf in ast.walk(node):
+        if isinstance(leaf, ast.Name) and not isinstance(leaf.ctx, ast.Store):
+            seen[leaf.id] += 1
+        elif isinstance(leaf, ast.Attribute):
+            seen[leaf.attr] += 1
+        elif isinstance(leaf, ast.alias):
+            seen[leaf.name.rpartition(".")[2]] += 1
+    return seen
+
+
+def test_every_public_name_is_used():
+    # Test-only helpers belong in tests/oracles.py: each public top-level
+    # name of the package must be read in the package, the benchmark or
+    # the README, outside its own definition.
+    package = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted((ROOT / "src" / "radford").glob("*.py"))}
+    bench = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    total = sum((_references(t) for t in [*package.values(), *bench]), Counter())
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    unused = [f"{module}.{name}" for module, tree in package.items()
+              for name, node in _public_definitions(tree).items()
+              if name not in readme and total[name] == _references(node)[name]]
+    assert not unused, unused
