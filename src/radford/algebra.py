@@ -89,6 +89,28 @@ def _unequal(lhs, rhs):
     return None if lhs == rhs else (lhs, rhs)
 
 
+def _product_law(ctx, f, mul, anti=False):
+    """Check of f(ab) = mul(f(a), f(b)), or mul(f(b), f(a)) when ``anti``
+    is set, on a basis pair (a, b): f respects products, or reverses them."""
+
+    def check(pair):
+        ea, eb = (Element.monomial(ctx, *mono) for mono in pair)
+        fa, fb = f(ea), f(eb)
+        return _unequal(f(ea * eb), mul(fb, fa) if anti else mul(fa, fb))
+
+    return check
+
+
+def _map_law(ctx, lhs, rhs):
+    """Check of lhs(b) = rhs(b) on a basis monomial b: two maps agree."""
+
+    def check(mono):
+        eb = Element.monomial(ctx, *mono)
+        return _unequal(lhs(eb), rhs(eb))
+
+    return check
+
+
 def _mono_mul_parts(n, a, b):
     """(omega exponent mod n, product monomial), or None when it vanishes."""
     r = a[0] + b[0]

@@ -26,23 +26,24 @@ CLI builds that one context, of conductor lcm(--m, each star file's m).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import partial
 from itertools import product
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import (
     GENERATOR_MONOMIALS,
     Element,
-    Monomial,
     _first_counterexample,
-    _unequal,
+    _map_law,
+    _product_law,
     basis,
-    generators,
+    relation_pairs,
 )
-from .coalgebra import delta, tensor_of
+from .coalgebra import delta, tensor_map
 from .errors import InvalidAutomorphismError, KernelError
-from .scalars import MAX_SCAN_COST
-from .star import StarStructure, _antimult_counterexample, \
+from .scalars import MAX_SCAN_COST, CyclotomicScalar
+from .star import StarStructure, _antimult_counterexample, _matrix_images, \
     _star_matrix_defect, apply_star, make_star_diag, verify_star_axioms
 
 
@@ -69,44 +70,38 @@ class Automorphism:
     def image_of_monomial(self, mono):
         hit = self._mono_cache.get(mono)
         if hit is None:
-            g_img = Element.monomial(self.ctx, 0, 0, 1)
             hit = (self.y_img ** mono.r) * (self.x_img ** mono.s) \
-                * (g_img ** mono.l)
+                * Element.monomial(self.ctx, 0, 0, mono.l)
             self._mono_cache[mono] = hit
         return hit
 
 
-def _verify_hopf_map(ctx, x_img, y_img):
-    """Relations and generator coproducts under g -> g, x -> x_img, y -> y_img."""
-    g_el, _, _ = generators(ctx)
-    one = Element.one(ctx)
-    omega = ctx.omega_pow(1)
-    n = ctx.n
-    checks = [
-        (x_img ** n, Element.zero(ctx), "x image is not nilpotent of order n"),
-        (y_img ** n, Element.zero(ctx), "y image is not nilpotent of order n"),
-        (x_img * g_el, (g_el * x_img).scale(omega), "xg = w gx breaks"),
-        (g_el * y_img, (y_img * g_el).scale(omega), "gy = w yg breaks"),
-        (x_img * y_img, (y_img * x_img).scale(omega), "xy = w yx breaks"),
-    ]
-    for got, want, msg in checks:
-        if got != want:
-            raise InvalidAutomorphismError(msg)
-    for img in (x_img, y_img):
-        want = tensor_of(img, g_el) + tensor_of(one, img)
-        if delta(img) != want:
-            raise InvalidAutomorphismError("coproduct condition fails on a generator")
+def _verify_hopf_map(phi):
+    """phi, once its images are checked to define a Hopf map fixing g.
+
+    phi extends g -> g, x -> x_img, y -> y_img multiplicatively along
+    canonical words, so it is an algebra map when it respects the six
+    relation pairs; then the algebra maps D phi and (phi (x) phi) D agree
+    everywhere once they agree on g, x and y."""
+    ctx = phi.ctx
+    image = partial(apply_automorphism, phi)
+    if _first_counterexample("pair", relation_pairs(ctx),
+                             _product_law(ctx, image, mul)) is not None:
+        raise InvalidAutomorphismError("the images break a defining relation")
+    if _first_counterexample("monomial", GENERATOR_MONOMIALS, _map_law(
+            ctx, lambda e: delta(image(e)),
+            lambda e: tensor_map(delta(e), image, image))) is not None:
+        raise InvalidAutomorphismError("coproduct condition fails on a generator")
+    return phi
 
 
 def make_automorphism_diag(ctx, lambda1, lambda2):
     """phi(g) = g, phi(x) = lambda1 x, phi(y) = lambda2 y; lambdas nonzero."""
     if not lambda1 or not lambda2:
         raise InvalidAutomorphismError("diagonal automorphism needs nonzero scalars")
-    x_img = Element.monomial(ctx, 0, 1, 0, lambda1)
-    y_img = Element.monomial(ctx, 1, 0, 0, lambda2)
-    _verify_hopf_map(ctx, x_img, y_img)
-    return Automorphism("diag", ctx, x_img, y_img,
-                        lambda1=lambda1, lambda2=lambda2)
+    return _verify_hopf_map(Automorphism(
+        "diag", ctx, Element.monomial(ctx, 0, 1, 0, lambda1),
+        Element.monomial(ctx, 1, 0, 0, lambda2), lambda1=lambda1, lambda2=lambda2))
 
 
 def make_automorphism_matrix(ctx, entries):
@@ -117,16 +112,11 @@ def make_automorphism_matrix(ctx, entries):
     """
     if ctx.n != 2:
         raise InvalidAutomorphismError(
-            f"matrix automorphisms require n = 2, got n = {ctx.n}"
-        )
-    l11, l12, l21, l22 = entries
-    det = l11 * l22 - l12 * l21
-    if not det:
+            f"matrix automorphisms require n = 2, got n = {ctx.n}")
+    if not _det(entries):
         raise InvalidAutomorphismError("matrix is singular")
-    x_img = Element(ctx, {Monomial(0, 1, 0): l11, Monomial(1, 0, 0): l12})
-    y_img = Element(ctx, {Monomial(0, 1, 0): l21, Monomial(1, 0, 0): l22})
-    _verify_hopf_map(ctx, x_img, y_img)
-    return Automorphism("matrix2", ctx, x_img, y_img, matrix=tuple(entries))
+    return _verify_hopf_map(Automorphism(
+        "matrix2", ctx, *_matrix_images(ctx, entries), matrix=tuple(entries)))
 
 
 def apply_automorphism(phi, e):
@@ -147,18 +137,12 @@ def verify_equivalence(phi, st_a, st_b):
     agree on g, x and y; otherwise every basis monomial is compared.
     """
     ctx = phi.ctx
-    if _antimult_counterexample(st_a) is None \
-            and _antimult_counterexample(st_b) is None:
-        points = GENERATOR_MONOMIALS
-    else:
-        points = basis(ctx)
-
-    def check(b):
-        eb = Element(ctx, {b: ctx.one})
-        return _unequal(apply_automorphism(phi, apply_star(st_a, eb)),
-                        apply_star(st_b, apply_automorphism(phi, eb)))
-
-    return _first_counterexample("monomial", points, check) is None
+    certified = _antimult_counterexample(st_a) is None \
+        and _antimult_counterexample(st_b) is None
+    points = GENERATOR_MONOMIALS if certified else basis(ctx)
+    return _first_counterexample("monomial", points, _map_law(
+        ctx, lambda e: apply_automorphism(phi, apply_star(st_a, e)),
+        lambda e: apply_star(st_b, apply_automorphism(phi, e)))) is None
 
 
 def _cayley(a):
@@ -167,10 +151,10 @@ def _cayley(a):
     l = (1 + conj(a))/2 gives conj(l) = (1 + a)/2 = a * l because
     a conj(a) = 1; it vanishes only at a = -1, where l = i works.
     """
-    ctx = a.ctx
     if a == -1:
-        return ctx.i()
-    return (ctx.one + a.conjugate()) * ctx.from_fraction(Fraction(1, 2))
+        return a.ctx.i()
+    twice = a.ctx.one + a.conjugate()
+    return CyclotomicScalar(a.ctx, twice.num, 2 * twice.den)
 
 
 def equivalence_witness_diag(st_a):
@@ -186,8 +170,7 @@ def equivalence_witness_diag(st_a):
     if st_a.kind != "diag":
         raise KernelError("expected a diagonal star structure")
     phi = make_automorphism_diag(ctx, _cayley(st_a.alpha), _cayley(st_a.beta))
-    trivial = make_star_diag(ctx, ctx.one, ctx.one)
-    if not verify_equivalence(phi, st_a, trivial):
+    if not verify_equivalence(phi, st_a, make_star_diag(ctx, ctx.one, ctx.one)):
         raise KernelError("constructed witness failed verification")
     return phi
 
@@ -243,6 +226,27 @@ def solve_equivalence_n2(st_a, st_b):
     return EquivalenceResult(True, phi)
 
 
+def _star_matrices(grid):
+    """The grid matrices with conj(A) A = I, in product(grid, repeat=4) order.
+
+    When a12 != 0 the first row of conj(A) A = I fixes a21 and a22, found
+    among the conj(a12) c (README, "Why scan lists the paper's family");
+    when a12 = 0, a11 and a22 have norm one and a21 is free.
+    """
+    units = [c for c in grid if c.is_norm_one()]
+    scaled = {b: {b.conjugate() * c: c for c in grid} for b in grid if b}
+    for a11, a12 in product(grid, repeat=2):
+        if a12:
+            a21 = scaled[a12].get(1 - a11.conjugate() * a11)
+            a22 = scaled[a12].get(-(a11.conjugate() * a12))
+            rest = () if a21 is None or a22 is None else [(a21, a22)]
+        else:
+            rest = product(grid, units) if a11 in units else ()
+        for a21, a22 in rest:
+            if _star_matrix_defect((a11, a12, a21, a22)) is None:
+                yield a11, a12, a21, a22
+
+
 def scan_star_candidates(ctx, grid=None):
     """Star structures among lemma-shaped candidates, each one verified.
 
@@ -255,38 +259,33 @@ def scan_star_candidates(ctx, grid=None):
     w^2 = 1 (n = 2); likewise for y*.  Then x** = x needs |a| = 1 for
     x* = a x, or conj(A) A = I for (x*, y*) = A (x, y) at n = 2.  At
     w > 1, x* = c (1 - g^w) gives x** = conj(c) (1 - g^(w^2)) != x.
-    Before any work the cost of at most k^2 listed structures (n > 2) or
-    of the k^4 matrix tests (n = 2) is checked; at n = 2 the structures
-    that pass are counted once listed, before they are verified.
+    The cost (``_check_scan_cost``) is checked before any work, and at
+    n = 2 again once the matrices are listed, before they are verified.
     """
     if grid is None:
         grid = [ctx.zeta(k) for k in range(ctx.m)] + [ctx.zero]
     k = len(grid)
-    tests = k ** 4 if ctx.n == 2 else 0
+    tests = k * k * (k + 1) if ctx.n == 2 else 0
     _check_scan_cost(ctx, k, tests, 0 if ctx.n == 2 else k * k)
     if len(set(grid)) < k:
         raise KernelError("scan grid repeats a value; list each value once")
     if ctx.zero not in grid:
         return []
-    g_el, x_el, y_el = generators(ctx)
     if ctx.n == 2:
-        listed = [(x_el.scale(a11) + y_el.scale(a12),
-                   x_el.scale(a21) + y_el.scale(a22))
-                  for a11, a12, a21, a22 in product(grid, repeat=4)
-                  if _star_matrix_defect((a11, a12, a21, a22)) is None]
+        listed = list(_star_matrices(grid))
         _check_scan_cost(ctx, k, tests, len(listed))
     else:
         units = [c for c in grid if c.is_norm_one()]
-        listed = [(x_el.scale(a), y_el.scale(d)) for a in units for d in units]
-    stars = (StarStructure("raw", ctx, g_el, x_img, y_img)
-             for x_img, y_img in listed)
+        listed = [(a, ctx.zero, ctx.zero, d) for a in units for d in units]
+    g_el = Element.monomial(ctx, 0, 0, 1)
+    stars = (StarStructure("raw", ctx, g_el, *_matrix_images(ctx, a)) for a in listed)
     return [st for st in stars if verify_star_axioms(st).all_passed]
 
 
 def _check_scan_cost(ctx, k, tests, structures):
     """Refuse a scan whose matrix tests and verified structures cost more
     than ``MAX_SCAN_COST`` (its comment gives the weights)."""
-    cost = (tests * 2 * (ctx.degree + 32)
+    cost = (tests * 8 * (ctx.degree + 56)
             + structures * (ctx.n + 30) * (ctx.degree + 512))
     if cost > MAX_SCAN_COST:
         raise KernelError(

@@ -52,6 +52,8 @@ the multiplicative oracle; at n >= 3 the two candidates differ.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .algebra import (
     GENERATOR_MONOMIALS,
     Element,
@@ -59,7 +61,7 @@ from .algebra import (
     SparseTerms,
     _first_counterexample,
     _mono_mul_parts,
-    _unequal,
+    _product_law,
     relation_pairs,
 )
 from .errors import KernelError
@@ -202,11 +204,12 @@ def delta(e):
 def delta_coords(e):
     """How many field coordinates :func:`delta` computes for ``e``.
 
-    Per monomial y^r x^s g^l: the (r+1)(s+1) terms and the r(r+1)/2 +
-    s(s+1)/2 entries of the q-Pascal rows r and s, phi(m) coordinates each.
+    Per monomial y^r x^s g^l: the (r+1)(s+1) terms and the entries
+    ``_qbinom_row`` builds for rows r and s, phi(m) coordinates each: k(k+1)/2
+    for a q-Pascal row k, and k + 1 for the closed top row k = n - 1.
     """
-    entries = sum((r + 1) * (s + 1) + (r * (r + 1) + s * (s + 1)) // 2
-                  for r, s, _ in e.terms)
+    rows = [k * (k + 1) // 2 for k in range(e.ctx.n - 1)] + [e.ctx.n]
+    entries = sum((r + 1) * (s + 1) + rows[r] + rows[s] for r, s, _ in e.terms)
     return entries * e.ctx.degree
 
 
@@ -254,12 +257,6 @@ def antipode(e):
     return Element(ctx, out)
 
 
-def _antipode_reverses(ctx, pair):
-    """Check S(ab) = S(b)S(a) on one basis pair (a, b)."""
-    ea, eb = (Element.monomial(ctx, *mono) for mono in pair)
-    return _unequal(antipode(ea * eb), antipode(eb) * antipode(ea))
-
-
 def antipode_order(ctx):
     """Least k >= 1 with S^k the identity on H_n.
 
@@ -268,18 +265,17 @@ def antipode_order(ctx):
     and y.  For odd k it is an anti-homomorphism: fixing g and x it would
     send xg to gx = w^-1 xg, so also requiring xg fixed excludes odd k.
     """
-    if _first_counterexample("pair", relation_pairs(ctx),
-                             lambda p: _antipode_reverses(ctx, p)) is not None:
+    if _first_counterexample("pair", relation_pairs(ctx), _product_law(
+            ctx, antipode, mul, anti=True)) is not None:
         raise KernelError("the antipode is not antimultiplicative")
-    points = GENERATOR_MONOMIALS + (Monomial(0, 1, 1),)
-    units = {b: Element(ctx, {b: ctx.one}) for b in points}
-    current = {b: antipode(e) for b, e in units.items()}
+    units = [Element(ctx, {b: ctx.one})
+             for b in GENERATOR_MONOMIALS + (Monomial(0, 1, 1),)]
+    current = [antipode(e) for e in units]
     limit = 8 * ctx.n
     for k in range(1, limit + 1):
-        if _first_counterexample("monomial", points,
-                                 lambda b: _unequal(current[b], units[b])) is None:
+        if current == units:
             return k
-        current = {b: antipode(e) for b, e in current.items()}
+        current = [antipode(e) for e in current]
     raise KernelError(f"antipode order exceeds {limit}")
 
 

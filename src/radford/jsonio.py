@@ -1,20 +1,23 @@
 """JSON encode/decode for every kernel value, plus the shipped schemas.
 
-A scalar travels as an array of phi(m) canonical rational strings; every
-aggregate carries a context header {"n": ..., "m": ...}.  Decoders
-rebuild values through the ordinary constructors so invariants (norm-one
-parameters, conj(A)A = I2) are re-enforced on load; malformed input
-raises KernelError, which the CLI maps to a usage error.
+A scalar travels as an array of phi(m) canonical rational strings, each
+``p`` or ``p/q`` in lowest terms: exactly the strings of the schemas'
+pattern ^-?[0-9]+(/[0-9]+)?$ are read back.  Every aggregate carries a
+context header {"n": ..., "m": ...}.  Decoders rebuild values through
+the ordinary constructors so invariants (norm-one parameters,
+conj(A)A = I2) are re-enforced on load; malformed input raises
+KernelError, which the CLI maps to a usage error.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+import re
 
 from . import coalgebra, star
 from .algebra import Element, Monomial
 from .errors import KernelError
-from .scalars import MAX_INPUT_DIGITS, make_context
+from .scalars import MAX_INPUT_DIGITS, CyclotomicScalar, make_context
 
 
 def context_to_json(ctx):
@@ -29,17 +32,27 @@ def context_from_json(obj):
 
 
 def scalar_to_json(c):
-    return [str(v) for v in c.coords]
+    return c.coord_texts()
 
 
 def scalar_from_json(ctx, obj):
-    try:
-        coords = [Fraction(s) for s in obj]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise KernelError(f"bad scalar coordinates: {exc}") from exc
-    if any(len(str(c)) > MAX_INPUT_DIGITS for c in coords):
-        raise KernelError(f"scalar coordinate longer than {MAX_INPUT_DIGITS} digits")
-    return ctx.from_coords(coords)
+    if not isinstance(obj, list):
+        raise KernelError("bad scalar coordinates: expected a list of strings")
+    pairs = []
+    for text in obj:
+        if isinstance(text, str) and len(text) > MAX_INPUT_DIGITS:
+            raise KernelError(
+                f"scalar coordinate longer than {MAX_INPUT_DIGITS} digits")
+        if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+            raise KernelError(f"bad scalar coordinates: {text!r} is not p or p/q")
+        p, _, q = text.partition("/")
+        if q and not int(q):
+            raise KernelError(f"bad scalar coordinates: zero denominator in {text!r}")
+        pairs.append((int(p), int(q or 1)))
+    if len(pairs) != ctx.degree:
+        raise KernelError(f"expected {ctx.degree} coordinates, got {len(pairs)}")
+    den = math.lcm(*(q for _, q in pairs))
+    return CyclotomicScalar(ctx, [p * (den // q) for p, q in pairs], den)
 
 
 def _mono_to_json(mono):

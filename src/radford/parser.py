@@ -21,8 +21,8 @@ products the tree asks for in its context (``_expansion_bound``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
+from math import gcd
 from typing import NamedTuple
 
 from .algebra import Element
@@ -92,7 +92,10 @@ def _tokenize(text):
 
 # Parse tree nodes.
 class Num(NamedTuple):
-    value: Fraction
+    """A rational literal p/q in lowest terms, q > 0."""
+
+    numerator: int
+    denominator: int
 
 
 class Atom(NamedTuple):
@@ -170,10 +173,12 @@ class _Parser:
                 if dtok.kind != "NUM":
                     self._fail("expected a positive integer denominator")
                 self.pos += 1
-                if int(dtok.text) == 0:
+                denominator = int(dtok.text)
+                if denominator == 0:
                     self._fail("zero denominator", dtok)
-                return Num(Fraction(numerator, int(dtok.text)))
-            return Num(Fraction(numerator))
+                g = gcd(numerator, denominator)
+                return Num(numerator // g, denominator // g)
+            return Num(numerator, 1)
         if tok.kind == "NAME":
             self.pos += 1
             return Atom(tok.text)
@@ -206,7 +211,10 @@ def _digit_bound(node):
         return sum(map(_digit_bound, node.factors))
     if isinstance(node, Pow) and not isinstance(node.base, Atom):
         return node.exponent * _digit_bound(node.base)
-    return len(str(node.value)) if isinstance(node, Num) else 1
+    if isinstance(node, Num):
+        p, q = node
+        return len(str(p)) + (len(str(q)) + 1 if q != 1 else 0)
+    return 1
 
 
 def parse(text):
@@ -285,7 +293,7 @@ def evaluate(node, ctx):
     if isinstance(node, Pow):
         return evaluate(node.base, ctx) ** node.exponent
     if isinstance(node, Num):
-        return Element.from_scalar(ctx, ctx.from_fraction(node.value))
+        return Element.from_scalar(ctx, ctx.from_fraction(node))
     if isinstance(node, Atom):
         if node.name == "g":
             return Element.monomial(ctx, 0, 0, 1)
@@ -327,16 +335,16 @@ def parse_scalar(text, ctx):
 def format_scalar(c):
     """Power-basis rendering over 'z'; parseable by the grammar."""
     parts = []
-    for k, f in enumerate(c.coords):
-        if not f:
+    for k, text in enumerate(c.coord_texts()):
+        if text == "0":
             continue
-        mag = abs(f)
+        mag = text.removeprefix("-")
         if k == 0:
-            body = str(mag)
+            body = mag
         else:
             zpart = "z" if k == 1 else f"z^{k}"
-            body = zpart if mag == 1 else f"{mag}*{zpart}"
-        parts.append(("-" if f < 0 else "+", body))
+            body = zpart if mag == "1" else f"{mag}*{zpart}"
+        parts.append(("-" if text[0] == "-" else "+", body))
     if not parts:
         return "0"
     sign, body = parts[0]

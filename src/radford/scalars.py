@@ -13,10 +13,15 @@ lcm(4, n).  Phi_m is computed by the Moebius product over the divisors
 of m, not from tables, so any valid conductor works.
 
 Internally a scalar stores an integer numerator vector plus one positive
-denominator (Phi_m is monic over Z, so reduction never leaves that form);
-the ``coords`` property exposes the Fraction view.  Multiplication is
-memoized per context, because the verifiers multiply the same few roots
-of unity over and over (measured in-process):
+denominator (Phi_m is monic over Z, so reduction never leaves that form).
+Rationals cross the boundary as integers: a scalar compares and combines
+with ints, is built from anything with ``numerator`` and ``denominator``
+(an int, a Fraction, a parsed literal), and prints its coordinates as
+``p`` or ``p/q`` (``coord_texts``).  Only ``inverse`` and the ``coords``
+view use ``fractions``, which loads ``decimal`` and ``numbers`` with it.
+
+Multiplication is memoized per context, because the verifiers multiply
+the same few roots of unity over and over (measured in-process):
 
     command or workload                       products   memo hit ratio
     benchmark ops (seed 1, mean per op)        51-288      0.76-0.89
@@ -31,7 +36,6 @@ With the q-Pascal top rows the memo also held 93 MB at n = 128, against
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ContextMismatchError, KernelError
 
@@ -52,36 +56,41 @@ MAX_INPUT_DIGITS = 1000
 
 # Most work ``classify.scan_star_candidates`` takes on, in cost units
 # counted before the work is done.  Verifying one listed structure costs
-# (n + 30)(phi(m) + 512) units and testing one grid matrix for
-# conj(A)A = I at n = 2 costs 2 (phi(m) + 32).  k grid values list at most
-# k^2 structures for n > 2; at n = 2 the k^4 matrix tests are counted
-# first, and the matrices that pass once listed, before they are
-# verified.  A unit took 0.07-0.21 us in these scans of 0 and k - 1 roots
-# of unity (in-process after a warm-up scan; Python 3.11, 2-core shared
-# VM):
+# (n + 30)(phi(m) + 512) units and one test of the n = 2 matrix listing
+# costs 8 (phi(m) + 56).  k grid values list at most k^2 structures for
+# n > 2; at n = 2 the k^2 (k + 1) listing tests are counted first, and
+# the matrices that pass once listed, before they are verified.  A unit
+# took 0.04-0.11 us in these scans of 0 and k - 1 roots of unity, and
+# 0.02 us at n = 255, where the Hopf relation certificate, derived once
+# per context, no longer grows with the structures (in-process after a
+# warm-up scan; Python 3.11, 2-core shared VM):
 #
 #       n     m  phi(m)   k  structures  seconds  units
-#       3    12     4    13     144        0.41    2.5M
-#       5    20     8    21     400        0.97    7.3M
-#      12    12     4    13     144        0.46    3.1M
-#      51   204    64    16     225        0.89   10.5M
-#      12  1020   256    16     225        1.34    7.3M
-#     102  1020   256    10      81        1.43    8.2M
-#     255  1020   256     6      25        0.72    5.5M
-#       2     4     2     5      52        0.10    0.9M
-#       2   120    32    16     240        1.71   12.6M
-#       2  1024   512     5      20        0.28    1.3M
+#       3    12     4    13     144        0.15    2.5M
+#       5    20     8    21     400        0.44    7.3M
+#      12    12     4    13     144        0.17    3.1M
+#      51   204    64    16     225        0.42   10.5M
+#      12  1020   256    16     225        0.75    7.3M
+#     102  1020   256    19     324        1.33   32.8M
+#     255  1020   256    13     144        0.64   31.5M
+#       2     4     2     5      52        0.07    0.9M
+#       2    24     8    25    1752        2.40   37.5M
+#       2   120    32    16     240        0.58    7.2M
+#       2  1024   512     5      20        0.15    1.3M
 #
-# The limit admits `--n 3 scan`, `--n 5 scan` and `--n 8 scan`, and it
-# refuses 20 values at n = 102, m = 1020 (41M units, 6 s) up front.
-MAX_SCAN_COST = 10_000_000
+# The limit admits `--n 3 scan`, `--n 5 scan` and the 25 values of
+# `--n 2 --m 24 scan`, and it refuses 20 values at n = 102, m = 1020
+# (40.6M units) up front.
+MAX_SCAN_COST = 40_000_000
 
 # Most field coordinates ``radford delta`` may compute, counted by
 # ``coalgebra.delta_coords`` before D is computed: the (r + 1)(s + 1) terms
 # of D(y^r x^s g^l) and the entries of the q-Pascal rows r and s behind
 # their coefficients, phi(m) coordinates each.  The rows count because
-# y^254 x alone has 510 terms but 32 385 row entries.  At m = 1020 the
-# largest admitted inputs, such as y^13 x^13 g, take under a second.
+# y^200 x alone has 402 terms but 20 100 row entries; the closed top row
+# n - 1 counts its n entries, so `--n 128 delta "y^127*x"` is admitted.
+# At m = 1020 the largest admitted inputs, such as y^13 x^13 g, take
+# under a second.
 MAX_DELTA_COORDS = 100_000
 
 
@@ -233,22 +242,22 @@ class FieldContext:
         return self._omega_pows[k % self.n]
 
     def from_int(self, v):
-        return self.from_fraction(Fraction(v))
+        return CyclotomicScalar(self, [v] + [0] * (self.degree - 1))
 
     def from_fraction(self, f):
-        f = Fraction(f)
+        """The rational f, read from its ``numerator`` and ``denominator``."""
         num = [f.numerator] + [0] * (self.degree - 1)
         return CyclotomicScalar(self, num, f.denominator)
 
     def from_coords(self, coords):
-        """Scalar from phi(m) rational coordinates in the power basis."""
-        coords = [Fraction(c) for c in coords]
+        """Scalar from phi(m) rational coordinates in the power basis, each
+        read from its ``numerator`` and ``denominator``."""
         if len(coords) != self.degree:
             raise KernelError(
                 f"expected {self.degree} coordinates, got {len(coords)}"
             )
         den = math.lcm(*(c.denominator for c in coords)) if coords else 1
-        num = [int(c * den) for c in coords]
+        num = [c.numerator * (den // c.denominator) for c in coords]
         return CyclotomicScalar(self, num, den)
 
     def zeta_log(self, a):
@@ -327,18 +336,13 @@ class CyclotomicScalar:
             ):
                 return False
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return (
-                self.den == f.denominator
-                and self.num[0] == f.numerator
-                and not any(self.num[1:])
-            )
+        if isinstance(other, int):
+            return self.den == 1 and self.num[0] == other and not any(self.num[1:])
         return NotImplemented
 
     def __hash__(self):
-        if not any(self.num[1:]):
-            return hash(Fraction(self.num[0], self.den))
+        if self.den == 1 and not any(self.num[1:]):
+            return hash(self.num[0])
         return hash((self.ctx.m, self.num, self.den))
 
     def __bool__(self):
@@ -350,8 +354,18 @@ class CyclotomicScalar:
 
     @property
     def coords(self):
-        """The phi(m) rational coordinates in the power basis."""
+        """The phi(m) rational coordinates in the power basis, as Fractions."""
+        from fractions import Fraction
+
         return tuple(Fraction(v, self.den) for v in self.num)
+
+    def coord_texts(self):
+        """Each coordinate in lowest terms, as ``p`` or ``p/q``."""
+        out = []
+        for v in self.num:
+            g = math.gcd(v, self.den)
+            out.append(str(v // g) if g == self.den else f"{v // g}/{self.den // g}")
+        return out
 
     def __repr__(self):
         return f"CyclotomicScalar({list(self.coords)}, m={self.ctx.m})"
@@ -360,9 +374,7 @@ class CyclotomicScalar:
 
     def _check(self, other):
         if not isinstance(other, CyclotomicScalar):
-            if isinstance(other, (int, Fraction)):
-                return self.ctx.from_fraction(Fraction(other))
-            return None
+            return self.ctx.from_int(other) if isinstance(other, int) else None
         if self.ctx is not other.ctx:
             raise ContextMismatchError(
                 f"cannot combine scalars from {self.ctx} and {other.ctx}"
@@ -421,6 +433,8 @@ class CyclotomicScalar:
 
     def inverse(self):
         """Multiplicative inverse via the extended gcd with Phi_m."""
+        from fractions import Fraction
+
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero scalar")
         phi = [Fraction(c) for c in self.ctx.phi_m]
@@ -437,7 +451,7 @@ class CyclotomicScalar:
         g = r1[0]
         inv = [c / g for c in u1]
         _, rem = _poly_divmod(inv, phi)
-        rem = rem + [Fraction(0)] * (self.ctx.degree - len(rem))
+        rem = rem + [0] * (self.ctx.degree - len(rem))
         return self.ctx.from_coords(rem)
 
     def __truediv__(self, other):
@@ -503,7 +517,7 @@ def _poly_divmod(num, den):
 
 
 def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -512,7 +526,7 @@ def _poly_mul_frac(a, b):
 
 
 def _poly_sub_frac(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
+    out = [0] * max(len(a), len(b))
     for i, v in enumerate(a):
         out[i] += v
     for i, v in enumerate(b):

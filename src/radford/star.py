@@ -19,6 +19,8 @@ data, not errors.
 
 from __future__ import annotations
 
+from functools import cache
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import (
@@ -27,12 +29,13 @@ from .algebra import (
     Element,
     Monomial,
     _first_counterexample,
+    _map_law,
+    _product_law,
     _unequal,
     basis,
     relation_pairs,
 )
 from .coalgebra import (
-    _antipode_reverses,
     antipode,
     counit,
     delta,
@@ -118,6 +121,13 @@ def _star_matrix_defect(entries):
     return None
 
 
+def _matrix_images(ctx, entries):
+    """(a11 x + a12 y, a21 x + a22 y) for ``entries`` (a11, a12, a21, a22)."""
+    a11, a12, a21, a22 = entries
+    return (Element(ctx, {Monomial(0, 1, 0): a11, Monomial(1, 0, 0): a12}),
+            Element(ctx, {Monomial(0, 1, 0): a21, Monomial(1, 0, 0): a22}))
+
+
 def make_star_matrix(ctx, entries):
     """Validated n = 2 structure from a 2x2 matrix with conj(A)A = I2.
 
@@ -131,11 +141,8 @@ def make_star_matrix(ctx, entries):
     if bad is not None:
         raise InvalidStarStructureError(
             f"conj(A)A differs from I2 at entry ({bad[0]},{bad[1]})")
-    a11, a12, a21, a22 = entries
-    x_img = Element(ctx, {Monomial(0, 1, 0): a11, Monomial(1, 0, 0): a12})
-    y_img = Element(ctx, {Monomial(0, 1, 0): a21, Monomial(1, 0, 0): a22})
     return StarStructure("matrix2", ctx, Element.monomial(ctx, 0, 0, 1),
-                         x_img, y_img, matrix=tuple(entries))
+                         *_matrix_images(ctx, entries), matrix=tuple(entries))
 
 
 def make_star_raw(ctx, g_img, x_img, y_img):
@@ -171,12 +178,6 @@ def _report(named_counterexamples):
     ))
 
 
-def _scalars_unequal(ctx, lhs, rhs):
-    if lhs == rhs:
-        return None
-    return Element.from_scalar(ctx, lhs), Element.from_scalar(ctx, rhs)
-
-
 def _antimult_counterexample(st):
     """First relation pair (a, b) with (ab)* != b* a*.
 
@@ -184,28 +185,20 @@ def _antimult_counterexample(st):
     the generator images, so None means * is antimultiplicative on H_n.
     """
     ctx = st.ctx
+    return _first_counterexample("pair", relation_pairs(ctx), _product_law(
+        ctx, lambda e: apply_star(st, e), mul, anti=True))
 
-    def check(pair):
-        ea, eb = (Element.monomial(ctx, *mono) for mono in pair)
-        return _unequal(apply_star(st, ea * eb),
-                        apply_star(st, eb) * apply_star(st, ea))
 
-    return _first_counterexample("pair", relation_pairs(ctx), check)
+def _scalar_map(ctx, f):
+    """A scalar-valued map, as an Element-valued one: laws compare Elements."""
+    return lambda e: Element.from_scalar(ctx, f(e))
 
 
 def _structure_checks(ctx, d):
     """Pair checks: D and e multiplicative, S antimultiplicative."""
-
-    def delta_multiplicative(pair):
-        ea, eb = (Element.monomial(ctx, *mono) for mono in pair)
-        return _unequal(d(ea * eb), tensor_mul(d(ea), d(eb)))
-
-    def counit_multiplicative(pair):
-        ea, eb = (Element.monomial(ctx, *mono) for mono in pair)
-        return _scalars_unequal(ctx, counit(ea * eb), counit(ea) * counit(eb))
-
-    return (delta_multiplicative, counit_multiplicative,
-            lambda pair: _antipode_reverses(ctx, pair))
+    return (_product_law(ctx, d, tensor_mul),
+            _product_law(ctx, _scalar_map(ctx, counit), mul),
+            _product_law(ctx, antipode, mul, anti=True))
 
 
 def _relation_counterexamples(ctx, d):
@@ -218,6 +211,13 @@ def _relation_counterexamples(ctx, d):
     pairs = relation_pairs(ctx)
     return [_first_counterexample("pair", pairs, check)
             for check in _structure_checks(ctx, d)]
+
+
+@cache
+def _hopf_certificate(ctx):
+    """``_relation_counterexamples(ctx, delta)``, derived once per context:
+    no star structure enters it, so ``scan`` shares it across structures."""
+    return tuple(_relation_counterexamples(ctx, delta))
 
 
 def verify_star_axioms(st):
@@ -239,34 +239,22 @@ def verify_star_axioms(st):
         return apply_star(st, e)
 
     anti_ce = _antimult_counterexample(st)
-    certified = anti_ce is None and not any(_relation_counterexamples(ctx, delta))
+    certified = anti_ce is None and not any(_hopf_certificate(ctx))
     points = GENERATOR_MONOMIALS if certified else basis(ctx)
 
-    def involution(b):
-        eb = Element.monomial(ctx, *b)
-        return _unequal(star(star(eb)), eb)
-
-    def delta_compatible(b):
-        eb = Element.monomial(ctx, *b)
-        return _unequal(delta(star(eb)), tensor_map(delta(eb), star, star))
-
-    def antipode_compatible(b):
-        eb = Element.monomial(ctx, *b)
-        return _unequal(antipode(star(antipode(star(eb)))), eb)
-
-    def counit_conjugate(b):
-        eb = Element.monomial(ctx, *b)
-        return _scalars_unequal(ctx, counit(star(eb)), counit(eb).conjugate())
-
-    def on_points(check):
-        return _first_counterexample("monomial", points, check)
+    def on_points(lhs, rhs):
+        return _first_counterexample("monomial", points, _map_law(ctx, lhs, rhs))
 
     return _report([
-        ("involution", on_points(involution)),
+        ("involution", on_points(lambda e: star(star(e)), lambda e: e)),
         ("antimultiplicative", anti_ce),
-        ("delta_compatible", on_points(delta_compatible)),
-        ("antipode_compatible", on_points(antipode_compatible)),
-        ("counit_conjugate", on_points(counit_conjugate)),
+        ("delta_compatible", on_points(lambda e: delta(star(e)),
+                                       lambda e: tensor_map(delta(e), star, star))),
+        ("antipode_compatible", on_points(
+            lambda e: antipode(star(antipode(star(e)))), lambda e: e)),
+        ("counit_conjugate", on_points(
+            _scalar_map(ctx, lambda e: counit(star(e))),
+            _scalar_map(ctx, lambda e: counit(e).conjugate()))),
     ])
 
 
@@ -284,7 +272,8 @@ def verify_hopf_axioms(ctx, delta_fn=None):
     pair.
     """
     d = delta_fn if delta_fn is not None else delta
-    ces = _relation_counterexamples(ctx, d)
+    ces = _hopf_certificate(ctx) if delta_fn is None \
+        else _relation_counterexamples(ctx, d)
     if delta_fn is None and not any(ces):
         points = GENERATOR_MONOMIALS
     else:

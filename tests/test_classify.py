@@ -1,6 +1,7 @@
 """Automorphisms, equivalence witnesses, matrix criterion, candidate scan."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from radford.algebra import Element, Monomial, basis, generators
 from radford.coalgebra import delta, tensor_of
 from radford.classify import (
     _cayley_matrix,
+    _star_matrices,
     apply_automorphism,
     equivalence_witness_diag,
     make_automorphism_diag,
@@ -20,7 +22,7 @@ from radford.errors import ContextMismatchError, InvalidAutomorphismError, \
     KernelError
 from radford.parser import parse_scalar
 from radford.scalars import MAX_SCAN_COST, make_context
-from radford.star import make_star_diag, make_star_matrix
+from radford.star import _star_matrix_defect, make_star_diag, make_star_matrix
 
 from oracles import _invertible_point, n2_polarization_oracle, n2_search_oracle, \
     scan_oracle
@@ -424,25 +426,46 @@ class TestScan:
         assert [(st.g_img, st.x_img, st.y_img) for st in got] \
             == [(st.g_img, st.x_img, st.y_img) for st in want]
 
-    # 20^4 matrix tests of 2 * 34 units at n = 2, and 25^2 structures of
-    # 33 * 516 units at n = 3: the smallest grids above the limit (19 and
-    # 24 values fit).
-    @pytest.mark.parametrize("n, size, power, weight",
-                             [(2, 20, 4, 68), (3, 25, 2, 33 * 516)])
-    def test_oversized_grid_is_refused_before_screening(self, n, size, power,
-                                                        weight):
-        cost = size ** power * weight
-        assert (size - 1) ** power * weight <= MAX_SCAN_COST < cost
+    # The default grids at m = 4, 8 and 24 (25 values), grids with
+    # Pythagorean values, and grids without 0, where a12 is never 0.
+    @pytest.mark.parametrize("m, grid", [
+        (4, None),
+        (8, None),
+        (24, None),
+        (4, "0,3/5,4/5,-3/5,-4/5,i,1"),
+        (12, "0,1,z,z^5,3/5-4/5*i,2,-i,1/2"),
+        (4, "1,2,-3,-2,i,-i,3/5+4/5*i"),
+        (4, "1,-1,i,-i,3/5+4/5*i,1/2"),
+    ])
+    def test_n2_listing_matches_the_k4_filter(self, m, grid):
+        ctx = make_context(2, m)
+        if grid is None:
+            grid = [ctx.zeta(k) for k in range(m)] + [ctx.zero]
+        else:
+            grid = [parse_scalar(t, ctx) for t in grid.split(",")]
+        want = [a for a in product(grid, repeat=4) if _star_matrix_defect(a) is None]
+        assert list(_star_matrices(grid)) == want
+
+    # k^2 (k + 1) listing tests of 8 * 58 units at n = 2, and k^2
+    # structures of 33 * 516 units at n = 3: 44 and 49 values are the
+    # smallest grids above the limit.
+    @pytest.mark.parametrize("n, size", [(2, 44), (3, 49)])
+    def test_oversized_grid_is_refused_before_screening(self, n, size):
+        def cost(k):
+            return k * k * (k + 1) * 8 * 58 if n == 2 else k * k * 33 * 516
+
+        assert cost(size - 1) <= MAX_SCAN_COST < cost(size)
         ctx = make_context(n)
         grid = [ctx.from_int(k) for k in range(size)]
-        with pytest.raises(KernelError, match=f"costs {cost} units"):
+        with pytest.raises(KernelError, match=f"costs {cost(size)} units"):
             scan_star_candidates(ctx, grid=grid)
 
     def test_listed_n2_structures_count_before_verification(self):
-        # 17^4 matrix tests fit (6.7M units), but the 784 matrices with
-        # conj(A) A = I among 0 and the 16th roots of unity do not.
-        ctx = make_context(2, 16)
-        with pytest.raises(KernelError, match=f"costs {17 ** 4 * 80 + 784 * 32 * 520} units"):
+        # 29^2 * 30 listing tests fit (13.7M units), but the 2380 matrices
+        # with conj(A) A = I among 0 and the 28th roots of unity do not.
+        ctx = make_context(2, 28)
+        cost = 29 ** 2 * 30 * 8 * 68 + 2380 * 32 * 524
+        with pytest.raises(KernelError, match=f"costs {cost} units"):
             scan_star_candidates(ctx)
 
     # The same field element twice, written alike or differently (z^6 = -1

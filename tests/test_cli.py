@@ -123,6 +123,21 @@ class TestJsonRoundTrips:
         with pytest.raises(KernelError):
             jsonio.scalar_from_json(ctx, ["1", "x", "0", "0"])
 
+    @pytest.mark.parametrize("text", ["1e0", "1.0", " 1", "+1", "1_0", "1/0",
+                                      "1/-2", "", "٣"])
+    def test_coordinate_outside_the_schema_pattern_rejected(self, text):
+        from radford.errors import KernelError
+
+        ctx = make_context(3)
+        with pytest.raises(KernelError, match="bad scalar coordinates"):
+            jsonio.scalar_from_json(ctx, [text, "0", "0", "0"])
+
+    def test_coordinate_forms_of_the_schema_pattern(self):
+        ctx = make_context(3)
+        got = jsonio.scalar_from_json(ctx, ["-6/8", "007", "0/5", "-0"])
+        assert got == ctx.from_coords([Fraction(-3, 4), 7, 0, 0])
+        assert jsonio.scalar_to_json(got) == ["-3/4", "7", "0", "0"]
+
     def test_oversized_scalar_coordinate_rejected(self):
         ctx = make_context(3)
         from radford.errors import KernelError
@@ -532,14 +547,14 @@ class TestCommands:
         assert p.stdout.startswith("survivors 16\n")
 
     # 121 values at n = 3 (121^2 structures of 33 * 544 units), 20 at
-    # n = 102, m = 1020 (20^2 structures of 132 * 768 units), and 20 at
-    # n = 2, where the 20^4 matrix tests alone cost 2 * 34 units each.
+    # n = 102, m = 1020 (20^2 structures of 132 * 768 units), and 44 at
+    # n = 2, where the 44^2 * 45 listing tests alone cost 8 * 58 units each.
     @pytest.mark.parametrize("args, size, m, cost", [
         (("--n", "3", "--m", "120", "scan"), 121, 120, 262835232),
         (("--n", "102", "--m", "1020", "scan", "--grid=" + ",".join(
             ["0", "1"] + [f"z^{k}" for k in range(1, 19)])), 20, 1020, 40550400),
-        (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(20))),
-         20, 4, 10880000),
+        (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(44))),
+         44, 4, 40423680),
     ])
     def test_oversized_scan_exit_2(self, args, size, m, cost):
         p = run_cli(*args, timeout=3)
@@ -549,6 +564,13 @@ class TestCommands:
             f"error: scan of {size} grid values at n={args[1]}, m={m} costs "
             f"{cost} units, above the limit {MAX_SCAN_COST}; "
             "pass a smaller --grid\n")
+
+    def test_n2_scan_of_25_values(self):
+        # 0 and the 24th roots of unity: the first row of conj(A) A = I
+        # finds a21 and a22, so the listing runs no k^4 matrix tests.
+        p = run_cli("--n", "2", "--m", "24", "scan", timeout=10)
+        assert p.returncode == 0
+        assert p.stdout.startswith("survivors 1752\n")
 
     def test_negative_first_grid_value(self):
         p = run_cli("--n", "3", "scan", "--grid=-1,0,1", timeout=10)
@@ -571,8 +593,9 @@ class TestCommands:
         assert p.stdout == ""
         assert p.stderr.startswith("syntax error")
 
-    # The top monomial at n = 255 has 65 025 terms; y^254 x has only 510,
-    # but its q-Pascal row 254 has 32 385 entries.
+    # The top monomial at n = 255 has 65 025 terms.  y^254 x has only 510,
+    # and its row 254 is the closed top row of 255 entries, but with row 1
+    # these 766 entries of phi(1020) = 256 coordinates count 196 096.
     @pytest.mark.parametrize("expr", ["y^254*x^254*g", "y^254*x", "y^14*x^14*g"])
     def test_oversized_delta_exit_2(self, expr):
         p = run_cli("--n", "255", "delta", expr, timeout=10)
@@ -580,6 +603,16 @@ class TestCommands:
         assert p.stdout == ""
         assert p.stderr.count("\n") == 1
         assert f"above the limit {MAX_DELTA_COORDS}" in p.stderr
+
+    def test_closed_top_row_delta_is_admitted(self):
+        # 256 terms, the 128 entries of the closed top row 127 and 1 of
+        # row 1, phi(128) = 64 coordinates each: 24 640, not the 536 640 a
+        # q-Pascal row 127 would count.
+        ctx = make_context(128)
+        assert delta_coords(parse_element("y^127*x", ctx)) == 24_640
+        p = run_cli("--n", "128", "delta", "y^127*x", timeout=10)
+        assert p.returncode == 0
+        assert p.stdout.count("⊗") == 256
 
     def test_largest_admitted_delta(self):
         expr = "y^13*x^13*g"

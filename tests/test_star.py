@@ -8,7 +8,9 @@ from oracles import failed_names, named_check
 from radford.algebra import Element, Monomial, basis, generators
 from radford.coalgebra import TensorElement, delta, tensor_map, tensor_of
 from radford.errors import ContextMismatchError, InvalidStarStructureError
-from radford.scalars import make_context
+from radford import star
+from radford.classify import scan_star_candidates
+from radford.scalars import FieldContext, make_context
 from radford.star import (
     apply_star,
     make_star_diag,
@@ -233,3 +235,40 @@ class TestOneContext:
         st = make_star_diag(big, big.omega(), big.one)
         with pytest.raises(ContextMismatchError):
             apply_star(st, Element.monomial(ctx, 0, 1, 0))
+
+
+class TestHopfCertificateOnce:
+    """The Hopf relation certificate depends on the context alone."""
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        calls = []
+        derive = star._relation_counterexamples
+
+        def counted(ctx, d):
+            calls.append((ctx.n, ctx.m))
+            return derive(ctx, d)
+
+        monkeypatch.setattr(star, "_relation_counterexamples", counted)
+        return calls
+
+    def test_scan_derives_it_once(self, derivations):
+        # A context of its own, so that no earlier test has derived it.
+        ctx = FieldContext(3, 12)
+        survivors = scan_star_candidates(ctx, [ctx.zero, ctx.one, -ctx.one])
+        assert len(survivors) == 4
+        assert verify_hopf_axioms(ctx).all_passed
+        assert derivations == [(3, 12)]
+
+    def test_each_conductor_derives_its_own(self, derivations):
+        for m in (12, 24):
+            ctx = FieldContext(3, m)
+            st = make_star_diag(ctx, ctx.one, -ctx.one)
+            assert verify_star_axioms(st).all_passed
+        assert derivations == [(3, 12), (3, 24)]
+
+    def test_injected_coproduct_is_never_cached(self, derivations):
+        ctx = FieldContext(2, 4)
+        for _ in range(2):
+            assert not verify_hopf_axioms(ctx, delta_fn=corrupted_delta).all_passed
+        assert derivations == [(2, 4), (2, 4)]

@@ -68,6 +68,22 @@ def test_command_runs_only_the_layers_it_reaches(argv, untouched):
     assert not ran & untouched, sorted(ran & untouched)
 
 
+# Rationals cross the kernel's boundaries as integers, so these calls never
+# import `fractions`, which brings `decimal` and `numbers` with it.
+@pytest.mark.parametrize("argv", [
+    ["--n", "5", "verify", "hopf"],
+    ["--n", "3", "--json", "normalize", "x"],
+    ["--n", "3", "--json", "equiv", "diag", "--alpha", "w", "--beta", "-1"],
+])
+def test_command_leaves_fractions_unloaded(argv):
+    code = ("import sys\n"
+            "import radford.cli\n"
+            f"assert radford.cli.main({argv!r}) == 0\n"
+            "print(' '.join(sorted({'fractions', 'decimal', 'numbers'}"
+            " & set(sys.modules))))\n")
+    assert last_line(code) == ""
+
+
 def test_equiv_n2_runs_no_solver(tmp_path):
     # The n = 2 witness is a closed form: no linear system is solved.
     paths = []
