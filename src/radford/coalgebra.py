@@ -52,6 +52,7 @@ the multiplicative oracle; at n >= 3 the two candidates differ.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from operator import mul
 
 from .algebra import (
@@ -258,25 +259,25 @@ def antipode(e):
 
 
 def antipode_order(ctx):
-    """Least k >= 1 with S^k the identity on H_n.
+    """Least k >= 1 with S^k the identity on H_n; it is 2n.
 
-    S is antimultiplicative (checked here on the relation pairs), so for
-    even k S^k is an algebra map and is the identity once it fixes g, x
-    and y.  For odd k it is an anti-homomorphism: fixing g and x it would
-    send xg to gx = w^-1 xg, so also requiring xg fixed excludes odd k.
+    S is antimultiplicative (checked here on the relation pairs), so S^2
+    is an algebra map; it scales g, x, y by c = 1, w^-1, w (each image is
+    checked to be a root of unity times its generator).  So S^(2j) = id
+    exactly when c^j = 1 for every c.  An odd power of S is an
+    anti-homomorphism, which the identity is not, since xg = w gx != gx.
     """
     if _first_counterexample("pair", relation_pairs(ctx), _product_law(
             ctx, antipode, mul, anti=True)) is not None:
         raise KernelError("the antipode is not antimultiplicative")
-    units = [Element(ctx, {b: ctx.one})
-             for b in GENERATOR_MONOMIALS + (Monomial(0, 1, 1),)]
-    current = [antipode(e) for e in units]
-    limit = 8 * ctx.n
-    for k in range(1, limit + 1):
-        if current == units:
-            return k
-        current = [antipode(e) for e in current]
-    raise KernelError(f"antipode order exceeds {limit}")
+    order = 1
+    for b in GENERATOR_MONOMIALS:
+        image = antipode(antipode(Element(ctx, {b: ctx.one}))).terms
+        k = ctx.zeta_log(image[b]) if image.keys() == {b} else None
+        if k is None:
+            raise KernelError(f"S^2 does not scale {b} by a root of unity")
+        order = lcm(order, ctx.m // gcd(k, ctx.m))
+    return 2 * order
 
 
 def triple_delta_sides(e, delta_fn=None):

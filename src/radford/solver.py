@@ -1,18 +1,15 @@
-"""Exact linear algebra over Q(zeta_m): nullspaces and skew-primitives.
+"""Skew-primitives and group-likes of H_n in closed form, each re-verified.
 
-* one sparse Gauss-Jordan elimination with deterministic pivoting, for
-  any exact field.  On the at most n + 2 basis monomials a skew-primitive
-  can use (g^l, and x and y when w = 1; see ``skew_primitive_space``) it
-  solves h -> D(h) - h (x) g^w - 1 (x) h, which gives the skew-primitive
-  spaces exactly.  ``tests/oracles.py`` also runs it over Q, on
-  Q-linearized conjugate-linear systems;
-* a group-likeness predicate D(e) = e (x) e, eps(e) = 1.
+The (1, g^w)-skew-primitives are k(g^w - 1), plus kx + ky at w = 1, and
+the group-likes are the g^l (README, "Why skew-primitives, group-likes
+and the antipode order need no search").  The sparse Gauss-Jordan
+elimination below has no kernel caller; ``tests/oracles.py`` solves with it.
 """
 
 from __future__ import annotations
 
-from .algebra import Element, Monomial
-from .coalgebra import TensorElement, counit, delta, tensor_of
+from .algebra import Element
+from .coalgebra import delta, tensor_of
 from .errors import KernelError
 
 
@@ -78,42 +75,36 @@ def _eliminate(row, coef, prow):
 def skew_primitive_space(ctx, w):
     """Basis of {h : D(h) = h (x) g^w + 1 (x) h} as Elements.
 
-    Only the columns g^l, plus x and y when w = 1, can carry a solution.
-    T(h) = D(h) - h (x) g^w - 1 (x) h preserves the grading deg y = (1, 0),
-    deg x = (0, 1), deg g = (0, 0); a block (r, s) != (0, 0) can only
-    contribute y^r x^s with r + s = w mod n; and for r + s >= 2, T of that
-    column has a term in bidegree (r, s-1) (x) (0, 1), or (r-1, s) (x)
-    (1, 0), that nothing cancels (README, "Why the skew-primitive solve
-    needs only n + 2 columns").  Every other column is thus a pivot column
-    of the full n^3-column system, and the basis is the one the full solve
-    returns, in the same (r, s, l) order.
+    It is {0} at w = 0 and k(g^w - 1) otherwise, plus kx + ky at w = 1
+    (Taft-Wilson), in the order and with the signs of the reduced echelon
+    solve on all n^3 columns.  Each vector is checked before it is returned.
     """
     n = ctx.n
     if not 0 <= w < n:
         raise KernelError(f"skew parameter w={w} outside [0, {n})")
-    monos = [Monomial(0, 0, l) for l in range(n)]
+    if w == 0:
+        return []
+    one = Element.one(ctx)
+    gw = Element.monomial(ctx, 0, 0, w)
+    out = [gw - one]
     if w == 1:
-        monos += [Monomial(0, 1, 0), Monomial(1, 0, 0)]
-    one_m = Monomial(0, 0, 0)
-    gw = Monomial(0, 0, w)
-    rows_by_key = {}
-    for col, b in enumerate(monos):
-        image = delta(Element(ctx, {b: ctx.one}))
-        # Subtract as two tensors: the keys coincide when b = 1 and w = 0.
-        image = image - TensorElement(ctx, {(b, gw): ctx.one})
-        image = image - TensorElement(ctx, {(one_m, b): ctx.one})
-        for pair, c in image.terms.items():
-            rows_by_key.setdefault(pair, {})[col] = c
-    rows = [rows_by_key[k] for k in sorted(rows_by_key)]
-    vectors = _nullspace_from_rows(rows, len(monos), ctx.one)
-    out = []
-    for vec in vectors:
-        out.append(Element(ctx, {m: c for m, c in zip(monos, vec) if c}))
+        out += [Element.monomial(ctx, 0, 1, 0), Element.monomial(ctx, 1, 0, 0)]
+    for h in out:
+        if delta(h) != tensor_of(h, gw) + tensor_of(one, h):
+            raise KernelError(f"{h!r} is not (1, g^{w})-skew-primitive")
     return out
 
 
 def is_grouplike(e):
-    """Whether D(e) = e (x) e and eps(e) = 1."""
-    if counit(e) != 1:
+    """Whether D(e) = e (x) e and eps(e) = 1.
+
+    G(H_n) = <g> (Montgomery, Lemma 5.5.1), so e is group-like exactly
+    when it is one term g^l with coefficient 1.  D(e) = e (x) e is then
+    re-checked on that term; no other input has its coproduct expanded.
+    """
+    if len(e.terms) != 1:
+        return False
+    [(mono, c)] = e.terms.items()
+    if mono.r or mono.s or c != 1:
         return False
     return delta(e) == tensor_of(e, e)

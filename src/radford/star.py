@@ -230,8 +230,10 @@ def verify_star_axioms(st):
     maps of one kind: ** and S*S* are algebra maps, D* and (* (x) *)D
     conjugate-linear anti-maps, e* and conj(e) conjugate-linear algebra
     maps to the scalars.  Two such maps that agree on g, x, y agree
-    everywhere, so those four run on g, x, y only; otherwise they run on
-    every basis monomial.
+    everywhere, so those four run on g, x, y only; otherwise (1), (3), (4)
+    run on every basis monomial.  (5) needs only e multiplicative: b* is
+    (g*)^l (x*)^s (y*)^r, so e(b*) and conj(e(b)) are products of their
+    values on g, x, y, antimultiplicative * or not.
     """
     ctx = st.ctx
 
@@ -239,10 +241,13 @@ def verify_star_axioms(st):
         return apply_star(st, e)
 
     anti_ce = _antimult_counterexample(st)
-    certified = anti_ce is None and not any(_hopf_certificate(ctx))
+    certificate = _hopf_certificate(ctx)
+    certified = anti_ce is None and not any(certificate)
     points = GENERATOR_MONOMIALS if certified else basis(ctx)
+    _, counit_ce, _ = certificate
+    counit_points = basis(ctx) if counit_ce else GENERATOR_MONOMIALS
 
-    def on_points(lhs, rhs):
+    def on_points(lhs, rhs, points=points):
         return _first_counterexample("monomial", points, _map_law(ctx, lhs, rhs))
 
     return _report([
@@ -254,7 +259,7 @@ def verify_star_axioms(st):
             lambda e: antipode(star(antipode(star(e)))), lambda e: e)),
         ("counit_conjugate", on_points(
             _scalar_map(ctx, lambda e: counit(star(e))),
-            _scalar_map(ctx, lambda e: counit(e).conjugate()))),
+            _scalar_map(ctx, lambda e: counit(e).conjugate()), counit_points)),
     ])
 
 

@@ -17,13 +17,14 @@ paper's family among them.  The cyclotomic polynomial oracle divides
 X^m - 1 by Phi_d for every proper divisor d of m, where the kernel takes
 the Moebius product.  The q-binomial oracle builds the top row
 C(n-1, .)_q from the q-Pascal recurrence, where the kernel writes it in
-closed form.
+closed form.  The group-like oracle expands D(e) = e (x) e for any e,
+where the kernel accepts only a single term g^l.
 
 The module also holds the helpers only tests use, so that the package
 ships what the kernel calls: ``FieldMatrix`` and ``field_nullspace`` (the
-kernel's elimination over Q(zeta_m)), ``word_of_monomial`` for the
-rewriting oracle, report lookups by check name, ``tensor_from_json`` for
-round trips, and ``load_schema``.
+elimination of ``radford.solver`` over Q(zeta_m), which no kernel path
+calls), ``word_of_monomial`` for the rewriting oracle, report lookups by
+check name, ``tensor_from_json`` for round trips, and ``load_schema``.
 """
 
 from fractions import Fraction
@@ -189,6 +190,11 @@ def skew_primitive_oracle(ctx, w):
         Element(ctx, {m: c for m, c in zip(monos, vec) if c})
         for vec in _nullspace_from_rows(rows, len(monos), ctx.one)
     ]
+
+
+def grouplike_oracle(e):
+    """Whether D(e) = e (x) e and eps(e) = 1, with D(e) expanded in full."""
+    return counit(e) == 1 and delta(e) == tensor_of(e, e)
 
 
 class ConjTerm(NamedTuple):
@@ -440,7 +446,7 @@ class FieldMatrix:
 
 
 def field_nullspace(matrix):
-    """Basis of the right nullspace of a FieldMatrix, by the kernel's elimination."""
+    """Basis of the right nullspace of a FieldMatrix, by ``solver``'s elimination."""
     rows = [{j: v for j, v in enumerate(r) if v} for r in matrix.rows]
     return _nullspace_from_rows(rows, matrix.shape[1], matrix.ctx.one)
 

@@ -17,7 +17,7 @@ import pytest
 from oracles import antipode_order_oracle, equivalence_oracle, failed_names, \
     hopf_oracle, named_check, star_oracle
 from radford import jsonio
-from radford.algebra import Element, Monomial, generators
+from radford.algebra import Element, Monomial, basis, generators
 from radford.classify import (
     apply_automorphism,
     equivalence_witness_diag,
@@ -26,7 +26,7 @@ from radford.classify import (
     solve_equivalence_n2,
     verify_equivalence,
 )
-from radford.coalgebra import TensorElement, antipode_order, delta
+from radford.coalgebra import TensorElement, antipode_order, counit, delta
 from radford.scalars import make_context
 from radford.star import (
     apply_star,
@@ -100,6 +100,35 @@ def raw_candidates(ctx):
         make_star_raw(ctx, g2, x.scale(ctx.zero), x),         # x* = 0, y* = x
         make_star_raw(ctx, -g, x, y),                         # g* = -g
     ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_counit_conjugate_counterexample_is_the_first_on_the_basis(n):
+    # counit_conjugate runs on g, x, y even when * is not
+    # antimultiplicative; its verdict and counterexample are those of the
+    # scan over every basis monomial in (r, s, l) order.
+    ctx = make_context(n)
+    g, x, y = generators(ctx)
+    one = Element.one(ctx)
+    extra = [make_star_raw(ctx, g, x + y, y),
+             make_star_raw(ctx, g, x, y + one.scale(ctx.from_int(2))),
+             make_star_raw(ctx, g.scale(ctx.zeta(1)), x + one, y)]
+    outcomes = set()
+    for st in raw_candidates(ctx) + extra:
+        first = None
+        for b in basis(ctx):
+            e = Element.monomial(ctx, *b)
+            lhs = Element.from_scalar(ctx, counit(apply_star(st, e)))
+            rhs = Element.from_scalar(ctx, counit(e).conjugate())
+            if lhs != rhs:
+                first = (("monomial", b), lhs, rhs)
+                break
+        report = verify_star_axioms(st)
+        check = named_check(report, "counit_conjugate")
+        assert check.passed is (first is None)
+        assert (None if first is None else tuple(check.counterexample)) == first
+        outcomes.add((named_check(report, "antimultiplicative").passed, check.passed))
+    assert (False, False) in outcomes and (False, True) in outcomes
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -216,9 +245,9 @@ def test_antipode_order_matches_brute_force(n):
     assert antipode_order(ctx) == antipode_order_oracle(ctx) == 2 * n
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=60):
     return subprocess.run([sys.executable, "-m", "radford", *args],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -239,8 +268,39 @@ def test_verify_star_large_n(n, tmp_path):
     assert "FAIL" not in proc.stdout
 
 
-@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("n", [12, 16, 1024])
 def test_antipode_order_large_n(n):
-    proc = run_cli("--n", str(n), "antipode-order")
+    proc = run_cli("--n", str(n), "antipode-order", timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(2 * n)
+
+
+def test_solve_skew_large_n():
+    proc = run_cli("--n", "1024", "solve", "skew", "--w", "1", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["dimension 3", "(-1) + g", "x", "y"]
+
+
+def test_grouplike_large_n():
+    # One coproduct of y^254 x^254 has 255^2 terms; the verdict needs none.
+    proc = run_cli("--n", "255", "grouplike", "1+y^254*x^254", timeout=10)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.strip() == "false"
+
+
+def test_verify_star_raw_large_n(tmp_path):
+    # x* = x + y fails antimultiplicativity, so three checks fall back to
+    # the basis; counit_conjugate still runs on g, x, y only.
+    ctx = make_context(64)
+    g, x, y = generators(ctx)
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(jsonio.star_to_json(make_star_raw(ctx, g, x + y, y))))
+    proc = run_cli("--n", "64", "verify", "star", "--star", str(path), timeout=10)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "FAIL involution at y^0*x^1*g^0",
+        "FAIL antimultiplicative at (y^0*x^0*g^1, y^0*x^1*g^0)",
+        "FAIL delta_compatible at y^0*x^2*g^0",
+        "FAIL antipode_compatible at y^0*x^1*g^0",
+        "PASS counit_conjugate",
+    ]

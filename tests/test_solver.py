@@ -1,7 +1,11 @@
 """Nullspaces over the field and over Q; structural solution spaces.
 
-The conjugate-linear systems are test oracles (``tests/oracles.py``);
-``TestRationalize`` keeps them honest.
+The elimination and the conjugate-linear systems are test oracles
+(``tests/oracles.py``); ``TestRationalize`` keeps them honest.  The
+skew-primitive spaces, the group-like predicate and the antipode order
+are closed forms, compared here with the elimination on all n^3 columns,
+with D(e) = e (x) e expanded in full, and with S applied until it
+returns to the identity.
 """
 
 import random
@@ -10,9 +14,11 @@ from fractions import Fraction
 import pytest
 
 from oracles import ConjTerm, ConjugateLinearSystem, FieldMatrix, field_nullspace, \
-    rational_nullspace, rationalize, skew_primitive_oracle, substitute
+    grouplike_oracle, rational_nullspace, rationalize, skew_primitive_oracle, \
+    substitute
+from radford import coalgebra, solver
 from radford.algebra import Element, Monomial, basis, generators
-from radford.coalgebra import delta, tensor_of
+from radford.coalgebra import antipode, antipode_order, delta, tensor_of
 from radford.errors import KernelError
 from radford.scalars import make_context
 from radford.solver import is_grouplike, skew_primitive_space
@@ -111,10 +117,10 @@ class TestSkewPrimitives:
                 for v in skew_primitive_space(ctx, w):
                     assert delta(v) == tensor_of(v, gw) + tensor_of(one, v)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_full_basis_oracle(self, n):
-        # The bidegree-restricted columns return the same basis, in the
-        # same order, as the elimination on all n^3 columns.
+        # The closed form returns the same basis, in the same order and
+        # with the same signs, as the elimination on all n^3 columns.
         ctx = make_context(n)
         for w in range(n):
             assert skew_primitive_space(ctx, w) == skew_primitive_oracle(ctx, w), w
@@ -147,6 +153,104 @@ class TestGrouplike:
         assert not is_grouplike(g + y)
         assert not is_grouplike(one - g)
         assert not is_grouplike(Element.zero(ctx))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_oracle_on_random_elements(self, n):
+        ctx = make_context(n)
+        rng = random.Random(n)
+        monos = basis(ctx)
+        pool = [ctx.one, ctx.one, -ctx.one, ctx.zeta(1), ctx.from_int(2)]
+        for _ in range(60):
+            k = rng.choice([1, 1, 2, 3])
+            if rng.random() < 0.5:
+                picks = [Monomial(0, 0, rng.randrange(n)) for _ in range(k)]
+            else:
+                picks = rng.sample(monos, k)
+            e = Element.zero(ctx)
+            for b in picks:
+                e = e + Element(ctx, {b: rng.choice(pool)})
+            assert is_grouplike(e) == grouplike_oracle(e), e
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_scaled_group_powers_match_oracle(self, n):
+        ctx = make_context(n)
+        for c in (ctx.one, -ctx.one, ctx.zeta(1), ctx.from_int(2)):
+            for l in range(n):
+                e = Element.monomial(ctx, 0, 0, l, c)
+                assert is_grouplike(e) == grouplike_oracle(e) == (c == 1), (c, l)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_other_basis_monomials_match_oracle(self, n):
+        ctx = make_context(n)
+        for b in basis(ctx):
+            if b.r or b.s:
+                e = Element(ctx, {b: ctx.one})
+                assert is_grouplike(e) is grouplike_oracle(e) is False, b
+
+
+def _broken_delta(e):
+    """A coproduct off by e (x) e, which no nonzero element satisfies."""
+    return delta(e) + tensor_of(e, e)
+
+
+def _x_scaled_antipode(e):
+    """S after the automorphism x -> 2x: antimultiplicative, and
+    S^2(x) = 4 w^-1 x, not a root of unity times x."""
+    ctx = e.ctx
+    return antipode(Element(ctx, {b: c * ctx.from_int(2 ** b.s)
+                                  for b, c in e.terms.items()}))
+
+
+class TestClosedForms:
+    """No elimination, no coproduct of a large input, no antipode loop;
+    each answer re-verified in the kernel."""
+
+    def test_no_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the elimination was reached")
+
+        expanded = []
+        applied = []
+        monkeypatch.setattr(solver, "_nullspace_from_rows", refuse)
+        monkeypatch.setattr(solver, "delta",
+                            lambda e: expanded.append(e) or delta(e))
+        monkeypatch.setattr(coalgebra, "antipode",
+                            lambda e: applied.append(e) or antipode(e))
+        applications = set()
+        for n in range(2, 7):
+            ctx = make_context(n)
+            g, x, y = generators(ctx)
+            for w in range(n):
+                assert len(skew_primitive_space(ctx, w)) == (w > 0) + 2 * (w == 1)
+            expanded.clear()
+            for e in (g ** (n - 1), g + x, x * y, Element.one(ctx) + y ** (n - 1)):
+                is_grouplike(e)
+            assert all(len(e.terms) == 1 and not (b.r or b.s)
+                       for e in expanded for b in e.terms), expanded
+            applied.clear()
+            assert antipode_order(ctx) == 2 * n
+            applications.add(len(applied))
+        # The number of antipode applications does not grow with n.
+        assert len(applications) == 1, applications
+
+    def test_skew_vectors_are_verified(self, monkeypatch):
+        monkeypatch.setattr(solver, "delta", _broken_delta)
+        ctx = make_context(3)
+        assert skew_primitive_space(ctx, 0) == []
+        for w in (1, 2):
+            with pytest.raises(KernelError, match="skew-primitive"):
+                skew_primitive_space(ctx, w)
+
+    def test_grouplike_verdict_is_verified(self, monkeypatch):
+        monkeypatch.setattr(solver, "delta", _broken_delta)
+        ctx = make_context(3)
+        assert not any(is_grouplike(Element.monomial(ctx, 0, 0, l))
+                       for l in range(3))
+
+    def test_antipode_order_is_verified(self, monkeypatch):
+        monkeypatch.setattr(coalgebra, "antipode", _x_scaled_antipode)
+        with pytest.raises(KernelError, match="root of unity"):
+            antipode_order(make_context(4))
 
 
 class TestRationalize:
