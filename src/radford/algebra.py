@@ -34,6 +34,9 @@ class Monomial(NamedTuple):
     s: int
     l: int
 
+    def __str__(self):
+        return f"y^{self.r}*x^{self.s}*g^{self.l}"
+
 
 def basis(ctx):
     """All n^3 basis monomials in lexicographic (r, s, l) order."""

@@ -37,14 +37,13 @@ from .algebra import (
     _first_counterexample,
     _map_law,
     _product_law,
-    basis,
     relation_pairs,
 )
 from .coalgebra import delta, tensor_map
 from .errors import InvalidAutomorphismError, KernelError
 from .scalars import MAX_SCAN_COST, CyclotomicScalar
-from .star import StarStructure, _antimult_counterexample, _matrix_images, \
-    _star_matrix_defect, apply_star, make_star_diag, verify_star_axioms
+from .star import StarStructure, _matrix_images, _star_matrix_defect, \
+    apply_star, make_star_diag, require_extension, verify_star_axioms
 
 
 class Automorphism:
@@ -131,17 +130,15 @@ def verify_equivalence(phi, st_a, st_b):
     """Whether phi carries st_a to st_b: phi(h^{*A}) = phi(h)^{*B} for all h.
 
     phi is an algebra map: its generator images passed the defining
-    relations in ``_verify_hopf_map``.  When both stars are
-    antimultiplicative on the relation pairs, both sides are
+    relations in ``_verify_hopf_map``.  A ``raw`` star whose images break
+    a relation pair is refused (``require_extension``), so both sides are
     conjugate-linear anti-homomorphisms, which agree everywhere once they
-    agree on g, x and y; otherwise every basis monomial is compared.
+    agree on g, x and y.
     """
-    ctx = phi.ctx
-    certified = _antimult_counterexample(st_a) is None \
-        and _antimult_counterexample(st_b) is None
-    points = GENERATOR_MONOMIALS if certified else basis(ctx)
-    return _first_counterexample("monomial", points, _map_law(
-        ctx, lambda e: apply_automorphism(phi, apply_star(st_a, e)),
+    require_extension(st_a)
+    require_extension(st_b)
+    return _first_counterexample("monomial", GENERATOR_MONOMIALS, _map_law(
+        phi.ctx, lambda e: apply_automorphism(phi, apply_star(st_a, e)),
         lambda e: apply_star(st_b, apply_automorphism(phi, e)))) is None
 
 
@@ -229,22 +226,25 @@ def solve_equivalence_n2(st_a, st_b):
 def _star_matrices(grid):
     """The grid matrices with conj(A) A = I, in product(grid, repeat=4) order.
 
-    When a12 != 0 the first row of conj(A) A = I fixes a21 and a22, found
-    among the conj(a12) c (README, "Why scan lists the paper's family");
-    when a12 = 0, a11 and a22 have norm one and a21 is free.
+    Each row of conj(A) A = I is solved by lookup among the conj(b) c
+    (README, "Why scan lists the paper's family").  When a12 != 0 the
+    first row fixes a21 and a22.  When a12 = 0 it asks for a unit a11, and
+    the second row for a unit a22 with conj(a21) a22 = -a21 conj(a11):
+    every unit when a21 = 0, else at most one.
     """
-    units = [c for c in grid if c.is_norm_one()]
+    units = dict.fromkeys(c for c in grid if c.is_norm_one())
     scaled = {b: {b.conjugate() * c: c for c in grid} for b in grid if b}
     for a11, a12 in product(grid, repeat=2):
         if a12:
             a21 = scaled[a12].get(1 - a11.conjugate() * a11)
             a22 = scaled[a12].get(-(a11.conjugate() * a12))
-            rest = () if a21 is None or a22 is None else [(a21, a22)]
-        else:
-            rest = product(grid, units) if a11 in units else ()
-        for a21, a22 in rest:
-            if _star_matrix_defect((a11, a12, a21, a22)) is None:
+            if a21 is not None and a22 is not None \
+                    and _star_matrix_defect((a11, a12, a21, a22)) is None:
                 yield a11, a12, a21, a22
+        elif a11 in units:
+            for a21 in grid:
+                row = units if not a21 else [scaled[a21].get(-(a21 * a11.conjugate()))]
+                yield from ((a11, a12, a21, a22) for a22 in row if a22 in units)
 
 
 def scan_star_candidates(ctx, grid=None):
@@ -259,33 +259,34 @@ def scan_star_candidates(ctx, grid=None):
     w^2 = 1 (n = 2); likewise for y*.  Then x** = x needs |a| = 1 for
     x* = a x, or conj(A) A = I for (x*, y*) = A (x, y) at n = 2.  At
     w > 1, x* = c (1 - g^w) gives x** = conj(c) (1 - g^(w^2)) != x.
-    The cost (``_check_scan_cost``) is checked before any work, and at
-    n = 2 again once the matrices are listed, before they are verified.
+    The cost (``_check_scan_cost``) is checked once the norm-one grid
+    values are counted, before any other work, and at n = 2 again once
+    the matrices are listed, before they are verified.
     """
     if grid is None:
         grid = [ctx.zeta(k) for k in range(ctx.m)] + [ctx.zero]
     k = len(grid)
-    tests = k * k * (k + 1) if ctx.n == 2 else 0
-    _check_scan_cost(ctx, k, tests, 0 if ctx.n == 2 else k * k)
+    units = [c for c in grid if c.is_norm_one()]
+    lookups = k * (k + len(units)) if ctx.n == 2 else 0
+    _check_scan_cost(ctx, k, lookups, 0 if ctx.n == 2 else k * k)
     if len(set(grid)) < k:
         raise KernelError("scan grid repeats a value; list each value once")
     if ctx.zero not in grid:
         return []
     if ctx.n == 2:
         listed = list(_star_matrices(grid))
-        _check_scan_cost(ctx, k, tests, len(listed))
+        _check_scan_cost(ctx, k, lookups, len(listed))
     else:
-        units = [c for c in grid if c.is_norm_one()]
         listed = [(a, ctx.zero, ctx.zero, d) for a in units for d in units]
     g_el = Element.monomial(ctx, 0, 0, 1)
     stars = (StarStructure("raw", ctx, g_el, *_matrix_images(ctx, a)) for a in listed)
     return [st for st in stars if verify_star_axioms(st).all_passed]
 
 
-def _check_scan_cost(ctx, k, tests, structures):
-    """Refuse a scan whose matrix tests and verified structures cost more
+def _check_scan_cost(ctx, k, lookups, structures):
+    """Refuse a scan whose matrix lookups and verified structures cost more
     than ``MAX_SCAN_COST`` (its comment gives the weights)."""
-    cost = (tests * 8 * (ctx.degree + 56)
+    cost = (lookups * 8 * (ctx.degree + 56)
             + structures * (ctx.n + 30) * (ctx.degree + 512))
     if cost > MAX_SCAN_COST:
         raise KernelError(

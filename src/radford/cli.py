@@ -55,16 +55,12 @@ def _emit(args, payload, text):
 
 
 def _report_lines(report):
-    def word(mono):
-        return f"y^{mono.r}*x^{mono.s}*g^{mono.l}"
-
     lines = []
     for c in report.checks:
         line = f"{'PASS' if c.passed else 'FAIL'} {c.name}"
         if c.counterexample is not None:
             kind, at = c.counterexample.location
-            line += " at " + (word(at) if kind == "monomial"
-                              else f"({word(at[0])}, {word(at[1])})")
+            line += f" at {at}" if kind == "monomial" else f" at ({at[0]}, {at[1]})"
         lines.append(line)
     return "\n".join(lines)
 
@@ -144,6 +140,7 @@ def _cmd_antipode_order(args, ctx):
 
 def _cmd_star_apply(args, ctx):
     [st] = _load_stars(ctx, args.star)
+    star.require_extension(st)
     return _emit_element(args, star.apply_star(
         st, parser.parse_element(args.expr, st.ctx)))
 

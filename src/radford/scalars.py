@@ -56,14 +56,14 @@ MAX_INPUT_DIGITS = 1000
 
 # Most work ``classify.scan_star_candidates`` takes on, in cost units
 # counted before the work is done.  Verifying one listed structure costs
-# (n + 30)(phi(m) + 512) units and one test of the n = 2 matrix listing
+# (n + 30)(phi(m) + 512) units and one lookup of the n = 2 matrix listing
 # costs 8 (phi(m) + 56).  k grid values list at most k^2 structures for
-# n > 2; at n = 2 the k^2 (k + 1) listing tests are counted first, and
-# the matrices that pass once listed, before they are verified.  A unit
-# took 0.04-0.11 us in these scans of 0 and k - 1 roots of unity, and
-# 0.02 us at n = 255, where the Hopf relation certificate, derived once
-# per context, no longer grows with the structures (in-process after a
-# warm-up scan; Python 3.11, 2-core shared VM):
+# n > 2; at n = 2 the k (k + u) listing lookups, u the norm-one values,
+# are counted first, and the matrices found once listed, before they are
+# verified.  A unit took 0.04-0.11 us in these scans of 0 and k - 1 roots
+# of unity, and 0.02 us at n = 255, where the Hopf relation certificate,
+# derived once per context, no longer grows with the structures
+# (in-process after a warm-up scan; Python 3.11, 2-core shared VM):
 #
 #       n     m  phi(m)   k  structures  seconds  units
 #       3    12     4    13     144        0.15    2.5M
@@ -73,14 +73,14 @@ MAX_INPUT_DIGITS = 1000
 #      12  1020   256    16     225        0.75    7.3M
 #     102  1020   256    19     324        1.33   32.8M
 #     255  1020   256    13     144        0.64   31.5M
-#       2     4     2     5      52        0.07    0.9M
-#       2    24     8    25    1752        2.40   37.5M
-#       2   120    32    16     240        0.58    7.2M
-#       2  1024   512     5      20        0.15    1.3M
+#       2     4     2     5      52        0.05    0.9M
+#       2    24     8    25    1752        1.45   29.8M
+#       2   120    32    16     240        0.20    4.5M
+#       2  1024   512     5      20        0.08    0.9M
 #
 # The limit admits `--n 3 scan`, `--n 5 scan` and the 25 values of
 # `--n 2 --m 24 scan`, and it refuses 20 values at n = 102, m = 1020
-# (40.6M units) up front.
+# (40.6M units) and 294 integers at n = 2 (40.2M) up front.
 MAX_SCAN_COST = 40_000_000
 
 # Most field coordinates ``radford delta`` may compute, counted by

@@ -3,8 +3,9 @@
 The verifiers decide each law from the six relation pairs and the
 generators g, x, y; ``oracles`` decides it from every basis monomial and
 pair.  For small n the two must agree check for check, on passing and on
-failing inputs, including the fallback paths taken when a relation check
-fails or a coproduct is injected.
+failing inputs, including the basis-wide path ``verify_hopf_axioms`` takes
+when a coproduct is injected.  A star whose images break a relation pair
+is reported on antimultiplicativity and the counit conjugation only.
 """
 
 import json
@@ -19,14 +20,13 @@ from oracles import antipode_order_oracle, equivalence_oracle, failed_names, \
 from radford import jsonio
 from radford.algebra import Element, Monomial, basis, generators
 from radford.classify import (
-    apply_automorphism,
     equivalence_witness_diag,
     make_automorphism_diag,
-    make_automorphism_matrix,
     solve_equivalence_n2,
     verify_equivalence,
 )
 from radford.coalgebra import TensorElement, antipode_order, counit, delta
+from radford.errors import InvalidStarStructureError
 from radford.scalars import make_context
 from radford.star import (
     apply_star,
@@ -161,22 +161,22 @@ def test_matrix_witnesses_match_oracle():
 
 
 def test_raw_candidates_match_oracle():
+    # A candidate that breaks a relation pair has no star map to judge, so
+    # its report holds antimultiplicative and counit_conjugate only.
     failed = set()
-    # Failures found with * certified antimultiplicative, i.e. by the
-    # generator-level checks rather than the basis-wide fallback.
-    failed_on_generators = set()
     for n in (3, 4):
         ctx = make_context(n)
         for i, st in enumerate(raw_candidates(ctx)):
             report = verify_star_axioms(st)
-            assert verdicts(report) == star_oracle(st), (n, i)
+            oracle = star_oracle(st)
+            assert verdicts(report) == {c.name: oracle[c.name]
+                                        for c in report.checks}, (n, i)
+            if not named_check(report, "antimultiplicative").passed:
+                assert [c.name for c in report.checks] == [
+                    "antimultiplicative", "counit_conjugate"], (n, i)
             failed.update(failed_names(report))
-            if named_check(report, "antimultiplicative").passed:
-                failed_on_generators.update(failed_names(report))
-    names = {"involution", "antimultiplicative", "delta_compatible",
-             "antipode_compatible", "counit_conjugate"}
-    assert failed == names
-    assert failed_on_generators == names - {"antimultiplicative"}
+    assert failed == {"involution", "antimultiplicative", "delta_compatible",
+                      "antipode_compatible", "counit_conjugate"}
 
 
 def test_antimultiplicative_counterexample_is_a_relation_pair():
@@ -212,31 +212,21 @@ def test_n2_witnesses_match_oracle():
                     == equivalence_oracle(phi, a, b)
 
 
-def test_equivalence_falls_back_for_non_antimultiplicative_stars():
+def test_equivalence_refuses_non_antimultiplicative_stars():
+    # The swap images break the pair (g, x): they extend to no star map,
+    # so there is nothing for phi to carry, on either side.
     ctx = make_context(3)
     g = Element.monomial(ctx, 0, 0, 1)
     swap = make_star_raw(ctx, g, Element.monomial(ctx, 1, 0, 0),
                          Element.monomial(ctx, 0, 1, 0))
     trivial = make_star_diag(ctx, ctx.one, ctx.one)
-    for phi in (make_automorphism_diag(ctx, ctx.one, ctx.one),
-                make_automorphism_diag(ctx, ctx.omega(), ctx.one)):
-        for a, b in ((swap, swap), (swap, trivial), (trivial, swap)):
-            assert verify_equivalence(phi, a, b) == equivalence_oracle(phi, a, b)
-
-    # st_a is built so that phi(h^{*A}) = phi(h)^{*B} on g, x and y; with
-    # y^{*B} = y + 1 neither star is antimultiplicative, and the two sides
-    # differ on a product of generators.
-    ctx = make_context(2)
-    one, zero = ctx.one, ctx.zero
-    g, x, y = generators(ctx)
-    phi = make_automorphism_matrix(ctx, (one, one, zero, one))
-    phi_inv = make_automorphism_matrix(ctx, (one, -one, zero, one))
-    st_b = make_star_raw(ctx, g, x, y + Element.one(ctx))
-    st_a = make_star_raw(ctx, *(
-        apply_automorphism(phi_inv, apply_star(st_b, apply_automorphism(phi, e)))
-        for e in (g, x, y)))
-    assert not verify_equivalence(phi, st_a, st_b)
-    assert not equivalence_oracle(phi, st_a, st_b)
+    phi = make_automorphism_diag(ctx, ctx.one, ctx.one)
+    for a, b in ((swap, swap), (swap, trivial), (trivial, swap)):
+        with pytest.raises(InvalidStarStructureError,
+                           match=r"antimultiplicativity at \(y\^0\*x\^0\*g\^1, "):
+            verify_equivalence(phi, a, b)
+    # A raw star that respects the relations is compared on g, x, y.
+    assert verify_equivalence(phi, make_star_raw(ctx, *generators(ctx)), trivial)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -289,18 +279,32 @@ def test_grouplike_large_n():
 
 
 def test_verify_star_raw_large_n(tmp_path):
-    # x* = x + y fails antimultiplicativity, so three checks fall back to
-    # the basis; counit_conjugate still runs on g, x, y only.
-    ctx = make_context(64)
+    # The swap g* = g^-1, x* = y, y* = x breaks the pair (x, y), and
+    # x* = x + y the pair (g, x), so no check runs on the n^3 basis
+    # monomials.
+    ctx = make_context(1024)
     g, x, y = generators(ctx)
     path = tmp_path / "raw.json"
-    path.write_text(json.dumps(jsonio.star_to_json(make_star_raw(ctx, g, x + y, y))))
-    proc = run_cli("--n", "64", "verify", "star", "--star", str(path), timeout=10)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "FAIL involution at y^0*x^1*g^0",
-        "FAIL antimultiplicative at (y^0*x^0*g^1, y^0*x^1*g^0)",
-        "FAIL delta_compatible at y^0*x^2*g^0",
-        "FAIL antipode_compatible at y^0*x^1*g^0",
-        "PASS counit_conjugate",
-    ]
+    for st, pair in ((make_star_raw(ctx, g ** 1023, y, x), "y^0*x^1*g^0, y^1*x^0*g^0"),
+                     (make_star_raw(ctx, g, x + y, y), "y^0*x^0*g^1, y^0*x^1*g^0")):
+        path.write_text(json.dumps(jsonio.star_to_json(st)))
+        proc = run_cli("--n", "1024", "verify", "star", "--star", str(path),
+                       timeout=10)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"FAIL antimultiplicative at ({pair})", "PASS counit_conjugate"]
+
+
+def test_star_apply_refuses_non_antimultiplicative_raw_star(tmp_path):
+    # The swap g* = g^-1, x* = y, y* = x breaks the pair (x, y).  At n = 8
+    # extending it along the words y^r x^s g^l sends x*y to (-z^3)*y*x,
+    # along g^l x^s y^r to (z)*y*x: the images define no *.
+    ctx = make_context(1024)
+    g, x, y = generators(ctx)
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(jsonio.star_to_json(make_star_raw(ctx, g ** 1023, y, x))))
+    proc = run_cli("--n", "1024", "star-apply", "--star", str(path), "x*y", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: the star images break antimultiplicativity "
+                           "at (y^0*x^1*g^0, y^1*x^0*g^0)\n")

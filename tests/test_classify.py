@@ -446,13 +446,13 @@ class TestScan:
         want = [a for a in product(grid, repeat=4) if _star_matrix_defect(a) is None]
         assert list(_star_matrices(grid)) == want
 
-    # k^2 (k + 1) listing tests of 8 * 58 units at n = 2, and k^2
-    # structures of 33 * 516 units at n = 3: 44 and 49 values are the
-    # smallest grids above the limit.
-    @pytest.mark.parametrize("n, size", [(2, 44), (3, 49)])
+    # k (k + 1) listing lookups of 8 * 58 units at n = 2, where 1 is the
+    # only norm-one value, and k^2 structures of 33 * 516 units at n = 3:
+    # 294 and 49 values are the smallest grids above the limit.
+    @pytest.mark.parametrize("n, size", [(2, 294), (3, 49)])
     def test_oversized_grid_is_refused_before_screening(self, n, size):
         def cost(k):
-            return k * k * (k + 1) * 8 * 58 if n == 2 else k * k * 33 * 516
+            return k * (k + 1) * 8 * 58 if n == 2 else k * k * 33 * 516
 
         assert cost(size - 1) <= MAX_SCAN_COST < cost(size)
         ctx = make_context(n)
@@ -461,10 +461,11 @@ class TestScan:
             scan_star_candidates(ctx, grid=grid)
 
     def test_listed_n2_structures_count_before_verification(self):
-        # 29^2 * 30 listing tests fit (13.7M units), but the 2380 matrices
-        # with conj(A) A = I among 0 and the 28th roots of unity do not.
+        # 29 (29 + 28) listing lookups fit (0.9M units), but the 2380
+        # matrices with conj(A) A = I among 0 and the 28th roots of unity
+        # do not.
         ctx = make_context(2, 28)
-        cost = 29 ** 2 * 30 * 8 * 68 + 2380 * 32 * 524
+        cost = 29 * (29 + 28) * 8 * 68 + 2380 * 32 * 524
         with pytest.raises(KernelError, match=f"costs {cost} units"):
             scan_star_candidates(ctx)
 

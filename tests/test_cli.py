@@ -547,14 +547,15 @@ class TestCommands:
         assert p.stdout.startswith("survivors 16\n")
 
     # 121 values at n = 3 (121^2 structures of 33 * 544 units), 20 at
-    # n = 102, m = 1020 (20^2 structures of 132 * 768 units), and 44 at
-    # n = 2, where the 44^2 * 45 listing tests alone cost 8 * 58 units each.
+    # n = 102, m = 1020 (20^2 structures of 132 * 768 units), and 294 at
+    # n = 2, where the 294 * 295 listing lookups alone cost 8 * 58 units
+    # each (1 is the only norm-one value).
     @pytest.mark.parametrize("args, size, m, cost", [
         (("--n", "3", "--m", "120", "scan"), 121, 120, 262835232),
         (("--n", "102", "--m", "1020", "scan", "--grid=" + ",".join(
             ["0", "1"] + [f"z^{k}" for k in range(1, 19)])), 20, 1020, 40550400),
-        (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(44))),
-         44, 4, 40423680),
+        (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(294))),
+         294, 4, 40242720),
     ])
     def test_oversized_scan_exit_2(self, args, size, m, cost):
         p = run_cli(*args, timeout=3)
@@ -564,6 +565,15 @@ class TestCommands:
             f"error: scan of {size} grid values at n={args[1]}, m={m} costs "
             f"{cost} units, above the limit {MAX_SCAN_COST}; "
             "pass a smaller --grid\n")
+
+    def test_n2_scan_of_44_integers(self):
+        # 1 is the only norm-one value: 44 * 45 lookups list the identity
+        # and the swap.
+        p = run_cli("--n", "2", "scan", "--grid",
+                    ",".join(str(k) for k in range(44)), timeout=10)
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.splitlines() == [
+            "survivors 2", "g -> g; x -> y; y -> x", "g -> g; x -> x; y -> y"]
 
     def test_n2_scan_of_25_values(self):
         # 0 and the 24th roots of unity: the first row of conj(A) A = I

@@ -7,7 +7,7 @@ import pytest
 from oracles import failed_names, named_check
 from radford.algebra import Element, Monomial, basis, generators
 from radford.coalgebra import TensorElement, delta, tensor_map, tensor_of
-from radford.errors import ContextMismatchError, InvalidStarStructureError
+from radford.errors import ContextMismatchError, InvalidStarStructureError, KernelError
 from radford import star
 from radford.classify import scan_star_candidates
 from radford.scalars import FieldContext, make_context
@@ -183,12 +183,12 @@ class TestVerifyStarAxioms:
             assert named_check(report, name).counterexample is not None
 
     def test_all_failures_reported_not_just_first(self):
+        # y* = 2y respects every relation pair, so all five checks run.
         ctx = make_context(3)
-        one = Element.one(ctx)
-        g2 = Element.monomial(ctx, 0, 0, 2)
-        st = make_star_raw(ctx, g2, one - g2, one - g2)
+        g, x, y = generators(ctx)
+        st = make_star_raw(ctx, g, x, y.scale(ctx.from_int(2)))
         report = verify_star_axioms(st)
-        assert len(failed_names(report)) >= 2
+        assert failed_names(report) == ["involution", "antipode_compatible"]
 
     def test_delta_compatibility_matches_tensor_map_form(self):
         ctx = make_context(3)
@@ -272,3 +272,12 @@ class TestHopfCertificateOnce:
         for _ in range(2):
             assert not verify_hopf_axioms(ctx, delta_fn=corrupted_delta).all_passed
         assert derivations == [(2, 4), (2, 4)]
+
+    def test_failing_certificate_is_an_error_not_a_basis_check(self, monkeypatch):
+        # The closed D, e, S pass their relation checks; a failure would be a
+        # kernel fault, so verify star raises instead of running on the basis.
+        ctx = FieldContext(3, 12)
+        monkeypatch.setattr(star, "_relation_counterexamples",
+                            lambda ctx, d: [None, "counit fails", None])
+        with pytest.raises(KernelError, match="relation check"):
+            verify_star_axioms(make_star_diag(ctx, ctx.one, ctx.one))
