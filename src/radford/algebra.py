@@ -38,14 +38,6 @@ class Monomial(NamedTuple):
         return f"y^{self.r}*x^{self.s}*g^{self.l}"
 
 
-def basis(ctx):
-    """All n^3 basis monomials in lexicographic (r, s, l) order."""
-    n = ctx.n
-    return [
-        Monomial(r, s, l) for r in range(n) for s in range(n) for l in range(n)
-    ]
-
-
 # g, x, y as basis monomials.
 GENERATOR_MONOMIALS = (Monomial(0, 0, 1), Monomial(0, 1, 0), Monomial(1, 0, 0))
 
@@ -267,15 +259,6 @@ class Element(SparseTerms):
         return Element(
             big_ctx, {m: c.embed(big_ctx) for m, c in self.terms.items()}
         )
-
-
-def generators(ctx):
-    """The generators (g, x, y) as Elements."""
-    return (
-        Element.monomial(ctx, 0, 0, 1),
-        Element.monomial(ctx, 0, 1, 0),
-        Element.monomial(ctx, 1, 0, 0),
-    )
 
 
 class FreeWord:

@@ -268,7 +268,7 @@ def scan_star_candidates(ctx, grid=None):
     k = len(grid)
     units = [c for c in grid if c.is_norm_one()]
     lookups = k * (k + len(units)) if ctx.n == 2 else 0
-    _check_scan_cost(ctx, k, lookups, 0 if ctx.n == 2 else k * k)
+    _check_scan_cost(ctx, k, lookups, 0 if ctx.n == 2 else len(units) ** 2)
     if len(set(grid)) < k:
         raise KernelError("scan grid repeats a value; list each value once")
     if ctx.zero not in grid:

@@ -280,24 +280,21 @@ def antipode_order(ctx):
     return 2 * order
 
 
-def triple_delta_sides(e, delta_fn=None):
+def triple_delta_sides(e):
     """The two triple coproducts ((D (x) id)D, (id (x) D)D) of an element.
 
     Returned as dicts over monomial triples, for coassociativity checks.
-    An alternative coproduct can be injected for negative fixtures.
     """
-    if delta_fn is None:
-        delta_fn = delta
     ctx = e.ctx
     lhs = {}
     rhs = {}
-    for (a, b), c in delta_fn(e).terms.items():
-        for (u, v), c2 in delta_fn(Element(ctx, {a: ctx.one})).terms.items():
+    for (a, b), c in delta(e).terms.items():
+        for (u, v), c2 in delta(Element(ctx, {a: ctx.one})).terms.items():
             key = (u, v, b)
             coeff = c * c2
             acc = lhs.get(key)
             lhs[key] = coeff if acc is None else acc + coeff
-        for (u, v), c2 in delta_fn(Element(ctx, {b: ctx.one})).terms.items():
+        for (u, v), c2 in delta(Element(ctx, {b: ctx.one})).terms.items():
             key = (a, u, v)
             coeff = c * c2
             acc = rhs.get(key)

@@ -57,9 +57,9 @@ MAX_INPUT_DIGITS = 1000
 # Most work ``classify.scan_star_candidates`` takes on, in cost units
 # counted before the work is done.  Verifying one listed structure costs
 # (n + 30)(phi(m) + 512) units and one lookup of the n = 2 matrix listing
-# costs 8 (phi(m) + 56).  k grid values list at most k^2 structures for
-# n > 2; at n = 2 the k (k + u) listing lookups, u the norm-one values,
-# are counted first, and the matrices found once listed, before they are
+# costs 8 (phi(m) + 56).  Of k grid values, the u of norm one list u^2
+# structures for n > 2; at n = 2 the k (k + u) listing lookups are
+# counted first, and the matrices found once listed, before they are
 # verified.  A unit took 0.04-0.11 us in these scans of 0 and k - 1 roots
 # of unity, and 0.02 us at n = 255, where the Hopf relation certificate,
 # derived once per context, no longer grows with the structures
@@ -79,8 +79,9 @@ MAX_INPUT_DIGITS = 1000
 #       2  1024   512     5      20        0.08    0.9M
 #
 # The limit admits `--n 3 scan`, `--n 5 scan` and the 25 values of
-# `--n 2 --m 24 scan`, and it refuses 20 values at n = 102, m = 1020
-# (40.6M units) and 294 integers at n = 2 (40.2M) up front.
+# `--n 2 --m 24 scan`, and it refuses 21 values, 20 of norm one, at
+# n = 102, m = 1020 (40.6M units) and 294 integers at n = 2 (40.2M) up
+# front.
 MAX_SCAN_COST = 40_000_000
 
 # Most field coordinates ``radford delta`` may compute, counted by

@@ -18,23 +18,27 @@ X^m - 1 by Phi_d for every proper divisor d of m, where the kernel takes
 the Moebius product.  The q-binomial oracle builds the top row
 C(n-1, .)_q from the q-Pascal recurrence, where the kernel writes it in
 closed form.  The group-like oracle expands D(e) = e (x) e for any e,
-where the kernel accepts only a single term g^l.
+where the kernel accepts only a single term g^l.  The Hopf oracle takes
+any coproduct and builds its triple coproducts from it.
 
 The module also holds the helpers only tests use, so that the package
-ships what the kernel calls: ``FieldMatrix`` and ``field_nullspace`` (the
-elimination of ``radford.solver`` over Q(zeta_m), which no kernel path
-calls), ``word_of_monomial`` for the rewriting oracle, report lookups by
-check name, ``tensor_from_json`` for round trips, and ``load_schema``.
+ships what the kernel calls: ``basis`` and ``generators`` (the kernel
+checks only g, x, y and the relation pairs), ``FieldMatrix`` and
+``field_nullspace`` (the elimination of ``radford.solver`` over Q(zeta_m),
+which no kernel path calls), ``word_of_monomial`` for the rewriting
+oracle, report lookups by check name, ``x_primitive_delta`` and
+``inject_coproduct`` for negative fixtures, ``tensor_from_json`` for
+round trips, and ``load_schema``.
 """
 
 from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import NamedTuple
 
-from radford.algebra import GENERATOR_MONOMIALS, Element, Monomial, basis
+from radford.algebra import GENERATOR_MONOMIALS, Element, Monomial
 from radford.classify import apply_automorphism
 from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map, \
-    tensor_mul, tensor_of, triple_delta_sides
+    tensor_mul, tensor_of
 from radford.errors import KernelError
 from radford.jsonio import _mono_from_json, _term_objects, context_from_json, \
     scalar_from_json
@@ -53,6 +57,19 @@ def cyclotomic_division_oracle(m, _cache={}):
                 assert not rem, f"Phi_{d} does not divide X^{m} - 1"
         _cache[m] = tuple(poly)
     return _cache[m]
+
+
+def basis(ctx):
+    """All n^3 basis monomials in lexicographic (r, s, l) order."""
+    n = ctx.n
+    return [
+        Monomial(r, s, l) for r in range(n) for s in range(n) for l in range(n)
+    ]
+
+
+def generators(ctx):
+    """The generators (g, x, y) as Elements."""
+    return tuple(Element(ctx, {b: ctx.one}) for b in GENERATOR_MONOMIALS)
 
 
 def _unit(ctx, b):
@@ -91,12 +108,25 @@ def antipode_oracle(ctx, mono):
     return (sg ** mono.l) * (sx ** mono.s) * (sy ** mono.r)
 
 
+def _triple_coproducts(e, d):
+    """((d (x) id)d(e), (id (x) d)d(e)) over monomial triples, for any d."""
+    ctx = e.ctx
+    lhs = TensorElement.zero(ctx)
+    rhs = TensorElement.zero(ctx)
+    for (a, b), c in d(e).terms.items():
+        lhs = lhs + TensorElement(ctx, {(u, v, b): c * c2
+                                        for (u, v), c2 in d(_unit(ctx, a)).terms.items()})
+        rhs = rhs + TensorElement(ctx, {(a, u, v): c * c2
+                                        for (u, v), c2 in d(_unit(ctx, b)).terms.items()})
+    return lhs, rhs
+
+
 def hopf_oracle(ctx, delta_fn=None):
     """Pass/fail per Hopf check name, over the whole basis and all pairs."""
     d = delta_fn if delta_fn is not None else delta
 
     def coassociative(e):
-        lhs, rhs = triple_delta_sides(e, d)
+        lhs, rhs = _triple_coproducts(e, d)
         return lhs == rhs
 
     def counit_law(e):
@@ -462,6 +492,29 @@ def named_check(report, name):
         if c.name == name:
             return c
     raise KeyError(name)
+
+
+def x_primitive_delta(e):
+    """Coproduct with D(x) replaced by x (x) 1 + 1 (x) x: no multiplicative
+    extension, since D(g) D(x) != D(gx)."""
+    ctx = e.ctx
+    xm, one = Monomial(0, 1, 0), Monomial(0, 0, 0)
+    acc = TensorElement.zero(ctx)
+    for mono, c in e.terms.items():
+        if mono == xm:
+            acc = acc + TensorElement(ctx, {(xm, one): c, (one, xm): c})
+        else:
+            acc = acc + delta(Element(ctx, {mono: c}))
+    return acc
+
+
+def inject_coproduct(monkeypatch, d):
+    """Make the verifiers read D as ``d``: ``star`` takes the certificate
+    and the convolutions through its name, ``coalgebra`` the triple
+    coproducts.  Use a fresh ``FieldContext``, whose certificate is not
+    cached yet."""
+    monkeypatch.setattr("radford.star.delta", d)
+    monkeypatch.setattr("radford.coalgebra.delta", d)
 
 
 def tensor_from_json(obj, ctx=None):

@@ -14,14 +14,12 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from oracles import FieldMatrix, delta_oracle, failed_names, field_nullspace, \
-    load_schema, named_check, word_of_monomial
+from oracles import FieldMatrix, basis, delta_oracle, failed_names, field_nullspace, \
+    generators, load_schema, named_check, word_of_monomial
 from radford import jsonio
 from radford.algebra import (
     Element,
     Monomial,
-    basis,
-    generators,
     rewrite_word,
 )
 from radford.classify import (

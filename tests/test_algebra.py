@@ -4,13 +4,11 @@ import random
 
 import pytest
 
-from oracles import word_of_monomial
+from oracles import basis, generators, word_of_monomial
 from radford.algebra import (
     Element,
     FreeWord,
     Monomial,
-    basis,
-    generators,
     rewrite_word,
 )
 from radford.errors import KernelError

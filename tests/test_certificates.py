@@ -3,31 +3,36 @@
 The verifiers decide each law from the six relation pairs and the
 generators g, x, y; ``oracles`` decides it from every basis monomial and
 pair.  For small n the two must agree check for check, on passing and on
-failing inputs, including the basis-wide path ``verify_hopf_axioms`` takes
-when a coproduct is injected.  A star whose images break a relation pair
-is reported on antimultiplicativity and the counit conjugation only.
+failing inputs, including a coproduct or antipode patched into the names
+the verifier reads them through.  A coproduct that is no multiplicative
+extension fails the relation certificate, which is an error, not a
+verdict.  A star whose images break a relation pair is reported on
+antimultiplicativity and the counit conjugation only.
 """
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from oracles import antipode_order_oracle, equivalence_oracle, failed_names, \
-    hopf_oracle, named_check, star_oracle
+from oracles import antipode_order_oracle, basis, equivalence_oracle, failed_names, \
+    generators, hopf_oracle, inject_coproduct, named_check, star_oracle, \
+    x_primitive_delta
 from radford import jsonio
-from radford.algebra import Element, Monomial, basis, generators
+from radford.algebra import Element, Monomial
 from radford.classify import (
     equivalence_witness_diag,
     make_automorphism_diag,
     solve_equivalence_n2,
     verify_equivalence,
 )
-from radford.coalgebra import TensorElement, antipode_order, counit, delta
-from radford.errors import InvalidStarStructureError
-from radford.scalars import make_context
+from radford.coalgebra import TensorElement, antipode, antipode_order, counit, delta
+from radford.errors import InvalidStarStructureError, KernelError
+from radford.scalars import FieldContext, make_context
 from radford.star import (
     apply_star,
     make_star_diag,
@@ -40,19 +45,6 @@ from radford.star import (
 
 def verdicts(report):
     return {c.name: c.passed for c in report.checks}
-
-
-def x_primitive_delta(e):
-    """Coproduct with D(x) replaced by x (x) 1 + 1 (x) x."""
-    ctx = e.ctx
-    xm, one = Monomial(0, 1, 0), Monomial(0, 0, 0)
-    acc = TensorElement.zero(ctx)
-    for mono, c in e.terms.items():
-        if mono == xm:
-            acc = acc + TensorElement(ctx, {(xm, one): c, (one, xm): c})
-        else:
-            acc = acc + delta(Element(ctx, {mono: c}))
-    return acc
 
 
 def tensor_flip(t):
@@ -137,13 +129,44 @@ def test_hopf_certificate_matches_oracle(n):
     assert verdicts(verify_hopf_axioms(ctx)) == hopf_oracle(ctx)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("delta_fn", [x_primitive_delta, co_opposite_delta])
-def test_injected_coproduct_matches_oracle(n, delta_fn):
-    ctx = make_context(n)
-    report = verify_hopf_axioms(ctx, delta_fn=delta_fn)
-    assert not report.all_passed
-    assert verdicts(report) == hopf_oracle(ctx, delta_fn)
+def test_injected_coproduct_matches_oracle(n, delta_fn, monkeypatch):
+    # The co-opposite D is multiplicative, so the verifier judges it on
+    # g, x, y as the oracle judges the basis: only the antipode law fails,
+    # at x.  D(x) = x (x) 1 + 1 (x) x is not, so the certificate refuses it
+    # at the relation pair (g, x), where the oracle finds D not multiplicative.
+    want = hopf_oracle(make_context(n), delta_fn)
+    ctx = FieldContext(n, lcm(4, n))
+    inject_coproduct(monkeypatch, delta_fn)
+    if not want["delta_multiplicative"]:
+        with pytest.raises(KernelError, match=re.escape(
+                "delta_multiplicative at (y^0*x^0*g^1, y^0*x^1*g^0)")):
+            verify_hopf_axioms(ctx)
+        return
+    report = verify_hopf_axioms(ctx)
+    assert verdicts(report) == want
+    assert failed_names(report) == ["antipode_law"]
+    assert named_check(report, "antipode_law").counterexample.location \
+        == ("monomial", Monomial(0, 1, 0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unsigned_antipode_fails_the_antipode_law_at_x(n, monkeypatch):
+    # S with the sign (-1)^(r+s) dropped is S composed with the automorphism
+    # x -> -x, y -> -y: antimultiplicative, so it passes the certificate,
+    # but (S * id)(x) = 2x != e(x).
+    def unsigned_antipode(e):
+        return antipode(Element(e.ctx, {b: -c if (b.r + b.s) % 2 else c
+                                        for b, c in e.terms.items()}))
+
+    ctx = FieldContext(n, lcm(4, n))
+    monkeypatch.setattr("radford.star.antipode", unsigned_antipode)
+    report = verify_hopf_axioms(ctx)
+    assert failed_names(report) == ["antipode_law"]
+    ce = named_check(report, "antipode_law").counterexample
+    x = Element.monomial(ctx, 0, 1, 0)
+    assert (ce.location, ce.lhs) == (("monomial", Monomial(0, 1, 0)), x + x)
 
 
 @pytest.mark.parametrize("n", [2, 3])

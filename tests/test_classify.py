@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from radford.algebra import Element, Monomial, basis, generators
+from radford.algebra import Element, Monomial
 from radford.coalgebra import delta, tensor_of
 from radford.classify import (
     _cayley_matrix,
@@ -24,8 +24,8 @@ from radford.parser import parse_scalar
 from radford.scalars import MAX_SCAN_COST, make_context
 from radford.star import _star_matrix_defect, make_star_diag, make_star_matrix
 
-from oracles import _invertible_point, n2_polarization_oracle, n2_search_oracle, \
-    scan_oracle
+from oracles import _invertible_point, basis, generators, n2_polarization_oracle, \
+    n2_search_oracle, scan_oracle
 
 
 class TestAutomorphisms:
@@ -446,9 +446,11 @@ class TestScan:
         want = [a for a in product(grid, repeat=4) if _star_matrix_defect(a) is None]
         assert list(_star_matrices(grid)) == want
 
-    # k (k + 1) listing lookups of 8 * 58 units at n = 2, where 1 is the
-    # only norm-one value, and k^2 structures of 33 * 516 units at n = 3:
-    # 294 and 49 values are the smallest grids above the limit.
+    # k (k + 1) listing lookups of 8 * 58 units at n = 2 on the integers,
+    # where 1 is the only norm-one value, and at n = 3 one structure of
+    # 33 * 516 units per pair of norm-one values, here the Cayley
+    # transforms (1 + t i)/(1 - t i): 294 and 49 values are the smallest
+    # such grids above the limit.
     @pytest.mark.parametrize("n, size", [(2, 294), (3, 49)])
     def test_oversized_grid_is_refused_before_screening(self, n, size):
         def cost(k):
@@ -456,7 +458,10 @@ class TestScan:
 
         assert cost(size - 1) <= MAX_SCAN_COST < cost(size)
         ctx = make_context(n)
-        grid = [ctx.from_int(k) for k in range(size)]
+        grid = [ctx.from_int(t) for t in range(size)]
+        if n == 3:
+            grid = [(ctx.one + t * ctx.i()) / (ctx.one - t * ctx.i()) for t in grid]
+        assert sum(c.is_norm_one() for c in grid) == (1 if n == 2 else size)
         with pytest.raises(KernelError, match=f"costs {cost(size)} units"):
             scan_star_candidates(ctx, grid=grid)
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from oracles import load_schema, tensor_from_json
+from oracles import generators, load_schema, tensor_from_json
 from radford import jsonio
-from radford.algebra import Element, Monomial, generators
+from radford.algebra import Element, Monomial
 from radford.cli import main
 from radford.coalgebra import delta, delta_coords
 from radford.errors import ContextMismatchError
@@ -546,14 +546,14 @@ class TestCommands:
         assert p.returncode == 0
         assert p.stdout.startswith("survivors 16\n")
 
-    # 121 values at n = 3 (121^2 structures of 33 * 544 units), 20 at
-    # n = 102, m = 1020 (20^2 structures of 132 * 768 units), and 294 at
-    # n = 2, where the 294 * 295 listing lookups alone cost 8 * 58 units
-    # each (1 is the only norm-one value).
+    # 121 values at n = 3 (120^2 structures of 33 * 544 units, one per
+    # pair of norm-one values), 21 at n = 102, m = 1020 (20^2 structures of
+    # 132 * 768 units), and 294 at n = 2, where the 294 * 295 listing
+    # lookups alone cost 8 * 58 units each (1 is the only norm-one value).
     @pytest.mark.parametrize("args, size, m, cost", [
-        (("--n", "3", "--m", "120", "scan"), 121, 120, 262835232),
+        (("--n", "3", "--m", "120", "scan"), 121, 120, 258508800),
         (("--n", "102", "--m", "1020", "scan", "--grid=" + ",".join(
-            ["0", "1"] + [f"z^{k}" for k in range(1, 19)])), 20, 1020, 40550400),
+            ["0", "1"] + [f"z^{k}" for k in range(1, 20)])), 21, 1020, 40550400),
         (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(294))),
          294, 4, 40242720),
     ])

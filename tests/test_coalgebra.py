@@ -2,8 +2,9 @@
 
 import pytest
 
-from oracles import antipode_oracle, delta_oracle, qbinom_pascal_oracle
-from radford.algebra import Element, Monomial, basis, generators
+from oracles import antipode_oracle, basis, delta_oracle, generators, \
+    qbinom_pascal_oracle
+from radford.algebra import Element, Monomial
 from radford.coalgebra import (
     TensorElement,
     _qbinom_row,

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radford.algebra import Element, Monomial, generators
+from oracles import generators
+from radford.algebra import Element, Monomial
 from radford.errors import ExprSyntaxError, KernelError
 from radford.parser import (
     MAX_EXPR_COORDS,

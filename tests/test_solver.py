@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ConjTerm, ConjugateLinearSystem, FieldMatrix, field_nullspace, \
-    grouplike_oracle, rational_nullspace, rationalize, skew_primitive_oracle, \
-    substitute
+from oracles import ConjTerm, ConjugateLinearSystem, FieldMatrix, basis, \
+    field_nullspace, generators, grouplike_oracle, rational_nullspace, rationalize, \
+    skew_primitive_oracle, substitute
 from radford import coalgebra, solver
-from radford.algebra import Element, Monomial, basis, generators
+from radford.algebra import Element, Monomial
 from radford.coalgebra import antipode, antipode_order, delta, tensor_of
 from radford.errors import KernelError
 from radford.scalars import make_context

@@ -1,12 +1,14 @@
 """Star structures: construction, application, and the axiom verifier."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from oracles import failed_names, named_check
-from radford.algebra import Element, Monomial, basis, generators
-from radford.coalgebra import TensorElement, delta, tensor_map, tensor_of
+from oracles import basis, failed_names, generators, inject_coproduct, named_check, \
+    x_primitive_delta
+from radford.algebra import Element, Monomial
+from radford.coalgebra import delta, tensor_map, tensor_mul
 from radford.errors import ContextMismatchError, InvalidStarStructureError, KernelError
 from radford import star
 from radford.classify import scan_star_candidates
@@ -19,20 +21,6 @@ from radford.star import (
     verify_hopf_axioms,
     verify_star_axioms,
 )
-
-
-def corrupted_delta(e):
-    """Coproduct table with the single entry for x overridden."""
-    ctx = e.ctx
-    xm = Monomial(0, 1, 0)
-    one = Monomial(0, 0, 0)
-    acc = TensorElement.zero(ctx)
-    for mono, c in e.terms.items():
-        if mono == xm:
-            acc = acc + TensorElement(ctx, {(xm, one): c, (one, xm): c})
-        else:
-            acc = acc + delta(Element(ctx, {mono: ctx.one})).scale(c)
-    return acc
 
 
 class TestConstruction:
@@ -214,18 +202,18 @@ class TestVerifyHopfAxioms:
             "counit_multiplicative",
         }
 
-    def test_corrupted_coproduct_breaks_multiplicativity_at_x_g(self):
-        ctx = make_context(3)
-        report = verify_hopf_axioms(ctx, delta_fn=corrupted_delta)
-        assert "delta_multiplicative" in failed_names(report)
-        ce = named_check(report, "delta_multiplicative").counterexample
-        assert ce is not None
-        # The specific pair (x, g) witnesses the failure directly.
+    def test_corrupted_coproduct_breaks_multiplicativity_at_x_g(self, monkeypatch):
+        # D(x) = x (x) 1 + 1 (x) x is no multiplicative extension, so the
+        # certificate fails at the relation pair (g, x): a kernel fault.
+        ctx = FieldContext(3, 12)
         g, x, y = generators(ctx)
-        from radford.coalgebra import tensor_mul
-
-        assert corrupted_delta(x * g) \
-            != tensor_mul(corrupted_delta(x), corrupted_delta(g))
+        assert x_primitive_delta(g * x) \
+            != tensor_mul(x_primitive_delta(g), x_primitive_delta(x))
+        inject_coproduct(monkeypatch, x_primitive_delta)
+        with pytest.raises(KernelError, match=re.escape(
+                "D, e or S fails its relation check: delta_multiplicative "
+                "at (y^0*x^0*g^1, y^0*x^1*g^0)")):
+            verify_hopf_axioms(ctx)
 
 
 class TestOneContext:
@@ -241,16 +229,10 @@ class TestHopfCertificateOnce:
     """The Hopf relation certificate depends on the context alone."""
 
     @pytest.fixture
-    def derivations(self, monkeypatch):
-        calls = []
-        derive = star._relation_counterexamples
-
-        def counted(ctx, d):
-            calls.append((ctx.n, ctx.m))
-            return derive(ctx, d)
-
-        monkeypatch.setattr(star, "_relation_counterexamples", counted)
-        return calls
+    def derivations(self):
+        """How many certificates have been derived since the test began."""
+        start = star._hopf_certificate.cache_info().misses
+        return lambda: star._hopf_certificate.cache_info().misses - start
 
     def test_scan_derives_it_once(self, derivations):
         # A context of its own, so that no earlier test has derived it.
@@ -258,26 +240,20 @@ class TestHopfCertificateOnce:
         survivors = scan_star_candidates(ctx, [ctx.zero, ctx.one, -ctx.one])
         assert len(survivors) == 4
         assert verify_hopf_axioms(ctx).all_passed
-        assert derivations == [(3, 12)]
+        assert derivations() == 1
 
     def test_each_conductor_derives_its_own(self, derivations):
         for m in (12, 24):
             ctx = FieldContext(3, m)
             st = make_star_diag(ctx, ctx.one, -ctx.one)
             assert verify_star_axioms(st).all_passed
-        assert derivations == [(3, 12), (3, 24)]
-
-    def test_injected_coproduct_is_never_cached(self, derivations):
-        ctx = FieldContext(2, 4)
-        for _ in range(2):
-            assert not verify_hopf_axioms(ctx, delta_fn=corrupted_delta).all_passed
-        assert derivations == [(2, 4), (2, 4)]
+            assert verify_hopf_axioms(ctx).all_passed
+        assert derivations() == 2
 
     def test_failing_certificate_is_an_error_not_a_basis_check(self, monkeypatch):
         # The closed D, e, S pass their relation checks; a failure would be a
         # kernel fault, so verify star raises instead of running on the basis.
         ctx = FieldContext(3, 12)
-        monkeypatch.setattr(star, "_relation_counterexamples",
-                            lambda ctx, d: [None, "counit fails", None])
-        with pytest.raises(KernelError, match="relation check"):
+        inject_coproduct(monkeypatch, x_primitive_delta)
+        with pytest.raises(KernelError, match="relation check: delta_multiplicative"):
             verify_star_axioms(make_star_diag(ctx, ctx.one, ctx.one))
