@@ -84,16 +84,22 @@ def _unequal(lhs, rhs):
     return None if lhs == rhs else (lhs, rhs)
 
 
-def _product_law(ctx, f, mul, anti=False):
-    """Check of f(ab) = mul(f(a), f(b)), or mul(f(b), f(a)) when ``anti``
-    is set, on a basis pair (a, b): f respects products, or reverses them."""
+def _relation_counterexample(ctx, f, mul, anti=False):
+    """First relation pair (a, b) with f(ab) != mul(f(a), f(b)), or
+    != mul(f(b), f(a)) when ``anti`` is set, or None: whether f, extended
+    along canonical words, respects products or reverses them."""
 
     def check(pair):
         ea, eb = (Element.monomial(ctx, *mono) for mono in pair)
         fa, fb = f(ea), f(eb)
         return _unequal(f(ea * eb), mul(fb, fa) if anti else mul(fa, fb))
 
-    return check
+    return _first_counterexample("pair", relation_pairs(ctx), check)
+
+
+def _on_generators(check):
+    """First failure of ``check`` among g, x, y."""
+    return _first_counterexample("monomial", GENERATOR_MONOMIALS, check)
 
 
 def _map_law(ctx, lhs, rhs):

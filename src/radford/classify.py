@@ -2,9 +2,9 @@
 
 Covers four jobs:
 
-* Hopf algebra automorphisms of H_n fixing g, either diagonal rescalings
-  (any n) or arbitrary invertible 2x2 mixes of x and y (n = 2 only);
-  construction re-verifies the defining relations and the coproduct
+* Hopf algebra automorphisms of H_n fixing g, as ``star.GeneratorMap``s,
+  either diagonal rescalings (any n) or arbitrary invertible 2x2 mixes
+  of x and y (n = 2 only); construction re-verifies the defining relations and the coproduct
   condition on generators instead of assuming them.
 * Witness construction: for n > 2 every diagonal structure diag(alpha,
   beta) is carried to the trivial one by phi = diag(l(alpha), l(beta))
@@ -26,53 +26,13 @@ CLI builds that one context, of conductor lcm(--m, each star file's m).
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import product
-from operator import mul
-from typing import NamedTuple
 
-from .algebra import (
-    GENERATOR_MONOMIALS,
-    Element,
-    _first_counterexample,
-    _map_law,
-    _product_law,
-    relation_pairs,
-)
-from .coalgebra import delta, tensor_map
+from .algebra import _map_law, _on_generators
 from .errors import InvalidAutomorphismError, KernelError
 from .scalars import MAX_SCAN_COST, CyclotomicScalar
-from .star import StarStructure, _matrix_images, _star_matrix_defect, \
-    apply_star, make_star_diag, require_extension, verify_star_axioms
-
-
-class Automorphism:
-    """Hopf algebra automorphism fixing g, given by its images of x and y."""
-
-    __slots__ = ("kind", "ctx", "x_img", "y_img", "lambda1", "lambda2",
-                 "matrix", "_mono_cache")
-
-    def __init__(self, kind, ctx, x_img, y_img, lambda1=None, lambda2=None,
-                 matrix=None):
-        self.kind = kind
-        self.ctx = ctx
-        self.x_img = x_img
-        self.y_img = y_img
-        self.lambda1 = lambda1
-        self.lambda2 = lambda2
-        self.matrix = matrix
-        self._mono_cache = {}
-
-    def __repr__(self):
-        return f"Automorphism(kind={self.kind!r}, n={self.ctx.n}, m={self.ctx.m})"
-
-    def image_of_monomial(self, mono):
-        hit = self._mono_cache.get(mono)
-        if hit is None:
-            hit = (self.y_img ** mono.r) * (self.x_img ** mono.s) \
-                * Element.monomial(self.ctx, 0, 0, mono.l)
-            self._mono_cache[mono] = hit
-        return hit
+from .star import GeneratorMap, _coproduct_law, _star_matrix_defect, apply_map, \
+    make_star_diag, require_extension, verify_star_axioms
 
 
 def _verify_hopf_map(phi):
@@ -82,14 +42,9 @@ def _verify_hopf_map(phi):
     canonical words, so it is an algebra map when it respects the six
     relation pairs; then the algebra maps D phi and (phi (x) phi) D agree
     everywhere once they agree on g, x and y."""
-    ctx = phi.ctx
-    image = partial(apply_automorphism, phi)
-    if _first_counterexample("pair", relation_pairs(ctx),
-                             _product_law(ctx, image, mul)) is not None:
+    if phi.relation_counterexample() is not None:
         raise InvalidAutomorphismError("the images break a defining relation")
-    if _first_counterexample("monomial", GENERATOR_MONOMIALS, _map_law(
-            ctx, lambda e: delta(image(e)),
-            lambda e: tensor_map(delta(e), image, image))) is not None:
+    if _on_generators(_coproduct_law(phi)) is not None:
         raise InvalidAutomorphismError("coproduct condition fails on a generator")
     return phi
 
@@ -98,9 +53,8 @@ def make_automorphism_diag(ctx, lambda1, lambda2):
     """phi(g) = g, phi(x) = lambda1 x, phi(y) = lambda2 y; lambdas nonzero."""
     if not lambda1 or not lambda2:
         raise InvalidAutomorphismError("diagonal automorphism needs nonzero scalars")
-    return _verify_hopf_map(Automorphism(
-        "diag", ctx, Element.monomial(ctx, 0, 1, 0, lambda1),
-        Element.monomial(ctx, 1, 0, 0, lambda2), lambda1=lambda1, lambda2=lambda2))
+    return _verify_hopf_map(GeneratorMap.from_matrix(
+        "diag", ctx, (lambda1, ctx.zero, ctx.zero, lambda2), is_star=False))
 
 
 def make_automorphism_matrix(ctx, entries):
@@ -114,16 +68,8 @@ def make_automorphism_matrix(ctx, entries):
             f"matrix automorphisms require n = 2, got n = {ctx.n}")
     if not _det(entries):
         raise InvalidAutomorphismError("matrix is singular")
-    return _verify_hopf_map(Automorphism(
-        "matrix2", ctx, *_matrix_images(ctx, entries), matrix=tuple(entries)))
-
-
-def apply_automorphism(phi, e):
-    """Algebra-map extension of the generator images."""
-    acc = Element.zero(phi.ctx)
-    for mono, c in e.terms.items():
-        acc = acc + phi.image_of_monomial(mono).scale(c)
-    return acc
+    return _verify_hopf_map(GeneratorMap.from_matrix(
+        "matrix2", ctx, entries, is_star=False))
 
 
 def verify_equivalence(phi, st_a, st_b):
@@ -137,9 +83,9 @@ def verify_equivalence(phi, st_a, st_b):
     """
     require_extension(st_a)
     require_extension(st_b)
-    return _first_counterexample("monomial", GENERATOR_MONOMIALS, _map_law(
-        phi.ctx, lambda e: apply_automorphism(phi, apply_star(st_a, e)),
-        lambda e: apply_star(st_b, apply_automorphism(phi, e)))) is None
+    return _on_generators(_map_law(
+        phi.ctx, lambda e: apply_map(phi, apply_map(st_a, e)),
+        lambda e: apply_map(st_b, apply_map(phi, e)))) is None
 
 
 def _cayley(a):
@@ -166,17 +112,10 @@ def equivalence_witness_diag(st_a):
         raise KernelError("diagonal witnesses apply to n > 2 only")
     if st_a.kind != "diag":
         raise KernelError("expected a diagonal star structure")
-    phi = make_automorphism_diag(ctx, _cayley(st_a.alpha), _cayley(st_a.beta))
+    phi = make_automorphism_diag(ctx, *map(_cayley, st_a.matrix[::3]))
     if not verify_equivalence(phi, st_a, make_star_diag(ctx, ctx.one, ctx.one)):
         raise KernelError("constructed witness failed verification")
     return phi
-
-
-class EquivalenceResult(NamedTuple):
-    """Outcome of an equivalence query; a True verdict carries a verified witness."""
-
-    equivalent: bool
-    witness: Automorphism | None
 
 
 def _det(m):
@@ -220,7 +159,7 @@ def solve_equivalence_n2(st_a, st_b):
     phi = make_automorphism_matrix(ctx, lam)
     if not verify_equivalence(phi, st_a, st_b):
         raise KernelError("constructed witness failed verification")
-    return EquivalenceResult(True, phi)
+    return phi
 
 
 def _star_matrices(grid):
@@ -278,8 +217,7 @@ def scan_star_candidates(ctx, grid=None):
         _check_scan_cost(ctx, k, lookups, len(listed))
     else:
         listed = [(a, ctx.zero, ctx.zero, d) for a in units for d in units]
-    g_el = Element.monomial(ctx, 0, 0, 1)
-    stars = (StarStructure("raw", ctx, g_el, *_matrix_images(ctx, a)) for a in listed)
+    stars = (GeneratorMap.from_matrix("raw", ctx, a) for a in listed)
     return [st for st in stars if verify_star_axioms(st).all_passed]
 
 
@@ -287,7 +225,7 @@ def _check_scan_cost(ctx, k, lookups, structures):
     """Refuse a scan whose matrix lookups and verified structures cost more
     than ``MAX_SCAN_COST`` (its comment gives the weights)."""
     cost = (lookups * 8 * (ctx.degree + 56)
-            + structures * (ctx.n + 30) * (ctx.degree + 512))
+            + structures * 8 * (ctx.n.bit_length() + 5) * (ctx.degree + 200))
     if cost > MAX_SCAN_COST:
         raise KernelError(
             f"scan of {k} grid values at n={ctx.n}, m={ctx.m} costs {cost} "

@@ -141,7 +141,7 @@ def _cmd_antipode_order(args, ctx):
 def _cmd_star_apply(args, ctx):
     [st] = _load_stars(ctx, args.star)
     star.require_extension(st)
-    return _emit_element(args, star.apply_star(
+    return _emit_element(args, star.apply_map(
         st, parser.parse_element(args.expr, st.ctx)))
 
 
@@ -175,8 +175,8 @@ def _cmd_grouplike(args, ctx):
     return 0 if verdict else 1
 
 
-def _emit_equivalence(args, result):
-    _emit(args, lambda: jsonio.equivalence_to_json(result), lambda: "equivalent")
+def _emit_equivalence(args, phi):
+    _emit(args, lambda: jsonio.equivalence_to_json(phi), lambda: "equivalent")
     return 0
 
 
@@ -185,8 +185,7 @@ def _cmd_equiv_diag(args, ctx):
         raise KernelError("equiv diag applies to n > 2; use equiv n2 for n = 2")
     st = star.make_star_diag(ctx, parser.parse_scalar(args.alpha, ctx),
                              parser.parse_scalar(args.beta, ctx))
-    phi = classify.equivalence_witness_diag(st)
-    return _emit_equivalence(args, classify.EquivalenceResult(True, phi))
+    return _emit_equivalence(args, classify.equivalence_witness_diag(st))
 
 
 def _cmd_equiv_n2(args, ctx):

@@ -60,10 +60,8 @@ from .algebra import (
     Element,
     Monomial,
     SparseTerms,
-    _first_counterexample,
     _mono_mul_parts,
-    _product_law,
-    relation_pairs,
+    _relation_counterexample,
 )
 from .errors import KernelError
 
@@ -267,8 +265,7 @@ def antipode_order(ctx):
     exactly when c^j = 1 for every c.  An odd power of S is an
     anti-homomorphism, which the identity is not, since xg = w gx != gx.
     """
-    if _first_counterexample("pair", relation_pairs(ctx), _product_law(
-            ctx, antipode, mul, anti=True)) is not None:
+    if _relation_counterexample(ctx, antipode, mul, anti=True) is not None:
         raise KernelError("the antipode is not antimultiplicative")
     order = 1
     for b in GENERATOR_MONOMIALS:

@@ -110,18 +110,23 @@ def tensor_to_json(t):
     return {"context": context_to_json(t.ctx), "terms": terms}
 
 
-def star_to_json(st):
-    out = {"kind": st.kind, "context": context_to_json(st.ctx)}
-    if st.kind == "diag":
-        out["alpha"] = scalar_to_json(st.alpha)
-        out["beta"] = scalar_to_json(st.beta)
-    elif st.kind == "matrix2":
-        out["a"] = [scalar_to_json(c) for c in st.matrix]
+def _map_to_json(f, diag_keys, matrix_key):
+    """A generator map: its diag(a, b) under ``diag_keys``, its 2x2 matrix
+    under ``matrix_key``, or its raw images."""
+    out = {"kind": f.kind, "context": context_to_json(f.ctx)}
+    if f.kind == "diag":
+        for key, c in zip(diag_keys, f.matrix[::3]):
+            out[key] = scalar_to_json(c)
+    elif f.kind == "matrix2":
+        out[matrix_key] = [scalar_to_json(c) for c in f.matrix]
     else:
-        out["g_img"] = element_to_json(st.g_img)
-        out["x_img"] = element_to_json(st.x_img)
-        out["y_img"] = element_to_json(st.y_img)
+        for key in ("g_img", "x_img", "y_img"):
+            out[key] = element_to_json(getattr(f, key))
     return out
+
+
+def star_to_json(st):
+    return _map_to_json(st, ("alpha", "beta"), "a")
 
 
 def star_context(obj):
@@ -212,23 +217,10 @@ def report_to_json(report):
     return {"checks": checks}
 
 
-def automorphism_to_json(phi):
-    out = {"kind": phi.kind, "context": context_to_json(phi.ctx)}
-    if phi.kind == "diag":
-        out["lambda1"] = scalar_to_json(phi.lambda1)
-        out["lambda2"] = scalar_to_json(phi.lambda2)
-    else:
-        out["lambda"] = [scalar_to_json(c) for c in phi.matrix]
-    return out
-
-
-def equivalence_to_json(result):
-    return {
-        "equivalent": result.equivalent,
-        "witness": automorphism_to_json(result.witness)
-        if result.witness is not None
-        else None,
-    }
+def equivalence_to_json(phi):
+    """The answer "equivalent", carried by its verified witness phi."""
+    return {"equivalent": True,
+            "witness": _map_to_json(phi, ("lambda1", "lambda2"), "lambda")}
 
 
 def skew_to_json(vectors):

@@ -21,16 +21,13 @@ with ints, is built from anything with ``numerator`` and ``denominator``
 view use ``fractions``, which loads ``decimal`` and ``numbers`` with it.
 
 Multiplication is memoized per context, because the verifiers multiply
-the same few roots of unity over and over (measured in-process):
+the same few roots of unity over and over (measured in-process, a fresh
+context per call):
 
     command or workload                       products   memo hit ratio
-    benchmark ops (seed 1, mean per op)        51-288      0.76-0.89
-    --n 3 scan                                 30 638      1.00
-    --n 128 verify hopf, q-Pascal top rows     17 182      0.06
-    --n 128 verify hopf, closed top rows        1 180      0.70
-
-With the q-Pascal top rows the memo also held 93 MB at n = 128, against
-15 MB without it; the closed rows need 15 MB either way.
+    benchmark ops (seed 1, mean per op)        44-184      0.72-0.87
+    --n 3 scan                                 13 757      0.99
+    --n 128 verify hopf                         1 181      0.70
 """
 
 from __future__ import annotations
@@ -56,32 +53,40 @@ MAX_INPUT_DIGITS = 1000
 
 # Most work ``classify.scan_star_candidates`` takes on, in cost units
 # counted before the work is done.  Verifying one listed structure costs
-# (n + 30)(phi(m) + 512) units and one lookup of the n = 2 matrix listing
-# costs 8 (phi(m) + 56).  Of k grid values, the u of norm one list u^2
-# structures for n > 2; at n = 2 the k (k + u) listing lookups are
-# counted first, and the matrices found once listed, before they are
-# verified.  A unit took 0.04-0.11 us in these scans of 0 and k - 1 roots
-# of unity, and 0.02 us at n = 255, where the Hopf relation certificate,
-# derived once per context, no longer grows with the structures
-# (in-process after a warm-up scan; Python 3.11, 2-core shared VM):
+# 8 (b + 5)(phi(m) + 200) units, b the bit length of n, and one lookup of
+# the n = 2 matrix listing costs 8 (phi(m) + 56).  Of k grid values, the
+# u of norm one list u^2 structures for n > 2; at n = 2 the k (k + u)
+# listing lookups are counted first, and the matrices found once listed,
+# before they are verified.  A structure's cost grows with log n, not n:
+# the Hopf certificate is derived once per context, and the relation
+# pairs (x^(n-1), x), (y^(n-1), y) raise the images to the power n - 1 by
+# squaring.  Measured per structure as the slope between a small scan
+# and one of 0 and k - 1 roots of unity, each in a fresh process, best of
+# three (Python 3.11, 2-core shared VM):
 #
-#       n     m  phi(m)   k  structures  seconds  units
-#       3    12     4    13     144        0.15    2.5M
-#       5    20     8    21     400        0.44    7.3M
-#      12    12     4    13     144        0.17    3.1M
-#      51   204    64    16     225        0.42   10.5M
-#      12  1020   256    16     225        0.75    7.3M
-#     102  1020   256    19     324        1.33   32.8M
-#     255  1020   256    13     144        0.64   31.5M
-#       2     4     2     5      52        0.05    0.9M
-#       2    24     8    25    1752        1.45   29.8M
-#       2   120    32    16     240        0.20    4.5M
-#       2  1024   512     5      20        0.08    0.9M
+#        n     m  phi(m)  ms/structure  units   us/unit
+#        3    12     4       1.25      11 424    0.109
+#       12    12     4       1.30      14 688    0.089
+#        5    20     8       1.25      13 312    0.094
+#        3   120    32       1.29      12 992    0.099
+#       51   204    64       2.07      23 232    0.089
+#       12  1020   256       3.49      32 832    0.106
+#      102  1020   256       4.55      43 776    0.104
+#      255  1020   256       4.92      47 424    0.104
+#     1020  1020   256       5.89      54 720    0.108
+#        4  1024   512       5.41      45 568    0.119
+#     1024  1024   512       8.12      91 136    0.089
+#        2     4     2       1.38      11 312    0.122
+#        2    24     8       1.29      11 648    0.111
+#        2  1024   512       4.89      39 872    0.123
 #
-# The limit admits `--n 3 scan`, `--n 5 scan` and the 25 values of
-# `--n 2 --m 24 scan`, and it refuses 21 values, 20 of norm one, at
-# n = 102, m = 1020 (40.6M units) and 294 integers at n = 2 (40.2M) up
-# front.
+# A lookup took 0.04-0.07 us per unit (n = 2 on 150-290 integers, m = 4,
+# 120, 1024).  The certificate itself is not priced: it is paid once, as
+# by `verify hopf` (1.0 s at n = 1020).  The limit admits `--n 3 scan`,
+# `--n 5 scan`, the 25 values of `--n 2 --m 24 scan` (21.0M units) and 21
+# values, 20 of norm one, at m = 1020 with n = 102 (17.5M, 2.0 s end to
+# end) or n = 1020 (21.9M, 3.5 s); it refuses 32 values at n = 102
+# (42.1M) and 294 integers at n = 2 (40.2M) up front.
 MAX_SCAN_COST = 40_000_000
 
 # Most field coordinates ``radford delta`` may compute, counted by

@@ -1,7 +1,15 @@
-"""Star structures on H_n and the axiom verifier.
+"""Generator maps of H_n: star structures, Hopf automorphisms, verifiers.
 
-A star structure is a conjugate-linear map determined by generator
-images.  Three kinds are supported:
+A star structure and a Hopf automorphism fixing g are both given by
+their images of g, x and y (``GeneratorMap``) and extended along the
+canonical words y^r x^s g^l:
+
+* a star * conjugate-linearly and antimultiplicatively,
+  y^r x^s g^l -> (g*)^l (x*)^s (y*)^r;
+* an automorphism phi linearly and multiplicatively,
+  y^r x^s g^l -> phi(y)^r phi(x)^s g^l.
+
+Three kinds of star structure are supported:
 
 * ``diag``:     g -> g, x -> alpha*x, y -> beta*y with |alpha| = |beta| = 1
                 (valid for every n).
@@ -10,6 +18,8 @@ images.  Three kinds are supported:
 * ``raw``:      arbitrary candidate images with no validity promise, so
                 that impossibility arguments become executable negative
                 tests.
+
+``classify`` builds the automorphisms, of kind ``diag`` or ``matrix2``.
 
 ``verify_star_axioms`` decides the five defining conditions for all of
 H_n by checking them on the six relation pairs and on g, x, y, and
@@ -28,12 +38,10 @@ from .algebra import (
     GENERATOR_MONOMIALS,
     Counterexample,
     Element,
-    Monomial,
-    _first_counterexample,
     _map_law,
-    _product_law,
+    _on_generators,
+    _relation_counterexample,
     _unequal,
-    relation_pairs,
 )
 from .coalgebra import (
     antipode,
@@ -46,47 +54,86 @@ from .coalgebra import (
 from .errors import InvalidStarStructureError, KernelError
 
 
-class StarStructure:
-    """Generator images defining a candidate or validated star map."""
+class GeneratorMap:
+    """A star structure or an automorphism, given by its images of g, x, y.
 
-    __slots__ = ("kind", "ctx", "g_img", "x_img", "y_img", "alpha", "beta",
-                 "matrix", "_mono_cache")
+    ``matrix`` is (a11, a12, a21, a22), row-major, for a map built as
+    x -> a11 x + a12 y, y -> a21 x + a22 y (``from_matrix``): every
+    ``diag`` map, whose diag(alpha, beta) is (alpha, 0, 0, beta), every
+    ``matrix2`` map and the structures ``scan`` lists.
+    """
 
-    def __init__(self, kind, ctx, g_img, x_img, y_img,
-                 alpha=None, beta=None, matrix=None):
+    __slots__ = ("kind", "ctx", "g_img", "x_img", "y_img", "matrix", "is_star",
+                 "_mono_cache")
+
+    def __init__(self, kind, ctx, g_img, x_img, y_img, matrix=None, is_star=True):
         self.kind = kind
         self.ctx = ctx
         self.g_img = g_img
         self.x_img = x_img
         self.y_img = y_img
-        self.alpha = alpha
-        self.beta = beta
         self.matrix = matrix
+        self.is_star = is_star
         self._mono_cache = {}
 
-    def __eq__(self, other):
-        if not isinstance(other, StarStructure):
-            return NotImplemented
-        return (self.kind, self.g_img, self.x_img, self.y_img) \
-            == (other.kind, other.g_img, other.x_img, other.y_img)
+    @classmethod
+    def from_matrix(cls, kind, ctx, matrix, is_star=True):
+        """g -> g, x -> a11 x + a12 y, y -> a21 x + a22 y."""
+        a11, a12, a21, a22 = matrix
+        _, x, y = GENERATOR_MONOMIALS
+        return cls(kind, ctx, Element.monomial(ctx, 0, 0, 1),
+                   Element(ctx, {x: a11, y: a12}), Element(ctx, {x: a21, y: a22}),
+                   tuple(matrix), is_star)
 
-    def __hash__(self):
-        return hash((self.kind, self.g_img, self.x_img, self.y_img))
+    def __eq__(self, other):
+        """Same kind and role, and the same images of g, x, y."""
+        if not isinstance(other, GeneratorMap):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k)
+                   for k in ("kind", "is_star", "g_img", "x_img", "y_img"))
 
     def __repr__(self):
-        return f"StarStructure(kind={self.kind!r}, n={self.ctx.n}, m={self.ctx.m})"
+        role = "star" if self.is_star else "automorphism"
+        return f"GeneratorMap({role}, kind={self.kind!r}, n={self.ctx.n}, m={self.ctx.m})"
 
-    def star_of_monomial(self, mono):
-        """(g*)^l (x*)^s (y*)^r, cached per structure; zero exponents skipped."""
+    def of_monomial(self, mono):
+        """Image of y^r x^s g^l, cached per map; zero exponents skipped:
+        (g*)^l (x*)^s (y*)^r for a star, phi(y)^r phi(x)^s phi(g)^l else."""
         hit = self._mono_cache.get(mono)
         if hit is None:
-            pairs = ((self.g_img, mono.l), (self.x_img, mono.s), (self.y_img, mono.r))
-            powers = [img ** k for img, k in pairs if k]
+            pairs = ((self.y_img, mono.r), (self.x_img, mono.s), (self.g_img, mono.l))
+            powers = [img ** k for img, k in (pairs[::-1] if self.is_star else pairs)
+                      if k]
             hit = powers[0] if powers else Element.one(self.ctx)
             for p in powers[1:]:
                 hit = hit * p
             self._mono_cache[mono] = hit
         return hit
+
+    def relation_counterexample(self):
+        """First relation pair (a, b) with f(ab) != f(a) f(b), or f(b) f(a)
+        for a star.  None means the map is an algebra map, or for a star a
+        conjugate-linear anti-homomorphism, on all of H_n."""
+        return _relation_counterexample(
+            self.ctx, lambda e: apply_map(self, e), mul, self.is_star)
+
+
+def apply_map(f, e):
+    """f(e): ``of_monomial`` extended linearly, conjugate-linearly for a star."""
+    acc = Element.zero(f.ctx)
+    for mono, c in e.terms.items():
+        acc = acc + f.of_monomial(mono).scale(c.conjugate() if f.is_star else c)
+    return acc
+
+
+def _coproduct_law(f):
+    """Check of D(f(b)) = (f (x) f)D(b) on a basis monomial b."""
+
+    def image(e):
+        return apply_map(f, e)
+
+    return _map_law(f.ctx, lambda e: delta(image(e)),
+                    lambda e: tensor_map(delta(e), image, image))
 
 
 def make_star_diag(ctx, alpha, beta):
@@ -95,9 +142,7 @@ def make_star_diag(ctx, alpha, beta):
         raise InvalidStarStructureError("alpha fails the norm-one precondition")
     if not beta.is_norm_one():
         raise InvalidStarStructureError("beta fails the norm-one precondition")
-    return StarStructure("diag", ctx, Element.monomial(ctx, 0, 0, 1),
-                         Element.monomial(ctx, 0, 1, 0, alpha),
-                         Element.monomial(ctx, 1, 0, 0, beta), alpha=alpha, beta=beta)
+    return GeneratorMap.from_matrix("diag", ctx, (alpha, ctx.zero, ctx.zero, beta))
 
 
 def _star_matrix_defect(entries):
@@ -109,13 +154,6 @@ def _star_matrix_defect(entries):
             if got != int(i == j):
                 return i + 1, j + 1
     return None
-
-
-def _matrix_images(ctx, entries):
-    """(a11 x + a12 y, a21 x + a22 y) for ``entries`` (a11, a12, a21, a22)."""
-    a11, a12, a21, a22 = entries
-    return (Element(ctx, {Monomial(0, 1, 0): a11, Monomial(1, 0, 0): a12}),
-            Element(ctx, {Monomial(0, 1, 0): a21, Monomial(1, 0, 0): a22}))
 
 
 def make_star_matrix(ctx, entries):
@@ -131,21 +169,12 @@ def make_star_matrix(ctx, entries):
     if bad is not None:
         raise InvalidStarStructureError(
             f"conj(A)A differs from I2 at entry ({bad[0]},{bad[1]})")
-    return StarStructure("matrix2", ctx, Element.monomial(ctx, 0, 0, 1),
-                         *_matrix_images(ctx, entries), matrix=tuple(entries))
+    return GeneratorMap.from_matrix("matrix2", ctx, entries)
 
 
 def make_star_raw(ctx, g_img, x_img, y_img):
     """Unvalidated candidate images, for feeding to the verifier."""
-    return StarStructure("raw", ctx, g_img, x_img, y_img)
-
-
-def apply_star(st, e):
-    """Conjugate-linear antimultiplicative extension of the images."""
-    acc = Element.zero(st.ctx)
-    for mono, c in e.terms.items():
-        acc = acc + st.star_of_monomial(mono).scale(c.conjugate())
-    return acc
+    return GeneratorMap("raw", ctx, g_img, x_img, y_img)
 
 
 class CheckResult(NamedTuple):
@@ -168,21 +197,10 @@ def _report(named_counterexamples):
     ))
 
 
-def _antimult_counterexample(st):
-    """First relation pair (a, b) with (ab)* != b* a*.
-
-    ``apply_star`` is the conjugate-linear antimultiplicative extension of
-    the generator images, so None means * is antimultiplicative on H_n.
-    """
-    ctx = st.ctx
-    return _first_counterexample("pair", relation_pairs(ctx), _product_law(
-        ctx, lambda e: apply_star(st, e), mul, anti=True))
-
-
 def require_extension(st):
     """Refuse a ``raw`` st whose images break a relation pair, as they extend
     to no star map; ``diag`` and ``matrix2`` images respect the relations."""
-    ce = _antimult_counterexample(st) if st.kind == "raw" else None
+    ce = st.relation_counterexample() if st.kind == "raw" else None
     if ce is not None:
         raise InvalidStarStructureError("the star images break antimultiplicativity "
                                         "at ({}, {})".format(*ce.location[1]))
@@ -205,20 +223,14 @@ def _hopf_certificate(ctx):
     it, so a failure is a kernel fault, raised as ``KernelError`` with the
     law and its pair, not a verdict.
     """
-    laws = (("delta_multiplicative", _product_law(ctx, delta, tensor_mul)),
-            ("counit_multiplicative", _product_law(ctx, _scalar_map(ctx, counit), mul)),
-            ("antipode_antimultiplicative",
-             _product_law(ctx, antipode, mul, anti=True)))
-    for name, law in laws:
-        ce = _first_counterexample("pair", relation_pairs(ctx), law)
+    laws = (("delta_multiplicative", delta, tensor_mul, False),
+            ("counit_multiplicative", _scalar_map(ctx, counit), mul, False),
+            ("antipode_antimultiplicative", antipode, mul, True))
+    for name, f, product, anti in laws:
+        ce = _relation_counterexample(ctx, f, product, anti)
         if ce is not None:
             raise KernelError("D, e or S fails its relation check: "
                               "{} at ({}, {})".format(name, *ce.location[1]))
-
-
-def _on_generators(check):
-    """First failure of ``check`` among g, x, y."""
-    return _first_counterexample("monomial", GENERATOR_MONOMIALS, check)
 
 
 def verify_star_axioms(st):
@@ -239,19 +251,18 @@ def verify_star_axioms(st):
     _hopf_certificate(ctx)
 
     def star(e):
-        return apply_star(st, e)
+        return apply_map(st, e)
 
     def on_generators(lhs, rhs):
         return _on_generators(_map_law(ctx, lhs, rhs))
 
-    anti_ce = _antimult_counterexample(st)
+    anti_ce = st.relation_counterexample()
     checks = [("antimultiplicative", anti_ce)]
     if anti_ce is None:
         checks = [
             ("involution", on_generators(lambda e: star(star(e)), lambda e: e)),
             *checks,
-            ("delta_compatible", on_generators(
-                lambda e: delta(star(e)), lambda e: tensor_map(delta(e), star, star))),
+            ("delta_compatible", _on_generators(_coproduct_law(st))),
             ("antipode_compatible", on_generators(
                 lambda e: antipode(star(antipode(star(e)))), lambda e: e)),
         ]

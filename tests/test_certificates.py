@@ -20,13 +20,14 @@ from math import lcm
 import pytest
 
 from oracles import antipode_order_oracle, basis, equivalence_oracle, failed_names, \
-    generators, hopf_oracle, inject_coproduct, named_check, star_oracle, \
+    generators, hopf_oracle, inject_coproduct, map_oracle, named_check, star_oracle, \
     x_primitive_delta
 from radford import jsonio
 from radford.algebra import Element, Monomial
 from radford.classify import (
     equivalence_witness_diag,
     make_automorphism_diag,
+    make_automorphism_matrix,
     solve_equivalence_n2,
     verify_equivalence,
 )
@@ -34,7 +35,8 @@ from radford.coalgebra import TensorElement, antipode, antipode_order, counit, d
 from radford.errors import InvalidStarStructureError, KernelError
 from radford.scalars import FieldContext, make_context
 from radford.star import (
-    apply_star,
+    GeneratorMap,
+    apply_map,
     make_star_diag,
     make_star_matrix,
     make_star_raw,
@@ -94,6 +96,38 @@ def raw_candidates(ctx):
     ]
 
 
+def generator_maps(ctx):
+    """A diag, a matrix2 (n = 2 only) and a raw map, each as a star and as
+    an automorphism; the raw images break relation pairs."""
+    g, x, y = generators(ctx)
+    one, i = ctx.one, ctx.i()
+    a = (ctx.from_int(3) + ctx.from_int(4) * i) * ctx.from_fraction(Fraction(1, 5))
+    maps = [make_star_diag(ctx, ctx.zeta(1), a),
+            make_automorphism_diag(ctx, ctx.from_int(2), one + ctx.zeta(1))]
+    if ctx.n == 2:
+        maps += [make_star_matrix(ctx, (ctx.zero, one + i,
+                                        (one + i) * ctx.from_fraction(Fraction(1, 2)),
+                                        ctx.zero)),
+                 make_automorphism_matrix(ctx, (one, i, ctx.from_int(2), ctx.zero))]
+    raw = (g * g + x.scale(a), x + y.scale(ctx.zeta(1)) + g, y * x + Element.one(ctx) - g)
+    return maps + [GeneratorMap("raw", ctx, *raw),
+                   GeneratorMap("raw", ctx, *raw, is_star=False)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_map_extension_matches_oracle(n):
+    # The oracle multiplies the images letter by letter along each word; a
+    # coefficient 2 + i tells conjugate-linear from linear.
+    ctx = make_context(n)
+    maps = generator_maps(ctx)
+    assert len({(f.kind, f.is_star) for f in maps}) == len(maps) == (6 if n == 2 else 4)
+    c = ctx.from_int(2) + ctx.i()
+    for f in maps:
+        for b in basis(ctx):
+            e = Element(ctx, {b: c})
+            assert apply_map(f, e) == map_oracle(f, e), (f, b)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_counit_conjugate_counterexample_is_the_first_on_the_basis(n):
     # counit_conjugate runs on g, x, y even when * is not
@@ -110,7 +144,7 @@ def test_counit_conjugate_counterexample_is_the_first_on_the_basis(n):
         first = None
         for b in basis(ctx):
             e = Element.monomial(ctx, *b)
-            lhs = Element.from_scalar(ctx, counit(apply_star(st, e)))
+            lhs = Element.from_scalar(ctx, counit(apply_map(st, e)))
             rhs = Element.from_scalar(ctx, counit(e).conjugate())
             if lhs != rhs:
                 first = (("monomial", b), lhs, rhs)
@@ -227,9 +261,7 @@ def test_n2_witnesses_match_oracle():
     stars = matrix_witnesses(make_context(2))
     for st_a in stars:
         for st_b in stars:
-            phi = solve_equivalence_n2(st_a, st_b).witness
-            if phi is None:
-                continue
+            phi = solve_equivalence_n2(st_a, st_b)
             for a, b in ((st_a, st_b), (st_b, st_a)):
                 assert verify_equivalence(phi, a, b) \
                     == equivalence_oracle(phi, a, b)

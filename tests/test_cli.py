@@ -94,7 +94,7 @@ class TestJsonRoundTrips:
         obj = jsonio.star_to_json(make_star_diag(ctx, ctx.omega(), ctx.from_int(-1)))
         st = jsonio.star_from_json(obj, big)
         assert st.ctx is big
-        assert st.alpha == ctx.omega().embed(big)
+        assert st.matrix[0] == ctx.omega().embed(big)
         assert verify_star_axioms(st).all_passed
         # 36 is not a multiple of 24, and 6 is another order.
         obj = jsonio.star_to_json(make_star_diag(big, big.zeta(1), big.one))
@@ -546,14 +546,14 @@ class TestCommands:
         assert p.returncode == 0
         assert p.stdout.startswith("survivors 16\n")
 
-    # 121 values at n = 3 (120^2 structures of 33 * 544 units, one per
-    # pair of norm-one values), 21 at n = 102, m = 1020 (20^2 structures of
-    # 132 * 768 units), and 294 at n = 2, where the 294 * 295 listing
+    # 121 values at n = 3 (120^2 structures of 8 * 7 * 232 units, one per
+    # pair of norm-one values), 32 at n = 102, m = 1020 (31^2 structures of
+    # 8 * 12 * 456 units), and 294 at n = 2, where the 294 * 295 listing
     # lookups alone cost 8 * 58 units each (1 is the only norm-one value).
     @pytest.mark.parametrize("args, size, m, cost", [
-        (("--n", "3", "--m", "120", "scan"), 121, 120, 258508800),
+        (("--n", "3", "--m", "120", "scan"), 121, 120, 187084800),
         (("--n", "102", "--m", "1020", "scan", "--grid=" + ",".join(
-            ["0", "1"] + [f"z^{k}" for k in range(1, 20)])), 21, 1020, 40550400),
+            ["0", "1"] + [f"z^{k}" for k in range(1, 31)])), 32, 1020, 42068736),
         (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(294))),
          294, 4, 40242720),
     ])

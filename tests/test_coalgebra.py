@@ -4,6 +4,7 @@ import pytest
 
 from oracles import antipode_oracle, basis, delta_oracle, generators, \
     qbinom_pascal_oracle
+from radford import coalgebra, star
 from radford.algebra import Element, Monomial
 from radford.coalgebra import (
     TensorElement,
@@ -18,7 +19,8 @@ from radford.coalgebra import (
     tensor_of,
     triple_delta_sides,
 )
-from radford.scalars import make_context
+from radford.errors import KernelError
+from radford.scalars import FieldContext, make_context
 
 
 class TestQBinom:
@@ -237,6 +239,17 @@ class TestAntipode:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_order_is_twice_n(self, n):
         assert antipode_order(make_context(n)) == 2 * n
+
+    def test_order_refuses_a_non_antimultiplicative_antipode(self, monkeypatch):
+        # S = id fails the pair (g, x), as xg = w^-1 gx.  The order checks S
+        # alone: it derives no Hopf certificate of ``star``, passing or not.
+        ctx = FieldContext(4, 4)
+        before = star._hopf_certificate.cache_info()
+        assert antipode_order(ctx) == 8
+        monkeypatch.setattr(coalgebra, "antipode", lambda e: e)
+        with pytest.raises(KernelError, match="the antipode is not antimultiplicative"):
+            antipode_order(ctx)
+        assert star._hopf_certificate.cache_info() == before
 
     def test_antimultiplicative_on_basis_pairs(self):
         for n in (2, 3, 4):

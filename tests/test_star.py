@@ -14,7 +14,7 @@ from radford import star
 from radford.classify import scan_star_candidates
 from radford.scalars import FieldContext, make_context
 from radford.star import (
-    apply_star,
+    apply_map,
     make_star_diag,
     make_star_matrix,
     make_star_raw,
@@ -69,7 +69,7 @@ class TestApplyStar:
         g, x, y = generators(ctx)
         alpha = ctx.omega()
         st = make_star_diag(ctx, alpha, ctx.one)
-        assert apply_star(st, x * g) == (x * g).scale(alpha * ctx.omega(-1))
+        assert apply_map(st, x * g) == (x * g).scale(alpha * ctx.omega(-1))
 
     def test_matrix_star_swaps_with_scale(self):
         ctx = make_context(2)
@@ -79,22 +79,22 @@ class TestApplyStar:
              ctx.zero),
         )
         x = Element.monomial(ctx, 0, 1, 0)
-        first = apply_star(st, x)
+        first = apply_map(st, x)
         assert first == Element.monomial(ctx, 1, 0, 0, ctx.from_int(2))
-        assert apply_star(st, first) == x
+        assert apply_map(st, first) == x
 
     def test_scalars_are_conjugated(self):
         ctx = make_context(3)
         st = make_star_diag(ctx, ctx.one, ctx.one)
         e = Element.from_scalar(ctx, ctx.i())
-        assert apply_star(st, e) == Element.from_scalar(ctx, -ctx.i())
+        assert apply_map(st, e) == Element.from_scalar(ctx, -ctx.i())
 
     def test_double_application_is_identity_on_basis(self):
         ctx = make_context(3)
         st = make_star_diag(ctx, ctx.omega(2), ctx.zeta(5))
         for b in basis(ctx):
             eb = Element(ctx, {b: ctx.one})
-            assert apply_star(st, apply_star(st, eb)) == eb
+            assert apply_map(st, apply_map(st, eb)) == eb
 
     def test_images_satisfy_transported_relations(self):
         # Applying the star to both sides of xg = w gx gives
@@ -112,7 +112,7 @@ class TestApplyStar:
         st = make_star_diag(ctx, ctx.omega(), ctx.zeta(2))
 
         def twice(e):
-            return apply_star(st, apply_star(st, e))
+            return apply_map(st, apply_map(st, e))
 
         for a in basis(ctx):
             ea = Element(ctx, {a: ctx.one})
@@ -184,7 +184,7 @@ class TestVerifyStarAxioms:
         g, x, y = generators(ctx)
 
         def star(e):
-            return apply_star(st, e)
+            return apply_map(st, e)
 
         assert tensor_map(delta(x), star, star) == delta(star(x))
 
@@ -222,7 +222,7 @@ class TestOneContext:
         big = make_context(3, 24)
         st = make_star_diag(big, big.omega(), big.one)
         with pytest.raises(ContextMismatchError):
-            apply_star(st, Element.monomial(ctx, 0, 1, 0))
+            apply_map(st, Element.monomial(ctx, 0, 1, 0))
 
 
 class TestHopfCertificateOnce:
