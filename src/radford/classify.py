@@ -1,20 +1,19 @@
 """Classification machinery: equivalence of star structures and ``scan``.
 
-Covers four jobs:
+Covers three jobs:
 
-* Hopf algebra automorphisms of H_n fixing g, as ``star.GeneratorMap``s,
-  either diagonal rescalings (any n) or arbitrary invertible 2x2 mixes
-  of x and y (n = 2 only); construction re-verifies the defining relations and the coproduct
-  condition on generators instead of assuming them.
-* Witness construction: for n > 2 every diagonal structure diag(alpha,
-  beta) is carried to the trivial one by phi = diag(l(alpha), l(beta))
-  with l(a) = (1 + conj(a))/2, or l(-1) = i.  This is the Cayley form of
-  Hilbert's Theorem 90: conj(l(a)) = a l(a) for every norm-one a, so the
-  witness lives in the input's own field and needs no square root.
-* The n = 2 witness, Hilbert's Theorem 90 for GL_2: for every A with
+* Hopf algebra automorphisms of H_n fixing g, as ``star.GeneratorMap``s
+  built from an invertible 2x2 matrix: diagonal rescalings of x and y
+  at any n, and arbitrary mixes of x and y at n = 2 only; construction
+  re-verifies the defining relations and the coproduct condition on
+  generators instead of assuming them.
+* The witness, Hilbert's Theorem 90 for GL_2: for every A with
   conj(A) A = I some L_c = c I + conj(c) conj(A), c in (1, i, 1 + i), is
   invertible and has A L_c = conj(L_c), so L_A L_B^-1 carries A to B and
-  all n = 2 structures are equivalent.
+  all structures of kind diag or matrix2 are equivalent.  For a diagonal
+  A = diag(alpha, beta) this is the Cayley form l(a) = (1 + conj(a))/2,
+  L_A / 2 = diag(l(alpha), l(beta)) when neither is -1.  The witness lives
+  in the input's own field and needs no square root.
 * ``scan``: the star structures among lemma-shaped candidates on a
   grid, found by listing the grid points of the paper's family and
   verifying each one (README, "Why scan lists the paper's family").
@@ -30,9 +29,9 @@ from itertools import product
 
 from .algebra import _map_law, _on_generators
 from .errors import InvalidAutomorphismError, KernelError
-from .scalars import MAX_SCAN_COST, CyclotomicScalar
+from .scalars import MAX_SCAN_COST
 from .star import GeneratorMap, _coproduct_law, _star_matrix_defect, apply_map, \
-    make_star_diag, require_extension, verify_star_axioms
+    require_extension, verify_star_axioms
 
 
 def _verify_hopf_map(phi):
@@ -49,27 +48,18 @@ def _verify_hopf_map(phi):
     return phi
 
 
-def make_automorphism_diag(ctx, lambda1, lambda2):
-    """phi(g) = g, phi(x) = lambda1 x, phi(y) = lambda2 y; lambdas nonzero."""
-    if not lambda1 or not lambda2:
-        raise InvalidAutomorphismError("diagonal automorphism needs nonzero scalars")
-    return _verify_hopf_map(GeneratorMap.from_matrix(
-        "diag", ctx, (lambda1, ctx.zero, ctx.zero, lambda2), is_star=False))
+def make_automorphism(ctx, matrix):
+    """phi(g) = g, phi(x) = l11 x + l12 y, phi(y) = l21 x + l22 y.
 
-
-def make_automorphism_matrix(ctx, entries):
-    """n = 2 automorphism mixing x and y by an invertible matrix.
-
-    ``entries`` is (l11, l12, l21, l22) row-major; phi(x) = l11 x + l12 y
-    and phi(y) = l21 x + l22 y.
+    ``matrix`` is (l11, l12, l21, l22), row-major, and must be invertible.
+    The map is of kind ``matrix2`` at n = 2 and ``diag`` otherwise: for
+    n > 2 the relation pairs (g, x) and (g, y) refuse any mix of x and y,
+    since g x = w^-1 x g, g y = w y g and w != w^-1.
     """
-    if ctx.n != 2:
-        raise InvalidAutomorphismError(
-            f"matrix automorphisms require n = 2, got n = {ctx.n}")
-    if not _det(entries):
+    if not _det(matrix):
         raise InvalidAutomorphismError("matrix is singular")
     return _verify_hopf_map(GeneratorMap.from_matrix(
-        "matrix2", ctx, entries, is_star=False))
+        "matrix2" if ctx.n == 2 else "diag", ctx, matrix, is_star=False))
 
 
 def verify_equivalence(phi, st_a, st_b):
@@ -86,36 +76,6 @@ def verify_equivalence(phi, st_a, st_b):
     return _on_generators(_map_law(
         phi.ctx, lambda e: apply_map(phi, apply_map(st_a, e)),
         lambda e: apply_map(st_b, apply_map(phi, e)))) is None
-
-
-def _cayley(a):
-    """l with conj(l) = a * l for a norm-one scalar a, in a's own field.
-
-    l = (1 + conj(a))/2 gives conj(l) = (1 + a)/2 = a * l because
-    a conj(a) = 1; it vanishes only at a = -1, where l = i works.
-    """
-    if a == -1:
-        return a.ctx.i()
-    twice = a.ctx.one + a.conjugate()
-    return CyclotomicScalar(a.ctx, twice.num, 2 * twice.den)
-
-
-def equivalence_witness_diag(st_a):
-    """Automorphism carrying diag(alpha, beta) to the trivial diag(1, 1).
-
-    Needs n > 2.  The witness diag(l(alpha), l(beta)) of ``_cayley``
-    lives in the structure's own context, and it has already passed
-    verify_equivalence when it is returned.
-    """
-    ctx = st_a.ctx
-    if ctx.n <= 2:
-        raise KernelError("diagonal witnesses apply to n > 2 only")
-    if st_a.kind != "diag":
-        raise KernelError("expected a diagonal star structure")
-    phi = make_automorphism_diag(ctx, *map(_cayley, st_a.matrix[::3]))
-    if not verify_equivalence(phi, st_a, make_star_diag(ctx, ctx.one, ctx.one)):
-        raise KernelError("constructed witness failed verification")
-    return phi
 
 
 def _det(m):
@@ -140,15 +100,16 @@ def _cayley_matrix(ctx, a):
     raise KernelError("matrix star structure has conj(A)A != I")
 
 
-def solve_equivalence_n2(st_a, st_b):
-    """Verified witness carrying one n = 2 matrix structure to another.
+def equivalence_witness(st_a, st_b):
+    """Verified automorphism carrying st_a to st_b, each of kind diag or matrix2.
 
     Lambda = L_A L_B^-1 of ``_cayley_matrix`` solves A Lambda =
     conj(Lambda) B, because conj(L_B) = B L_B (README, "Why equivalence
-    needs no square roots and no search").
+    needs no square roots and no search").  A ``raw`` structure carries
+    no conj(A) A = I promise and is refused.
     """
-    if st_a.kind != "matrix2" or st_b.kind != "matrix2":
-        raise KernelError("both structures must be of matrix kind (n = 2)")
+    if "raw" in (st_a.kind, st_b.kind):
+        raise KernelError("equivalence witnesses need diag or matrix2 structures")
     ctx = st_a.ctx
     p = _cayley_matrix(ctx, st_a.matrix)
     q = _cayley_matrix(ctx, st_b.matrix)
@@ -156,7 +117,7 @@ def solve_equivalence_n2(st_a, st_b):
     q_inv = (q[3] * inv, -q[1] * inv, -q[2] * inv, q[0] * inv)
     lam = tuple(p[2 * i] * q_inv[j] + p[2 * i + 1] * q_inv[2 + j]
                 for i in range(2) for j in range(2))
-    phi = make_automorphism_matrix(ctx, lam)
+    phi = make_automorphism(ctx, lam)
     if not verify_equivalence(phi, st_a, st_b):
         raise KernelError("constructed witness failed verification")
     return phi
@@ -224,7 +185,7 @@ def scan_star_candidates(ctx, grid=None):
 def _check_scan_cost(ctx, k, lookups, structures):
     """Refuse a scan whose matrix lookups and verified structures cost more
     than ``MAX_SCAN_COST`` (its comment gives the weights)."""
-    cost = (lookups * 8 * (ctx.degree + 56)
+    cost = (lookups * 6 * (ctx.degree + 36)
             + structures * 8 * (ctx.n.bit_length() + 5) * (ctx.degree + 200))
     if cost > MAX_SCAN_COST:
         raise KernelError(

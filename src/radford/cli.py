@@ -4,10 +4,10 @@ Exit codes: 0 on success / all checks passing (every equivalence query
 answers "equivalent"); 1 when a verification fails; 2 on usage, parse,
 or malformed-input errors, including a conductor above
 ``scalars.MAX_CONDUCTOR``, an input number or expression that can
-exceed ``scalars.MAX_INPUT_DIGITS`` digits, an expression whose
-products exceed ``parser.MAX_EXPR_COORDS`` field coordinates, a scan
-that costs more than ``scalars.MAX_SCAN_COST`` units and a coproduct
-that needs more than ``scalars.MAX_DELTA_COORDS`` field coordinates.
+exceed ``scalars.MAX_INPUT_DIGITS`` digits, an expression's products
+or a coproduct that would compute more than ``scalars.MAX_COORDS``
+field coordinates, and a scan that costs more than
+``scalars.MAX_SCAN_COST`` units.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ def _cmd_mul(args, ctx):
 def _cmd_delta(args, ctx):
     e = parser.parse_element(args.expr, ctx)
     size = coalgebra.delta_coords(e)
-    if size > scalars.MAX_DELTA_COORDS:
+    if size > scalars.MAX_COORDS:
         raise KernelError(f"the coproduct needs {size} field coordinates, "
-                          f"above the limit {scalars.MAX_DELTA_COORDS}")
+                          f"above the limit {scalars.MAX_COORDS}")
     t = coalgebra.delta(e)
     _emit(args, lambda: jsonio.tensor_to_json(t), lambda: parser.format_tensor(t))
     return 0
@@ -185,11 +185,14 @@ def _cmd_equiv_diag(args, ctx):
         raise KernelError("equiv diag applies to n > 2; use equiv n2 for n = 2")
     st = star.make_star_diag(ctx, parser.parse_scalar(args.alpha, ctx),
                              parser.parse_scalar(args.beta, ctx))
-    return _emit_equivalence(args, classify.equivalence_witness_diag(st))
+    trivial = star.make_star_diag(ctx, ctx.one, ctx.one)
+    return _emit_equivalence(args, classify.equivalence_witness(st, trivial))
 
 
 def _cmd_equiv_n2(args, ctx):
-    return _emit_equivalence(args, classify.solve_equivalence_n2(
+    if ctx.n != 2:
+        raise KernelError("equiv n2 applies to n = 2; use equiv diag for n > 2")
+    return _emit_equivalence(args, classify.equivalence_witness(
         *_load_stars(ctx, args.a, args.b)))
 
 

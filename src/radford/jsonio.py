@@ -176,20 +176,11 @@ def _value_to_json(v):
         return {"type": "element", "value": element_to_json(v)}
     if isinstance(v, coalgebra.TensorElement):
         return {"type": "tensor", "value": tensor_to_json(v)}
-    if isinstance(v, dict):
-        # Triple-tensor dicts from coassociativity checks.
-        terms = []
-        for (a, b, c), coeff in sorted(v.items()):
-            terms.append(
-                {
-                    "first": _mono_to_json(a),
-                    "second": _mono_to_json(b),
-                    "third": _mono_to_json(c),
-                    "coeff": scalar_to_json(coeff),
-                }
-            )
-        return {"type": "triple_tensor", "value": {"terms": terms}}
-    return {"type": "text", "value": repr(v)}
+    # Else a triple-tensor dict, from the coassociativity check.
+    terms = [{"first": _mono_to_json(a), "second": _mono_to_json(b),
+              "third": _mono_to_json(c), "coeff": scalar_to_json(coeff)}
+             for (a, b, c), coeff in sorted(v.items())]
+    return {"type": "triple_tensor", "value": {"terms": terms}}
 
 
 def counterexample_to_json(ce):

@@ -27,15 +27,10 @@ from typing import NamedTuple
 
 from .algebra import Element
 from .errors import ExprSyntaxError, KernelError
-from .scalars import MAX_INPUT_DIGITS
+from .scalars import MAX_COORDS, MAX_INPUT_DIGITS
 
 # Deepest parenthesis nesting; well inside the recursion limit.
 MAX_EXPR_DEPTH = 100
-
-# Most field coordinates the products of an expression may compute: the
-# term pairs ``_expansion_bound`` counts, phi(m) coordinates each.  At
-# m = 1020 a pair of dense coefficients costs about 2 ms.
-MAX_EXPR_COORDS = 100_000
 
 
 class Token(NamedTuple):
@@ -310,13 +305,13 @@ def evaluate(node, ctx):
 
 
 def parse_element(text, ctx):
-    """Parse and evaluate, refusing first what expands past MAX_EXPR_COORDS."""
+    """Parse and evaluate, refusing first what expands past MAX_COORDS."""
     tree = parse(text)
     coords = _expansion_bound(tree, ctx.n)[1] * ctx.degree
-    if coords > MAX_EXPR_COORDS:
+    if coords > MAX_COORDS:
         raise KernelError(
             f"expression expands to {coords} field coordinates of products, "
-            f"above the limit {MAX_EXPR_COORDS}")
+            f"above the limit {MAX_COORDS}")
     return evaluate(tree, ctx)
 
 

@@ -17,8 +17,9 @@ denominator (Phi_m is monic over Z, so reduction never leaves that form).
 Rationals cross the boundary as integers: a scalar compares and combines
 with ints, is built from anything with ``numerator`` and ``denominator``
 (an int, a Fraction, a parsed literal), and prints its coordinates as
-``p`` or ``p/q`` (``coord_texts``).  Only ``inverse`` and the ``coords``
-view use ``fractions``, which loads ``decimal`` and ``numbers`` with it.
+``p`` or ``p/q`` (``coord_texts``).  Only ``inverse`` of an irrational
+scalar and the ``coords`` view use ``fractions``, which loads ``decimal``
+and ``numbers`` with it.
 
 Multiplication is memoized per context, because the verifiers multiply
 the same few roots of unity over and over (measured in-process, a fresh
@@ -54,7 +55,7 @@ MAX_INPUT_DIGITS = 1000
 # Most work ``classify.scan_star_candidates`` takes on, in cost units
 # counted before the work is done.  Verifying one listed structure costs
 # 8 (b + 5)(phi(m) + 200) units, b the bit length of n, and one lookup of
-# the n = 2 matrix listing costs 8 (phi(m) + 56).  Of k grid values, the
+# the n = 2 matrix listing costs 6 (phi(m) + 36).  Of k grid values, the
 # u of norm one list u^2 structures for n > 2; at n = 2 the k (k + u)
 # listing lookups are counted first, and the matrices found once listed,
 # before they are verified.  A structure's cost grows with log n, not n:
@@ -62,7 +63,9 @@ MAX_INPUT_DIGITS = 1000
 # pairs (x^(n-1), x), (y^(n-1), y) raise the images to the power n - 1 by
 # squaring.  Measured per structure as the slope between a small scan
 # and one of 0 and k - 1 roots of unity, each in a fresh process, best of
-# three (Python 3.11, 2-core shared VM):
+# three (Python 3.11, 2-core shared VM); per lookup likewise, as the slope
+# between two n = 2 listings of the integers 0..k-1 (k (k + 1) lookups),
+# the range of four such slopes, two end to end and two in-process:
 #
 #        n     m  phi(m)  ms/structure  units   us/unit
 #        3    12     4       1.25      11 424    0.109
@@ -80,24 +83,34 @@ MAX_INPUT_DIGITS = 1000
 #        2    24     8       1.29      11 648    0.111
 #        2  1024   512       4.89      39 872    0.123
 #
-# A lookup took 0.04-0.07 us per unit (n = 2 on 150-290 integers, m = 4,
-# 120, 1024).  The certificate itself is not priced: it is paid once, as
-# by `verify hopf` (1.0 s at n = 1020).  The limit admits `--n 3 scan`,
-# `--n 5 scan`, the 25 values of `--n 2 --m 24 scan` (21.0M units) and 21
-# values, 20 of norm one, at m = 1020 with n = 102 (17.5M, 2.0 s end to
-# end) or n = 1020 (21.9M, 3.5 s); it refuses 32 values at n = 102
-# (42.1M) and 294 integers at n = 2 (40.2M) up front.
+#        n     m  phi(m)  k             us/lookup  units  us/unit
+#        2     4     2   150, 290         18-27     228   0.08-0.12
+#        2   120    32   100, 200         38-46     408   0.09-0.11
+#        2  1024   512   45-50, 90-100   309-407   3 288   0.09-0.12
+#
+# The certificate itself is not priced: it is paid once, as by `verify
+# hopf` (1.0 s at n = 1020).  The limit admits `--n 3 scan`, `--n 5
+# scan`, the 25 values of `--n 2 --m 24 scan` (20.7M units), 418
+# integers at n = 2 (39.96M) and 21 values, 20 of norm one, at m = 1020
+# with n = 102 (17.5M, 2.0 s end to end) or n = 1020 (21.9M, 3.5 s); it
+# refuses 32 values at n = 102 (42.1M) and 419 integers at n = 2 (40.1M)
+# up front.
 MAX_SCAN_COST = 40_000_000
 
-# Most field coordinates ``radford delta`` may compute, counted by
-# ``coalgebra.delta_coords`` before D is computed: the (r + 1)(s + 1) terms
-# of D(y^r x^s g^l) and the entries of the q-Pascal rows r and s behind
-# their coefficients, phi(m) coordinates each.  The rows count because
-# y^200 x alone has 402 terms but 20 100 row entries; the closed top row
-# n - 1 counts its n entries, so `--n 128 delta "y^127*x"` is admitted.
-# At m = 1020 the largest admitted inputs, such as y^13 x^13 g, take
-# under a second.
-MAX_DELTA_COORDS = 100_000
+# Most field coordinates a call may compute in one of two places, each
+# counted before the work is done:
+#
+# * ``radford delta``, counted by ``coalgebra.delta_coords``: the
+#   (r + 1)(s + 1) terms of D(y^r x^s g^l) and the entries of the q-Pascal
+#   rows r and s behind their coefficients, phi(m) coordinates each.  The
+#   rows count because y^200 x alone has 402 terms but 20 100 row entries;
+#   the closed top row n - 1 counts its n entries, so `--n 128 delta
+#   "y^127*x"` is admitted.  At m = 1020 the largest admitted inputs, such
+#   as y^13 x^13 g, take under a second.
+# * the products of an expression, counted by ``parser._expansion_bound``:
+#   its term pairs, phi(m) coordinates each.  At m = 1020 a pair of dense
+#   coefficients costs about 2 ms.
+MAX_COORDS = 100_000
 
 
 def _poly_trim(coeffs):
@@ -438,11 +451,14 @@ class CyclotomicScalar:
         return acc
 
     def inverse(self):
-        """Multiplicative inverse via the extended gcd with Phi_m."""
-        from fractions import Fraction
-
+        """Multiplicative inverse: q/p of a rational p/q, else via the
+        extended gcd with Phi_m."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero scalar")
+        if not any(self.num[1:]):
+            return CyclotomicScalar(self.ctx, (self.den,) + self.num[1:], self.num[0])
+        from fractions import Fraction
+
         phi = [Fraction(c) for c in self.ctx.phi_m]
         a = [Fraction(v, self.den) for v in self.num]
         # Extended Euclid tracking the cofactor of a only: u*a = g mod Phi_m.

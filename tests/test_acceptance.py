@@ -23,9 +23,8 @@ from radford.algebra import (
     rewrite_word,
 )
 from radford.classify import (
-    equivalence_witness_diag,
-    make_automorphism_matrix,
-    solve_equivalence_n2,
+    equivalence_witness,
+    make_automorphism,
     verify_equivalence,
 )
 from radford.coalgebra import antipode, antipode_order, delta_closed
@@ -182,11 +181,11 @@ def test_criterion_7_negative_candidates():
 def test_criterion_8_diag_witnesses():
     for n in (3, 4, 6):
         ctx = make_context(n)
+        trivial = make_star_diag(ctx, ctx.one, ctx.one)
         for j in range(ctx.m):
             for k in range(ctx.m):
                 st = make_star_diag(ctx, ctx.zeta(j), ctx.zeta(k))
-                phi = equivalence_witness_diag(st)
-                trivial = make_star_diag(phi.ctx, phi.ctx.one, phi.ctx.one)
+                phi = equivalence_witness(st, trivial)
                 assert verify_equivalence(phi, st, trivial), (n, j, k)
 
 
@@ -195,12 +194,12 @@ def test_criterion_9_matrix_equivalence():
     ctx = make_context(2)
     st_i = make_star_matrix(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one))
     st_d = make_star_matrix(ctx, (ctx.i(), ctx.zero, ctx.zero, -ctx.i()))
-    hand = make_automorphism_matrix(
+    hand = make_automorphism(
         ctx, (ctx.one + ctx.i(), ctx.zero, ctx.zero, ctx.one - ctx.i())
     )
     assert verify_equivalence(hand, st_i, st_d)
 
-    assert verify_equivalence(solve_equivalence_n2(st_i, st_d), st_i, st_d)
+    assert verify_equivalence(equivalence_witness(st_i, st_d), st_i, st_d)
 
     half = ctx.from_fraction(Fraction(1, 2))
     witness_set = [
@@ -211,7 +210,7 @@ def test_criterion_9_matrix_equivalence():
     ]
     for st_a in witness_set:
         for st_b in witness_set:
-            assert verify_equivalence(solve_equivalence_n2(st_a, st_b), st_a, st_b)
+            assert verify_equivalence(equivalence_witness(st_a, st_b), st_a, st_b)
 
 
 @criterion(10, "closed product formula equals the rewriting oracle")

@@ -25,10 +25,8 @@ from oracles import antipode_order_oracle, basis, equivalence_oracle, failed_nam
 from radford import jsonio
 from radford.algebra import Element, Monomial
 from radford.classify import (
-    equivalence_witness_diag,
-    make_automorphism_diag,
-    make_automorphism_matrix,
-    solve_equivalence_n2,
+    equivalence_witness,
+    make_automorphism,
     verify_equivalence,
 )
 from radford.coalgebra import TensorElement, antipode, antipode_order, counit, delta
@@ -97,18 +95,20 @@ def raw_candidates(ctx):
 
 
 def generator_maps(ctx):
-    """A diag, a matrix2 (n = 2 only) and a raw map, each as a star and as
-    an automorphism; the raw images break relation pairs."""
+    """A diagonal, a matrix2 (n = 2 only) and a raw map, each as a star and
+    as an automorphism; the raw images break relation pairs.  Automorphisms
+    are of kind matrix2 at n = 2 and diag otherwise."""
     g, x, y = generators(ctx)
     one, i = ctx.one, ctx.i()
     a = (ctx.from_int(3) + ctx.from_int(4) * i) * ctx.from_fraction(Fraction(1, 5))
     maps = [make_star_diag(ctx, ctx.zeta(1), a),
-            make_automorphism_diag(ctx, ctx.from_int(2), one + ctx.zeta(1))]
+            make_automorphism(ctx, (ctx.from_int(2), ctx.zero, ctx.zero,
+                                    one + ctx.zeta(1)))]
     if ctx.n == 2:
         maps += [make_star_matrix(ctx, (ctx.zero, one + i,
                                         (one + i) * ctx.from_fraction(Fraction(1, 2)),
                                         ctx.zero)),
-                 make_automorphism_matrix(ctx, (one, i, ctx.from_int(2), ctx.zero))]
+                 make_automorphism(ctx, (one, i, ctx.from_int(2), ctx.zero))]
     raw = (g * g + x.scale(a), x + y.scale(ctx.zeta(1)) + g, y * x + Element.one(ctx) - g)
     return maps + [GeneratorMap("raw", ctx, *raw),
                    GeneratorMap("raw", ctx, *raw, is_star=False)]
@@ -120,7 +120,9 @@ def test_map_extension_matches_oracle(n):
     # coefficient 2 + i tells conjugate-linear from linear.
     ctx = make_context(n)
     maps = generator_maps(ctx)
-    assert len({(f.kind, f.is_star) for f in maps}) == len(maps) == (6 if n == 2 else 4)
+    # At n = 2 both automorphisms are of kind matrix2, the diagonal one too.
+    assert len(maps) == (6 if n == 2 else 4)
+    assert len({(f.kind, f.is_star) for f in maps}) == (5 if n == 2 else 4)
     c = ctx.from_int(2) + ctx.i()
     for f in maps:
         for b in basis(ctx):
@@ -247,11 +249,11 @@ def test_antimultiplicative_counterexample_is_a_relation_pair():
 
 def test_diag_witnesses_match_oracle_n3():
     ctx = make_context(3)
+    trivial = make_star_diag(ctx, ctx.one, ctx.one)
     for j in range(ctx.m):
         for k in range(ctx.m):
             st = make_star_diag(ctx, ctx.zeta(j), ctx.zeta(k))
-            phi = equivalence_witness_diag(st)
-            trivial = make_star_diag(phi.ctx, phi.ctx.one, phi.ctx.one)
+            phi = equivalence_witness(st, trivial)
             for a, b in ((st, trivial), (trivial, st)):
                 assert verify_equivalence(phi, a, b) \
                     == equivalence_oracle(phi, a, b), (j, k)
@@ -261,7 +263,7 @@ def test_n2_witnesses_match_oracle():
     stars = matrix_witnesses(make_context(2))
     for st_a in stars:
         for st_b in stars:
-            phi = solve_equivalence_n2(st_a, st_b)
+            phi = equivalence_witness(st_a, st_b)
             for a, b in ((st_a, st_b), (st_b, st_a)):
                 assert verify_equivalence(phi, a, b) \
                     == equivalence_oracle(phi, a, b)
@@ -275,7 +277,7 @@ def test_equivalence_refuses_non_antimultiplicative_stars():
     swap = make_star_raw(ctx, g, Element.monomial(ctx, 1, 0, 0),
                          Element.monomial(ctx, 0, 1, 0))
     trivial = make_star_diag(ctx, ctx.one, ctx.one)
-    phi = make_automorphism_diag(ctx, ctx.one, ctx.one)
+    phi = make_automorphism(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one))
     for a, b in ((swap, swap), (swap, trivial), (trivial, swap)):
         with pytest.raises(InvalidStarStructureError,
                            match=r"antimultiplicativity at \(y\^0\*x\^0\*g\^1, "):

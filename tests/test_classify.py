@@ -11,35 +11,56 @@ from radford.classify import (
     _cayley_matrix,
     _check_scan_cost,
     _star_matrices,
-    equivalence_witness_diag,
-    make_automorphism_diag,
-    make_automorphism_matrix,
+    equivalence_witness,
+    make_automorphism,
     scan_star_candidates,
-    solve_equivalence_n2,
     verify_equivalence,
 )
+from radford.cli import main
 from radford.errors import ContextMismatchError, InvalidAutomorphismError, \
     KernelError
 from radford.parser import parse_scalar
 from radford.scalars import MAX_SCAN_COST, make_context
 from radford.star import _star_matrix_defect, apply_map, make_star_diag, \
-    make_star_matrix
+    make_star_matrix, make_star_raw
 
 from oracles import _invertible_point, basis, generators, n2_polarization_oracle, \
     n2_search_oracle, scan_oracle
 
 
+def diag_map(ctx, l1, l2):
+    """The automorphism x -> l1 x, y -> l2 y."""
+    return make_automorphism(ctx, (l1, ctx.zero, ctx.zero, l2))
+
+
+def witness_to_trivial(st):
+    """The witness carrying st to the trivial structure diag(1, 1)."""
+    ctx = st.ctx
+    return equivalence_witness(st, make_star_diag(ctx, ctx.one, ctx.one))
+
+
+def cayley_diag(ctx, alpha, beta):
+    """diag(l(alpha), l(beta)) with l(a) = (c + conj(c) conj(a))/2, for the
+    first c in (1, i, 1 + i) that leaves neither entry 0: (1 + conj(a))/2
+    unless alpha or beta is -1."""
+    half = ctx.from_fraction(Fraction(1, 2))
+    for c in (ctx.one, ctx.i(), ctx.one + ctx.i()):
+        l1, l2 = ((c + c.conjugate() * a.conjugate()) * half for a in (alpha, beta))
+        if l1 and l2:
+            return l1, ctx.zero, ctx.zero, l2
+
+
 class TestAutomorphisms:
     def test_identity(self):
         ctx = make_context(3)
-        phi = make_automorphism_diag(ctx, ctx.one, ctx.one)
+        phi = diag_map(ctx, ctx.one, ctx.one)
         for b in basis(ctx):
             eb = Element(ctx, {b: ctx.one})
             assert apply_map(phi, eb) == eb
 
     def test_diagonal_rescaling_any_n(self):
         ctx = make_context(4)
-        phi = make_automorphism_diag(ctx, ctx.i(), ctx.from_int(-1))
+        phi = diag_map(ctx, ctx.i(), ctx.from_int(-1))
         target = Element.monomial(ctx, 1, 1, 1)
         assert apply_map(phi, target) \
             == target.scale(-ctx.i())
@@ -47,11 +68,11 @@ class TestAutomorphisms:
     def test_zero_scalar_rejected(self):
         ctx = make_context(3)
         with pytest.raises(InvalidAutomorphismError):
-            make_automorphism_diag(ctx, ctx.zero, ctx.one)
+            diag_map(ctx, ctx.zero, ctx.one)
 
     def test_swap_at_n2(self):
         ctx = make_context(2)
-        phi = make_automorphism_matrix(
+        phi = make_automorphism(
             ctx, (ctx.zero, ctx.one, ctx.one, ctx.zero)
         )
         x = Element.monomial(ctx, 0, 1, 0)
@@ -62,21 +83,21 @@ class TestAutomorphisms:
     def test_matrix_kind_rejected_outside_n2(self):
         ctx = make_context(3)
         with pytest.raises(InvalidAutomorphismError):
-            make_automorphism_matrix(
+            make_automorphism(
                 ctx, (ctx.one, ctx.one, ctx.zero, ctx.one)
             )
 
     def test_singular_matrix_rejected(self):
         ctx = make_context(2)
         with pytest.raises(InvalidAutomorphismError):
-            make_automorphism_matrix(
+            make_automorphism(
                 ctx, (ctx.one, ctx.one, ctx.one, ctx.one)
             )
 
     def test_coproduct_intertwined(self):
         ctx = make_context(3)
         lam = ctx.omega()
-        phi = make_automorphism_diag(ctx, lam, ctx.one)
+        phi = diag_map(ctx, lam, ctx.one)
         g, x, y = generators(ctx)
         img = apply_map(phi, x)
         assert delta(img) == tensor_of(img, g) + tensor_of(Element.one(ctx), img)
@@ -86,12 +107,12 @@ class TestVerifyEquivalence:
     def test_identity_fixes_any_structure(self):
         ctx = make_context(3)
         st = make_star_diag(ctx, ctx.omega(), ctx.zeta(2))
-        phi = make_automorphism_diag(ctx, ctx.one, ctx.one)
+        phi = diag_map(ctx, ctx.one, ctx.one)
         assert verify_equivalence(phi, st, st)
 
     def test_identity_fixes_matrix_structures(self):
         ctx = make_context(2)
-        phi = make_automorphism_diag(ctx, ctx.one, ctx.one)
+        phi = diag_map(ctx, ctx.one, ctx.one)
         for st in _matrix_witness_set(ctx):
             assert verify_equivalence(phi, st, st)
 
@@ -100,7 +121,7 @@ class TestVerifyEquivalence:
         # to the trivial structure; alpha = zeta_12, l1 = zeta_24^(-1).
         big = make_context(3, 24)
         alpha = big.zeta(2)
-        phi = make_automorphism_diag(big, big.zeta(-1), big.one)
+        phi = diag_map(big, big.zeta(-1), big.one)
         st = make_star_diag(big, alpha, big.one)
         trivial = make_star_diag(big, big.one, big.one)
         assert verify_equivalence(phi, st, trivial)
@@ -110,7 +131,7 @@ class TestVerifyEquivalence:
         # trivial structure to diag(alpha, 1), not the other way around.
         big = make_context(3, 24)
         alpha = big.zeta(2)
-        phi = make_automorphism_diag(big, big.zeta(1), big.one)
+        phi = diag_map(big, big.zeta(1), big.one)
         st = make_star_diag(big, alpha, big.one)
         trivial = make_star_diag(big, big.one, big.one)
         assert verify_equivalence(phi, trivial, st)
@@ -121,13 +142,13 @@ class TestWitnessDiag:
     def test_trivial_structure_gets_identity(self):
         ctx = make_context(3)
         st = make_star_diag(ctx, ctx.one, ctx.one)
-        phi = equivalence_witness_diag(st)
+        phi = witness_to_trivial(st)
         assert phi.matrix[0] == 1 and phi.matrix[3] == 1
 
     def test_minus_one_pair_gets_i(self):
         ctx = make_context(3)
         st = make_star_diag(ctx, ctx.from_int(-1), ctx.from_int(-1))
-        phi = equivalence_witness_diag(st)
+        phi = witness_to_trivial(st)
         assert phi.ctx is ctx
         assert phi.matrix[0] in (ctx.i(), -ctx.i())
         assert phi.matrix[0] * phi.matrix[0] == ctx.from_int(-1)
@@ -135,14 +156,14 @@ class TestWitnessDiag:
     def test_omega_pair_verified(self):
         ctx = make_context(3)
         st = make_star_diag(ctx, ctx.omega(), ctx.omega(2))
-        phi = equivalence_witness_diag(st)
+        phi = witness_to_trivial(st)
         trivial = make_star_diag(phi.ctx, phi.ctx.one, phi.ctx.one)
         assert verify_equivalence(phi, st, trivial)
 
     def test_odd_exponent_stays_in_context(self):
         ctx = make_context(3)
         st = make_star_diag(ctx, ctx.zeta(1), ctx.one)
-        phi = equivalence_witness_diag(st)
+        phi = witness_to_trivial(st)
         assert phi.ctx is ctx
         trivial = make_star_diag(ctx, ctx.one, ctx.one)
         assert verify_equivalence(phi, st, trivial)
@@ -154,8 +175,9 @@ class TestWitnessDiag:
         for j in range(ctx.m):
             for k in range(ctx.m):
                 st = make_star_diag(ctx, ctx.zeta(j), ctx.zeta(k))
-                phi = equivalence_witness_diag(st)
+                phi = witness_to_trivial(st)
                 assert phi.ctx is ctx, (n, j, k)
+                assert phi.matrix == cayley_diag(ctx, *st.matrix[::3]), (n, j, k)
                 assert verify_equivalence(phi, st, trivial), (n, j, k)
 
     @pytest.mark.parametrize("re_", [3, -3])
@@ -169,15 +191,20 @@ class TestWitnessDiag:
             for k in range(ctx.m):
                 for pair in ((a, ctx.zeta(k)), (ctx.zeta(k), a)):
                     st = make_star_diag(ctx, *pair)
-                    phi = equivalence_witness_diag(st)
+                    phi = witness_to_trivial(st)
                     assert phi.ctx is ctx, (n, k)
+                    assert phi.matrix == cayley_diag(ctx, *pair), (n, k)
                     assert verify_equivalence(phi, st, trivial), (n, k)
 
-    def test_rejected_for_n2(self):
+    def test_rejected_for_n2(self, capsys):
+        # The witness takes diagonal structures at any n; the n > 2 rule
+        # left is that of the `equiv diag` command, which points to
+        # `equiv n2`.
+        assert main(["--n", "2", "equiv", "diag", "--alpha", "1", "--beta", "1"]) == 2
+        assert "use equiv n2 for n = 2" in capsys.readouterr().err
         ctx = make_context(2)
-        st = make_star_diag(ctx, ctx.one, ctx.one)
-        with pytest.raises(KernelError):
-            equivalence_witness_diag(st)
+        phi = witness_to_trivial(make_star_diag(ctx, ctx.i(), -ctx.one))
+        assert phi.kind == "matrix2"
 
     def test_non_root_parameter_reported(self):
         # (3 + 4i)/5 is no root of unity; its witness is (1 + conj a)/2.
@@ -185,7 +212,7 @@ class TestWitnessDiag:
         a = (ctx.from_int(3) + ctx.from_int(4) * ctx.i()) \
             * ctx.from_fraction(Fraction(1, 5))
         st = make_star_diag(ctx, a, ctx.one)
-        phi = equivalence_witness_diag(st)
+        phi = witness_to_trivial(st)
         assert phi.ctx is ctx
         assert phi.matrix[0] == (ctx.from_int(4) - ctx.from_int(2) * ctx.i()) \
             * ctx.from_fraction(Fraction(1, 5))
@@ -222,25 +249,25 @@ class TestSolveEquivalenceN2:
     def test_reflexive_identity_witness(self):
         ctx = make_context(2)
         st = make_star_matrix(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one))
-        phi = solve_equivalence_n2(st, st)
+        phi = equivalence_witness(st, st)
         assert phi.matrix == (ctx.one, ctx.zero, ctx.zero, ctx.one)
 
     def test_hand_derived_witness_confirmed(self):
         ctx = make_context(2)
         st_i = make_star_matrix(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one))
         st_d = make_star_matrix(ctx, (ctx.i(), ctx.zero, ctx.zero, -ctx.i()))
-        lam = make_automorphism_matrix(
+        lam = make_automorphism(
             ctx, (ctx.one + ctx.i(), ctx.zero, ctx.zero, ctx.one - ctx.i())
         )
         assert verify_equivalence(lam, st_i, st_d)
-        assert verify_equivalence(solve_equivalence_n2(st_i, st_d), st_i, st_d)
+        assert verify_equivalence(equivalence_witness(st_i, st_d), st_i, st_d)
 
     def test_all_witness_pairs_are_witness_backed(self):
         ctx = make_context(2)
         stars = _matrix_witness_set(ctx)
         for st_a in stars:
             for st_b in stars:
-                phi = solve_equivalence_n2(st_a, st_b)
+                phi = equivalence_witness(st_a, st_b)
                 assert phi.kind == "matrix2" and not phi.is_star
                 assert verify_equivalence(phi, st_a, st_b)
 
@@ -249,29 +276,34 @@ class TestSolveEquivalenceN2:
         stars = _matrix_witness_set(ctx)
         for st_a in stars:
             for st_b in stars:
-                back = solve_equivalence_n2(st_b, st_a)
+                back = equivalence_witness(st_b, st_a)
                 assert verify_equivalence(back, st_b, st_a)
-                l11, l12, l21, l22 = solve_equivalence_n2(st_a, st_b).matrix
+                l11, l12, l21, l22 = equivalence_witness(st_a, st_b).matrix
                 det = l11 * l22 - l12 * l21
                 dinv = det.inverse()
                 inv_entries = (
                     l22 * dinv, -l12 * dinv, -l21 * dinv, l11 * dinv
                 )
-                phi_inv = make_automorphism_matrix(ctx, inv_entries)
+                phi_inv = make_automorphism(ctx, inv_entries)
                 assert verify_equivalence(phi_inv, st_b, st_a)
 
     def test_requires_matrix_kind(self):
-        ctx = make_context(3)
-        st = make_star_diag(ctx, ctx.one, ctx.one)
-        with pytest.raises(KernelError):
-            solve_equivalence_n2(st, st)
+        # A raw star carries no conj(A) A = I promise, not even one that
+        # scan listed with its matrix and verified.
+        for ctx in (make_context(2), make_context(3)):
+            trivial = make_star_diag(ctx, ctx.one, ctx.one)
+            for raw in (make_star_raw(ctx, *generators(ctx)),
+                        scan_star_candidates(ctx, grid=[ctx.zero, ctx.one])[0]):
+                for pair in ((raw, trivial), (trivial, raw), (raw, raw)):
+                    with pytest.raises(KernelError, match="need diag or matrix2"):
+                        equivalence_witness(*pair)
 
     def test_agrees_with_search_oracle(self):
         ctx = make_context(2)
         stars = _matrix_witness_set(ctx) + _more_matrix_witnesses(ctx)
         for st_a in stars:
             for st_b in stars:
-                phi = solve_equivalence_n2(st_a, st_b)
+                phi = equivalence_witness(st_a, st_b)
                 found = n2_search_oracle(st_a, st_b)
                 assert found is not None, "search bound exhausted"
                 assert found
@@ -285,7 +317,7 @@ class TestSolveEquivalenceN2:
         stars = _matrix_witness_set(big) + _more_matrix_witnesses(big)
         for st_a in stars:
             for st_b in stars:
-                phi = solve_equivalence_n2(st_a, st_b)
+                phi = equivalence_witness(st_a, st_b)
                 assert phi.ctx is big
                 assert verify_equivalence(phi, st_a, st_b)
                 assert n2_search_oracle(st_a, st_b)
@@ -315,7 +347,7 @@ class TestSolveEquivalenceN2:
         trivial = make_star_matrix(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one))
         for st_a, st_b in ((st, trivial), (trivial, st), (st, st)):
             assert verify_equivalence(
-                solve_equivalence_n2(st_a, st_b), st_a, st_b)
+                equivalence_witness(st_a, st_b), st_a, st_b)
 
 
 class TestInvertiblePoint:
@@ -437,15 +469,16 @@ class TestScan:
         want = [a for a in product(grid, repeat=4) if _star_matrix_defect(a) is None]
         assert list(_star_matrices(grid)) == want
 
-    # k (k + 1) listing lookups of 8 * 58 units at n = 2 on the integers,
+    # k (k + 1) listing lookups of 6 * 38 units at n = 2 on the integers,
     # where 1 is the only norm-one value, and at n = 3 one structure of
     # 8 * 7 * 204 units per pair of norm-one values, here the Cayley
-    # transforms (1 + t i)/(1 - t i): 294 and 60 values are the smallest
-    # such grids above the limit.
-    @pytest.mark.parametrize("n, size", [(2, 294), (3, 60)])
+    # transforms (1 + t i)/(1 - t i): 419 and 60 values are the smallest
+    # such grids above the limit.  (The n = 2 size was 294 while a lookup
+    # was priced at 8 * 58 units, about twice its measured cost.)
+    @pytest.mark.parametrize("n, size", [(2, 419), (3, 60)])
     def test_oversized_grid_is_refused_before_screening(self, n, size):
         def cost(k):
-            return k * (k + 1) * 8 * 58 if n == 2 else k * k * 8 * 7 * 204
+            return k * (k + 1) * 6 * 38 if n == 2 else k * k * 8 * 7 * 204
 
         assert cost(size - 1) <= MAX_SCAN_COST < cost(size)
         ctx = make_context(n)
@@ -463,11 +496,11 @@ class TestScan:
         _check_scan_cost(make_context(n, 1020), 21, 0, 400)
 
     def test_listed_n2_structures_count_before_verification(self):
-        # 41 (41 + 40) listing lookups fit (1.9M units), but the 4840
+        # 41 (41 + 40) listing lookups fit (1.0M units), but the 4840
         # matrices with conj(A) A = I among 0 and the 40th roots of unity
         # do not.
         ctx = make_context(2, 40)
-        cost = 41 * (41 + 40) * 8 * 72 + 4840 * 8 * 7 * 216
+        cost = 41 * (41 + 40) * 6 * 52 + 4840 * 8 * 7 * 216
         with pytest.raises(KernelError, match=f"costs {cost} units"):
             scan_star_candidates(ctx)
 
@@ -492,14 +525,14 @@ class TestOneContext:
         self.small, self.big = make_context(2), make_context(2, 8)
         self.st_small = _matrix_witness_set(self.small)[2]
         self.st_big = _matrix_witness_set(self.big)[2]
-        self.phi_big = make_automorphism_matrix(
+        self.phi_big = make_automorphism(
             self.big, (self.big.zero, self.big.one, self.big.one, self.big.zero))
 
-    def test_solve_equivalence_n2(self):
+    def test_equivalence_witness(self):
         with pytest.raises(ContextMismatchError):
-            solve_equivalence_n2(self.st_small, self.st_big)
+            equivalence_witness(self.st_small, self.st_big)
         with pytest.raises(ContextMismatchError):
-            solve_equivalence_n2(self.st_big, self.st_small)
+            equivalence_witness(self.st_big, self.st_small)
 
     def test_verify_equivalence(self):
         with pytest.raises(ContextMismatchError):

@@ -8,14 +8,16 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from oracles import generators, load_schema, tensor_from_json
+from oracles import generators, load_schema, n2_polarization_oracle, n2_search_oracle, \
+    tensor_from_json
 from radford import jsonio
 from radford.algebra import Element, Monomial
+from radford.classify import make_automorphism, verify_equivalence
 from radford.cli import main
 from radford.coalgebra import delta, delta_coords
 from radford.errors import ContextMismatchError
-from radford.parser import MAX_EXPR_COORDS, parse_element
-from radford.scalars import MAX_DELTA_COORDS, MAX_SCAN_COST, make_context
+from radford.parser import parse_element
+from radford.scalars import MAX_COORDS, MAX_SCAN_COST, make_context
 from radford.star import make_star_diag, make_star_matrix, make_star_raw, \
     verify_star_axioms
 
@@ -195,6 +197,12 @@ def star_files(tmp_path_factory):
         make_star_matrix(ctx2, (ctx2.zero, ctx2.from_int(2),
                                 ctx2.from_fraction(Fraction(1, 2)), ctx2.zero))
     )))
+    for name, alpha, beta in (
+            ("diag2_i.json", ctx2.i(), -ctx2.one),
+            ("diag2_pyth.json", (ctx2.from_int(3) + ctx2.from_int(4) * ctx2.i())
+             * ctx2.from_fraction(Fraction(1, 5)), ctx2.one)):
+        (root / name).write_text(json.dumps(jsonio.star_to_json(
+            make_star_diag(ctx2, alpha, beta))))
     ctx3 = make_context(3)
     diag3 = root / "diag3.json"
     diag3.write_text(json.dumps(jsonio.star_to_json(
@@ -469,6 +477,36 @@ class TestCommands:
         assert obj["equivalent"] is True
         assert obj["witness"]["context"] == {"n": 2, "m": 8}
 
+    # A diagonal A is a conj(A) A = I matrix too, so `equiv n2` takes diag
+    # files; at n = 2 every witness is of kind matrix2.
+    @pytest.mark.parametrize("a, b", [("diag2_i", "diag2_pyth"),
+                                      ("diag2_pyth", "swapscaled"),
+                                      ("diag_i", "diag2_i")])
+    def test_equiv_n2_takes_diag_files(self, star_files, a, b):
+        paths = [star_files / f"{name}.json" for name in (a, b)]
+        p = run_cli("--n", "2", "--json", "equiv", "n2",
+                    "--a", str(paths[0]), "--b", str(paths[1]))
+        assert p.returncode == 0, p.stderr
+        obj = json.loads(p.stdout)
+        validate(obj, "equivalence_result")
+        assert obj["equivalent"] is True
+        assert obj["witness"]["kind"] == "matrix2"
+        ctx = make_context(2)
+        st_a, st_b = (jsonio.star_from_json(json.loads(path.read_text()), ctx)
+                      for path in paths)
+        phi = make_automorphism(ctx, tuple(
+            jsonio.scalar_from_json(ctx, c) for c in obj["witness"]["lambda"]))
+        assert verify_equivalence(phi, st_a, st_b)
+        assert n2_search_oracle(st_a, st_b)
+        assert n2_polarization_oracle(st_a, st_b)
+
+    def test_equiv_n2_refuses_n3(self, star_files):
+        diag3 = str(star_files / "diag3.json")
+        p = run_cli("--n", "3", "equiv", "n2", "--a", diag3, "--b", diag3)
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr == "error: equiv n2 applies to n = 2; use equiv diag for n > 2\n"
+
     def test_scan_json(self):
         p = run_cli("--n", "2", "--json", "scan", "--grid", "0,1,-1")
         assert p.returncode == 0
@@ -534,7 +572,7 @@ class TestCommands:
         assert p.returncode == 2
         assert p.stdout == ""
         assert p.stderr.count("\n") == 1
-        assert f"above the limit {MAX_EXPR_COORDS}" in p.stderr
+        assert f"above the limit {MAX_COORDS}" in p.stderr
 
     def test_n3_default_scan(self):
         p = run_cli("--n", "3", "scan", timeout=60)
@@ -548,14 +586,16 @@ class TestCommands:
 
     # 121 values at n = 3 (120^2 structures of 8 * 7 * 232 units, one per
     # pair of norm-one values), 32 at n = 102, m = 1020 (31^2 structures of
-    # 8 * 12 * 456 units), and 294 at n = 2, where the 294 * 295 listing
-    # lookups alone cost 8 * 58 units each (1 is the only norm-one value).
+    # 8 * 12 * 456 units), and 419 at n = 2, where the 419 * 420 listing
+    # lookups alone cost 6 * 38 units each (1 is the only norm-one value).
+    # The n = 2 row was 294 integers at 8 * 58 units per lookup, priced at
+    # about twice the measured cost (``scalars.MAX_SCAN_COST``).
     @pytest.mark.parametrize("args, size, m, cost", [
         (("--n", "3", "--m", "120", "scan"), 121, 120, 187084800),
         (("--n", "102", "--m", "1020", "scan", "--grid=" + ",".join(
             ["0", "1"] + [f"z^{k}" for k in range(1, 31)])), 32, 1020, 42068736),
-        (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(294))),
-         294, 4, 40242720),
+        (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(419))),
+         419, 4, 40123440),
     ])
     def test_oversized_scan_exit_2(self, args, size, m, cost):
         p = run_cli(*args, timeout=3)
@@ -612,7 +652,7 @@ class TestCommands:
         assert p.returncode == 2
         assert p.stdout == ""
         assert p.stderr.count("\n") == 1
-        assert f"above the limit {MAX_DELTA_COORDS}" in p.stderr
+        assert f"above the limit {MAX_COORDS}" in p.stderr
 
     def test_closed_top_row_delta_is_admitted(self):
         # 256 terms, the 128 entries of the closed top row 127 and 1 of
@@ -627,7 +667,7 @@ class TestCommands:
     def test_largest_admitted_delta(self):
         expr = "y^13*x^13*g"
         ctx = make_context(255)
-        assert delta_coords(parse_element(expr, ctx)) <= MAX_DELTA_COORDS
+        assert delta_coords(parse_element(expr, ctx)) <= MAX_COORDS
         p = run_cli("--n", "255", "delta", expr, timeout=30)
         assert p.returncode == 0
         assert p.stdout.count("⊗") == 14 * 14

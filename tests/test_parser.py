@@ -10,7 +10,6 @@ from oracles import generators
 from radford.algebra import Element, Monomial
 from radford.errors import ExprSyntaxError, KernelError
 from radford.parser import (
-    MAX_EXPR_COORDS,
     MAX_EXPR_DEPTH,
     _expansion_bound,
     format_element,
@@ -19,7 +18,7 @@ from radford.parser import (
     parse_element,
     parse_scalar,
 )
-from radford.scalars import MAX_INPUT_DIGITS, make_context
+from radford.scalars import MAX_COORDS, MAX_INPUT_DIGITS, make_context
 
 CTX3 = make_context(3)
 
@@ -199,7 +198,7 @@ class TestInputBudget:
         if admitted:
             assert parse_element(text, ctx).terms
         else:
-            with pytest.raises(KernelError, match=f"above the limit {MAX_EXPR_COORDS}"):
+            with pytest.raises(KernelError, match=f"above the limit {MAX_COORDS}"):
                 parse_element(text, ctx)
 
     def test_expansion_bound_counts_terms_and_exponents(self):

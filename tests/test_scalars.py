@@ -122,6 +122,16 @@ class TestArithmetic:
         assert a * inv == 1
         assert inv == (ctx.one - ctx.i()) * ctx.from_fraction(Fraction(1, 2))
 
+    # A rational is inverted as q/p; times zeta it goes through Euclid.
+    @pytest.mark.parametrize("p, q", [(1, 1), (-1, 1), (4, 1), (-4, 1), (3, 5),
+                                      (-3, 5), (1, 6), (-7, 2)])
+    def test_rational_inverse_matches_euclid(self, p, q):
+        for ctx in (CTX3, make_context(2), make_context(4, 1024)):
+            a = ctx.from_fraction(Fraction(p, q))
+            z = ctx.zeta()
+            assert a.inverse() == (a * z).inverse() * z == ctx.from_fraction(Fraction(q, p))
+            assert a.inverse().den > 0
+
     def test_inverse_of_zero_reported(self):
         with pytest.raises(ZeroDivisionError):
             CTX3.zero.inverse()
