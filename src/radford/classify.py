@@ -9,8 +9,9 @@ Covers three jobs:
   generators instead of assuming them.
 * The witness, Hilbert's Theorem 90 for GL_2: for every A with
   conj(A) A = I some L_c = c I + conj(c) conj(A), c in (1, i, 1 + i), is
-  invertible and has A L_c = conj(L_c), so L_A L_B^-1 carries A to B and
-  all structures of kind diag or matrix2 are equivalent.  For a diagonal
+  invertible and has A L_c = conj(L_c), so L_A L_B^-1 carries A to B.
+  Every star that passes the verifier has such an A, read off its images,
+  so all of them are equivalent, ``raw`` ones included.  For a diagonal
   A = diag(alpha, beta) this is the Cayley form l(a) = (1 + conj(a))/2,
   L_A / 2 = diag(l(alpha), l(beta)) when neither is -1.  The witness lives
   in the input's own field and needs no square root.
@@ -31,7 +32,7 @@ from .algebra import _map_law, _on_generators
 from .errors import InvalidAutomorphismError, KernelError
 from .scalars import MAX_SCAN_COST
 from .star import GeneratorMap, _coproduct_law, _star_matrix_defect, apply_map, \
-    require_extension, verify_star_axioms
+    require_star, verify_star_axioms
 
 
 def _verify_hopf_map(phi):
@@ -65,14 +66,18 @@ def make_automorphism(ctx, matrix):
 def verify_equivalence(phi, st_a, st_b):
     """Whether phi carries st_a to st_b: phi(h^{*A}) = phi(h)^{*B} for all h.
 
-    phi is an algebra map: its generator images passed the defining
-    relations in ``_verify_hopf_map``.  A ``raw`` star whose images break
-    a relation pair is refused (``require_extension``), so both sides are
-    conjugate-linear anti-homomorphisms, which agree everywhere once they
-    agree on g, x and y.
+    A ``raw`` star that fails ``verify_star_axioms`` is refused
+    (``require_star``).  phi is an algebra map: its generator images
+    passed the defining relations in ``_verify_hopf_map``.  So both sides
+    are conjugate-linear anti-homomorphisms, which agree everywhere once
+    they agree on g, x and y.
     """
-    require_extension(st_a)
-    require_extension(st_b)
+    require_star(st_a)
+    require_star(st_b)
+    return _carries(phi, st_a, st_b)
+
+
+def _carries(phi, st_a, st_b):
     return _on_generators(_map_law(
         phi.ctx, lambda e: apply_map(phi, apply_map(st_a, e)),
         lambda e: apply_map(st_b, apply_map(phi, e)))) is None
@@ -101,24 +106,29 @@ def _cayley_matrix(ctx, a):
 
 
 def equivalence_witness(st_a, st_b):
-    """Verified automorphism carrying st_a to st_b, each of kind diag or matrix2.
+    """Verified automorphism carrying star st_a to star st_b.
 
-    Lambda = L_A L_B^-1 of ``_cayley_matrix`` solves A Lambda =
-    conj(Lambda) B, because conj(L_B) = B L_B (README, "Why equivalence
-    needs no square roots and no search").  A ``raw`` structure carries
-    no conj(A) A = I promise and is refused.
+    Both pass ``require_star``, and then each has g* = g and x*, y* in
+    span(x, y) (README, "Why scan lists the paper's family"), so its matrix
+    A, read off the images, has conj(A) A = I.  Lambda = L_A L_B^-1 of
+    ``_cayley_matrix`` solves A Lambda = conj(Lambda) B, because
+    conj(L_B) = B L_B (README, "Why equivalence needs no square roots and
+    no search").
     """
-    if "raw" in (st_a.kind, st_b.kind):
-        raise KernelError("equivalence witnesses need diag or matrix2 structures")
+    require_star(st_a)
+    require_star(st_b)
+    a, b = st_a.matrix, st_b.matrix
+    if a is None or b is None:
+        raise KernelError("a verified star has g* != g or x*, y* outside span(x, y)")
     ctx = st_a.ctx
-    p = _cayley_matrix(ctx, st_a.matrix)
-    q = _cayley_matrix(ctx, st_b.matrix)
+    p = _cayley_matrix(ctx, a)
+    q = _cayley_matrix(ctx, b)
     inv = _det(q).inverse()
     q_inv = (q[3] * inv, -q[1] * inv, -q[2] * inv, q[0] * inv)
     lam = tuple(p[2 * i] * q_inv[j] + p[2 * i + 1] * q_inv[2 + j]
                 for i in range(2) for j in range(2))
     phi = make_automorphism(ctx, lam)
-    if not verify_equivalence(phi, st_a, st_b):
+    if not _carries(phi, st_a, st_b):
         raise KernelError("constructed witness failed verification")
     return phi
 

@@ -98,15 +98,8 @@ def element_from_json(obj, ctx=None):
 
 
 def tensor_to_json(t):
-    terms = []
-    for (left, right), c in t.sorted_terms():
-        terms.append(
-            {
-                "left": _mono_to_json(left),
-                "right": _mono_to_json(right),
-                "coeff": scalar_to_json(c),
-            }
-        )
+    terms = [{"left": _mono_to_json(left), "right": _mono_to_json(right),
+              "coeff": scalar_to_json(c)} for (left, right), c in t.sorted_terms()]
     return {"context": context_to_json(t.ctx), "terms": terms}
 
 
@@ -196,16 +189,11 @@ def counterexample_to_json(ce):
 
 
 def report_to_json(report):
-    checks = []
-    for c in report.checks:
-        entry = {"name": c.name, "pass": c.passed}
-        entry["counterexample"] = (
-            counterexample_to_json(c.counterexample)
-            if c.counterexample is not None
-            else None
-        )
-        checks.append(entry)
-    return {"checks": checks}
+    def entry(c):
+        ce = c.counterexample
+        return {"name": c.name, "pass": c.passed,
+                "counterexample": None if ce is None else counterexample_to_json(ce)}
+    return {"checks": [entry(c) for c in report.checks]}
 
 
 def equivalence_to_json(phi):

@@ -19,7 +19,11 @@ Three kinds of star structure are supported:
                 that impossibility arguments become executable negative
                 tests.
 
-``classify`` builds the automorphisms, of kind ``diag`` or ``matrix2``.
+A map is its kind, its role (star or automorphism) and its three images;
+its 2x2 ``matrix`` is read off the images.  ``classify`` builds the
+automorphisms, of kind ``diag`` or ``matrix2``.  A caller that uses a star
+rather than judging it passes it through one gate, ``require_star``: a
+``raw`` star must pass ``verify_star_axioms``.
 
 ``verify_star_axioms`` decides the five defining conditions for all of
 H_n by checking them on the six relation pairs and on g, x, y, and
@@ -30,7 +34,7 @@ map: their report omits the checks that would judge one.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from operator import mul
 from typing import NamedTuple
 
@@ -55,26 +59,13 @@ from .errors import InvalidStarStructureError, KernelError
 
 
 class GeneratorMap:
-    """A star structure or an automorphism, given by its images of g, x, y.
+    """A star structure or an automorphism, given by its images of g, x, y."""
 
-    ``matrix`` is (a11, a12, a21, a22), row-major, for a map built as
-    x -> a11 x + a12 y, y -> a21 x + a22 y (``from_matrix``): every
-    ``diag`` map, whose diag(alpha, beta) is (alpha, 0, 0, beta), every
-    ``matrix2`` map and the structures ``scan`` lists.
-    """
+    __slots__ = ("kind", "ctx", "g_img", "x_img", "y_img", "is_star")
 
-    __slots__ = ("kind", "ctx", "g_img", "x_img", "y_img", "matrix", "is_star",
-                 "_mono_cache")
-
-    def __init__(self, kind, ctx, g_img, x_img, y_img, matrix=None, is_star=True):
-        self.kind = kind
-        self.ctx = ctx
-        self.g_img = g_img
-        self.x_img = x_img
-        self.y_img = y_img
-        self.matrix = matrix
-        self.is_star = is_star
-        self._mono_cache = {}
+    def __init__(self, kind, ctx, g_img, x_img, y_img, is_star=True):
+        self.kind, self.ctx, self.is_star = kind, ctx, is_star
+        self.g_img, self.x_img, self.y_img = g_img, x_img, y_img
 
     @classmethod
     def from_matrix(cls, kind, ctx, matrix, is_star=True):
@@ -83,7 +74,17 @@ class GeneratorMap:
         _, x, y = GENERATOR_MONOMIALS
         return cls(kind, ctx, Element.monomial(ctx, 0, 0, 1),
                    Element(ctx, {x: a11, y: a12}), Element(ctx, {x: a21, y: a22}),
-                   tuple(matrix), is_star)
+                   is_star)
+
+    @property
+    def matrix(self):
+        """(a11, a12, a21, a22), row-major, read off the images when g -> g,
+        x -> a11 x + a12 y and y -> a21 x + a22 y; None for any other images."""
+        g, x, y = GENERATOR_MONOMIALS
+        imgs = (self.x_img.terms, self.y_img.terms)
+        if self.g_img.terms != {g: self.ctx.one} or not {*imgs[0], *imgs[1]} <= {x, y}:
+            return None
+        return tuple(img.get(k, self.ctx.zero) for img in imgs for k in (x, y))
 
     def __eq__(self, other):
         """Same kind and role, and the same images of g, x, y."""
@@ -97,18 +98,11 @@ class GeneratorMap:
         return f"GeneratorMap({role}, kind={self.kind!r}, n={self.ctx.n}, m={self.ctx.m})"
 
     def of_monomial(self, mono):
-        """Image of y^r x^s g^l, cached per map; zero exponents skipped:
-        (g*)^l (x*)^s (y*)^r for a star, phi(y)^r phi(x)^s phi(g)^l else."""
-        hit = self._mono_cache.get(mono)
-        if hit is None:
-            pairs = ((self.y_img, mono.r), (self.x_img, mono.s), (self.g_img, mono.l))
-            powers = [img ** k for img, k in (pairs[::-1] if self.is_star else pairs)
-                      if k]
-            hit = powers[0] if powers else Element.one(self.ctx)
-            for p in powers[1:]:
-                hit = hit * p
-            self._mono_cache[mono] = hit
-        return hit
+        """Image of y^r x^s g^l, zero exponents skipped: (g*)^l (x*)^s (y*)^r
+        for a star, phi(y)^r phi(x)^s phi(g)^l else."""
+        pairs = ((self.y_img, mono.r), (self.x_img, mono.s), (self.g_img, mono.l))
+        powers = [img ** k for img, k in (pairs[::-1] if self.is_star else pairs) if k]
+        return reduce(mul, powers) if powers else Element.one(self.ctx)
 
     def relation_counterexample(self):
         """First relation pair (a, b) with f(ab) != f(a) f(b), or f(b) f(a)
@@ -182,6 +176,15 @@ class CheckResult(NamedTuple):
     passed: bool
     counterexample: Counterexample | None = None
 
+    def __str__(self):
+        """The line ``verify star`` prints: PASS or FAIL, the name, and the
+        monomial or pair where the check failed."""
+        line = f"{'PASS' if self.passed else 'FAIL'} {self.name}"
+        if self.counterexample is not None:
+            kind, at = self.counterexample.location
+            line += f" at {at}" if kind == "monomial" else f" at ({at[0]}, {at[1]})"
+        return line
+
 
 class VerificationReport(NamedTuple):
     checks: tuple
@@ -195,15 +198,6 @@ def _report(named_counterexamples):
     return VerificationReport(tuple(
         CheckResult(name, ce is None, ce) for name, ce in named_counterexamples
     ))
-
-
-def require_extension(st):
-    """Refuse a ``raw`` st whose images break a relation pair, as they extend
-    to no star map; ``diag`` and ``matrix2`` images respect the relations."""
-    ce = st.relation_counterexample() if st.kind == "raw" else None
-    if ce is not None:
-        raise InvalidStarStructureError("the star images break antimultiplicativity "
-                                        "at ({}, {})".format(*ce.location[1]))
 
 
 def _scalar_map(ctx, f):
@@ -269,6 +263,16 @@ def verify_star_axioms(st):
     return _report(checks + [("counit_conjugate", on_generators(
         _scalar_map(ctx, lambda e: counit(star(e))),
         _scalar_map(ctx, lambda e: counit(e).conjugate())))])
+
+
+def require_star(st):
+    """Refuse a ``raw`` st that fails ``verify_star_axioms``, naming its first
+    failing check as ``verify star`` prints it; ``diag`` and ``matrix2``
+    structures are checked by their constructors."""
+    if st.kind == "raw":
+        for c in verify_star_axioms(st).checks:
+            if not c.passed:
+                raise InvalidStarStructureError(f"not a star structure: {c}")
 
 
 def _convolution_law(ctx, f, target):

@@ -18,14 +18,14 @@ from radford.classify import (
 )
 from radford.cli import main
 from radford.errors import ContextMismatchError, InvalidAutomorphismError, \
-    KernelError
+    InvalidStarStructureError, KernelError
 from radford.parser import parse_scalar
 from radford.scalars import MAX_SCAN_COST, make_context
 from radford.star import _star_matrix_defect, apply_map, make_star_diag, \
     make_star_matrix, make_star_raw
 
-from oracles import _invertible_point, basis, generators, n2_polarization_oracle, \
-    n2_search_oracle, scan_oracle
+from oracles import _invertible_point, basis, equivalence_oracle, generators, \
+    n2_polarization_oracle, n2_search_oracle, scan_oracle
 
 
 def diag_map(ctx, l1, l2):
@@ -196,12 +196,11 @@ class TestWitnessDiag:
                     assert phi.matrix == cayley_diag(ctx, *pair), (n, k)
                     assert verify_equivalence(phi, st, trivial), (n, k)
 
-    def test_rejected_for_n2(self, capsys):
-        # The witness takes diagonal structures at any n; the n > 2 rule
-        # left is that of the `equiv diag` command, which points to
-        # `equiv n2`.
-        assert main(["--n", "2", "equiv", "diag", "--alpha", "1", "--beta", "1"]) == 2
-        assert "use equiv n2 for n = 2" in capsys.readouterr().err
+    def test_equiv_diag_at_n2(self, capsys):
+        # The witness takes diagonal structures at any n, and so does the
+        # `equiv diag` command; at n = 2 the witness is of kind matrix2.
+        assert main(["--n", "2", "equiv", "diag", "--alpha", "1", "--beta", "1"]) == 0
+        assert capsys.readouterr().out == "equivalent\n"
         ctx = make_context(2)
         phi = witness_to_trivial(make_star_diag(ctx, ctx.i(), -ctx.one))
         assert phi.kind == "matrix2"
@@ -287,16 +286,56 @@ class TestSolveEquivalenceN2:
                 phi_inv = make_automorphism(ctx, inv_entries)
                 assert verify_equivalence(phi_inv, st_b, st_a)
 
-    def test_requires_matrix_kind(self):
-        # A raw star carries no conj(A) A = I promise, not even one that
-        # scan listed with its matrix and verified.
+    def test_verified_raw_stars(self):
+        # A raw star that passes the verifier gets a witness, its matrix
+        # read off the images: the identity written as raw, and a
+        # structure that scan listed.
         for ctx in (make_context(2), make_context(3)):
             trivial = make_star_diag(ctx, ctx.one, ctx.one)
             for raw in (make_star_raw(ctx, *generators(ctx)),
                         scan_star_candidates(ctx, grid=[ctx.zero, ctx.one])[0]):
                 for pair in ((raw, trivial), (trivial, raw), (raw, raw)):
-                    with pytest.raises(KernelError, match="need diag or matrix2"):
-                        equivalence_witness(*pair)
+                    phi = equivalence_witness(*pair)
+                    assert verify_equivalence(phi, *pair)
+                    assert equivalence_oracle(phi, *pair)
+
+    def test_pythagorean_scan_survivors(self):
+        # The n = 2 survivors of 0, +-1, +-3/5, +-4/5, most of them
+        # off-diagonal, each compared with diag(1, 1) and with the next one.
+        ctx = make_context(2)
+        grid = [parse_scalar(t, ctx) for t in "0,1,-1,3/5,-3/5,4/5,-4/5".split(",")]
+        survivors = scan_star_candidates(ctx, grid=grid)
+        assert len(survivors) == 38
+        assert sum(bool(st.matrix[1] or st.matrix[2]) for st in survivors) == 34
+        trivial = make_star_diag(ctx, ctx.one, ctx.one)
+        for st_a, following in zip(survivors, survivors[1:] + survivors[:1]):
+            for st_b in (trivial, following):
+                phi = equivalence_witness(st_a, st_b)
+                assert verify_equivalence(phi, st_a, st_b)
+                assert equivalence_oracle(phi, st_a, st_b)
+
+    def test_pythagorean_diag_written_as_raw(self):
+        ctx = make_context(5)
+        g, x, y = generators(ctx)
+        a = parse_scalar("3/5 + 4/5*i", ctx)
+        raw = make_star_raw(ctx, g, x.scale(a), y.scale(a.conjugate()))
+        diag = make_star_diag(ctx, a, a.conjugate())
+        assert raw.matrix == diag.matrix
+        for pair in ((raw, diag), (diag, raw), (raw, make_star_diag(ctx, ctx.one, ctx.one))):
+            phi = equivalence_witness(*pair)
+            assert verify_equivalence(phi, *pair)
+            assert equivalence_oracle(phi, *pair)
+
+    def test_raw_non_star_is_refused(self):
+        # x* = 2x respects the relations; involution is the first check it fails.
+        ctx = make_context(3)
+        g, x, y = generators(ctx)
+        scaled = make_star_raw(ctx, g, x.scale(ctx.from_int(2)), y)
+        trivial = make_star_diag(ctx, ctx.one, ctx.one)
+        for pair in ((scaled, trivial), (trivial, scaled)):
+            with pytest.raises(InvalidStarStructureError,
+                               match=r"^not a star structure: FAIL involution at "):
+                equivalence_witness(*pair)
 
     def test_agrees_with_search_oracle(self):
         ctx = make_context(2)

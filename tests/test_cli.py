@@ -328,6 +328,12 @@ class TestCommands:
         assert p.returncode == 0
         assert p.stdout.strip() == "x*g"
 
+    def test_star_apply_refuses_a_raw_non_star(self, star_files):
+        p = run_cli("--n", "3", "star-apply", "--star",
+                    str(star_files / "bad_raw.json"), "y")
+        assert p.returncode == 2
+        assert p.stderr == "error: not a star structure: FAIL involution at y^0*x^1*g^0\n"
+
     def test_solve_skew_json(self):
         p = run_cli("--n", "3", "--json", "solve", "skew", "--w", "2")
         assert p.returncode == 0
@@ -419,9 +425,10 @@ class TestCommands:
         assert obj["equivalent"] is True
         assert obj["witness"]["kind"] == "diag"
 
-    def test_equiv_diag_rejects_n2(self):
+    def test_equiv_diag_at_n2(self):
         p = run_cli("--n", "2", "equiv", "diag", "--alpha", "1", "--beta", "1")
-        assert p.returncode == 2
+        assert p.returncode == 0
+        assert p.stdout == "equivalent\n"
 
     def test_equiv_diag_non_root_parameter(self):
         # (3 + 4i)/5 has norm one but is not a root of unity; the Cayley
@@ -500,12 +507,16 @@ class TestCommands:
         assert n2_search_oracle(st_a, st_b)
         assert n2_polarization_oracle(st_a, st_b)
 
-    def test_equiv_n2_refuses_n3(self, star_files):
-        diag3 = str(star_files / "diag3.json")
+    def test_equiv_n2_at_n3(self, star_files):
+        # Any two star files at any n; x* = 2x is no star and is refused.
+        diag3, bad_raw = (str(star_files / name) for name in ("diag3.json", "bad_raw.json"))
         p = run_cli("--n", "3", "equiv", "n2", "--a", diag3, "--b", diag3)
+        assert p.returncode == 0
+        assert p.stdout == "equivalent\n"
+        p = run_cli("--n", "3", "equiv", "n2", "--a", diag3, "--b", bad_raw)
         assert p.returncode == 2
         assert p.stdout == ""
-        assert p.stderr == "error: equiv n2 applies to n = 2; use equiv diag for n > 2\n"
+        assert p.stderr == "error: not a star structure: FAIL involution at y^0*x^1*g^0\n"
 
     def test_scan_json(self):
         p = run_cli("--n", "2", "--json", "scan", "--grid", "0,1,-1")
@@ -718,6 +729,22 @@ options:
                first one starts with '-'; default is all m-th roots of unity
                and 0
 """, ""),
+    (["--n", "3", "normalize", "-h"], 0, """\
+usage: radford normalize [-h] [--json] [--n N] [--m M] expr
+
+positional arguments:
+  expr        element expression, e.g. 'x*g + w*g*x'; write -- before it when
+              it starts with '-': normalize -- -x
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit JSON instead of text
+  --n N       order of the root of unity (required)
+  --m M       conductor, a multiple of lcm(4, n)
+""", ""),
+    (["--n", "3", "normalize", "-x"], 2, "",
+     "usage: radford normalize [-h] [--json] [--n N] [--m M] expr\n"
+     "radford normalize: error: the following arguments are required: expr\n"),
     (["--n", "3", "solve", "skew"], 2, "",
      "usage: radford solve skew [-h] [--json] [--n N] [--m M] --w W\n"
      "radford solve skew: error: the following arguments are required: --w\n"),

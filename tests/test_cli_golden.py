@@ -9,7 +9,9 @@ written to, and the same token stands for it in recorded output.
 
 A case whose output changes on purpose carries a ``note`` saying why.
 To re-record after such a change, run ``PYTHONPATH=src python
-tests/test_cli_golden.py`` and review the diff of ``golden_cli.json``.
+tests/test_cli_golden.py``: it prints the argv of every case whose
+output changed, refuses to write while one of them has no note, and
+otherwise rewrites ``golden_cli.json``, whose diff you then review.
 """
 
 import io
@@ -69,20 +71,51 @@ def test_cli_matches_golden(case, star_dir, monkeypatch):
 
 
 def regenerate():
-    """Re-record every case's output from the current program."""
+    """Re-record every case's output from the current program.
+
+    Prints the argv of each case whose output changed, a new case
+    included, and writes nothing while one of them carries no ``note``.
+    """
     import os
     import tempfile
 
     os.environ["COLUMNS"] = "80"
     data = load()
+    unexplained = 0
     with tempfile.TemporaryDirectory() as directory:
         write_files(data["files"], directory)
         for case in data["cases"]:
-            case.update(run_case(case["argv"], directory))
+            got = run_case(case["argv"], directory)
+            if got != {k: case.get(k) for k in got}:
+                print("changed:", json.dumps(case["argv"], ensure_ascii=False))
+                unexplained += "note" not in case
+            case.update(got)
+    if unexplained:
+        print(f"{unexplained} changed case(s) carry no note; {GOLDEN.name} is "
+              "not written", file=sys.stderr)
+        return 1
     with open(GOLDEN, "w", encoding="utf-8") as f:
         json.dump(data, f, indent=1, ensure_ascii=False)
         f.write("\n")
+    return 0
 
 
 if __name__ == "__main__":
     sys.exit(regenerate())
+
+
+def test_regenerate_refuses_a_changed_case_without_note(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "golden_cli.json"
+    case = {"argv": ["--n", "3", "normalize", "x"], "stdout": "y\n", "stderr": "",
+            "exit": 0}
+    path.write_text(json.dumps({"files": {}, "cases": [case]}), encoding="utf-8")
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", path)
+    monkeypatch.setenv("COLUMNS", "80")  # regenerate() sets it
+    assert regenerate() == 1
+    assert capsys.readouterr().out == 'changed: ["--n", "3", "normalize", "x"]\n'
+    assert json.loads(path.read_text(encoding="utf-8"))["cases"] == [case]
+    case["note"] = "x is printed as x"
+    path.write_text(json.dumps({"files": {}, "cases": [case]}), encoding="utf-8")
+    assert regenerate() == 0
+    [written] = json.loads(path.read_text(encoding="utf-8"))["cases"]
+    assert written["stdout"] == "x\n" and written["note"] == case["note"]

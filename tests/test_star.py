@@ -62,6 +62,19 @@ class TestConstruction:
         with pytest.raises(InvalidStarStructureError, match="n = 2"):
             make_star_matrix(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one))
 
+    def test_matrix_is_read_off_the_images(self):
+        ctx = make_context(2)
+        g, x, y = generators(ctx)
+        two, one = ctx.from_int(2), Element.one(ctx)
+        assert make_star_raw(ctx, g, y.scale(two), x + y).matrix \
+            == (ctx.zero, two, ctx.one, ctx.one)
+        assert make_star_raw(ctx, g, Element.zero(ctx), y).matrix \
+            == (ctx.zero, ctx.zero, ctx.zero, ctx.one)
+        # Images outside span(x, y), or g* != g, have no matrix.
+        for images in ((one, x, y), (g.scale(two), x, y), (g, x + one, y),
+                       (g, x, y * g), (g, x, y * x)):
+            assert make_star_raw(ctx, *images).matrix is None
+
 
 class TestApplyStar:
     def test_xg_image_under_diag(self):
