@@ -4,10 +4,10 @@ H_n is generated by g, x, y with g^n = 1, x^n = y^n = 0 and the
 omega-commutation relations xg = w gx, gy = w yg, xy = w yx; it carries
 a Hopf structure whose antipode has order 2n.  This package computes in
 H_n exactly over Q(zeta_m), verifies every Hopf and star-structure
-axiom, solves the structural linear systems (group-likes,
-skew-primitives), and decides equivalence of star structures exactly,
-with a verified witness: square-root-free diagonal witnesses for n > 2
-and the n = 2 matrix criterion A L = conj(L) B.
+axiom, writes down and re-verifies the structural answers (group-likes,
+skew-primitives), and decides equivalence of star structures exactly:
+every verified star is g* = g, (x*, y*) = A (x, y) with conj(A) A = I,
+and one square-root-free witness L_A L_B^-1 carries A to B at every n.
 
 The package re-exports nothing and importing it runs no layer.  Import
 names from the layer modules (``radford.scalars``, ``radford.algebra``,

@@ -11,10 +11,11 @@ Covers three jobs:
   conj(A) A = I some L_c = c I + conj(c) conj(A), c in (1, i, 1 + i), is
   invertible and has A L_c = conj(L_c), so L_A L_B^-1 carries A to B.
   Every star that passes the verifier has such an A, read off its images,
-  so all of them are equivalent, ``raw`` ones included.  For a diagonal
-  A = diag(alpha, beta) this is the Cayley form l(a) = (1 + conj(a))/2,
-  L_A / 2 = diag(l(alpha), l(beta)) when neither is -1.  The witness lives
-  in the input's own field and needs no square root.
+  so all of them are equivalent, however their files spell them.  For a
+  diagonal A = diag(alpha, beta) this is the Cayley form
+  l(a) = (1 + conj(a))/2, L_A / 2 = diag(l(alpha), l(beta)) when neither
+  is -1.  The witness lives in the input's own field and needs no square
+  root.
 * ``scan``: the star structures among lemma-shaped candidates on a
   grid, found by listing the grid points of the paper's family and
   verifying each one (README, "Why scan lists the paper's family").
@@ -31,7 +32,7 @@ from itertools import product
 from .algebra import _map_law, _on_generators
 from .errors import InvalidAutomorphismError, KernelError
 from .scalars import MAX_SCAN_COST
-from .star import GeneratorMap, _coproduct_law, _star_matrix_defect, apply_map, \
+from .star import GeneratorMap, _coproduct_law, apply_map, family_defect, \
     require_star, verify_star_axioms
 
 
@@ -53,21 +54,20 @@ def make_automorphism(ctx, matrix):
     """phi(g) = g, phi(x) = l11 x + l12 y, phi(y) = l21 x + l22 y.
 
     ``matrix`` is (l11, l12, l21, l22), row-major, and must be invertible.
-    The map is of kind ``matrix2`` at n = 2 and ``diag`` otherwise: for
-    n > 2 the relation pairs (g, x) and (g, y) refuse any mix of x and y,
-    since g x = w^-1 x g, g y = w y g and w != w^-1.
+    It is diagonal unless n = 2: for n > 2 the relation pairs (g, x) and
+    (g, y) refuse any mix of x and y, since g x = w^-1 x g, g y = w y g
+    and w != w^-1.
     """
     if not _det(matrix):
         raise InvalidAutomorphismError("matrix is singular")
-    return _verify_hopf_map(GeneratorMap.from_matrix(
-        "matrix2" if ctx.n == 2 else "diag", ctx, matrix, is_star=False))
+    return _verify_hopf_map(GeneratorMap.from_matrix(ctx, matrix, is_star=False))
 
 
 def verify_equivalence(phi, st_a, st_b):
     """Whether phi carries st_a to st_b: phi(h^{*A}) = phi(h)^{*B} for all h.
 
-    A ``raw`` star that fails ``verify_star_axioms`` is refused
-    (``require_star``).  phi is an algebra map: its generator images
+    A star outside the paper's family that fails ``verify_star_axioms`` is
+    refused (``require_star``).  phi is an algebra map: its generator images
     passed the defining relations in ``_verify_hopf_map``.  So both sides
     are conjugate-linear anti-homomorphisms, which agree everywhere once
     they agree on g, x and y.
@@ -149,7 +149,7 @@ def _star_matrices(grid):
             a21 = scaled[a12].get(1 - a11.conjugate() * a11)
             a22 = scaled[a12].get(-(a11.conjugate() * a12))
             if a21 is not None and a22 is not None \
-                    and _star_matrix_defect((a11, a12, a21, a22)) is None:
+                    and family_defect(a11.ctx, (a11, a12, a21, a22)) is None:
                 yield a11, a12, a21, a22
         elif a11 in units:
             for a21 in grid:
@@ -188,7 +188,7 @@ def scan_star_candidates(ctx, grid=None):
         _check_scan_cost(ctx, k, lookups, len(listed))
     else:
         listed = [(a, ctx.zero, ctx.zero, d) for a in units for d in units]
-    stars = (GeneratorMap.from_matrix("raw", ctx, a) for a in listed)
+    stars = (GeneratorMap.from_matrix(ctx, a) for a in listed)
     return [st for st in stars if verify_star_axioms(st).all_passed]
 
 

@@ -7,8 +7,9 @@ or malformed-input errors, including a conductor above
 exceed ``scalars.MAX_INPUT_DIGITS`` digits, an expression's products
 or a coproduct that would compute more than ``scalars.MAX_COORDS``
 field coordinates, a scan that costs more than ``scalars.MAX_SCAN_COST``
-units, and a ``raw`` star file that fails ``verify star`` given to
-``star-apply`` or ``equiv``.  A value that starts with '-' is written
+units, a star file above ``scalars.MAX_STAR_COST`` units or, given to
+``star-apply`` or ``equiv``, failing ``verify star``, and a coordinate
+too long to print.  A value that starts with '-' is written
 ``--beta=-i`` after an option and after ``--`` as a positional
 (``normalize -- -x``), as argparse reads ``-x`` as an option.
 """

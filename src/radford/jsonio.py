@@ -4,9 +4,10 @@ A scalar travels as an array of phi(m) canonical rational strings, each
 ``p`` or ``p/q`` in lowest terms: exactly the strings of the schemas'
 pattern ^-?[0-9]+(/[0-9]+)?$ are read back.  Every aggregate carries a
 context header {"n": ..., "m": ...}.  Decoders rebuild values through
-the ordinary constructors so invariants (norm-one parameters,
-conj(A)A = I2) are re-enforced on load; malformed input raises
-KernelError, which the CLI maps to a usage error.
+the ordinary constructors, so a ``diag`` or ``matrix2`` star must lie in
+the paper's family; n, m, r, s, l are integers as the schemas read them
+and no element lists a monomial twice, else KernelError, a usage error
+to the CLI.  A star is written as its images, read from any spelling.
 """
 
 from __future__ import annotations
@@ -17,16 +18,24 @@ import re
 from . import coalgebra, star
 from .algebra import Element, Monomial
 from .errors import KernelError
-from .scalars import MAX_INPUT_DIGITS, CyclotomicScalar, make_context
+from .scalars import MAX_INPUT_DIGITS, MAX_STAR_COST, CyclotomicScalar, make_context
 
 
 def context_to_json(ctx):
     return {"n": ctx.n, "m": ctx.m}
 
 
+def _schema_int(obj, key):
+    """obj[key] if the schemas read it as an integer: 3 or 3.0, not "3"."""
+    v = obj[key]
+    if type(v) is int or isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise TypeError(f"{key} must be an integer, got {v!r}")
+
+
 def context_from_json(obj):
     try:
-        return make_context(int(obj["n"]), int(obj["m"]))
+        return make_context(_schema_int(obj, "n"), _schema_int(obj, "m"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise KernelError(f"bad context header: {exc}") from exc
 
@@ -62,7 +71,7 @@ def _mono_to_json(mono):
 def _mono_from_json(ctx, obj):
     """A basis monomial y^r x^s g^l; each exponent must lie in [0, n)."""
     try:
-        mono = Monomial(int(obj["r"]), int(obj["s"]), int(obj["l"]))
+        mono = Monomial(*(_schema_int(obj, key) for key in "rsl"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise KernelError(f"bad monomial: {exc}") from exc
     if not all(0 <= k < ctx.n for k in mono):
@@ -93,6 +102,8 @@ def element_from_json(obj, ctx=None):
     terms = {}
     for t in term_objs:
         mono = _mono_from_json(ctx, t)
+        if mono in terms:
+            raise KernelError(f"monomial {mono} appears twice in one element")
         terms[mono] = scalar_from_json(ctx, t.get("coeff", []))
     return Element(ctx, terms)
 
@@ -103,23 +114,13 @@ def tensor_to_json(t):
     return {"context": context_to_json(t.ctx), "terms": terms}
 
 
-def _map_to_json(f, diag_keys, matrix_key):
-    """A generator map: its diag(a, b) under ``diag_keys``, its 2x2 matrix
-    under ``matrix_key``, or its raw images."""
-    out = {"kind": f.kind, "context": context_to_json(f.ctx)}
-    if f.kind == "diag":
-        for key, c in zip(diag_keys, f.matrix[::3]):
-            out[key] = scalar_to_json(c)
-    elif f.kind == "matrix2":
-        out[matrix_key] = [scalar_to_json(c) for c in f.matrix]
-    else:
-        for key in ("g_img", "x_img", "y_img"):
-            out[key] = element_to_json(getattr(f, key))
-    return out
+_IMAGES = ("g_img", "x_img", "y_img")
 
 
 def star_to_json(st):
-    return _map_to_json(st, ("alpha", "beta"), "a")
+    """A star as its images, the ``raw`` spelling every star has."""
+    return {"kind": "raw", "context": context_to_json(st.ctx),
+            **{key: element_to_json(getattr(st, key)) for key in _IMAGES}}
 
 
 def star_context(obj):
@@ -134,7 +135,8 @@ def star_from_json(obj, ctx):
     """Decode a star structure into ``ctx``.
 
     Each value is read in the object's own context and embedded in
-    ``ctx``, whose conductor must be a multiple of the object's.
+    ``ctx``, whose conductor must be a multiple of the object's.  Scalars
+    past ``MAX_STAR_COST`` are refused before any product is taken.
     """
     own = star_context(obj)
     try:
@@ -150,18 +152,27 @@ def star_from_json(obj, ctx):
 
     try:
         if kind == "diag":
-            return star.make_star_diag(ctx, scalar(obj["alpha"]), scalar(obj["beta"]))
-        if kind == "matrix2":
+            values = (scalar(obj["alpha"]), ctx.zero, ctx.zero, scalar(obj["beta"]))
+        elif kind == "matrix2":
             entries = obj["a"]
             if not isinstance(entries, list) or len(entries) != 4:
                 raise KernelError("matrix star needs a list of exactly 4 entries")
-            return star.make_star_matrix(ctx, tuple(scalar(c) for c in entries))
-        if kind == "raw":
-            return star.make_star_raw(ctx, element(obj["g_img"]),
-                                      element(obj["x_img"]), element(obj["y_img"]))
+            values = tuple(scalar(c) for c in entries)
+        elif kind == "raw":
+            images = tuple(element(obj[key]) for key in _IMAGES)
+            values = [c for e in images for c in e.terms.values()]
+        else:
+            raise KernelError(f"unknown star kind {kind!r}")
     except KeyError as exc:
         raise KernelError(f"{kind} star is missing {exc}") from exc
-    raise KernelError(f"unknown star kind {kind!r}")
+    texts = [t for c in values for t in c.coord_texts() if t != "0"]
+    cost = ctx.n * sum(len(t) + 1 for t in texts)
+    if cost > MAX_STAR_COST:
+        raise KernelError(f"star of {len(texts)} nonzero coordinates at n={ctx.n} "
+                          f"costs {cost} units, above the limit {MAX_STAR_COST}")
+    if kind == "raw":
+        return star.GeneratorMap(ctx, *images)
+    return star.make_star_matrix(ctx, values)
 
 
 def _value_to_json(v):
@@ -197,9 +208,12 @@ def report_to_json(report):
 
 
 def equivalence_to_json(phi):
-    """The answer "equivalent", carried by its verified witness phi."""
-    return {"equivalent": True,
-            "witness": _map_to_json(phi, ("lambda1", "lambda2"), "lambda")}
+    """The answer "equivalent", carried by its verified witness phi: its
+    2x2 matrix at n = 2, else its diagonal, which is all of it there."""
+    n2, lam = phi.ctx.n == 2, [scalar_to_json(c) for c in phi.matrix]
+    entries = {"lambda": lam} if n2 else {"lambda1": lam[0], "lambda2": lam[3]}
+    return {"equivalent": True, "witness": {"kind": "matrix2" if n2 else "diag",
+                                            "context": context_to_json(phi.ctx), **entries}}
 
 
 def skew_to_json(vectors):

@@ -34,7 +34,7 @@ MAX_EXPR_DEPTH = 100
 
 
 class Token(NamedTuple):
-    kind: str  # NUM NAME OP END
+    tag: str  # NUM NAME OP END
     text: str
     line: int
     column: int
@@ -127,7 +127,7 @@ class _Parser:
         raise ExprSyntaxError(message, tok.line, tok.column)
 
     def eat_op(self, ch):
-        if self.cur.kind == "OP" and self.cur.text == ch:
+        if self.cur.tag == "OP" and self.cur.text == ch:
             self.pos += 1
             return True
         return False
@@ -135,7 +135,7 @@ class _Parser:
     def parse_expr(self):
         first = self.parse_term()
         rest = []
-        while self.cur.kind == "OP" and self.cur.text in "+-":
+        while self.cur.tag == "OP" and self.cur.text in "+-":
             sign = 1 if self.cur.text == "+" else -1
             self.pos += 1
             rest.append((sign, self.parse_term()))
@@ -152,7 +152,7 @@ class _Parser:
         atom = self.parse_atom()
         if self.eat_op("^"):
             tok = self.cur
-            if tok.kind != "NUM":
+            if tok.tag != "NUM":
                 self._fail("expected a nonnegative integer exponent")
             self.pos += 1
             return Pow(atom, int(tok.text))
@@ -160,12 +160,12 @@ class _Parser:
 
     def parse_atom(self):
         tok = self.cur
-        if tok.kind == "NUM":
+        if tok.tag == "NUM":
             self.pos += 1
             numerator = int(tok.text)
             if self.eat_op("/"):
                 dtok = self.cur
-                if dtok.kind != "NUM":
+                if dtok.tag != "NUM":
                     self._fail("expected a positive integer denominator")
                 self.pos += 1
                 denominator = int(dtok.text)
@@ -174,10 +174,10 @@ class _Parser:
                 g = gcd(numerator, denominator)
                 return Num(numerator // g, denominator // g)
             return Num(numerator, 1)
-        if tok.kind == "NAME":
+        if tok.tag == "NAME":
             self.pos += 1
             return Atom(tok.text)
-        if tok.kind == "OP" and tok.text == "(":
+        if tok.tag == "OP" and tok.text == "(":
             self.pos += 1
             self.depth += 1
             if self.depth > MAX_EXPR_DEPTH:
@@ -187,7 +187,7 @@ class _Parser:
                 self._fail("expected ')'")
             self.depth -= 1
             return inner
-        if tok.kind == "END":
+        if tok.tag == "END":
             self._fail("unexpected end of input")
         self._fail(f"unexpected {tok.text!r}")
 
@@ -219,7 +219,7 @@ def parse(text):
     """
     parser = _Parser(_tokenize(text))
     expr = parser.parse_expr()
-    if parser.cur.kind != "END":
+    if parser.cur.tag != "END":
         parser._fail(f"unexpected {parser.cur.text!r}")
     if _digit_bound(expr) > MAX_INPUT_DIGITS:
         raise KernelError(

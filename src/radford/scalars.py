@@ -52,6 +52,13 @@ MAX_CONDUCTOR = 1024
 # integers grow.
 MAX_INPUT_DIGITS = 1000
 
+# Most work a star file may ask for, in units counted as it is decoded:
+# n times its scalars' nonzero coordinates, each weighing its length as
+# written plus one; ``verify star`` raises the images to the power n - 1.
+# Shapes under it ran 0.75 to 3.6 s, and 64 coordinates of 1000 digits at
+# n = 128 (8.2M units) ran 92 s (x* = a x, Python 3.11, 2-core shared VM).
+MAX_STAR_COST = 500_000
+
 # Most work ``classify.scan_star_candidates`` takes on, in cost units
 # counted before the work is done.  Verifying one listed structure costs
 # 8 (b + 5)(phi(m) + 200) units, b the bit length of n, and one lookup of
@@ -380,11 +387,11 @@ class CyclotomicScalar:
 
     def coord_texts(self):
         """Each coordinate in lowest terms, as ``p`` or ``p/q``."""
-        out = []
-        for v in self.num:
-            g = math.gcd(v, self.den)
-            out.append(str(v // g) if g == self.den else f"{v // g}/{self.den // g}")
-        return out
+        try:
+            return [str(v // g) if (g := math.gcd(v, self.den)) == self.den
+                    else f"{v // g}/{self.den // g}" for v in self.num]
+        except ValueError as exc:
+            raise KernelError("a scalar coordinate has too many digits to print") from exc
 
     def __repr__(self):
         return f"CyclotomicScalar({list(self.coords)}, m={self.ctx.m})"

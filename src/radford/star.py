@@ -9,21 +9,13 @@ canonical words y^r x^s g^l:
 * an automorphism phi linearly and multiplicatively,
   y^r x^s g^l -> phi(y)^r phi(x)^s g^l.
 
-Three kinds of star structure are supported:
-
-* ``diag``:     g -> g, x -> alpha*x, y -> beta*y with |alpha| = |beta| = 1
-                (valid for every n).
-* ``matrix2``:  n = 2 only; g -> g, x -> a11*x + a12*y, y -> a21*x + a22*y
-                with conj(A)*A = I2.
-* ``raw``:      arbitrary candidate images with no validity promise, so
-                that impossibility arguments become executable negative
-                tests.
-
-A map is its kind, its role (star or automorphism) and its three images;
-its 2x2 ``matrix`` is read off the images.  ``classify`` builds the
-automorphisms, of kind ``diag`` or ``matrix2``.  A caller that uses a star
-rather than judging it passes it through one gate, ``require_star``: a
-``raw`` star must pass ``verify_star_axioms``.
+A map is its role (star or automorphism) and its three images; its 2x2
+``matrix`` is read off them.  ``make_star_matrix`` and ``make_star_diag``
+build members of the paper's family, which ``family_defect`` decides;
+other images are candidates, so that impossibility arguments become
+executable negative tests.  A caller that uses a star rather than judging
+it passes it through one gate, ``require_star``: a star outside the
+family must pass ``verify_star_axioms``.
 
 ``verify_star_axioms`` decides the five defining conditions for all of
 H_n by checking them on the six relation pairs and on g, x, y, and
@@ -34,7 +26,8 @@ map: their report omits the checks that would judge one.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache, partial, reduce
+from itertools import product
 from operator import mul
 from typing import NamedTuple
 
@@ -61,18 +54,18 @@ from .errors import InvalidStarStructureError, KernelError
 class GeneratorMap:
     """A star structure or an automorphism, given by its images of g, x, y."""
 
-    __slots__ = ("kind", "ctx", "g_img", "x_img", "y_img", "is_star")
+    __slots__ = ("ctx", "g_img", "x_img", "y_img", "is_star")
 
-    def __init__(self, kind, ctx, g_img, x_img, y_img, is_star=True):
-        self.kind, self.ctx, self.is_star = kind, ctx, is_star
+    def __init__(self, ctx, g_img, x_img, y_img, is_star=True):
+        self.ctx, self.is_star = ctx, is_star
         self.g_img, self.x_img, self.y_img = g_img, x_img, y_img
 
     @classmethod
-    def from_matrix(cls, kind, ctx, matrix, is_star=True):
+    def from_matrix(cls, ctx, matrix, is_star=True):
         """g -> g, x -> a11 x + a12 y, y -> a21 x + a22 y."""
         a11, a12, a21, a22 = matrix
         _, x, y = GENERATOR_MONOMIALS
-        return cls(kind, ctx, Element.monomial(ctx, 0, 0, 1),
+        return cls(ctx, Element.monomial(ctx, 0, 0, 1),
                    Element(ctx, {x: a11, y: a12}), Element(ctx, {x: a21, y: a22}),
                    is_star)
 
@@ -87,15 +80,15 @@ class GeneratorMap:
         return tuple(img.get(k, self.ctx.zero) for img in imgs for k in (x, y))
 
     def __eq__(self, other):
-        """Same kind and role, and the same images of g, x, y."""
+        """Same role, and the same images of g, x, y."""
         if not isinstance(other, GeneratorMap):
             return NotImplemented
         return all(getattr(self, k) == getattr(other, k)
-                   for k in ("kind", "is_star", "g_img", "x_img", "y_img"))
+                   for k in ("is_star", "g_img", "x_img", "y_img"))
 
     def __repr__(self):
         role = "star" if self.is_star else "automorphism"
-        return f"GeneratorMap({role}, kind={self.kind!r}, n={self.ctx.n}, m={self.ctx.m})"
+        return f"GeneratorMap({role}, n={self.ctx.n}, m={self.ctx.m})"
 
     def of_monomial(self, mono):
         """Image of y^r x^s g^l, zero exponents skipped: (g*)^l (x*)^s (y*)^r
@@ -122,53 +115,35 @@ def apply_map(f, e):
 
 def _coproduct_law(f):
     """Check of D(f(b)) = (f (x) f)D(b) on a basis monomial b."""
-
-    def image(e):
-        return apply_map(f, e)
-
+    image = partial(apply_map, f)
     return _map_law(f.ctx, lambda e: delta(image(e)),
                     lambda e: tensor_map(delta(e), image, image))
 
 
-def make_star_diag(ctx, alpha, beta):
-    """Validated diagonal structure g* = g, x* = alpha x, y* = beta y."""
-    if not alpha.is_norm_one():
-        raise InvalidStarStructureError("alpha fails the norm-one precondition")
-    if not beta.is_norm_one():
-        raise InvalidStarStructureError("beta fails the norm-one precondition")
-    return GeneratorMap.from_matrix("diag", ctx, (alpha, ctx.zero, ctx.zero, beta))
-
-
-def _star_matrix_defect(entries):
-    """First entry (i, j) of conj(A)A != I2, 1-based, A row-major, or None."""
-    for i in range(2):
-        for j in range(2):
-            got = entries[2 * i].conjugate() * entries[j] \
-                + entries[2 * i + 1].conjugate() * entries[2 + j]
-            if got != int(i == j):
-                return i + 1, j + 1
+def family_defect(ctx, a):
+    """Why g* = g, (x*, y*) = A (x, y), ``a`` row-major, is outside the
+    paper's family, or None: the family asks A diagonal unless n = 2, and
+    conj(A) A = I, checked entry by entry."""
+    if ctx.n != 2 and (a[1] or a[2]):
+        return f"x* and y* mix x and y, which needs n = 2, got n = {ctx.n}"
+    for i, j in product(range(2), repeat=2):
+        entry = a[2 * i].conjugate() * a[j] + a[2 * i + 1].conjugate() * a[2 + j]
+        if entry != int(i == j):
+            return f"conj(A)A differs from I2 at entry ({i + 1},{j + 1})"
     return None
 
 
-def make_star_matrix(ctx, entries):
-    """Validated n = 2 structure from a 2x2 matrix with conj(A)A = I2.
-
-    ``entries`` is (a11, a12, a21, a22) row-major.
-    """
-    if ctx.n != 2:
-        raise InvalidStarStructureError(
-            f"matrix star structures require n = 2, got n = {ctx.n}"
-        )
-    bad = _star_matrix_defect(entries)
-    if bad is not None:
-        raise InvalidStarStructureError(
-            f"conj(A)A differs from I2 at entry ({bad[0]},{bad[1]})")
-    return GeneratorMap.from_matrix("matrix2", ctx, entries)
+def make_star_matrix(ctx, a):
+    """The star g* = g, (x*, y*) = A (x, y) of the paper's family, ``a``
+    row-major; any other A is refused with its ``family_defect``."""
+    if (defect := family_defect(ctx, a)) is not None:
+        raise InvalidStarStructureError(defect)
+    return GeneratorMap.from_matrix(ctx, a)
 
 
-def make_star_raw(ctx, g_img, x_img, y_img):
-    """Unvalidated candidate images, for feeding to the verifier."""
-    return GeneratorMap("raw", ctx, g_img, x_img, y_img)
+def make_star_diag(ctx, alpha, beta):
+    """The star g* = g, x* = alpha x, y* = beta y of the paper's family."""
+    return make_star_matrix(ctx, (alpha, ctx.zero, ctx.zero, beta))
 
 
 class CheckResult(NamedTuple):
@@ -243,9 +218,7 @@ def verify_star_axioms(st):
     """
     ctx = st.ctx
     _hopf_certificate(ctx)
-
-    def star(e):
-        return apply_map(st, e)
+    star = partial(apply_map, st)
 
     def on_generators(lhs, rhs):
         return _on_generators(_map_law(ctx, lhs, rhs))
@@ -266,13 +239,14 @@ def verify_star_axioms(st):
 
 
 def require_star(st):
-    """Refuse a ``raw`` st that fails ``verify_star_axioms``, naming its first
-    failing check as ``verify star`` prints it; ``diag`` and ``matrix2``
-    structures are checked by their constructors."""
-    if st.kind == "raw":
-        for c in verify_star_axioms(st).checks:
-            if not c.passed:
-                raise InvalidStarStructureError(f"not a star structure: {c}")
+    """Admit st when its matrix is in the paper's family, every member of
+    which is a star; refuse any other st that fails ``verify_star_axioms``,
+    naming its first failing check as ``verify star`` prints it."""
+    if (a := st.matrix) is not None and family_defect(st.ctx, a) is None:
+        return
+    for c in verify_star_axioms(st).checks:
+        if not c.passed:
+            raise InvalidStarStructureError(f"not a star structure: {c}")
 
 
 def _convolution_law(ctx, f, target):

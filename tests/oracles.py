@@ -43,7 +43,7 @@ from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map
     tensor_mul, tensor_of
 from radford.errors import KernelError
 from radford.jsonio import _mono_from_json, _term_objects, context_from_json, \
-    scalar_from_json
+    context_to_json, scalar_from_json, scalar_to_json, star_to_json
 from radford.scalars import _poly_divmod
 from radford.solver import _nullspace_from_rows
 from radford.star import GeneratorMap, verify_star_axioms
@@ -451,7 +451,7 @@ def scan_oracle(ctx, grid=None):
         else:
             images = [(one - g_img).scale(c) for c in grid]
         for x_img, y_img in product(images, repeat=2):
-            st = GeneratorMap("raw", ctx, g_img, x_img, y_img)
+            st = GeneratorMap(ctx, g_img, x_img, y_img)
             if prescreen(st) and verify_star_axioms(st).all_passed:
                 survivors.append(st)
     return survivors
@@ -556,3 +556,17 @@ def load_schema(name):
 
     text = resources.files("radford").joinpath(f"schemas/{name}.json").read_text()
     return json.loads(text)
+
+
+def star_json(st, kind):
+    """The star file of st in the spelling ``kind``: ``diag`` writes the
+    diagonal of its matrix as alpha and beta, ``matrix2`` the matrix as a,
+    and ``raw`` the images, as ``jsonio.star_to_json`` writes every star."""
+    if kind == "raw":
+        return star_to_json(st)
+    out = {"kind": kind, "context": context_to_json(st.ctx)}
+    if kind == "diag":
+        out["alpha"], out["beta"] = (scalar_to_json(c) for c in st.matrix[::3])
+    else:
+        out["a"] = [scalar_to_json(c) for c in st.matrix]
+    return out

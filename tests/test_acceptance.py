@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 from oracles import FieldMatrix, basis, delta_oracle, failed_names, field_nullspace, \
-    generators, load_schema, named_check, word_of_monomial
+    generators, load_schema, named_check, star_json, word_of_monomial
 from radford import jsonio
 from radford.algebra import (
     Element,
@@ -32,9 +32,9 @@ from radford.parser import format_element, parse_element
 from radford.scalars import make_context
 from radford.solver import is_grouplike, skew_primitive_space
 from radford.star import (
+    GeneratorMap,
     make_star_diag,
     make_star_matrix,
-    make_star_raw,
     verify_hopf_axioms,
     verify_star_axioms,
 )
@@ -152,7 +152,7 @@ def test_criterion_6_star_structures():
 @criterion(7, "impossible candidates fail a named axiom with a witness")
 def test_criterion_7_negative_candidates():
     ctx = make_context(3)
-    scaled_x = make_star_raw(
+    scaled_x = GeneratorMap(
         ctx,
         Element.monomial(ctx, 0, 0, 1),
         Element.monomial(ctx, 0, 1, 0, ctx.from_int(2)),
@@ -167,7 +167,7 @@ def test_criterion_7_negative_candidates():
 
     one = Element.one(ctx)
     g2 = Element.monomial(ctx, 0, 0, 2)
-    moved_g = make_star_raw(ctx, g2, one - g2, one - g2)
+    moved_g = GeneratorMap(ctx, g2, one - g2, one - g2)
     report = verify_star_axioms(moved_g)
     failed = failed_names(report)
     assert failed
@@ -267,7 +267,7 @@ def test_criterion_11_cli_contract(tmp_path):
 
     ctx = make_context(3)
     bad = tmp_path / "bad_raw.json"
-    bad.write_text(json.dumps(jsonio.star_to_json(make_star_raw(
+    bad.write_text(json.dumps(jsonio.star_to_json(GeneratorMap(
         ctx,
         Element.monomial(ctx, 0, 0, 1),
         Element.monomial(ctx, 0, 1, 0, ctx.from_int(2)),
@@ -283,17 +283,17 @@ def test_criterion_11_cli_contract(tmp_path):
 
     # JSON outputs validate against the shipped schemas
     good_diag = tmp_path / "diag.json"
-    good_diag.write_text(json.dumps(jsonio.star_to_json(
-        make_star_diag(ctx, ctx.omega(), ctx.one)
+    good_diag.write_text(json.dumps(star_json(
+        make_star_diag(ctx, ctx.omega(), ctx.one), "diag"
     )))
     ident = tmp_path / "ident.json"
     c2 = make_context(2)
-    ident.write_text(json.dumps(jsonio.star_to_json(
-        make_star_matrix(c2, (c2.one, c2.zero, c2.zero, c2.one))
+    ident.write_text(json.dumps(star_json(
+        make_star_matrix(c2, (c2.one, c2.zero, c2.zero, c2.one)), "matrix2"
     )))
     diag_i = tmp_path / "diag_i.json"
-    diag_i.write_text(json.dumps(jsonio.star_to_json(
-        make_star_matrix(c2, (c2.i(), c2.zero, c2.zero, -c2.i()))
+    diag_i.write_text(json.dumps(star_json(
+        make_star_matrix(c2, (c2.i(), c2.zero, c2.zero, -c2.i())), "matrix2"
     )))
     checks = [
         (("--n", "3", "--json", "normalize", "x*g + y"), "element"),

@@ -20,8 +20,8 @@ from math import lcm
 import pytest
 
 from oracles import antipode_order_oracle, basis, equivalence_oracle, failed_names, \
-    generators, hopf_oracle, inject_coproduct, map_oracle, named_check, star_oracle, \
-    x_primitive_delta
+    generators, hopf_oracle, inject_coproduct, map_oracle, named_check, star_json, \
+    star_oracle, x_primitive_delta
 from radford import jsonio
 from radford.algebra import Element, Monomial
 from radford.classify import (
@@ -37,7 +37,6 @@ from radford.star import (
     apply_map,
     make_star_diag,
     make_star_matrix,
-    make_star_raw,
     verify_hopf_axioms,
     verify_star_axioms,
 )
@@ -83,21 +82,21 @@ def raw_candidates(ctx):
     x = Element.monomial(ctx, 0, 1, 0)
     y = Element.monomial(ctx, 1, 0, 0)
     return [
-        make_star_raw(ctx, g, x.scale(ctx.from_int(2)), y),  # scaled x
-        make_star_raw(ctx, g, y, x),                          # x/y swap
-        make_star_raw(ctx, g2, one - g2, one - g2),           # the g^2 candidate
-        make_star_raw(ctx, g, x + one - g, y),                # x* = x + (1 - g)
-        make_star_raw(ctx, g2, x, y),                         # g* = g^2
-        make_star_raw(ctx, g, x + one, y),                    # x* = x + 1
-        make_star_raw(ctx, g2, x.scale(ctx.zero), x),         # x* = 0, y* = x
-        make_star_raw(ctx, -g, x, y),                         # g* = -g
+        GeneratorMap(ctx, g, x.scale(ctx.from_int(2)), y),  # scaled x
+        GeneratorMap(ctx, g, y, x),                          # x/y swap
+        GeneratorMap(ctx, g2, one - g2, one - g2),           # the g^2 candidate
+        GeneratorMap(ctx, g, x + one - g, y),                # x* = x + (1 - g)
+        GeneratorMap(ctx, g2, x, y),                         # g* = g^2
+        GeneratorMap(ctx, g, x + one, y),                    # x* = x + 1
+        GeneratorMap(ctx, g2, x.scale(ctx.zero), x),         # x* = 0, y* = x
+        GeneratorMap(ctx, -g, x, y),                         # g* = -g
     ]
 
 
 def generator_maps(ctx):
-    """A diagonal, a matrix2 (n = 2 only) and a raw map, each as a star and
-    as an automorphism; the raw images break relation pairs.  Automorphisms
-    are of kind matrix2 at n = 2 and diag otherwise."""
+    """A diagonal map, a map mixing x and y (n = 2 only) and one with no
+    matrix, each as a star and as an automorphism; the last one's images
+    break relation pairs."""
     g, x, y = generators(ctx)
     one, i = ctx.one, ctx.i()
     a = (ctx.from_int(3) + ctx.from_int(4) * i) * ctx.from_fraction(Fraction(1, 5))
@@ -110,8 +109,8 @@ def generator_maps(ctx):
                                         ctx.zero)),
                  make_automorphism(ctx, (one, i, ctx.from_int(2), ctx.zero))]
     raw = (g * g + x.scale(a), x + y.scale(ctx.zeta(1)) + g, y * x + Element.one(ctx) - g)
-    return maps + [GeneratorMap("raw", ctx, *raw),
-                   GeneratorMap("raw", ctx, *raw, is_star=False)]
+    return maps + [GeneratorMap(ctx, *raw),
+                   GeneratorMap(ctx, *raw, is_star=False)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -120,9 +119,10 @@ def test_map_extension_matches_oracle(n):
     # coefficient 2 + i tells conjugate-linear from linear.
     ctx = make_context(n)
     maps = generator_maps(ctx)
-    # At n = 2 both automorphisms are of kind matrix2, the diagonal one too.
     assert len(maps) == (6 if n == 2 else 4)
-    assert len({(f.kind, f.is_star) for f in maps}) == (5 if n == 2 else 4)
+    shapes = {("none" if f.matrix is None else "mix" if f.matrix[1] or f.matrix[2]
+               else "diag", f.is_star) for f in maps}
+    assert len(shapes) == len(maps)
     c = ctx.from_int(2) + ctx.i()
     for f in maps:
         for b in basis(ctx):
@@ -138,9 +138,9 @@ def test_counit_conjugate_counterexample_is_the_first_on_the_basis(n):
     ctx = make_context(n)
     g, x, y = generators(ctx)
     one = Element.one(ctx)
-    extra = [make_star_raw(ctx, g, x + y, y),
-             make_star_raw(ctx, g, x, y + one.scale(ctx.from_int(2))),
-             make_star_raw(ctx, g.scale(ctx.zeta(1)), x + one, y)]
+    extra = [GeneratorMap(ctx, g, x + y, y),
+             GeneratorMap(ctx, g, x, y + one.scale(ctx.from_int(2))),
+             GeneratorMap(ctx, g.scale(ctx.zeta(1)), x + one, y)]
     outcomes = set()
     for st in raw_candidates(ctx) + extra:
         first = None
@@ -241,8 +241,8 @@ def test_raw_candidates_match_oracle():
 def test_antimultiplicative_counterexample_is_a_relation_pair():
     ctx = make_context(3)
     g = Element.monomial(ctx, 0, 0, 1)
-    swap = make_star_raw(ctx, g, Element.monomial(ctx, 1, 0, 0),
-                         Element.monomial(ctx, 0, 1, 0))
+    swap = GeneratorMap(ctx, g, Element.monomial(ctx, 1, 0, 0),
+                        Element.monomial(ctx, 0, 1, 0))
     ce = named_check(verify_star_axioms(swap), "antimultiplicative").counterexample
     assert ce.location == ("pair", (Monomial(0, 0, 1), Monomial(0, 1, 0)))
 
@@ -274,8 +274,8 @@ def test_equivalence_refuses_non_antimultiplicative_stars():
     # so there is nothing for phi to carry, on either side.
     ctx = make_context(3)
     g = Element.monomial(ctx, 0, 0, 1)
-    swap = make_star_raw(ctx, g, Element.monomial(ctx, 1, 0, 0),
-                         Element.monomial(ctx, 0, 1, 0))
+    swap = GeneratorMap(ctx, g, Element.monomial(ctx, 1, 0, 0),
+                        Element.monomial(ctx, 0, 1, 0))
     trivial = make_star_diag(ctx, ctx.one, ctx.one)
     phi = make_automorphism(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one))
     for a, b in ((swap, swap), (swap, trivial), (trivial, swap)):
@@ -284,7 +284,7 @@ def test_equivalence_refuses_non_antimultiplicative_stars():
                                  r"at \(y\^0\*x\^0\*g\^1, "):
             verify_equivalence(phi, a, b)
     # A raw star that passes the verifier is compared on g, x, y.
-    assert verify_equivalence(phi, make_star_raw(ctx, *generators(ctx)), trivial)
+    assert verify_equivalence(phi, GeneratorMap(ctx, *generators(ctx)), trivial)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -309,8 +309,8 @@ def test_verify_hopf_large_n(n):
 def test_verify_star_large_n(n, tmp_path):
     ctx = make_context(n)
     path = tmp_path / "diag.json"
-    path.write_text(json.dumps(jsonio.star_to_json(
-        make_star_diag(ctx, ctx.zeta(1), ctx.zeta(3)))))
+    path.write_text(json.dumps(star_json(
+        make_star_diag(ctx, ctx.zeta(1), ctx.zeta(3)), "diag")))
     proc = run_cli("--n", str(n), "verify", "star", "--star", str(path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
@@ -343,8 +343,8 @@ def test_verify_star_raw_large_n(tmp_path):
     ctx = make_context(1024)
     g, x, y = generators(ctx)
     path = tmp_path / "raw.json"
-    for st, pair in ((make_star_raw(ctx, g ** 1023, y, x), "y^0*x^1*g^0, y^1*x^0*g^0"),
-                     (make_star_raw(ctx, g, x + y, y), "y^0*x^0*g^1, y^0*x^1*g^0")):
+    for st, pair in ((GeneratorMap(ctx, g ** 1023, y, x), "y^0*x^1*g^0, y^1*x^0*g^0"),
+                     (GeneratorMap(ctx, g, x + y, y), "y^0*x^0*g^1, y^0*x^1*g^0")):
         path.write_text(json.dumps(jsonio.star_to_json(st)))
         proc = run_cli("--n", "1024", "verify", "star", "--star", str(path),
                        timeout=10)
@@ -360,7 +360,7 @@ def test_star_apply_refuses_non_antimultiplicative_raw_star(tmp_path):
     ctx = make_context(1024)
     g, x, y = generators(ctx)
     path = tmp_path / "swap.json"
-    path.write_text(json.dumps(jsonio.star_to_json(make_star_raw(ctx, g ** 1023, y, x))))
+    path.write_text(json.dumps(jsonio.star_to_json(GeneratorMap(ctx, g ** 1023, y, x))))
     proc = run_cli("--n", "1024", "star-apply", "--star", str(path), "x*y", timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from radford import jsonio
 from radford.algebra import Element, Monomial
 from radford.coalgebra import delta, tensor_of
 from radford.classify import (
@@ -21,8 +22,8 @@ from radford.errors import ContextMismatchError, InvalidAutomorphismError, \
     InvalidStarStructureError, KernelError
 from radford.parser import parse_scalar
 from radford.scalars import MAX_SCAN_COST, make_context
-from radford.star import _star_matrix_defect, apply_map, make_star_diag, \
-    make_star_matrix, make_star_raw
+from radford.star import GeneratorMap, apply_map, family_defect, make_star_diag, \
+    make_star_matrix
 
 from oracles import _invertible_point, basis, equivalence_oracle, generators, \
     n2_polarization_oracle, n2_search_oracle, scan_oracle
@@ -198,12 +199,12 @@ class TestWitnessDiag:
 
     def test_equiv_diag_at_n2(self, capsys):
         # The witness takes diagonal structures at any n, and so does the
-        # `equiv diag` command; at n = 2 the witness is of kind matrix2.
+        # `equiv diag` command; at n = 2 the witness is written as kind matrix2.
         assert main(["--n", "2", "equiv", "diag", "--alpha", "1", "--beta", "1"]) == 0
         assert capsys.readouterr().out == "equivalent\n"
         ctx = make_context(2)
         phi = witness_to_trivial(make_star_diag(ctx, ctx.i(), -ctx.one))
-        assert phi.kind == "matrix2"
+        assert jsonio.equivalence_to_json(phi)["witness"]["kind"] == "matrix2"
 
     def test_non_root_parameter_reported(self):
         # (3 + 4i)/5 is no root of unity; its witness is (1 + conj a)/2.
@@ -267,7 +268,8 @@ class TestSolveEquivalenceN2:
         for st_a in stars:
             for st_b in stars:
                 phi = equivalence_witness(st_a, st_b)
-                assert phi.kind == "matrix2" and not phi.is_star
+                assert not phi.is_star
+                assert jsonio.equivalence_to_json(phi)["witness"]["kind"] == "matrix2"
                 assert verify_equivalence(phi, st_a, st_b)
 
     def test_symmetry_via_inverse_witness(self):
@@ -292,7 +294,7 @@ class TestSolveEquivalenceN2:
         # structure that scan listed.
         for ctx in (make_context(2), make_context(3)):
             trivial = make_star_diag(ctx, ctx.one, ctx.one)
-            for raw in (make_star_raw(ctx, *generators(ctx)),
+            for raw in (GeneratorMap(ctx, *generators(ctx)),
                         scan_star_candidates(ctx, grid=[ctx.zero, ctx.one])[0]):
                 for pair in ((raw, trivial), (trivial, raw), (raw, raw)):
                     phi = equivalence_witness(*pair)
@@ -318,7 +320,7 @@ class TestSolveEquivalenceN2:
         ctx = make_context(5)
         g, x, y = generators(ctx)
         a = parse_scalar("3/5 + 4/5*i", ctx)
-        raw = make_star_raw(ctx, g, x.scale(a), y.scale(a.conjugate()))
+        raw = GeneratorMap(ctx, g, x.scale(a), y.scale(a.conjugate()))
         diag = make_star_diag(ctx, a, a.conjugate())
         assert raw.matrix == diag.matrix
         for pair in ((raw, diag), (diag, raw), (raw, make_star_diag(ctx, ctx.one, ctx.one))):
@@ -330,7 +332,7 @@ class TestSolveEquivalenceN2:
         # x* = 2x respects the relations; involution is the first check it fails.
         ctx = make_context(3)
         g, x, y = generators(ctx)
-        scaled = make_star_raw(ctx, g, x.scale(ctx.from_int(2)), y)
+        scaled = GeneratorMap(ctx, g, x.scale(ctx.from_int(2)), y)
         trivial = make_star_diag(ctx, ctx.one, ctx.one)
         for pair in ((scaled, trivial), (trivial, scaled)):
             with pytest.raises(InvalidStarStructureError,
@@ -505,7 +507,7 @@ class TestScan:
             grid = [ctx.zeta(k) for k in range(m)] + [ctx.zero]
         else:
             grid = [parse_scalar(t, ctx) for t in grid.split(",")]
-        want = [a for a in product(grid, repeat=4) if _star_matrix_defect(a) is None]
+        want = [a for a in product(grid, repeat=4) if family_defect(ctx, a) is None]
         assert list(_star_matrices(grid)) == want
 
     # k (k + 1) listing lookups of 6 * 38 units at n = 2 on the integers,

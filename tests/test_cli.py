@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from oracles import generators, load_schema, n2_polarization_oracle, n2_search_oracle, \
-    tensor_from_json
+    star_json, tensor_from_json
 from radford import jsonio
 from radford.algebra import Element, Monomial
 from radford.classify import make_automorphism, verify_equivalence
@@ -17,8 +17,8 @@ from radford.cli import main
 from radford.coalgebra import delta, delta_coords
 from radford.errors import ContextMismatchError
 from radford.parser import parse_element
-from radford.scalars import MAX_COORDS, MAX_SCAN_COST, make_context
-from radford.star import make_star_diag, make_star_matrix, make_star_raw, \
+from radford.scalars import MAX_COORDS, MAX_SCAN_COST, MAX_STAR_COST, make_context
+from radford.star import GeneratorMap, make_star_diag, make_star_matrix, \
     verify_star_axioms
 
 
@@ -65,48 +65,42 @@ class TestJsonRoundTrips:
         assert tensor_from_json(obj) == t
 
     def test_star_kinds(self):
-        ctx3 = make_context(3)
-        st = make_star_diag(ctx3, ctx3.omega(), -ctx3.one)
-        obj = jsonio.star_to_json(st)
-        validate(obj, "star_structure")
-        assert jsonio.star_from_json(obj, ctx3) == st
-
-        ctx2 = make_context(2)
-        stm = make_star_matrix(
-            ctx2, (ctx2.zero, ctx2.from_int(2),
-                   ctx2.from_fraction(Fraction(1, 2)), ctx2.zero)
-        )
-        obj = jsonio.star_to_json(stm)
-        validate(obj, "star_structure")
-        assert jsonio.star_from_json(obj, ctx2) == stm
-
-        raw = make_star_raw(
-            ctx3,
-            Element.monomial(ctx3, 0, 0, 2),
-            Element.one(ctx3),
-            Element.one(ctx3),
-        )
-        obj = jsonio.star_to_json(raw)
-        validate(obj, "star_structure")
-        assert jsonio.star_from_json(obj, ctx3) == raw
+        # star_to_json writes every star as its images; a file may also
+        # spell a member of the paper's family as diag or matrix2, and
+        # every spelling decodes to the same star.
+        ctx3, ctx2 = make_context(3), make_context(2)
+        stars = [
+            (make_star_diag(ctx3, ctx3.omega(), -ctx3.one), ("diag", "matrix2", "raw")),
+            (make_star_matrix(ctx2, (ctx2.zero, ctx2.from_int(2),
+                                     ctx2.from_fraction(Fraction(1, 2)), ctx2.zero)),
+             ("matrix2", "raw")),
+            (GeneratorMap(ctx3, Element.monomial(ctx3, 0, 0, 2), Element.one(ctx3),
+                          Element.one(ctx3)), ("raw",)),
+        ]
+        for st, kinds in stars:
+            assert jsonio.star_to_json(st)["kind"] == "raw"
+            for kind in kinds:
+                obj = star_json(st, kind)
+                validate(obj, "star_structure")
+                assert jsonio.star_from_json(obj, st.ctx) == st
 
     def test_star_decodes_into_a_larger_conductor(self):
         ctx = make_context(3)
         big = make_context(3, 24)
-        obj = jsonio.star_to_json(make_star_diag(ctx, ctx.omega(), ctx.from_int(-1)))
+        obj = star_json(make_star_diag(ctx, ctx.omega(), ctx.from_int(-1)), "diag")
         st = jsonio.star_from_json(obj, big)
         assert st.ctx is big
         assert st.matrix[0] == ctx.omega().embed(big)
         assert verify_star_axioms(st).all_passed
         # 36 is not a multiple of 24, and 6 is another order.
-        obj = jsonio.star_to_json(make_star_diag(big, big.zeta(1), big.one))
+        obj = star_json(make_star_diag(big, big.zeta(1), big.one), "diag")
         for other in (make_context(3, 36), make_context(6, 24)):
             with pytest.raises(ContextMismatchError):
                 jsonio.star_from_json(obj, other)
 
     def test_report_with_counterexample(self):
         ctx = make_context(3)
-        st = make_star_raw(
+        st = GeneratorMap(
             ctx,
             Element.monomial(ctx, 0, 0, 1),
             Element.monomial(ctx, 0, 1, 0, ctx.from_int(2)),
@@ -185,37 +179,37 @@ def star_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("stars")
     ctx2 = make_context(2)
     ident = root / "ident.json"
-    ident.write_text(json.dumps(jsonio.star_to_json(
-        make_star_matrix(ctx2, (ctx2.one, ctx2.zero, ctx2.zero, ctx2.one))
+    ident.write_text(json.dumps(star_json(
+        make_star_matrix(ctx2, (ctx2.one, ctx2.zero, ctx2.zero, ctx2.one)), "matrix2"
     )))
     diag_i = root / "diag_i.json"
-    diag_i.write_text(json.dumps(jsonio.star_to_json(
-        make_star_matrix(ctx2, (ctx2.i(), ctx2.zero, ctx2.zero, -ctx2.i()))
+    diag_i.write_text(json.dumps(star_json(
+        make_star_matrix(ctx2, (ctx2.i(), ctx2.zero, ctx2.zero, -ctx2.i())), "matrix2"
     )))
     swapscaled = root / "swapscaled.json"
-    swapscaled.write_text(json.dumps(jsonio.star_to_json(
+    swapscaled.write_text(json.dumps(star_json(
         make_star_matrix(ctx2, (ctx2.zero, ctx2.from_int(2),
-                                ctx2.from_fraction(Fraction(1, 2)), ctx2.zero))
-    )))
+                                ctx2.from_fraction(Fraction(1, 2)), ctx2.zero)),
+        "matrix2")))
     for name, alpha, beta in (
             ("diag2_i.json", ctx2.i(), -ctx2.one),
             ("diag2_pyth.json", (ctx2.from_int(3) + ctx2.from_int(4) * ctx2.i())
              * ctx2.from_fraction(Fraction(1, 5)), ctx2.one)):
-        (root / name).write_text(json.dumps(jsonio.star_to_json(
-            make_star_diag(ctx2, alpha, beta))))
+        (root / name).write_text(json.dumps(star_json(
+            make_star_diag(ctx2, alpha, beta), "diag")))
     ctx3 = make_context(3)
     diag3 = root / "diag3.json"
-    diag3.write_text(json.dumps(jsonio.star_to_json(
-        make_star_diag(ctx3, ctx3.omega(), ctx3.one)
+    diag3.write_text(json.dumps(star_json(
+        make_star_diag(ctx3, ctx3.omega(), ctx3.one), "diag"
     )))
     bad_raw = root / "bad_raw.json"
     bad_raw.write_text(json.dumps(jsonio.star_to_json(
-        make_star_raw(ctx3,
-                      Element.monomial(ctx3, 0, 0, 1),
-                      Element.monomial(ctx3, 0, 1, 0, ctx3.from_int(2)),
-                      Element.monomial(ctx3, 1, 0, 0))
+        GeneratorMap(ctx3,
+                     Element.monomial(ctx3, 0, 0, 1),
+                     Element.monomial(ctx3, 0, 1, 0, ctx3.from_int(2)),
+                     Element.monomial(ctx3, 1, 0, 0))
     )))
-    raw_obj = jsonio.star_to_json(make_star_raw(
+    raw_obj = jsonio.star_to_json(GeneratorMap(
         ctx3, *(Element.monomial(ctx3, *mono) for mono in
                 ((0, 0, 1), (0, 1, 0), (1, 0, 0)))))
     raw_obj["x_img"]["terms"][0]["s"] = 7
@@ -381,8 +375,8 @@ class TestCommands:
     def test_verify_star_n255(self, tmp_path):
         ctx = make_context(255)
         path = tmp_path / "diag.json"
-        path.write_text(json.dumps(jsonio.star_to_json(
-            make_star_diag(ctx, ctx.zeta(1), ctx.one))))
+        path.write_text(json.dumps(star_json(
+            make_star_diag(ctx, ctx.zeta(1), ctx.one), "diag")))
         p = run_cli("--n", "255", "verify", "star", "--star", str(path), timeout=10)
         assert p.returncode == 0
         assert p.stdout.count("PASS") == 5
@@ -562,6 +556,96 @@ class TestCommands:
         assert p.returncode == 2
         assert p.stdout == ""
         assert p.stderr.count("\n") == 1 and message in p.stderr
+
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key in "nmrsl" for value in ("3", True, 1.9)])
+    def test_non_integer_header_or_exponent_exit_2(self, tmp_path, key, value):
+        # The schemas read n, m, r, s, l as integers: no string, boolean or
+        # fractional part, where int() used to truncate 1.9 to 1.
+        ctx = make_context(3)
+        obj = star_json(GeneratorMap(ctx, *generators(ctx)), "raw")
+        (obj["context"] if key in "nm" else obj["x_img"]["terms"][0])[key] = value
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(obj))
+        p = run_cli("--n", "3", "star-apply", "--star", str(path), "x")
+        assert p.returncode == 2
+        assert p.stderr.endswith(f"{key} must be an integer, got {value!r}\n")
+
+    def test_integral_float_header_is_read(self, tmp_path):
+        # 3.0 is an integer to the schemas, as to JSON Schema draft 7.
+        ctx = make_context(3)
+        obj = star_json(make_star_diag(ctx, ctx.one, ctx.one), "diag")
+        obj["context"] = {"n": 3.0, "m": 12.0}
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(obj))
+        validate(obj, "star_structure")
+        p = run_cli("--n", "3", "star-apply", "--star", str(path), "x")
+        assert (p.returncode, p.stdout) == (0, "x\n")
+
+    def test_monomial_listed_twice_exit_2(self, tmp_path):
+        ctx = make_context(3)
+        obj = star_json(GeneratorMap(ctx, *generators(ctx)), "raw")
+        terms = obj["x_img"]["terms"]
+        terms.append(dict(terms[0], coeff=["2", "0", "0", "0"]))
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(obj))
+        p = run_cli("--n", "3", "verify", "star", "--star", str(path))
+        assert (p.returncode, p.stdout) == (2, "")
+        assert p.stderr == "error: monomial y^0*x^1*g^0 appears twice in one element\n"
+
+    def test_star_past_the_cost_limit_exit_2(self, tmp_path):
+        # x* = a x with 64 coordinates of 1000 digits each: verify star
+        # raises a to the power 127 in the pair (x^127, x), which took
+        # minutes before the file's cost was counted as it is decoded.
+        n = m = 128
+        ctx = make_context(n, m)
+        a = ctx.from_coords([7 * 10 ** 999 + k for k in range(ctx.degree)])
+        g, x, y = generators(ctx)
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(star_json(GeneratorMap(ctx, g, x.scale(a), y), "raw")))
+        p = run_cli("--n", str(n), "verify", "star", "--star", str(path), timeout=10)
+        assert (p.returncode, p.stdout) == (2, "")
+        assert p.stderr == ("error: star of 66 nonzero coordinates at n=128 costs "
+                            f"8200704 units, above the limit {MAX_STAR_COST}\n")
+
+    def test_norm_one_power_verifies_at_n_1024(self, tmp_path):
+        # alpha = (3/5 + 4/5 i)^7 has norm one and denominator 5^7, so the
+        # pair (x^1023, x) multiplies integers of about 5000 digits: the
+        # star passes, and only printing such a coefficient is refused.
+        ctx = make_context(1024)
+        alpha = (ctx.from_fraction(Fraction(1, 5)) * (3 + 4 * ctx.i())) ** 7
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(star_json(make_star_diag(ctx, alpha, ctx.one), "diag")))
+        p = run_cli("--n", "1024", "verify", "star", "--star", str(path), timeout=60)
+        assert (p.returncode, p.stdout.count("PASS "), p.stderr) == (0, 5, "")
+        p = run_cli("--n", "1024", "star-apply", "--star", str(path), "x^1023", timeout=60)
+        assert (p.returncode, p.stdout) == (2, "")
+        assert p.stderr == "error: a scalar coordinate has too many digits to print\n"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_star_spellings_give_the_same_output(self, n, tmp_path, capsys):
+        # One star spelled diag, matrix2 and raw: star-apply and equiv n2
+        # print the same, in text and in JSON.
+        ctx = make_context(n)
+        st = make_star_diag(ctx, ctx.i(), -ctx.one)
+        trivial = tmp_path / "trivial.json"
+        trivial.write_text(json.dumps(star_json(make_star_diag(ctx, ctx.one, ctx.one),
+                                                "diag")))
+        outputs = set()
+        for kind in ("diag", "matrix2", "raw"):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(star_json(st, kind)))
+            runs = []
+            for flag in ([], ["--json"]):
+                for tail in (["star-apply", "--star", str(path), "x*g + i*y + 2"],
+                             ["equiv", "n2", "--a", str(path), "--b", str(trivial)],
+                             ["equiv", "n2", "--a", str(trivial), "--b", str(path)]):
+                    assert main(["--n", str(n), *flag, *tail]) == 0, (kind, tail)
+                    out, err = capsys.readouterr()
+                    assert err == ""
+                    runs.append(out)
+            outputs.add(tuple(runs))
+        assert len(outputs) == 1
 
     @pytest.mark.parametrize("expr", [
         "9" * 5000,

@@ -13,11 +13,11 @@ import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from radford import jsonio
+from oracles import star_json
 from radford.algebra import Element
 from radford.cli import main
 from radford.scalars import make_context
-from radford.star import make_star_diag, make_star_matrix, make_star_raw
+from radford.star import GeneratorMap, make_star_diag, make_star_matrix
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -86,12 +86,9 @@ def test_random_expressions(ctx, json_out, a, b, command):
 def _valid_stars():
     c2, c3 = make_context(2), make_context(3)
     gens = [Element.monomial(c3, *mono) for mono in ((0, 0, 1), (0, 1, 0), (1, 0, 0))]
-    stars = [
-        make_star_diag(c3, c3.omega(), c3.one),
-        make_star_matrix(c2, (c2.zero, c2.one, c2.one, c2.zero)),
-        make_star_raw(c3, *gens),
-    ]
-    return [jsonio.star_to_json(s) for s in stars]
+    return [star_json(make_star_diag(c3, c3.omega(), c3.one), "diag"),
+            star_json(make_star_matrix(c2, (c2.zero, c2.one, c2.one, c2.zero)), "matrix2"),
+            star_json(GeneratorMap(c3, *gens), "raw")]
 
 
 VALID_STARS = _valid_stars()

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly, Symbol, cyclotomic_poly
 
 from radford.errors import ContextMismatchError, KernelError
-from radford.scalars import MAX_CONDUCTOR, FieldContext, _cyclotomic_poly, \
-    make_context
+from radford.scalars import MAX_CONDUCTOR, FieldContext, \
+    _cyclotomic_poly, make_context
 
 from oracles import cyclotomic_division_oracle
 
@@ -164,6 +164,19 @@ class TestArithmetic:
     def test_context_mismatch_reported(self):
         with pytest.raises(ContextMismatchError):
             CTX3.one + CTX5.one
+
+    def test_long_coordinate_refused_only_when_printed(self):
+        # Products are not limited: two factors of 2200 digits give 4400,
+        # past Python's 4300-digit int -> str limit, which only printing
+        # refuses.  4200 digits still print.
+        ok = CTX3.from_int(10 ** 2100)
+        assert (ok * ok).coord_texts()[0] == "1" + "0" * 4200
+        big = CTX3.from_int(10 ** 2200)
+        for a, b in ((big, big), (big.inverse(), big.inverse()),
+                     (big * CTX3.i(), -big)):
+            assert max(map(abs, (a * b).num)) * (a * b).den == 10 ** 4400
+            with pytest.raises(KernelError, match="too many digits to print"):
+                (a * b).coord_texts()
 
 
 class TestConjugation:

@@ -14,10 +14,11 @@ from radford import star
 from radford.classify import scan_star_candidates
 from radford.scalars import FieldContext, make_context
 from radford.star import (
+    GeneratorMap,
     apply_map,
+    family_defect,
     make_star_diag,
     make_star_matrix,
-    make_star_raw,
     verify_hopf_axioms,
     verify_star_axioms,
 )
@@ -27,17 +28,21 @@ class TestConstruction:
     def test_trivial_diag_valid(self):
         ctx = make_context(3)
         st = make_star_diag(ctx, ctx.one, ctx.one)
-        assert st.kind == "diag"
+        assert st == GeneratorMap(ctx, *generators(ctx))
+        assert st.matrix == (ctx.one, ctx.zero, ctx.zero, ctx.one)
 
     def test_root_of_unity_diag_valid(self):
         ctx = make_context(3)
         make_star_diag(ctx, ctx.omega(), ctx.from_int(-1))
 
     def test_norm_violation_rejected(self):
+        # |alpha| != 1 shows at entry (1,1) of conj(A)A, |beta| != 1 at (2,2).
         ctx = make_context(3)
-        with pytest.raises(InvalidStarStructureError, match="alpha"):
+        with pytest.raises(InvalidStarStructureError,
+                           match=r"^conj\(A\)A differs from I2 at entry \(1,1\)$"):
             make_star_diag(ctx, ctx.from_int(2), ctx.one)
-        with pytest.raises(InvalidStarStructureError, match="beta"):
+        with pytest.raises(InvalidStarStructureError,
+                           match=r"^conj\(A\)A differs from I2 at entry \(2,2\)$"):
             make_star_diag(ctx, ctx.one, ctx.from_int(2))
 
     def test_identity_matrix_valid(self):
@@ -58,22 +63,27 @@ class TestConstruction:
             make_star_matrix(ctx, (ctx.one, ctx.one, ctx.zero, ctx.one))
 
     def test_matrix_kind_needs_n2(self):
+        # A diagonal matrix is a star at every n; one that mixes x and y
+        # only at n = 2.
         ctx = make_context(3)
-        with pytest.raises(InvalidStarStructureError, match="n = 2"):
-            make_star_matrix(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one))
+        st = make_star_matrix(ctx, (ctx.one, ctx.zero, ctx.zero, ctx.one))
+        assert st == make_star_diag(ctx, ctx.one, ctx.one)
+        with pytest.raises(InvalidStarStructureError,
+                           match=r"^x\* and y\* mix x and y, which needs n = 2, got n = 3$"):
+            make_star_matrix(ctx, (ctx.zero, ctx.one, ctx.one, ctx.zero))
 
     def test_matrix_is_read_off_the_images(self):
         ctx = make_context(2)
         g, x, y = generators(ctx)
         two, one = ctx.from_int(2), Element.one(ctx)
-        assert make_star_raw(ctx, g, y.scale(two), x + y).matrix \
+        assert GeneratorMap(ctx, g, y.scale(two), x + y).matrix \
             == (ctx.zero, two, ctx.one, ctx.one)
-        assert make_star_raw(ctx, g, Element.zero(ctx), y).matrix \
+        assert GeneratorMap(ctx, g, Element.zero(ctx), y).matrix \
             == (ctx.zero, ctx.zero, ctx.zero, ctx.one)
         # Images outside span(x, y), or g* != g, have no matrix.
         for images in ((one, x, y), (g.scale(two), x, y), (g, x + one, y),
                        (g, x, y * g), (g, x, y * x)):
-            assert make_star_raw(ctx, *images).matrix is None
+            assert GeneratorMap(ctx, *images).matrix is None
 
 
 class TestApplyStar:
@@ -134,6 +144,49 @@ class TestApplyStar:
                 assert twice(ea * eb) == twice(ea) * twice(eb)
 
 
+def _matrix_shaped(ctx):
+    """The matrices of the matrix-shaped maps the suite builds, as stars:
+    the diagonal and n = 2 structures, the automorphisms of
+    ``test_certificates.generator_maps``, and three outside the family: a
+    shear, |alpha| = 2, and, at n > 2, every one that mixes x and y."""
+    one, zero, i, z = ctx.one, ctx.zero, ctx.i(), ctx.zeta(1)
+    half = ctx.from_fraction(Fraction(1, 2))
+    pyth = (ctx.from_int(3) + ctx.from_int(4) * i) * ctx.from_fraction(Fraction(1, 5))
+    two = ctx.from_int(2)
+    return [
+        (one, zero, zero, one), (ctx.omega(), zero, zero, ctx.omega(-1)),
+        (i, zero, zero, -one), (z, zero, zero, pyth), (pyth, zero, zero, one),
+        (zero, one, one, zero), (i, zero, zero, -i), (zero, two, half, zero),
+        (zero, i, i, zero), (zero, one + i, (one + i) * half, zero),
+        (one, two * i, zero, one), (one, zero, i, one),
+        (two, zero, zero, one + z), (one, i, two, zero),
+        (one, one, zero, one), (two, zero, zero, one),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_family_defect_decides_the_verifier(n):
+    # The paper's family is exactly the matrix-shaped stars that pass the
+    # verifier; require_star admits a member without verifying it and
+    # names the first failing check of anything else.
+    ctx = make_context(n)
+    verdicts = set()
+    for a in _matrix_shaped(ctx):
+        st = GeneratorMap.from_matrix(ctx, a)
+        report = verify_star_axioms(st)
+        in_family = family_defect(ctx, a) is None
+        assert in_family == report.all_passed, a
+        verdicts.add(in_family)
+        if in_family:
+            assert star.require_star(st) is None
+        else:
+            first = next(c for c in report.checks if not c.passed)
+            with pytest.raises(InvalidStarStructureError,
+                               match=f"^not a star structure: {re.escape(str(first))}$"):
+                star.require_star(st)
+    assert verdicts == {True, False}
+
+
 class TestVerifyStarAxioms:
     @pytest.mark.parametrize("n", [2, 3])
     def test_diagonal_roots_of_unity_pass(self, n):
@@ -157,7 +210,7 @@ class TestVerifyStarAxioms:
 
     def test_scaled_x_image_breaks_involution_at_x(self):
         ctx = make_context(3)
-        st = make_star_raw(
+        st = GeneratorMap(
             ctx,
             Element.monomial(ctx, 0, 0, 1),
             Element.monomial(ctx, 0, 1, 0, ctx.from_int(2)),
@@ -176,7 +229,7 @@ class TestVerifyStarAxioms:
         ctx = make_context(3)
         one = Element.one(ctx)
         g2 = Element.monomial(ctx, 0, 0, 2)
-        st = make_star_raw(ctx, g2, one - g2, one - g2)
+        st = GeneratorMap(ctx, g2, one - g2, one - g2)
         report = verify_star_axioms(st)
         failed = failed_names(report)
         assert failed
@@ -187,7 +240,7 @@ class TestVerifyStarAxioms:
         # y* = 2y respects every relation pair, so all five checks run.
         ctx = make_context(3)
         g, x, y = generators(ctx)
-        st = make_star_raw(ctx, g, x, y.scale(ctx.from_int(2)))
+        st = GeneratorMap(ctx, g, x, y.scale(ctx.from_int(2)))
         report = verify_star_axioms(st)
         assert failed_names(report) == ["involution", "antipode_compatible"]
 
