@@ -200,8 +200,8 @@ def _scan_lines(survivors):
 def _cmd_scan(args, ctx):
     grid = None
     if args.grid is not None:
-        grid = [parser.parse_scalar(part.strip(), ctx)
-                for part in args.grid.split(",")]
+        grid = parser.parse_scalars(
+            [part.strip() for part in args.grid.split(",")], ctx)
     survivors = classify.scan_star_candidates(ctx, grid=grid)
     _emit(args, lambda: jsonio.scan_to_json(survivors),
           lambda: _scan_lines(survivors))

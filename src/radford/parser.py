@@ -16,7 +16,8 @@ in the power basis over 'z', so parse(format(e)) evaluates back to e.
 ``parse`` enforces the input budget before anything is evaluated: at
 most ``scalars.MAX_INPUT_DIGITS`` digits (``_digit_bound``) and
 MAX_EXPR_DEPTH nested parentheses.  ``parse_element`` also bounds the
-products the tree asks for in its context (``_expansion_bound``).
+products the tree asks for in its context (``_expansion_bound``), and
+``parse_scalars`` those of a list of trees together.
 """
 
 from __future__ import annotations
@@ -238,7 +239,8 @@ def _expansion_bound(node, n):
     x and g.  A product has at most the product of its factors' term
     counts, and no value more than the (r+1)(s+1)(l+1) <= n^3 monomials
     its exponents allow, so a scalar is one term however it is written.
-    Products are taken in the order of ``evaluate`` and square-and-multiply.
+    Products are taken in the order of ``evaluate`` and square-and-multiply;
+    a power of an atom is built with none.
     """
     pairs = 0
 
@@ -257,6 +259,9 @@ def _expansion_bound(node, n):
                        *(max(p[k] for p in parts) for k in (1, 2, 3)))
         if isinstance(node, Term):
             return reduce(times, map(walk, node.factors), (1, 0, 0, 0))
+        if isinstance(node, Pow) and isinstance(node.base, Atom):
+            exps = _EXPONENTS.get(node.base.name, (0, 0, 0))
+            return box(1, *(min(n - 1, node.exponent * e) for e in exps))
         if isinstance(node, Pow):
             acc, base, k = (1, 0, 0, 0), walk(node.base), node.exponent
             while k:
@@ -285,46 +290,64 @@ def evaluate(node, ctx):
         for f in node.factors:
             acc = acc * evaluate(f, ctx)
         return -acc if node.negated else acc
+    if isinstance(node, Pow) and isinstance(node.base, Atom):
+        return _atom_power(node.base.name, node.exponent, ctx)
     if isinstance(node, Pow):
         return evaluate(node.base, ctx) ** node.exponent
     if isinstance(node, Num):
         return Element.from_scalar(ctx, ctx.from_fraction(node))
     if isinstance(node, Atom):
-        if node.name == "g":
-            return Element.monomial(ctx, 0, 0, 1)
-        if node.name == "x":
-            return Element.monomial(ctx, 0, 1, 0)
-        if node.name == "y":
-            return Element.monomial(ctx, 1, 0, 0)
-        if node.name == "i":
-            return Element.from_scalar(ctx, ctx.i())
-        if node.name == "w":
-            return Element.from_scalar(ctx, ctx.omega())
-        return Element.from_scalar(ctx, ctx.zeta())
+        return _atom_power(node.name, 1, ctx)
     raise TypeError(f"not a parse node: {node!r}")
+
+
+def _atom_power(name, k, ctx):
+    """The atom ``name`` to the power k, built with no product."""
+    if name not in _EXPONENTS:
+        root = {"i": ctx.i, "w": ctx.omega, "z": ctx.zeta}[name]
+        return Element.from_scalar(ctx, root(k))
+    r, s, l = (k * e for e in _EXPONENTS[name])
+    if max(r, s) >= ctx.n:
+        return Element.zero(ctx)
+    return Element.monomial(ctx, r, s, l % ctx.n)
+
+
+def _evaluate_within_budget(texts, ctx, what, free):
+    """Parse every text and evaluate them, refusing first, before any is
+    evaluated, texts whose products, less ``free`` per text, together
+    expand past MAX_COORDS."""
+    trees = [parse(text) for text in texts]
+    pairs = sum(_expansion_bound(tree, ctx.n)[1] - free for tree in trees)
+    coords = pairs * ctx.degree
+    if coords > MAX_COORDS:
+        raise KernelError(f"{what} to {coords} field coordinates of products, "
+                          f"above the limit {MAX_COORDS}")
+    return [evaluate(tree, ctx) for tree in trees]
 
 
 def parse_element(text, ctx):
     """Parse and evaluate, refusing first what expands past MAX_COORDS."""
-    tree = parse(text)
-    coords = _expansion_bound(tree, ctx.n)[1] * ctx.degree
-    if coords > MAX_COORDS:
-        raise KernelError(
-            f"expression expands to {coords} field coordinates of products, "
-            f"above the limit {MAX_COORDS}")
-    return evaluate(tree, ctx)
+    return _evaluate_within_budget([text], ctx, "expression expands", 0)[0]
 
 
 def parse_scalar(text, ctx):
     """Parse an expression that must evaluate to a multiple of 1."""
-    e = parse_element(text, ctx)
-    if e.is_zero:
-        return ctx.zero
-    terms = e.terms
-    only = next(iter(terms))
-    if len(terms) != 1 or only != (0, 0, 0):
+    return _scalar_of(parse_element(text, ctx))
+
+
+def parse_scalars(texts, ctx):
+    """``parse_scalar`` of each text under one budget for them all.  A
+    value's first product is by 1, a copy of a scalar, and is not
+    counted, so a literal or a power of an atom costs nothing."""
+    return [_scalar_of(e) for e in
+            _evaluate_within_budget(texts, ctx, "grid values expand", 1)]
+
+
+def _scalar_of(e):
+    """c, for an element e = c 1 of H_n."""
+    if e.terms.keys() - {(0, 0, 0)}:
         raise ExprSyntaxError("expression is not a scalar", 1, 1)
-    return terms[only]
+    return e.terms.get((0, 0, 0), e.ctx.zero)
 
 
 def format_scalar(c):

@@ -27,7 +27,6 @@ context per call):
 
     command or workload                       products   memo hit ratio
     benchmark ops (seed 1, mean per op)        44-184      0.72-0.87
-    --n 3 scan                                 13 757      0.99
     --n 128 verify hopf                         1 181      0.70
 """
 
@@ -60,48 +59,50 @@ MAX_INPUT_DIGITS = 1000
 MAX_STAR_COST = 500_000
 
 # Most work ``classify.scan_star_candidates`` takes on, in cost units
-# counted before the work is done.  Verifying one listed structure costs
-# 8 (b + 5)(phi(m) + 200) units, b the bit length of n, and one lookup of
-# the n = 2 matrix listing costs 6 (phi(m) + 36).  Of k grid values, the
-# u of norm one list u^2 structures for n > 2; at n = 2 the k (k + u)
-# listing lookups are counted first, and the matrices found once listed,
-# before they are verified.  A structure's cost grows with log n, not n:
-# the Hopf certificate is derived once per context, and the relation
-# pairs (x^(n-1), x), (y^(n-1), y) raise the images to the power n - 1 by
-# squaring.  Measured per structure as the slope between a small scan
-# and one of 0 and k - 1 roots of unity, each in a fresh process, best of
-# three (Python 3.11, 2-core shared VM); per lookup likewise, as the slope
-# between two n = 2 listings of the integers 0..k-1 (k (k + 1) lookups),
-# the range of four such slopes, two end to end and two in-process:
+# counted before the work is done: 6 (phi(m) + 36) per lookup of the
+# n = 2 matrix listing, and 30 (phi(m) + 36) per listed structure, built
+# and printed but not verified, whatever n is; 36 (phi(m) + 36) at n = 2,
+# where the lookup that found the matrix also ran ``family_defect``.  Of
+# k grid values, the u of norm one list u^2 structures for n > 2; at
+# n = 2 the k (k + u) lookups are counted first, and the matrices once
+# listed.  Measured per structure over scans of 0 and k - 1 roots of
+# unity, in-process in fresh processes, best of three (Python 3.11, 2-core
+# shared VM); per lookup as the slope between n = 2 listings of the
+# integers 0..k-1, the range of four slopes, two end to end and two
+# in-process:
 #
-#        n     m  phi(m)  ms/structure  units   us/unit
-#        3    12     4       1.25      11 424    0.109
-#       12    12     4       1.30      14 688    0.089
-#        5    20     8       1.25      13 312    0.094
-#        3   120    32       1.29      12 992    0.099
-#       51   204    64       2.07      23 232    0.089
-#       12  1020   256       3.49      32 832    0.106
-#      102  1020   256       4.55      43 776    0.104
-#      255  1020   256       4.92      47 424    0.104
-#     1020  1020   256       5.89      54 720    0.108
-#        4  1024   512       5.41      45 568    0.119
-#     1024  1024   512       8.12      91 136    0.089
-#        2     4     2       1.38      11 312    0.122
-#        2    24     8       1.29      11 648    0.111
-#        2  1024   512       4.89      39 872    0.123
+#        n     m  phi(m)    k  us/structure     units  us/unit
+#                              --json   text           --json
+#        3    12     4     13     47     26     1 200   0.039
+#        5    20     8     21     33     18     1 320   0.025
+#        3   120    32    121     74     30     2 040   0.036
+#        3   180    48    101     90     32     2 520   0.036
+#       51   204    64    101     97     37     3 000   0.032
+#       12  1020   256     61    247     98     8 760   0.028
+#     1020  1020   256     61    240     97     8 760   0.027
+#        4  1024   512     41    440    178    16 440   0.027
+#     1024  1024   512     41    460    182    16 440   0.028
+#        2    24     8     25     43     26     1 584   0.027
+#        2   100    40    101    104     50     2 736   0.038
+#        2  1024   512     31    496    194    19 728   0.025
 #
 #        n     m  phi(m)  k             us/lookup  units  us/unit
 #        2     4     2   150, 290         18-27     228   0.08-0.12
 #        2   120    32   100, 200         38-46     408   0.09-0.11
 #        2  1024   512   45-50, 90-100   309-407   3 288   0.09-0.12
 #
-# The certificate itself is not priced: it is paid once, as by `verify
-# hopf` (1.0 s at n = 1020).  The limit admits `--n 3 scan`, `--n 5
-# scan`, the 25 values of `--n 2 --m 24 scan` (20.7M units), 418
-# integers at n = 2 (39.96M) and 21 values, 20 of norm one, at m = 1020
-# with n = 102 (17.5M, 2.0 s end to end) or n = 1020 (21.9M, 3.5 s); it
-# refuses 32 values at n = 102 (42.1M) and 419 integers at n = 2 (40.1M)
-# up front.
+# Per unit, a structure runs at about a third of a lookup's rate
+# in-process: its weight also covers the norm tests, the listing and the
+# output, so that no admitted scan runs longer end to end than the
+# slowest the limit admitted while scan verified each member (21 values
+# at n = m = 1020 and 418 integers at n = 2, both 2.8 s; best of three
+# fresh processes, --json).  Nearest the limit in structures: `--n 3
+# --m 132 scan` (39.7M units, 2.1 s), `--n 2 --m 68 scan` (38.0M, 2.0 s)
+# and 0 and 48 roots at n = 4, m = 1024 (39.4M, 1.4 s); 418 integers at
+# n = 2 (39.9M, all but 2 structures lookups) still take 2.8 s.  The
+# limit refuses 419 integers at n = 2 (40.1M) and `--n 3 --m 144 scan`
+# (52.3M) up front, and `--n 2 --m 76 scan` (50.2M) once its matrices
+# are listed.
 MAX_SCAN_COST = 40_000_000
 
 # Most field coordinates a call may compute in one of two places, each
@@ -448,14 +449,15 @@ class CyclotomicScalar:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        acc = self.ctx.one
-        base = self
-        while k:
+        # No product by 1 and no squaring past the top bit of k.
+        acc, base = None, self
+        while True:
             if k & 1:
-                acc = acc * base
-            base = base * base
+                acc = base if acc is None else acc * base
             k >>= 1
-        return acc
+            if not k:
+                return self.ctx.one if acc is None else acc
+            base = base * base
 
     def inverse(self):
         """Multiplicative inverse: q/p of a rational p/q, else via the

@@ -13,9 +13,9 @@ A map is its role (star or automorphism) and its three images; its 2x2
 ``matrix`` is read off them.  ``make_star_matrix`` and ``make_star_diag``
 build members of the paper's family, which ``family_defect`` decides;
 other images are candidates, so that impossibility arguments become
-executable negative tests.  A caller that uses a star rather than judging
-it passes it through one gate, ``require_star``: a star outside the
-family must pass ``verify_star_axioms``.
+executable negative tests.  Members are stars, which ``scan`` lists
+unverified; a caller that uses a star passes it through one gate,
+``require_star``: a star outside the family must pass ``verify_star_axioms``.
 
 ``verify_star_axioms`` decides the five defining conditions for all of
 H_n by checking them on the six relation pairs and on g, x, y, and
@@ -188,7 +188,7 @@ def _hopf_certificate(ctx):
     extensions of their generator values along canonical words by
     construction (see ``coalgebra``), so the relation pairs decide these
     laws.  Derived once per context: no star structure enters it, so
-    ``scan`` shares it across structures.  The closed forms cannot fail
+    the verifier calls of one context share it.  The closed forms cannot fail
     it, so a failure is a kernel fault, raised as ``KernelError`` with the
     law and its pair, not a verdict.
     """

@@ -670,7 +670,7 @@ class TestCommands:
         assert f"above the limit {MAX_COORDS}" in p.stderr
 
     def test_n3_default_scan(self):
-        p = run_cli("--n", "3", "scan", timeout=60)
+        p = run_cli("--n", "3", "scan", timeout=10)
         assert p.returncode == 0
         assert p.stdout.startswith("survivors 144\n")
 
@@ -679,16 +679,17 @@ class TestCommands:
         assert p.returncode == 0
         assert p.stdout.startswith("survivors 16\n")
 
-    # 121 values at n = 3 (120^2 structures of 8 * 7 * 232 units, one per
-    # pair of norm-one values), 32 at n = 102, m = 1020 (31^2 structures of
-    # 8 * 12 * 456 units), and 419 at n = 2, where the 419 * 420 listing
-    # lookups alone cost 6 * 38 units each (1 is the only norm-one value).
-    # The n = 2 row was 294 integers at 8 * 58 units per lookup, priced at
-    # about twice the measured cost (``scalars.MAX_SCAN_COST``).
+    # 145 values at n = 3 (144^2 structures of 30 * 84 units, one per
+    # pair of norm-one values), 0, 1 and 67 more roots at n = 102, m = 1020
+    # (68^2 structures of 30 * 292 units), and 419 at n = 2, where the
+    # 419 * 420 listing lookups alone cost 6 * 38 units each (1 is the only
+    # norm-one value).  The n = 2 row was 294 integers at 8 * 58 units per
+    # lookup, priced at about twice the measured cost
+    # (``scalars.MAX_SCAN_COST``).
     @pytest.mark.parametrize("args, size, m, cost", [
-        (("--n", "3", "--m", "120", "scan"), 121, 120, 187084800),
+        (("--n", "3", "--m", "144", "scan"), 145, 144, 52254720),
         (("--n", "102", "--m", "1020", "scan", "--grid=" + ",".join(
-            ["0", "1"] + [f"z^{k}" for k in range(1, 31)])), 32, 1020, 42068736),
+            ["0", "1"] + [f"z^{k}" for k in range(1, 68)])), 69, 1020, 40506240),
         (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(419))),
          419, 4, 40123440),
     ])
@@ -700,6 +701,30 @@ class TestCommands:
             f"error: scan of {size} grid values at n={args[1]}, m={m} costs "
             f"{cost} units, above the limit {MAX_SCAN_COST}; "
             "pass a smaller --grid\n")
+
+    # Each value passes the budget of its own products, but the norm test
+    # of each dense power costs about 54 ms at m = 1020: the grid as a
+    # whole gets one budget, counted before any value is evaluated.  A
+    # value's first product, by 1, is not counted, so literals and powers
+    # of atoms cost nothing: 391 integers and 30 roots are admitted.
+    def test_oversized_grid_exit_2(self):
+        grid = ",".join(["0"] + [f"({t}+z)^200" for t in range(2, 302)])
+        p = run_cli("--n", "3", "--m", "1020", "scan", "--grid", grid, timeout=3)
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr == (
+            f"error: grid values expand to {300 * 12 * 256} field "
+            f"coordinates of products, above the limit {MAX_COORDS}\n")
+
+    @pytest.mark.parametrize("grid, survivors", [
+        (["0"] + [f"z^{k}" for k in range(990, 1020)], 900),
+        ([str(k) for k in range(391)], 1),
+    ])
+    def test_cheap_grid_values_are_admitted(self, grid, survivors):
+        p = run_cli("--n", "3", "--m", "1020", "scan", "--grid", ",".join(grid),
+                    timeout=10)
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.startswith(f"survivors {survivors}\n")
 
     def test_n2_scan_of_44_integers(self):
         # 1 is the only norm-one value: 44 * 45 lookups list the identity

@@ -8,15 +8,20 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import generators
 from radford.algebra import Element, Monomial
+from radford import parser
 from radford.errors import ExprSyntaxError, KernelError
 from radford.parser import (
     MAX_EXPR_DEPTH,
+    Atom,
+    Pow,
     _expansion_bound,
+    evaluate,
     format_element,
     format_scalar,
     parse,
     parse_element,
     parse_scalar,
+    parse_scalars,
 )
 from radford.scalars import MAX_COORDS, MAX_INPUT_DIGITS, make_context
 
@@ -200,6 +205,41 @@ class TestInputBudget:
         else:
             with pytest.raises(KernelError, match=f"above the limit {MAX_COORDS}"):
                 parse_element(text, ctx)
+
+    def test_grid_values_share_one_budget(self, monkeypatch):
+        # (2+z)^200 takes 13 term pairs of 256 coordinates, the first a
+        # product by 1 that the grid does not count: 32 such values fit
+        # the budget and 33 do not, refused before any is evaluated.
+        # Literals and powers of atoms cost nothing.
+        ctx = make_context(3, 1020)
+        text = "(2+z)^200"
+        assert _expansion_bound(parse(text), 3)[1] == 13
+        assert parse_scalars([text] * 32 + ["-i"], ctx)[32] == -ctx.i()
+        assert parse_scalars([f"z^{k}" for k in range(990, 1020)], ctx) \
+            == [ctx.zeta(k) for k in range(990, 1020)]
+        assert len(parse_scalars([str(k) for k in range(1000)], ctx)) == 1000
+        monkeypatch.setattr(parser, "evaluate", None)
+        with pytest.raises(KernelError, match=(
+                f"grid values expand to {33 * 12 * 256} field coordinates of "
+                f"products, above the limit {MAX_COORDS}")):
+            parse_scalars([text] * 33, ctx)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_powers_of_atoms_take_no_product(self, n, monkeypatch):
+        # g^n = 1, x^n = y^n = 0, and the roots i, w, z: each power is the
+        # repeated product, built with no product at all; only the term
+        # around it multiplies it by 1.
+        ctx = make_context(n)
+        want = {}
+        for a in "gxyiwz":
+            base, acc = parse_element(a, ctx), Element.one(ctx)
+            for k in range(2 * n + 2):
+                want[a, k] = acc
+                acc = acc * base
+        monkeypatch.setattr(type(ctx), "_mul_nums", None)
+        for (a, k), value in want.items():
+            assert evaluate(Pow(Atom(a), k), ctx) == value
+            assert _expansion_bound(parse(f"{a}^{k}"), n)[1] == 1
 
     def test_expansion_bound_counts_terms_and_exponents(self):
         # (terms, r, s, l): a scalar is one term however it is written;

@@ -144,6 +144,25 @@ class TestArithmetic:
         w = CTX3.omega()
         assert w ** -1 == w ** 2
 
+    # Square-and-multiply with no product by 1 and no squaring past the top
+    # bit: a^k takes (bit length - 1) squarings and (set bits - 1) products.
+    @pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (4, 2), (5, 3)])
+    def test_pow_products(self, k, products, monkeypatch):
+        a = CTX3.from_int(2) + CTX3.zeta()
+        want = CTX3.one
+        for _ in range(k):
+            want = want * a
+        calls = []
+        mul_nums = FieldContext._mul_nums
+        monkeypatch.setattr(FieldContext, "_mul_nums",
+                            lambda *args: calls.append(1) or mul_nums(*args))
+        got = a ** k
+        assert len(calls) == products
+        monkeypatch.undo()
+        assert got == want
+        assert a ** -k * want == 1
+        assert a ** -k == a.inverse() ** k
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(a=scalars(CTX3), b=scalars(CTX3), c=scalars(CTX3))
     def test_field_axioms(self, a, b, c):

@@ -10,7 +10,7 @@ from oracles import basis, failed_names, generators, inject_coproduct, named_che
 from radford.algebra import Element, Monomial
 from radford.coalgebra import delta, tensor_map, tensor_mul
 from radford.errors import ContextMismatchError, InvalidStarStructureError, KernelError
-from radford import star
+from radford import classify, star
 from radford.classify import scan_star_candidates
 from radford.scalars import FieldContext, make_context
 from radford.star import (
@@ -300,13 +300,22 @@ class TestHopfCertificateOnce:
         start = star._hopf_certificate.cache_info().misses
         return lambda: star._hopf_certificate.cache_info().misses - start
 
-    def test_scan_derives_it_once(self, derivations):
-        # A context of its own, so that no earlier test has derived it.
-        ctx = FieldContext(3, 12)
-        survivors = scan_star_candidates(ctx, [ctx.zero, ctx.one, -ctx.one])
-        assert len(survivors) == 4
-        assert verify_hopf_axioms(ctx).all_passed
-        assert derivations() == 1
+    def test_scan_derives_none_and_verifies_nothing(self, derivations, monkeypatch):
+        # Every member of the paper's family is a star, so scan lists them
+        # without a verifier call.  A context of its own, so that no
+        # earlier test has derived the certificate.  The verifier is
+        # replaced in both modules, so a name imported into classify is
+        # caught too.
+        def refuse(st):
+            raise AssertionError("scan called verify_star_axioms")
+
+        monkeypatch.setattr(star, "verify_star_axioms", refuse)
+        monkeypatch.setattr(classify, "verify_star_axioms", refuse, raising=False)
+        for n in (2, 3):
+            ctx = FieldContext(n, 12)
+            survivors = scan_star_candidates(ctx, [ctx.zero, ctx.one, -ctx.one])
+            assert len(survivors) == (14 if n == 2 else 4)
+        assert derivations() == 0
 
     def test_each_conductor_derives_its_own(self, derivations):
         for m in (12, 24):
