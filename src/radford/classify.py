@@ -4,9 +4,9 @@ Covers three jobs:
 
 * Hopf algebra automorphisms of H_n fixing g, as ``star.GeneratorMap``s
   built from an invertible 2x2 matrix: diagonal rescalings of x and y
-  at any n, and arbitrary mixes of x and y at n = 2 only; construction
-  re-verifies the defining relations and the coproduct condition on
-  generators instead of assuming them.
+  at any n, and arbitrary mixes of x and y at n = 2 only, each a Hopf
+  automorphism (README, "Why scan lists the paper's family"), so a map
+  is admitted by the matrix read off its images, with no relation check.
 * The witness, Hilbert's Theorem 90 for GL_2: for every A with
   conj(A) A = I some L_c = c I + conj(c) conj(A), c in (1, i, 1 + i), is
   invertible and has A L_c = conj(L_c), so L_A L_B^-1 carries A to B.
@@ -32,45 +32,41 @@ from itertools import product
 from .algebra import _map_law, _on_generators
 from .errors import InvalidAutomorphismError, KernelError
 from .scalars import MAX_SCAN_COST
-from .star import GeneratorMap, _coproduct_law, apply_map, family_defect, require_star
+from .star import GeneratorMap, _mix_defect, apply_map, family_defect, require_star
 
 
-def _verify_hopf_map(phi):
-    """phi, once its images are checked to define a Hopf map fixing g.
-
-    phi extends g -> g, x -> x_img, y -> y_img multiplicatively along
-    canonical words, so it is an algebra map when it respects the six
-    relation pairs; then the algebra maps D phi and (phi (x) phi) D agree
-    everywhere once they agree on g, x and y."""
-    if phi.relation_counterexample() is not None:
-        raise InvalidAutomorphismError("the images break a defining relation")
-    if _on_generators(_coproduct_law(phi)) is not None:
-        raise InvalidAutomorphismError("coproduct condition fails on a generator")
+def _require_automorphism(phi):
+    """phi, when it is a Hopf automorphism psi_L (README, "Why scan lists
+    the paper's family"): g -> g, (x, y) -> L (x, y), L invertible and
+    diagonal unless n = 2; else ``InvalidAutomorphismError``."""
+    if phi.is_star or (lam := phi.matrix) is None:
+        raise InvalidAutomorphismError("phi is no automorphism g -> g, (x, y) -> L (x, y)")
+    if not _det(lam):
+        raise InvalidAutomorphismError("matrix is singular")
+    if (defect := _mix_defect(phi.ctx, lam, "phi(x) and phi(y)")) is not None:
+        raise InvalidAutomorphismError(defect)
     return phi
 
 
 def make_automorphism(ctx, matrix):
-    """phi(g) = g, phi(x) = l11 x + l12 y, phi(y) = l21 x + l22 y.
+    """psi_L: phi(g) = g, phi(x) = l11 x + l12 y, phi(y) = l21 x + l22 y.
 
-    ``matrix`` is (l11, l12, l21, l22), row-major, and must be invertible.
-    It is diagonal unless n = 2: for n > 2 the relation pairs (g, x) and
-    (g, y) refuse any mix of x and y, since g x = w^-1 x g, g y = w y g
-    and w != w^-1.
+    ``matrix`` is L = (l11, l12, l21, l22), row-major, invertible, and
+    diagonal unless n = 2: for n > 2 a mix of x and y breaks the relations
+    g x = w^-1 x g and g y = w y g, since w != w^-1.
     """
-    if not _det(matrix):
-        raise InvalidAutomorphismError("matrix is singular")
-    return _verify_hopf_map(GeneratorMap.from_matrix(ctx, matrix, is_star=False))
+    return _require_automorphism(GeneratorMap.from_matrix(ctx, matrix, is_star=False))
 
 
 def verify_equivalence(phi, st_a, st_b):
     """Whether phi carries st_a to st_b: phi(h^{*A}) = phi(h)^{*B} for all h.
 
-    A star outside the paper's family that fails ``verify_star_axioms`` is
-    refused (``require_star``).  phi is an algebra map: its generator images
-    passed the defining relations in ``_verify_hopf_map``.  So both sides
-    are conjugate-linear anti-homomorphisms, which agree everywhere once
-    they agree on g, x and y.
+    phi must be some psi_L (``make_automorphism``), and a star outside the
+    paper's family must pass ``verify_star_axioms`` (``require_star``).  So
+    both sides are conjugate-linear anti-homomorphisms, which agree
+    everywhere once they agree on g, x and y.
     """
+    _require_automorphism(phi)
     require_star(st_a)
     require_star(st_b)
     return _carries(phi, st_a, st_b)
@@ -174,8 +170,11 @@ def scan_star_candidates(ctx, grid=None):
     units = [c for c in grid if c.is_norm_one()]
     lookups = k * (k + len(units)) if ctx.n == 2 else 0
     _check_scan_cost(ctx, k, lookups, 0 if ctx.n == 2 else len(units) ** 2)
-    if len(set(grid)) < k:
-        raise KernelError("scan grid repeats a value; list each value once")
+    first = {}
+    for j, c in enumerate(grid, 1):
+        if (i := first.setdefault(c, j)) != j:
+            raise KernelError(f"scan grid repeats a value: values {i} and {j} "
+                              "are equal; list each value once")
     if ctx.zero not in grid:
         return []
     if ctx.n == 2:

@@ -14,7 +14,7 @@ class InvalidStarStructureError(KernelError):
 
 
 class InvalidAutomorphismError(KernelError):
-    """A candidate automorphism is singular or breaks the defining relations."""
+    """A candidate automorphism is no psi_L, L invertible and diagonal unless n = 2."""
 
 
 class ExprSyntaxError(KernelError):

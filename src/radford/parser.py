@@ -312,11 +312,10 @@ def _atom_power(name, k, ctx):
     return Element.monomial(ctx, r, s, l % ctx.n)
 
 
-def _evaluate_within_budget(texts, ctx, what, free):
-    """Parse every text and evaluate them, refusing first, before any is
-    evaluated, texts whose products, less ``free`` per text, together
-    expand past MAX_COORDS."""
-    trees = [parse(text) for text in texts]
+def _evaluate_within_budget(trees, ctx, what, free):
+    """Evaluate the trees, refusing first, before any is evaluated, trees
+    whose products, less ``free`` per tree, together expand past
+    MAX_COORDS."""
     pairs = sum(_expansion_bound(tree, ctx.n)[1] - free for tree in trees)
     coords = pairs * ctx.degree
     if coords > MAX_COORDS:
@@ -327,26 +326,38 @@ def _evaluate_within_budget(texts, ctx, what, free):
 
 def parse_element(text, ctx):
     """Parse and evaluate, refusing first what expands past MAX_COORDS."""
-    return _evaluate_within_budget([text], ctx, "expression expands", 0)[0]
+    return _evaluate_within_budget([parse(text)], ctx, "expression expands", 0)[0]
 
 
 def parse_scalar(text, ctx):
     """Parse an expression that must evaluate to a multiple of 1."""
-    return _scalar_of(parse_element(text, ctx))
+    return _scalar_of(text, parse_element(text, ctx))
 
 
 def parse_scalars(texts, ctx):
-    """``parse_scalar`` of each text under one budget for them all.  A
-    value's first product is by 1, a copy of a scalar, and is not
-    counted, so a literal or a power of an atom costs nothing."""
-    return [_scalar_of(e) for e in
-            _evaluate_within_budget(texts, ctx, "grid values expand", 1)]
+    """``parse_scalar`` of each text under one budget for them all; an error
+    in one value names its 1-based position.  A value's first product is
+    by 1, a copy of a scalar, and is not counted, so a literal or a power
+    of an atom costs nothing."""
+    trees = [_grid_value(k, parse, text) for k, text in enumerate(texts, 1)]
+    values = _evaluate_within_budget(trees, ctx, "grid values expand", 1)
+    return [_grid_value(k, _scalar_of, text, e)
+            for k, (text, e) in enumerate(zip(texts, values), 1)]
 
 
-def _scalar_of(e):
-    """c, for an element e = c 1 of H_n."""
+def _grid_value(k, f, *args):
+    """f(*args), any error it raises prefixed with grid position k."""
+    try:
+        return f(*args)
+    except KernelError as exc:
+        exc.args = (f"grid value {k}: {exc}",)
+        raise
+
+
+def _scalar_of(text, e):
+    """c, for the value e = c 1 of H_n of expression ``text``."""
     if e.terms.keys() - {(0, 0, 0)}:
-        raise ExprSyntaxError("expression is not a scalar", 1, 1)
+        raise KernelError(f"expression {text!r} is not a scalar")
     return e.terms.get((0, 0, 0), e.ctx.zero)
 
 

@@ -97,13 +97,6 @@ class GeneratorMap:
         powers = [img ** k for img, k in (pairs[::-1] if self.is_star else pairs) if k]
         return reduce(mul, powers) if powers else Element.one(self.ctx)
 
-    def relation_counterexample(self):
-        """First relation pair (a, b) with f(ab) != f(a) f(b), or f(b) f(a)
-        for a star.  None means the map is an algebra map, or for a star a
-        conjugate-linear anti-homomorphism, on all of H_n."""
-        return _relation_counterexample(
-            self.ctx, lambda e: apply_map(self, e), mul, self.is_star)
-
 
 def apply_map(f, e):
     """f(e): ``of_monomial`` extended linearly, conjugate-linearly for a star."""
@@ -113,19 +106,20 @@ def apply_map(f, e):
     return acc
 
 
-def _coproduct_law(f):
-    """Check of D(f(b)) = (f (x) f)D(b) on a basis monomial b."""
-    image = partial(apply_map, f)
-    return _map_law(f.ctx, lambda e: delta(image(e)),
-                    lambda e: tensor_map(delta(e), image, image))
+def _mix_defect(ctx, a, images):
+    """Why ``images`` = A (x, y), ``a`` row-major, is refused, or None: A
+    mixes x and y, and only at n = 2 does a mix keep (g, x) and (g, y)."""
+    if ctx.n != 2 and (a[1] or a[2]):
+        return f"{images} mix x and y, which needs n = 2, got n = {ctx.n}"
+    return None
 
 
 def family_defect(ctx, a):
     """Why g* = g, (x*, y*) = A (x, y), ``a`` row-major, is outside the
     paper's family, or None: the family asks A diagonal unless n = 2, and
     conj(A) A = I, checked entry by entry."""
-    if ctx.n != 2 and (a[1] or a[2]):
-        return f"x* and y* mix x and y, which needs n = 2, got n = {ctx.n}"
+    if (defect := _mix_defect(ctx, a, "x* and y*")) is not None:
+        return defect
     for i, j in product(range(2), repeat=2):
         entry = a[2 * i].conjugate() * a[j] + a[2 * i + 1].conjugate() * a[2 + j]
         if entry != int(i == j):
@@ -223,13 +217,14 @@ def verify_star_axioms(st):
     def on_generators(lhs, rhs):
         return _on_generators(_map_law(ctx, lhs, rhs))
 
-    anti_ce = st.relation_counterexample()
+    anti_ce = _relation_counterexample(ctx, star, mul, anti=True)
     checks = [("antimultiplicative", anti_ce)]
     if anti_ce is None:
         checks = [
             ("involution", on_generators(lambda e: star(star(e)), lambda e: e)),
             *checks,
-            ("delta_compatible", _on_generators(_coproduct_law(st))),
+            ("delta_compatible", on_generators(
+                lambda e: delta(star(e)), lambda e: tensor_map(delta(e), star, star))),
             ("antipode_compatible", on_generators(
                 lambda e: antipode(star(antipode(star(e)))), lambda e: e)),
         ]

@@ -22,7 +22,9 @@ where the kernel accepts only a single term g^l.  The Hopf oracle takes
 any coproduct and builds its triple coproducts from it.  The map oracle
 applies a star or an automorphism by multiplying its generator images
 letter by letter along each basis word, where the kernel multiplies
-cached powers of them.
+cached powers of them.  The Hopf map oracle checks through it that a map
+is multiplicative and commutes with D on the whole basis, where the
+kernel admits an automorphism by its matrix alone.
 
 The module also holds the helpers only tests use, so that the package
 ships what the kernel calls: ``basis`` and ``generators`` (the kernel
@@ -199,6 +201,18 @@ def star_oracle(st):
         "counit_conjugate": _all_monomials(
             ctx, lambda e: counit(star(e)) == counit(e).conjugate()),
     }
+
+
+def hopf_map_oracle(phi):
+    """phi(ab) = phi(a) phi(b) on every basis pair, and D phi = (phi (x) phi) D
+    on every basis monomial."""
+    ctx = phi.ctx
+
+    def f(e):
+        return map_oracle(phi, e)
+
+    return (_all_pairs(ctx, lambda a, b: f(a * b) == f(a) * f(b))
+            and _all_monomials(ctx, lambda e: delta(f(e)) == tensor_map(delta(e), f, f)))
 
 
 def equivalence_oracle(phi, st_a, st_b):

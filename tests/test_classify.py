@@ -5,6 +5,8 @@ from itertools import product
 
 import pytest
 
+import radford.algebra
+import radford.star
 from radford import jsonio
 from radford.algebra import Element, Monomial
 from radford.coalgebra import delta, tensor_of
@@ -26,7 +28,7 @@ from radford.star import GeneratorMap, apply_map, family_defect, make_star_diag,
     make_star_matrix
 
 from oracles import _invertible_point, basis, equivalence_oracle, generators, \
-    n2_polarization_oracle, n2_search_oracle, scan_oracle
+    hopf_map_oracle, n2_polarization_oracle, n2_search_oracle, scan_oracle
 
 
 def diag_map(ctx, l1, l2):
@@ -103,8 +105,62 @@ class TestAutomorphisms:
         img = apply_map(phi, x)
         assert delta(img) == tensor_of(img, g) + tensor_of(Element.one(ctx), img)
 
+    # Every matrix over 0, 1, i, 1 + i is a Hopf map at n = 2, and only the
+    # 16 diagonal ones at n = 3; the invertible ones are the automorphisms.
+    @pytest.mark.parametrize("n, hopf_maps", [(2, 256), (3, 16)])
+    def test_admits_exactly_the_invertible_hopf_maps(self, n, hopf_maps):
+        ctx = make_context(n)
+        values = (ctx.zero, ctx.one, ctx.i(), ctx.one + ctx.i())
+        passed = 0
+        for lam in product(values, repeat=4):
+            is_hopf = hopf_map_oracle(GeneratorMap.from_matrix(ctx, lam, is_star=False))
+            passed += is_hopf
+            try:
+                make_automorphism(ctx, lam)
+                admitted = True
+            except InvalidAutomorphismError:
+                admitted = False
+            assert admitted == (is_hopf and bool(lam[0] * lam[3] - lam[1] * lam[2])), lam
+        assert passed == hopf_maps
+
+    # The matrix alone admits psi_L: no relation pair is checked.
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_no_relation_pair_is_checked(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a relation pair was checked")
+
+        monkeypatch.setattr(radford.algebra, "_relation_counterexample", refuse)
+        monkeypatch.setattr(radford.star, "_relation_counterexample", refuse)
+        ctx = make_context(n)
+        one, i = ctx.one, ctx.i()
+        matrices = [(ctx.omega(), ctx.zero, ctx.zero, one + i)]
+        if n == 2:
+            matrices.append((one, i, ctx.from_int(2), ctx.zero))
+        for lam in matrices:
+            assert make_automorphism(ctx, lam).matrix == lam
+        trivial = make_star_diag(ctx, one, one)
+        for st in (make_star_diag(ctx, ctx.zeta(1), -one), trivial):
+            assert verify_equivalence(equivalence_witness(st, trivial), st, trivial)
+
 
 class TestVerifyEquivalence:
+    # x -> x + 1 and g -> g^2 carry no star to a star (equivalence_oracle
+    # says so), x -> 0 is not bijective, and a star is no automorphism:
+    # none of them is some psi_L, so none is compared.
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_refuses_what_is_not_an_automorphism(self, n):
+        ctx = make_context(n)
+        g, x, y = generators(ctx)
+        trivial = make_star_diag(ctx, ctx.one, ctx.one)
+        not_hopf = [GeneratorMap(ctx, g, x + Element.one(ctx), y, is_star=False),
+                    GeneratorMap(ctx, g * g, x, y, is_star=False)]
+        for phi in not_hopf:
+            assert not equivalence_oracle(phi, trivial, trivial)
+        for phi in not_hopf + [GeneratorMap(ctx, g, Element.zero(ctx), y, is_star=False),
+                               trivial]:
+            with pytest.raises(InvalidAutomorphismError):
+                verify_equivalence(phi, trivial, trivial)
+
     def test_identity_fixes_any_structure(self):
         ctx = make_context(3)
         st = make_star_diag(ctx, ctx.omega(), ctx.zeta(2))

@@ -449,6 +449,11 @@ class TestCommands:
         p = run_cli("--n", "3", "equiv", "diag", "--alpha", "2", "--beta", "1")
         assert p.returncode == 2
 
+    def test_non_scalar_parameter_is_named(self):
+        p = run_cli("--n", "3", "equiv", "diag", "--alpha", "1", "--beta", "1+g")
+        assert (p.returncode, p.stdout) == (2, "")
+        assert p.stderr == "error: expression '1+g' is not a scalar\n"
+
     def test_equiv_n2(self, star_files):
         p = run_cli("--n", "2", "--json", "equiv", "n2",
                     "--a", str(star_files / "ident.json"),
@@ -754,8 +759,19 @@ class TestCommands:
                     timeout=10)
         assert p.returncode == 2
         assert p.stdout == ""
-        assert p.stderr == (
-            "error: scan grid repeats a value; list each value once\n")
+        assert p.stderr == ("error: scan grid repeats a value: values 1 and 2 "
+                            "are equal; list each value once\n")
+
+    # w = z^4 at m = 12: a repeat is named by the positions of both values.
+    @pytest.mark.parametrize("grid, stderr", [
+        ("0,1,i,-1,w,z^4", "error: scan grid repeats a value: values 5 and 6 "
+                           "are equal; list each value once\n"),
+        ("0,1,1+(2", "syntax error: grid value 3: expected ')' at line 1, column 5\n"),
+        ("0,g,1", "error: grid value 2: expression 'g' is not a scalar\n"),
+    ], ids=["repeated", "syntax", "not-scalar"])
+    def test_bad_grid_value_is_named(self, grid, stderr):
+        p = run_cli("--n", "3", "scan", "--grid", grid, timeout=10)
+        assert (p.returncode, p.stdout, p.stderr) == (2, "", stderr)
 
     def test_empty_scan_grid_exit_2(self):
         p = run_cli("--n", "3", "scan", "--grid", "", timeout=10)

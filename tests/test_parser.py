@@ -93,8 +93,9 @@ class TestGrammar:
 
     def test_scalar_extraction(self):
         assert parse_scalar("w^2", CTX3) == CTX3.omega(2)
-        with pytest.raises(ExprSyntaxError):
+        with pytest.raises(KernelError, match=r"^expression 'x' is not a scalar$") as err:
             parse_scalar("x", CTX3)
+        assert not isinstance(err.value, ExprSyntaxError)
 
 
 def random_element(ctx, rng, max_terms=4):
