@@ -21,10 +21,11 @@ exponent  e = l1*r2 + s1*r2 - l1*s2  for a full monomial product.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .errors import ContextMismatchError, KernelError
-from .scalars import CyclotomicScalar, FieldContext
+from .scalars import _power
 
 
 class Monomial(NamedTuple):
@@ -216,9 +217,6 @@ class Element(SparseTerms):
         return Element(self.ctx, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, CyclotomicScalar)):
-            c = other if isinstance(other, CyclotomicScalar) else self.ctx.from_int(other)
-            return self.scale(c)
         self._check(other)
         ctx = self.ctx
         n = ctx.n
@@ -236,24 +234,10 @@ class Element(SparseTerms):
                 out[mono] = c if acc is None else acc + c
         return Element(ctx, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, CyclotomicScalar)):
-            return self.__mul__(other)
-        return NotImplemented
-
     def __pow__(self, k):
         if k < 0:
             raise KernelError("negative powers of algebra elements")
-        # Square-and-multiply with no product by 1 and no squaring past the
-        # top bit of k.
-        acc, base = None, self
-        while True:
-            if k & 1:
-                acc = base if acc is None else acc * base
-            k >>= 1
-            if not k:
-                return Element.one(self.ctx) if acc is None else acc
-            base = base * base
+        return _power(self, k, operator.mul, Element.one(self.ctx))
 
     def coefficient(self, r, s, l):
         return self.terms.get(Monomial(r, s, l), self.ctx.zero)

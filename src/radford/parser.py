@@ -14,21 +14,24 @@ is zeta^(m/4).  Formatting sorts terms by (r, s, l) and prints scalars
 in the power basis over 'z', so parse(format(e)) evaluates back to e.
 
 ``parse`` enforces the input budget before anything is evaluated: at
-most ``scalars.MAX_INPUT_DIGITS`` digits (``_digit_bound``) and
-MAX_EXPR_DEPTH nested parentheses.  ``parse_element`` also bounds the
-products the tree asks for in its context (``_expansion_bound``), and
-``parse_scalars`` those of a list of trees together.
+most ``scalars.MAX_INPUT_DIGITS`` digits and MAX_EXPR_DEPTH nested
+parentheses.  ``parse_element`` also bounds the products the tree asks
+for in its context (``_expansion_bound``), and ``parse_scalars`` those
+of a list of trees together.  ``evaluate`` and both budgets are one walk
+of the tree, ``_fold``, under three sets of operations, so a budget
+counts the products evaluation takes.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import reduce
 from math import gcd
 from typing import NamedTuple
 
 from .algebra import Element
 from .errors import ExprSyntaxError, KernelError
-from .scalars import MAX_COORDS, MAX_INPUT_DIGITS
+from .scalars import MAX_COORDS, MAX_INPUT_DIGITS, _power
 
 # Deepest parenthesis nesting; well inside the recursion limit.
 MAX_EXPR_DEPTH = 100
@@ -193,24 +196,42 @@ class _Parser:
         self._fail(f"unexpected {tok.text!r}")
 
 
-def _digit_bound(node):
-    """Length of p/q that a coefficient of ``node``'s value can reach.
+def _fold(node, leaf, add, mul, zero, one):
+    """The value of a parse tree under the given operations: the one walk
+    of the tree, shared by ``evaluate`` and both input budgets.
 
-    Up to a few digits per step: a sum or product of fractions has at
-    most as many digits as its operands together, and a power multiplies
-    them by its exponent.  A power of an atom weighs 1, like the atom: it
-    is a monomial or a root of unity.
+    A sum is ``add(acc, term, sign)`` from ``zero``, sign -1 for a
+    subtracted or negated term; a term is ``mul`` of its factors in order,
+    with no product by 1; a power of a compound base is ``scalars._power``
+    under ``mul`` and ``one``; and ``leaf(a, k)`` is a literal a (k = 1)
+    or the atom a to the power k, built with no product.
     """
-    if isinstance(node, Expr):
-        return sum(map(_digit_bound, (node.first, *(t for _, t in node.rest))))
-    if isinstance(node, Term):
-        return sum(map(_digit_bound, node.factors))
-    if isinstance(node, Pow) and not isinstance(node.base, Atom):
-        return node.exponent * _digit_bound(node.base)
-    if isinstance(node, Num):
-        p, q = node
-        return len(str(p)) + (len(str(q)) + 1 if q != 1 else 0)
-    return 1
+    def walk(node):
+        if isinstance(node, Expr):
+            acc = zero
+            for sign, term in ((1, node.first), *node.rest):
+                value = reduce(mul, map(walk, term.factors))
+                acc = add(acc, value, -sign if term.negated else sign)
+            return acc
+        if isinstance(node, Pow) and isinstance(node.base, Atom):
+            return leaf(node.base, node.exponent)
+        if isinstance(node, Pow):
+            return _power(walk(node.base), node.exponent, mul, one)
+        if isinstance(node, (Num, Atom)):
+            return leaf(node, 1)
+        raise TypeError(f"not a parse node: {node!r}")
+
+    return walk(node)
+
+
+def _digits(a, k):
+    """Digits of p/q for a literal, 1 for a power of an atom: a monomial or
+    a root of unity.  Floats, exact far past the budget, so that nested
+    powers with long exponents stay one machine word."""
+    if isinstance(a, Atom):
+        return 1.0
+    p, q = a
+    return float(len(str(p)) + (len(str(q)) + 1 if q != 1 else 0))
 
 
 def parse(text):
@@ -222,7 +243,8 @@ def parse(text):
     expr = parser.parse_expr()
     if parser.cur.tag != "END":
         parser._fail(f"unexpected {parser.cur.text!r}")
-    if _digit_bound(expr) > MAX_INPUT_DIGITS:
+    digits = _fold(expr, _digits, lambda acc, v, sign: acc + v, operator.add, 0.0, 0.0)
+    if digits > MAX_INPUT_DIGITS:
         raise KernelError(
             f"expression exceeds the input budget of {MAX_INPUT_DIGITS} digits")
     return expr
@@ -233,90 +255,59 @@ _EXPONENTS = {"y": (1, 0, 0), "x": (0, 1, 0), "g": (0, 0, 1)}
 
 def _expansion_bound(node, n):
     """(bound, pairs): how large the value of ``node`` in H_n can get, and
-    how many term pairs its products multiply on the way.
+    how many term pairs ``evaluate`` multiplies on the way.
 
     bound = (terms, r, s, l) caps the term count and the exponents of y,
     x and g.  A product has at most the product of its factors' term
     counts, and no value more than the (r+1)(s+1)(l+1) <= n^3 monomials
     its exponents allow, so a scalar is one term however it is written.
-    Products are taken in the order of ``evaluate`` and square-and-multiply;
-    a power of an atom is built with none.
+    The products are those of ``evaluate``, as both are ``_fold``s.
     """
     pairs = 0
 
     def box(terms, r, s, l):
         return min(terms, (r + 1) * (s + 1) * (l + 1)), r, s, l
 
-    def times(a, b):
+    def leaf(a, k):
+        exps = _EXPONENTS.get(getattr(a, "name", None), (0, 0, 0))
+        return box(1, *(min(n - 1, k * e) for e in exps))
+
+    def add(a, b, sign):
+        return box(a[0] + b[0], *map(max, a[1:], b[1:]))
+
+    def mul(a, b):
         nonlocal pairs
         pairs += a[0] * b[0]
         return box(a[0] * b[0], *(min(n - 1, u + v) for u, v in zip(a[1:], b[1:])))
 
-    def walk(node):
-        if isinstance(node, Expr):
-            parts = [walk(t) for t in (node.first, *(t for _, t in node.rest))]
-            return box(sum(p[0] for p in parts),
-                       *(max(p[k] for p in parts) for k in (1, 2, 3)))
-        if isinstance(node, Term):
-            return reduce(times, map(walk, node.factors), (1, 0, 0, 0))
-        if isinstance(node, Pow) and isinstance(node.base, Atom):
-            exps = _EXPONENTS.get(node.base.name, (0, 0, 0))
-            return box(1, *(min(n - 1, node.exponent * e) for e in exps))
-        if isinstance(node, Pow):
-            acc, base, k = (1, 0, 0, 0), walk(node.base), node.exponent
-            while k:
-                if k & 1:
-                    acc = times(acc, base)
-                k >>= 1
-                if k:
-                    base = times(base, base)
-            return acc
-        return (1, *_EXPONENTS.get(getattr(node, "name", None), (0, 0, 0)))
-
-    bound = walk(node)
+    bound = _fold(node, leaf, add, mul, (0, 0, 0, 0), (1, 0, 0, 0))
     return bound, pairs
 
 
 def evaluate(node, ctx):
     """Evaluate a parse tree to an Element of H_n over the given context."""
-    if isinstance(node, Expr):
-        acc = evaluate(node.first, ctx)
-        for sign, term in node.rest:
-            v = evaluate(term, ctx)
-            acc = acc + v if sign > 0 else acc - v
-        return acc
-    if isinstance(node, Term):
-        acc = Element.one(ctx)
-        for f in node.factors:
-            acc = acc * evaluate(f, ctx)
-        return -acc if node.negated else acc
-    if isinstance(node, Pow) and isinstance(node.base, Atom):
-        return _atom_power(node.base.name, node.exponent, ctx)
-    if isinstance(node, Pow):
-        return evaluate(node.base, ctx) ** node.exponent
-    if isinstance(node, Num):
-        return Element.from_scalar(ctx, ctx.from_fraction(node))
-    if isinstance(node, Atom):
-        return _atom_power(node.name, 1, ctx)
-    raise TypeError(f"not a parse node: {node!r}")
+
+    def leaf(a, k):
+        if isinstance(a, Num):
+            return Element.from_scalar(ctx, ctx.from_fraction(a))
+        if a.name not in _EXPONENTS:
+            root = {"i": ctx.i, "w": ctx.omega, "z": ctx.zeta}[a.name]
+            return Element.from_scalar(ctx, root(k))
+        r, s, l = (k * e for e in _EXPONENTS[a.name])
+        if max(r, s) >= ctx.n:
+            return Element.zero(ctx)
+        return Element.monomial(ctx, r, s, l % ctx.n)
+
+    def add(acc, value, sign):
+        return acc + value if sign > 0 else acc - value
+
+    return _fold(node, leaf, add, operator.mul, Element.zero(ctx), Element.one(ctx))
 
 
-def _atom_power(name, k, ctx):
-    """The atom ``name`` to the power k, built with no product."""
-    if name not in _EXPONENTS:
-        root = {"i": ctx.i, "w": ctx.omega, "z": ctx.zeta}[name]
-        return Element.from_scalar(ctx, root(k))
-    r, s, l = (k * e for e in _EXPONENTS[name])
-    if max(r, s) >= ctx.n:
-        return Element.zero(ctx)
-    return Element.monomial(ctx, r, s, l % ctx.n)
-
-
-def _evaluate_within_budget(trees, ctx, what, free):
+def _evaluate_within_budget(trees, ctx, what):
     """Evaluate the trees, refusing first, before any is evaluated, trees
-    whose products, less ``free`` per tree, together expand past
-    MAX_COORDS."""
-    pairs = sum(_expansion_bound(tree, ctx.n)[1] - free for tree in trees)
+    whose products together expand past MAX_COORDS."""
+    pairs = sum(_expansion_bound(tree, ctx.n)[1] for tree in trees)
     coords = pairs * ctx.degree
     if coords > MAX_COORDS:
         raise KernelError(f"{what} to {coords} field coordinates of products, "
@@ -326,7 +317,7 @@ def _evaluate_within_budget(trees, ctx, what, free):
 
 def parse_element(text, ctx):
     """Parse and evaluate, refusing first what expands past MAX_COORDS."""
-    return _evaluate_within_budget([parse(text)], ctx, "expression expands", 0)[0]
+    return _evaluate_within_budget([parse(text)], ctx, "expression expands")[0]
 
 
 def parse_scalar(text, ctx):
@@ -336,11 +327,10 @@ def parse_scalar(text, ctx):
 
 def parse_scalars(texts, ctx):
     """``parse_scalar`` of each text under one budget for them all; an error
-    in one value names its 1-based position.  A value's first product is
-    by 1, a copy of a scalar, and is not counted, so a literal or a power
-    of an atom costs nothing."""
+    in one value names its 1-based position.  A literal or a power of an
+    atom takes no product, and costs nothing."""
     trees = [_grid_value(k, parse, text) for k, text in enumerate(texts, 1)]
-    values = _evaluate_within_budget(trees, ctx, "grid values expand", 1)
+    values = _evaluate_within_budget(trees, ctx, "grid values expand")
     return [_grid_value(k, _scalar_of, text, e)
             for k, (text, e) in enumerate(zip(texts, values), 1)]
 

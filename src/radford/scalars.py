@@ -33,6 +33,7 @@ context per call):
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import ContextMismatchError, KernelError
 
@@ -44,8 +45,8 @@ _MUL_CACHE_LIMIT = 1 << 18
 MAX_CONDUCTOR = 1024
 
 # Most digits an input number may take, written as a fraction p/q: a
-# rational coordinate of a JSON file, and the bound ``parser._digit_bound``
-# puts on everything an expression can evaluate to.  It sits far below
+# rational coordinate of a JSON file, and the bound ``parser.parse`` puts
+# on everything an expression can evaluate to.  It sits far below
 # Python's 4300-digit limit on int <-> str conversion, so the product of
 # two inputs still prints, and it refuses (1+z)^100000 before its
 # integers grow.
@@ -116,8 +117,9 @@ MAX_SCAN_COST = 40_000_000
 #   "y^127*x"` is admitted.  At m = 1020 the largest admitted inputs, such
 #   as y^13 x^13 g, take under a second.
 # * the products of an expression, counted by ``parser._expansion_bound``:
-#   its term pairs, phi(m) coordinates each.  At m = 1020 a pair of dense
-#   coefficients costs about 2 ms.
+#   the term pairs ``parser.evaluate`` multiplies, phi(m) coordinates each,
+#   exact while every value is one term (a scalar) and a bound otherwise.
+#   At m = 1020 a pair of dense coefficients costs about 2 ms.
 MAX_COORDS = 100_000
 
 
@@ -339,6 +341,20 @@ def _normalize(num, den):
     return tuple(num), den
 
 
+def _power(base, k, mul, one):
+    """base^k for k >= 0 by square-and-multiply under ``mul``: no product
+    by ``one`` and no squaring past the top bit of k.  The one power of
+    scalars, algebra elements and the parser's input budgets."""
+    acc = None
+    while True:
+        if k & 1:
+            acc = base if acc is None else mul(acc, base)
+        k >>= 1
+        if not k:
+            return one if acc is None else acc
+        base = mul(base, base)
+
+
 class CyclotomicScalar:
     """Element of Q(zeta_m): integer numerator vector over one denominator."""
 
@@ -449,15 +465,7 @@ class CyclotomicScalar:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        # No product by 1 and no squaring past the top bit of k.
-        acc, base = None, self
-        while True:
-            if k & 1:
-                acc = base if acc is None else acc * base
-            k >>= 1
-            if not k:
-                return self.ctx.one if acc is None else acc
-            base = base * base
+        return _power(self, k, operator.mul, self.ctx.one)
 
     def inverse(self):
         """Multiplicative inverse: q/p of a rational p/q, else via the

@@ -179,7 +179,7 @@ def map_oracle(f, e):
         image = Element.one(ctx)
         for letter in word:
             image = image * images[letter]
-        acc = acc + image * c
+        acc = acc + image.scale(c)
     return acc
 
 

@@ -709,16 +709,16 @@ class TestCommands:
 
     # Each value passes the budget of its own products, but the norm test
     # of each dense power costs about 54 ms at m = 1020: the grid as a
-    # whole gets one budget, counted before any value is evaluated.  A
-    # value's first product, by 1, is not counted, so literals and powers
-    # of atoms cost nothing: 391 integers and 30 roots are admitted.
+    # whole gets one budget, counted before any value is evaluated, of the
+    # 9 term pairs each value takes.  Literals and powers of atoms take no
+    # product and cost nothing: 391 integers and 30 roots are admitted.
     def test_oversized_grid_exit_2(self):
         grid = ",".join(["0"] + [f"({t}+z)^200" for t in range(2, 302)])
         p = run_cli("--n", "3", "--m", "1020", "scan", "--grid", grid, timeout=3)
         assert p.returncode == 2
         assert p.stdout == ""
         assert p.stderr == (
-            f"error: grid values expand to {300 * 12 * 256} field "
+            f"error: grid values expand to {300 * 9 * 256} field "
             f"coordinates of products, above the limit {MAX_COORDS}\n")
 
     @pytest.mark.parametrize("grid, survivors", [

@@ -1,6 +1,7 @@
 """Expression grammar, evaluation, and the printing round trip."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -188,16 +189,24 @@ class TestInputBudget:
         with pytest.raises(KernelError):
             parse(text)
 
+    def test_nested_long_exponents_are_refused(self):
+        # The digit count of 100 nested powers of 1000-digit exponents
+        # runs far past 2^1024; the budget refuses it without building it.
+        power = ")^" + "9" * MAX_INPUT_DIGITS
+        text = "(" * MAX_EXPR_DEPTH + "1" + power * MAX_EXPR_DEPTH
+        with pytest.raises(KernelError, match="input budget"):
+            parse(text)
+
     def test_powers_of_atoms_stay_small(self):
         assert parse_element("g^1000000001", CTX3) \
             == Element.monomial(CTX3, 0, 0, 1000000001 % 3)
 
-    # The largest powers admitted at n = 255 (m = 1020, phi(m) = 256) and
-    # the next ones up; the bound counts the term pairs square-and-multiply
-    # takes, phi(m) coordinates each.
+    # The largest powers admitted at n = 255 (m = 1020, phi(m) = 256), the
+    # next ones up, and one below; the bound counts the term pairs
+    # square-and-multiply takes, phi(m) coordinates each.
     @pytest.mark.parametrize("text, admitted", [
-        ("(x+y)^7", True), ("(x+y)^8", False),
-        ("(x+y+g)^4", True), ("(x+y+g)^5", False),
+        ("(x+y)^7", True), ("(x+y)^8", True), ("(x+y)^9", False),
+        ("(x+y+g)^4", True), ("(x+y+g)^5", True), ("(x+y+g)^6", False),
     ])
     def test_expansion_budget_at_the_cap(self, text, admitted):
         ctx = make_context(255)
@@ -208,28 +217,26 @@ class TestInputBudget:
                 parse_element(text, ctx)
 
     def test_grid_values_share_one_budget(self, monkeypatch):
-        # (2+z)^200 takes 13 term pairs of 256 coordinates, the first a
-        # product by 1 that the grid does not count: 32 such values fit
-        # the budget and 33 do not, refused before any is evaluated.
+        # (2+z)^200 takes 9 term pairs of 256 coordinates: 43 such values
+        # fit the budget and 44 do not, refused before any is evaluated.
         # Literals and powers of atoms cost nothing.
         ctx = make_context(3, 1020)
         text = "(2+z)^200"
-        assert _expansion_bound(parse(text), 3)[1] == 13
-        assert parse_scalars([text] * 32 + ["-i"], ctx)[32] == -ctx.i()
+        assert _expansion_bound(parse(text), 3)[1] == 9
+        assert parse_scalars([text] * 43 + ["-i"], ctx)[43] == -ctx.i()
         assert parse_scalars([f"z^{k}" for k in range(990, 1020)], ctx) \
             == [ctx.zeta(k) for k in range(990, 1020)]
         assert len(parse_scalars([str(k) for k in range(1000)], ctx)) == 1000
         monkeypatch.setattr(parser, "evaluate", None)
         with pytest.raises(KernelError, match=(
-                f"grid values expand to {33 * 12 * 256} field coordinates of "
+                f"grid values expand to {44 * 9 * 256} field coordinates of "
                 f"products, above the limit {MAX_COORDS}")):
-            parse_scalars([text] * 33, ctx)
+            parse_scalars([text] * 44, ctx)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_powers_of_atoms_take_no_product(self, n, monkeypatch):
         # g^n = 1, x^n = y^n = 0, and the roots i, w, z: each power is the
-        # repeated product, built with no product at all; only the term
-        # around it multiplies it by 1.
+        # repeated product, built with no product at all.
         ctx = make_context(n)
         want = {}
         for a in "gxyiwz":
@@ -240,7 +247,7 @@ class TestInputBudget:
         monkeypatch.setattr(type(ctx), "_mul_nums", None)
         for (a, k), value in want.items():
             assert evaluate(Pow(Atom(a), k), ctx) == value
-            assert _expansion_bound(parse(f"{a}^{k}"), n)[1] == 1
+            assert _expansion_bound(parse(f"{a}^{k}"), n)[1] == 0
 
     def test_expansion_bound_counts_terms_and_exponents(self):
         # (terms, r, s, l): a scalar is one term however it is written;
@@ -254,3 +261,111 @@ class TestInputBudget:
         assert bound("(x+y)^4", 5) == (16, 4, 4, 0)
         assert bound("(x+y)^8", 5) == (25, 4, 4, 0)
         assert bound("y^7*g*x", 3) == (1, 2, 1, 1)
+
+
+@contextmanager
+def counted_pairs():
+    """[pairs]: the term pairs of the Element products taken inside."""
+    count = [0]
+    mul = Element.__mul__
+
+    def counting(a, b):
+        count[0] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    Element.__mul__ = counting
+    try:
+        yield count
+    finally:
+        Element.__mul__ = mul
+
+
+def naive_power(base, k, ctx):
+    """base^k as k products, the first by 1."""
+    acc = Element.one(ctx)
+    for _ in range(k):
+        acc = acc * base
+    return acc
+
+
+_ROOTS = {"i": "i", "w": "omega", "z": "zeta"}
+
+
+@st.composite
+def factors(draw, ctx, depth):
+    """(text, value) of a literal, an atom or a parenthesised sum, raised
+    to a power 0..2n+1 or not."""
+    kind = draw(st.sampled_from(("literal", "atom", "sum")[:3 if depth else 2]))
+    if kind == "sum":
+        text, value = draw(sums(ctx, depth - 1))
+        text = f"({text})"
+    elif kind == "literal":
+        p, q = draw(st.integers(0, 9)), draw(st.integers(1, 4))
+        text = f"{p}/{q}"
+        value = Element.from_scalar(ctx, ctx.from_fraction(Fraction(p, q)))
+    else:
+        name = draw(st.sampled_from("gxyiwz"))
+        text = name
+        if name in _ROOTS:
+            value = Element.from_scalar(ctx, getattr(ctx, _ROOTS[name])())
+        else:
+            value = generators(ctx)["gxy".index(name)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 2 * ctx.n + 1))
+        text, value = f"{text}^{k}", naive_power(value, k, ctx)
+    return text, value
+
+
+@st.composite
+def sums(draw, ctx, depth):
+    """(text, value) of a sum of 1..3 signed terms of 1..3 factors each,
+    the value multiplied out naively: one product per factor, from 1."""
+    text, value = "", Element.zero(ctx)
+    for j in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from("+-")) if j else "+"
+        negated = draw(st.booleans())
+        term_text, term_value = "-" if negated else "", Element.one(ctx)
+        for f in range(draw(st.integers(1, 3))):
+            f_text, f_value = draw(factors(ctx, depth))
+            term_text += ("*" if f else "") + f_text
+            term_value = term_value * f_value
+        if negated:
+            term_value = -term_value
+        text += f" {sign} {term_text}" if j else term_text
+        value = value - term_value if sign == "-" else value + term_value
+    return text, value
+
+
+class TestEvaluation:
+    # Values that stay one nonzero term on the way, so the bound's term
+    # counts are exact and it charges exactly the pairs evaluate takes.
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("text", [
+        "(2+z)^200", "-(1+i)^5*(3-w)^2 + z", "((1+z)^3 - z)^4*(1/2 - w)^0",
+        "2*(i - 3/4*z)^13 - w^2*(1+z)^2",
+    ])
+    def test_budget_charges_the_pairs_taken_on_scalars(self, n, text):
+        ctx = make_context(n)
+        with counted_pairs() as taken:
+            parse_element(text, ctx)
+        assert _expansion_bound(parse(text), n)[1] == taken[0]
+
+    @pytest.mark.parametrize("text", [
+        "(x+y+g)^4", "(1+x)^3*(y-g)^2", "x*y*g - (g+1)^5", "(x - 2*y^2)^3*g^2",
+    ])
+    def test_budget_covers_the_pairs_taken_on_elements(self, text):
+        with counted_pairs() as taken:
+            parse_element(text, CTX3)
+        assert _expansion_bound(parse(text), 3)[1] >= taken[0] > 0
+
+    # Random trees against a value multiplied out on the test side, with
+    # no square-and-multiply and no shared tree walk.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_evaluate_matches_naive_products(self, n, data):
+        ctx = make_context(n)
+        text, value = data.draw(sums(ctx, 1))
+        with counted_pairs() as taken:
+            assert parse_element(text, ctx) == value, text
+        assert _expansion_bound(parse(text), n)[1] >= taken[0]
