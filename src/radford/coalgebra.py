@@ -24,9 +24,9 @@ recurrence: q = w^(+-1) is a primitive n-th root of unity, so
     C(n-1,t)_q = prod over i <= t of (1 - q^(n-i))/(1 - q^i)
                = (-1)^t q^(-t(t+1)/2)
 
-(Kassel, GTM 155, Ch. IV.2).  The relation pairs (x^(n-1), x) and
-(y^(n-1), y) need D(x^(n-1)) and D(y^(n-1)), so the certificates build
-no O(n^2) q-Pascal triangle.
+(Kassel, GTM 155, Ch. IV.2), so D(y^(n-1) x^(n-1)) builds no O(n^2)
+q-Pascal triangle.  The relation certificates form neither row: the same
+theorem gives D(x)^n = D(y)^n = 0 (``algebra._nilpotent``).
 
 Each formula is the (anti)multiplicative extension of the generator
 table along the canonical word: D(y)^r D(x)^s D(g)^l, e(y)^r e(x)^s
@@ -155,8 +155,8 @@ def _qbinom_row(ctx, k, sign):
     """Gaussian binomials C(k, 0..k)_q with q = w^sign, by q-Pascal rows.
 
     C(i,0) = C(i,i) = 1 and C(i,t) = C(i-1,t-1) + q^t C(i-1,t).  The top
-    row k = n - 1, the one the relation certificates need, is closed:
-    C(n-1,t)_q = (-1)^t q^(-t(t+1)/2) (module docstring).
+    row k = n - 1 is closed: C(n-1,t)_q = (-1)^t q^(-t(t+1)/2) (module
+    docstring).
     """
     one = ctx.one
     if k == ctx.n - 1:

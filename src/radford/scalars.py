@@ -20,14 +20,6 @@ with ints, is built from anything with ``numerator`` and ``denominator``
 ``p`` or ``p/q`` (``coord_texts``).  Only ``inverse`` of an irrational
 scalar and the ``coords`` view use ``fractions``, which loads ``decimal``
 and ``numbers`` with it.
-
-Multiplication is memoized per context, because the verifiers multiply
-the same few roots of unity over and over (measured in-process, a fresh
-context per call):
-
-    command or workload                       products   memo hit ratio
-    benchmark ops (seed 1, mean per op)        44-184      0.72-0.87
-    --n 128 verify hopf                         1 181      0.70
 """
 
 from __future__ import annotations
@@ -36,8 +28,6 @@ import math
 import operator
 
 from .errors import ContextMismatchError, KernelError
-
-_MUL_CACHE_LIMIT = 1 << 18
 
 # Largest conductor make_context accepts.  A context holds a table of
 # about m * phi(m) integers and every product costs phi(m)^2 operations,
@@ -54,9 +44,11 @@ MAX_INPUT_DIGITS = 1000
 
 # Most work a star file may ask for, in units counted as it is decoded:
 # n times its scalars' nonzero coordinates, each weighing its length as
-# written plus one; ``verify star`` raises the images to the power n - 1.
-# Shapes under it ran 0.75 to 3.6 s, and 64 coordinates of 1000 digits at
-# n = 128 (8.2M units) ran 92 s (x* = a x, Python 3.11, 2-core shared VM).
+# written plus one; ``star-apply`` raises the images to powers up to
+# n - 1.  x* = a x, y* = a y with a = ((3 + 4i)/5)^700 (251K units) takes
+# 0.94 s on y^127 x^127 at n = 128 (in-process, Python 3.11, 2-core
+# shared VM).  ``verify star`` raises none that the q-binomial theorem
+# settles (``algebra._nilpotent``).
 MAX_STAR_COST = 500_000
 
 # Most work ``classify.scan_star_candidates`` takes on, in cost units
@@ -229,7 +221,6 @@ class FieldContext:
         if self._zeta_pow[m] != self._zeta_pow[0]:
             raise AssertionError(f"zeta^{m} != 1 in context m={m}")
         self._zeta_index = None
-        self._mul_cache = {}
         self._omega_pows = None
         # i^2 = -1 and omega has order exactly n; cheap one-time checks.
         if (self.i(1) * self.i(1)) != self.from_int(-1):
@@ -300,10 +291,6 @@ class FieldContext:
         return self._zeta_index.get(a.num)
 
     def _mul_nums(self, n1, d1, n2, d2):
-        key = (n1, d1, n2, d2) if n1 <= n2 else (n2, d2, n1, d1)
-        hit = self._mul_cache.get(key)
-        if hit is not None:
-            return hit
         d = self.degree
         conv = [0] * (2 * d - 1)
         for i, a in enumerate(n1):
@@ -320,11 +307,7 @@ class FieldContext:
                 for j in range(d):
                     if row[j]:
                         out[j] += c * row[j]
-        res = _normalize(out, d1 * d2)
-        if len(self._mul_cache) >= _MUL_CACHE_LIMIT:
-            self._mul_cache.clear()
-        self._mul_cache[key] = res
-        return res
+        return _normalize(out, d1 * d2)
 
 
 def _normalize(num, den):

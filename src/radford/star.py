@@ -26,7 +26,7 @@ map: their report omits the checks that would judge one.
 
 from __future__ import annotations
 
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from itertools import product
 from operator import mul
 from typing import NamedTuple
@@ -174,17 +174,16 @@ def _scalar_map(ctx, f):
     return lambda e: Element.from_scalar(ctx, f(e))
 
 
-@cache
 def _hopf_certificate(ctx):
     """Check that D and e are multiplicative and S antimultiplicative.
 
     ``delta``, ``counit`` and ``antipode`` are the (anti)multiplicative
     extensions of their generator values along canonical words by
     construction (see ``coalgebra``), so the relation pairs decide these
-    laws.  Derived once per context: no star structure enters it, so
-    the verifier calls of one context share it.  The closed forms cannot fail
-    it, so a failure is a kernel fault, raised as ``KernelError`` with the
-    law and its pair, not a verdict.
+    laws.  Each verifier call derives it anew, as the power pairs take no
+    n-th power (``algebra._nilpotent``).  The closed forms cannot fail it,
+    so a failure is a kernel fault, raised as ``KernelError`` with the law
+    and its pair, not a verdict.
     """
     laws = (("delta_multiplicative", delta, tensor_mul, False),
             ("counit_multiplicative", _scalar_map(ctx, counit), mul, False),

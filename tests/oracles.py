@@ -22,9 +22,12 @@ where the kernel accepts only a single term g^l.  The Hopf oracle takes
 any coproduct and builds its triple coproducts from it.  The map oracle
 applies a star or an automorphism by multiplying its generator images
 letter by letter along each basis word, where the kernel multiplies
-cached powers of them.  The Hopf map oracle checks through it that a map
+powers of them.  The Hopf map oracle checks through it that a map
 is multiplicative and commutes with D on the whole basis, where the
-kernel admits an automorphism by its matrix alone.
+kernel admits an automorphism by its matrix alone.  The relation pair
+oracle checks a product law on the six relation pairs by the plain
+product, where the kernel settles (x^(n-1), x) and (y^(n-1), y) by the
+q-binomial theorem when it can.
 
 The module also holds the helpers only tests use, so that the package
 ships what the kernel calls: ``basis`` and ``generators`` (the kernel
@@ -32,15 +35,16 @@ checks only g, x, y and the relation pairs), ``FieldMatrix`` and
 ``field_nullspace`` (the elimination of ``radford.solver`` over Q(zeta_m),
 which no kernel path calls), ``word_of_monomial`` for the rewriting
 oracle, report lookups by check name, ``x_primitive_delta`` and
-``inject_coproduct`` for negative fixtures, ``tensor_from_json`` for
-round trips, and ``load_schema``.
+``inject_coproduct`` for negative fixtures, ``count_calls`` for spies,
+``tensor_from_json`` for round trips, and ``load_schema``.
 """
 
 from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import NamedTuple
 
-from radford.algebra import GENERATOR_MONOMIALS, Element, Monomial
+from radford.algebra import GENERATOR_MONOMIALS, Counterexample, Element, Monomial, \
+    relation_pairs
 from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map, \
     tensor_mul, tensor_of
 from radford.errors import KernelError
@@ -89,12 +93,14 @@ def _all_monomials(ctx, law):
     return all(law(_unit(ctx, b)) for b in basis(ctx))
 
 
-def delta_oracle(ctx, mono):
-    """D(y)^r D(x)^s D(g)^l for mono = y^r x^s g^l, by tensor products."""
+def delta_oracle(ctx, mono, dx=None):
+    """D(y)^r D(x)^s D(g)^l for mono = y^r x^s g^l, by tensor products;
+    ``dx`` replaces D(x) = x (x) g + 1 (x) x."""
     g, x, y = GENERATOR_MONOMIALS
     one = Monomial(0, 0, 0)
     dg = TensorElement(ctx, {(g, g): ctx.one})
-    dx = TensorElement(ctx, {(x, g): ctx.one, (one, x): ctx.one})
+    if dx is None:
+        dx = TensorElement(ctx, {(x, g): ctx.one, (one, x): ctx.one})
     dy = TensorElement(ctx, {(y, g): ctx.one, (one, y): ctx.one})
     acc = TensorElement(ctx, {(one, one): ctx.one})
     for factor, k in ((dy, mono.r), (dx, mono.s), (dg, mono.l)):
@@ -123,6 +129,20 @@ def _triple_coproducts(e, d):
         rhs = rhs + TensorElement(ctx, {(a, u, v): c * c2
                                         for (u, v), c2 in d(_unit(ctx, b)).terms.items()})
     return lhs, rhs
+
+
+def relation_pair_oracle(ctx, f, mul, anti=False, pairs=None):
+    """The first relation pair (a, b), of ``pairs`` if given, with
+    f(ab) != mul(f(a), f(b)), or != mul(f(b), f(a)) when ``anti`` is set,
+    as a ``Counterexample`` with both sides, or None: every pair by the
+    plain product, with f(a^(n-1)) formed for the power pairs."""
+    for pair in relation_pairs(ctx) if pairs is None else pairs:
+        ea, eb = (_unit(ctx, mono) for mono in pair)
+        fa, fb = f(ea), f(eb)
+        lhs, rhs = f(ea * eb), mul(fb, fa) if anti else mul(fa, fb)
+        if lhs != rhs:
+            return Counterexample(("pair", pair), lhs, rhs)
+    return None
 
 
 def hopf_oracle(ctx, delta_fn=None):
@@ -544,10 +564,23 @@ def x_primitive_delta(e):
 def inject_coproduct(monkeypatch, d):
     """Make the verifiers read D as ``d``: ``star`` takes the certificate
     and the convolutions through its name, ``coalgebra`` the triple
-    coproducts.  Use a fresh ``FieldContext``, whose certificate is not
-    cached yet."""
+    coproducts."""
     monkeypatch.setattr("radford.star.delta", d)
     monkeypatch.setattr("radford.coalgebra.delta", d)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that its calls from now on are counted;
+    returns the count, as a function of no arguments."""
+    calls = []
+    f = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return lambda: len(calls)
 
 
 def tensor_from_json(obj, ctx=None):

@@ -15,25 +15,29 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from functools import partial
+from operator import mul
 
 import pytest
 
-from oracles import antipode_order_oracle, basis, equivalence_oracle, failed_names, \
-    generators, hopf_oracle, inject_coproduct, map_oracle, named_check, star_json, \
-    star_oracle, x_primitive_delta
-from radford import jsonio
+from oracles import antipode_order_oracle, basis, delta_oracle, equivalence_oracle, \
+    failed_names, generators, hopf_oracle, inject_coproduct, map_oracle, named_check, \
+    relation_pair_oracle, star_json, star_oracle, x_primitive_delta
+from radford import algebra, coalgebra, jsonio
 from radford.algebra import Element, Monomial
 from radford.classify import (
     equivalence_witness,
     make_automorphism,
+    scan_star_candidates,
     verify_equivalence,
 )
-from radford.coalgebra import TensorElement, antipode, antipode_order, counit, delta
+from radford.coalgebra import TensorElement, antipode, antipode_order, counit, delta, \
+    tensor_mul
 from radford.errors import InvalidStarStructureError, KernelError
-from radford.scalars import FieldContext, make_context
+from radford.scalars import make_context
 from radford.star import (
     GeneratorMap,
+    _scalar_map,
     apply_map,
     make_star_diag,
     make_star_matrix,
@@ -62,6 +66,12 @@ def co_opposite_delta(e):
     """Flipped coproduct: multiplicative and coassociative, but S is not
     its antipode, so only the antipode law fails."""
     return tensor_flip(delta(e))
+
+
+def unsigned_antipode(e):
+    """S with the sign (-1)^(r+s) dropped."""
+    return antipode(Element(e.ctx, {b: -c if (b.r + b.s) % 2 else c
+                                    for b, c in e.terms.items()}))
 
 
 def matrix_witnesses(ctx):
@@ -172,8 +182,8 @@ def test_injected_coproduct_matches_oracle(n, delta_fn, monkeypatch):
     # g, x, y as the oracle judges the basis: only the antipode law fails,
     # at x.  D(x) = x (x) 1 + 1 (x) x is not, so the certificate refuses it
     # at the relation pair (g, x), where the oracle finds D not multiplicative.
-    want = hopf_oracle(make_context(n), delta_fn)
-    ctx = FieldContext(n, lcm(4, n))
+    ctx = make_context(n)
+    want = hopf_oracle(ctx, delta_fn)
     inject_coproduct(monkeypatch, delta_fn)
     if not want["delta_multiplicative"]:
         with pytest.raises(KernelError, match=re.escape(
@@ -192,17 +202,126 @@ def test_unsigned_antipode_fails_the_antipode_law_at_x(n, monkeypatch):
     # S with the sign (-1)^(r+s) dropped is S composed with the automorphism
     # x -> -x, y -> -y: antimultiplicative, so it passes the certificate,
     # but (S * id)(x) = 2x != e(x).
-    def unsigned_antipode(e):
-        return antipode(Element(e.ctx, {b: -c if (b.r + b.s) % 2 else c
-                                        for b, c in e.terms.items()}))
-
-    ctx = FieldContext(n, lcm(4, n))
+    ctx = make_context(n)
     monkeypatch.setattr("radford.star.antipode", unsigned_antipode)
     report = verify_hopf_axioms(ctx)
     assert failed_names(report) == ["antipode_law"]
     ce = named_check(report, "antipode_law").counterexample
     x = Element.monomial(ctx, 0, 1, 0)
     assert (ce.location, ce.lhs) == (("monomial", Monomial(0, 1, 0)), x + x)
+
+
+def product_laws(ctx):
+    """(name, f, mul, anti) for each map whose products the suite checks on
+    the relation pairs: D, e and S, the injected coproducts and antipode,
+    and every star and automorphism these tests build, with the family
+    stars of a small scan and their witnesses."""
+    laws = [("D", delta, tensor_mul, False),
+            ("e", _scalar_map(ctx, counit), mul, False),
+            ("S", antipode, mul, True),
+            ("co-opposite D", co_opposite_delta, tensor_mul, False),
+            ("x-primitive D", x_primitive_delta, tensor_mul, False),
+            ("unsigned S", unsigned_antipode, mul, True)]
+    trivial = make_star_diag(ctx, ctx.one, ctx.one)
+    family = scan_star_candidates(ctx, [ctx.zero, ctx.one, -ctx.one, ctx.zeta(1)])
+    maps = [*generator_maps(ctx), *family,
+            *(equivalence_witness(st, trivial) for st in family)]
+    maps += matrix_witnesses(ctx) if ctx.n == 2 else raw_candidates(ctx)
+    return laws + [(f"map {i}", partial(apply_map, f), mul, f.is_star)
+                   for i, f in enumerate(maps)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_relation_pairs_match_the_product_reference(n, monkeypatch):
+    # The q-binomial theorem settles the power pairs of every map here that
+    # reaches them; the first failing pair and both its sides are the
+    # reference's.  The fallback has its own test below.
+    ctx = make_context(n)
+    settled = []
+    nilpotent = algebra._nilpotent
+    monkeypatch.setattr(algebra, "_nilpotent",
+                        lambda *args: settled.append(nilpotent(*args)) or settled[-1])
+    verdicts = set()
+    for name, f, product, anti in product_laws(ctx):
+        ce = algebra._relation_counterexample(ctx, f, product, anti)
+        assert ce == relation_pair_oracle(ctx, f, product, anti), name
+        verdicts.add(ce is None)
+    assert verdicts == {True, False}
+    assert settled and all(settled)
+
+
+def twisted_delta(e):
+    """The multiplicative extension of D(x) = x (x) g^2 + 1 (x) x."""
+    ctx = e.ctx
+    x, g2, one = Monomial(0, 1, 0), Monomial(0, 0, 2), Monomial(0, 0, 0)
+    dx = TensorElement(ctx, {(x, g2): ctx.one, (one, x): ctx.one})
+    acc = TensorElement.zero(ctx)
+    for mono, c in e.terms.items():
+        acc = acc + delta_oracle(ctx, mono, dx).scale(c)
+    return acc
+
+
+def twisted_law(ctx):
+    # x (x) g^2 and 1 (x) x q-commute with q = w^2, of order 2 at n = 4, and
+    # C(4, 2)_q = 2 at q = -1, so D(x)^4 = 2 x^2 (x) x^2 != 0.
+    return twisted_delta, tensor_mul
+
+
+def three_term_law(ctx):
+    # x + y + yx squares to xy + yx = 0 at n = 2.
+    g, x, y = generators(ctx)
+    phi = GeneratorMap(ctx, g, x + y + y * x, y, is_star=False)
+    return partial(apply_map, phi), mul
+
+
+def unit_power_law(ctx):
+    # g and x q-commute with q = w, but g^n = 1, so (g + x)^n = 1 != 0.
+    g, x, y = generators(ctx)
+    return partial(apply_map, GeneratorMap(ctx, g, g + x, y, is_star=False)), mul
+
+
+@pytest.mark.parametrize("n, law, fails", [(4, twisted_law, True),
+                                           (2, three_term_law, False),
+                                           (3, unit_power_law, True)])
+def test_power_pairs_fall_back_to_the_product(n, law, fails, monkeypatch):
+    # Only the two power pairs, so that the kernel reaches them.
+    ctx = make_context(n)
+    f, product = law(ctx)
+    pairs = algebra.relation_pairs(ctx)[4:]
+    monkeypatch.setattr(algebra, "relation_pairs", lambda ctx: pairs)
+    x = Element.monomial(ctx, 0, 1, 0)
+    assert not algebra._nilpotent(ctx, f(x), product)
+    ce = algebra._relation_counterexample(ctx, f, product)
+    assert ce == relation_pair_oracle(ctx, f, product, pairs=pairs)
+    assert (ce is not None) is fails
+    if fails:
+        assert ce.location == ("pair", pairs[0])
+
+
+def test_hopf_at_n_1024_forms_no_top_row_coproduct(monkeypatch):
+    ctx = make_context(1024)
+    closed = coalgebra.delta_closed
+    seen = []
+    monkeypatch.setattr(coalgebra, "delta_closed",
+                        lambda c, mono: seen.append(mono) or closed(c, mono))
+    assert verify_hopf_axioms(ctx).all_passed
+    assert seen and all(r < ctx.n - 1 and s < ctx.n - 1 for r, s, _ in seen)
+
+
+def test_star_at_n_128_raises_no_image_to_a_power(monkeypatch):
+    ctx = make_context(128)
+    st = make_star_diag(ctx, ctx.zeta(3), ctx.zeta(5))
+    power = Element.__pow__
+    raised = []
+
+    def spy(e, k):
+        if k >= 2 and e in (st.x_img, st.y_img):
+            raised.append(k)
+        return power(e, k)
+
+    monkeypatch.setattr(Element, "__pow__", spy)
+    assert verify_star_axioms(st).all_passed
+    assert raised == []
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import basis, failed_names, generators, inject_coproduct, named_check, \
-    x_primitive_delta
+from oracles import basis, count_calls, failed_names, generators, inject_coproduct, \
+    named_check, x_primitive_delta
 from radford.algebra import Element, Monomial
 from radford.coalgebra import delta, tensor_map, tensor_mul
 from radford.errors import ContextMismatchError, InvalidStarStructureError, KernelError
 from radford import classify, star
 from radford.classify import scan_star_candidates
-from radford.scalars import FieldContext, make_context
+from radford.scalars import make_context
 from radford.star import (
     GeneratorMap,
     apply_map,
@@ -271,7 +271,7 @@ class TestVerifyHopfAxioms:
     def test_corrupted_coproduct_breaks_multiplicativity_at_x_g(self, monkeypatch):
         # D(x) = x (x) 1 + 1 (x) x is no multiplicative extension, so the
         # certificate fails at the relation pair (g, x): a kernel fault.
-        ctx = FieldContext(3, 12)
+        ctx = make_context(3, 12)
         g, x, y = generators(ctx)
         assert x_primitive_delta(g * x) \
             != tensor_mul(x_primitive_delta(g), x_primitive_delta(x))
@@ -292,43 +292,42 @@ class TestOneContext:
 
 
 class TestHopfCertificateOnce:
-    """The Hopf relation certificate depends on the context alone."""
+    """The Hopf relation certificate is derived once per verifier call, and
+    by nothing else."""
 
     @pytest.fixture
-    def derivations(self):
+    def derivations(self, monkeypatch):
         """How many certificates have been derived since the test began."""
-        start = star._hopf_certificate.cache_info().misses
-        return lambda: star._hopf_certificate.cache_info().misses - start
+        return count_calls(monkeypatch, star, "_hopf_certificate")
 
     def test_scan_derives_none_and_verifies_nothing(self, derivations, monkeypatch):
         # Every member of the paper's family is a star, so scan lists them
-        # without a verifier call.  A context of its own, so that no
-        # earlier test has derived the certificate.  The verifier is
-        # replaced in both modules, so a name imported into classify is
-        # caught too.
+        # without a verifier call.  The verifier is replaced in both
+        # modules, so a name imported into classify is caught too.
         def refuse(st):
             raise AssertionError("scan called verify_star_axioms")
 
         monkeypatch.setattr(star, "verify_star_axioms", refuse)
         monkeypatch.setattr(classify, "verify_star_axioms", refuse, raising=False)
         for n in (2, 3):
-            ctx = FieldContext(n, 12)
+            ctx = make_context(n, 12)
             survivors = scan_star_candidates(ctx, [ctx.zero, ctx.one, -ctx.one])
             assert len(survivors) == (14 if n == 2 else 4)
         assert derivations() == 0
 
     def test_each_conductor_derives_its_own(self, derivations):
+        # Nothing is shared between calls: one derivation per verifier call.
         for m in (12, 24):
-            ctx = FieldContext(3, m)
+            ctx = make_context(3, m)
             st = make_star_diag(ctx, ctx.one, -ctx.one)
             assert verify_star_axioms(st).all_passed
             assert verify_hopf_axioms(ctx).all_passed
-        assert derivations() == 2
+        assert derivations() == 4
 
     def test_failing_certificate_is_an_error_not_a_basis_check(self, monkeypatch):
         # The closed D, e, S pass their relation checks; a failure would be a
         # kernel fault, so verify star raises instead of running on the basis.
-        ctx = FieldContext(3, 12)
+        ctx = make_context(3, 12)
         inject_coproduct(monkeypatch, x_primitive_delta)
         with pytest.raises(KernelError, match="relation check: delta_multiplicative"):
             verify_star_axioms(make_star_diag(ctx, ctx.one, ctx.one))
