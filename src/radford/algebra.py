@@ -22,6 +22,7 @@ exponent  e = l1*r2 + s1*r2 - l1*s2  for a full monomial product.
 from __future__ import annotations
 
 import operator
+from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
@@ -158,8 +159,11 @@ def _mono_mul_parts(n, a, b):
 class SparseTerms:
     """Immutable sparse map from basis keys to nonzero scalars.
 
-    The shared part of ``Element`` and ``coalgebra.TensorElement``; the
-    arithmetic stays on each class.
+    The shared part of ``Element``, ``coalgebra.TensorElement`` and the
+    triple tensors of ``coalgebra.triple_delta_sides``.  ``collect`` is
+    the one sum: every addition of coefficients of equal keys goes through
+    it.  ``_product`` is the one term-by-term product, given the rule that
+    multiplies two keys.
     """
 
     __slots__ = ("ctx", "terms")
@@ -171,6 +175,20 @@ class SparseTerms:
     @classmethod
     def zero(cls, ctx):
         return cls(ctx, {})
+
+    @classmethod
+    def collect(cls, ctx, items):
+        """The sum of (key, coefficient) items: equal keys add, zeros drop."""
+        out = {}
+        for k, c in items:
+            acc = out.get(k)
+            out[k] = c if acc is None else acc + c
+        return cls(ctx, out)
+
+    @classmethod
+    def sum_of(cls, ctx, parts):
+        """The sum of ``parts``, values of this class, by ``collect``."""
+        return cls.collect(ctx, chain.from_iterable(p.terms.items() for p in parts))
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -194,6 +212,38 @@ class SparseTerms:
             raise ContextMismatchError(
                 f"{type(self).__name__}s from different contexts")
 
+    def __add__(self, other):
+        self._check(other)
+        return self.collect(self.ctx, chain(self.terms.items(), other.terms.items()))
+
+    def __neg__(self):
+        return type(self)(self.ctx, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if not c:
+            return self.zero(self.ctx)
+        return type(self)(self.ctx, {k: c * v for k, v in self.terms.items()})
+
+    def _product(self, other, key_product):
+        """The term-by-term product; ``key_product(n, k1, k2)`` gives each
+        pair of keys its (omega exponent mod n, key), or None when it
+        vanishes."""
+        self._check(other)
+        ctx = self.ctx
+        n = ctx.n
+        items = []
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                parts = key_product(n, k1, k2)
+                if parts is not None:
+                    e, key = parts
+                    c = c1 * c2
+                    items.append((key, c * ctx.omega_pow(e) if e else c))
+        return self.collect(ctx, items)
+
 
 class Element(SparseTerms):
     """Sparse linear combination of basis monomials; zero coefficients pruned.
@@ -204,6 +254,10 @@ class Element(SparseTerms):
     """
 
     __slots__ = ()
+
+    # Bound here, not inherited: perfbench/tracing.py wraps each class's own.
+    __add__, __neg__, __sub__, scale = (
+        SparseTerms.__add__, SparseTerms.__neg__, SparseTerms.__sub__, SparseTerms.scale)
 
     @classmethod
     def monomial(cls, ctx, r, s, l, coeff=None):
@@ -227,42 +281,8 @@ class Element(SparseTerms):
 
         return f"<{format_element(self)}>"
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            out[m] = c if acc is None else acc + c
-        return Element(self.ctx, out)
-
-    def __neg__(self):
-        return Element(self.ctx, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return Element.zero(self.ctx)
-        return Element(self.ctx, {m: c * v for m, v in self.terms.items()})
-
     def __mul__(self, other):
-        self._check(other)
-        ctx = self.ctx
-        n = ctx.n
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                parts = _mono_mul_parts(n, m1, m2)
-                if parts is None:
-                    continue
-                e, mono = parts
-                c = c1 * c2
-                if e:
-                    c = c * ctx.omega_pow(e)
-                acc = out.get(mono)
-                out[mono] = c if acc is None else acc + c
-        return Element(ctx, out)
+        return self._product(other, _mono_mul_parts)
 
     def __pow__(self, k):
         if k < 0:

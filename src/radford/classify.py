@@ -58,20 +58,6 @@ def make_automorphism(ctx, matrix):
     return _require_automorphism(GeneratorMap.from_matrix(ctx, matrix, is_star=False))
 
 
-def verify_equivalence(phi, st_a, st_b):
-    """Whether phi carries st_a to st_b: phi(h^{*A}) = phi(h)^{*B} for all h.
-
-    phi must be some psi_L (``make_automorphism``), and a star outside the
-    paper's family must pass ``verify_star_axioms`` (``require_star``).  So
-    both sides are conjugate-linear anti-homomorphisms, which agree
-    everywhere once they agree on g, x and y.
-    """
-    _require_automorphism(phi)
-    require_star(st_a)
-    require_star(st_b)
-    return _carries(phi, st_a, st_b)
-
-
 def _carries(phi, st_a, st_b):
     return _on_generators(_map_law(
         phi.ctx, lambda e: apply_map(phi, apply_map(st_a, e)),

@@ -71,58 +71,32 @@ class TensorElement(SparseTerms):
 
     __slots__ = ()
 
+    # Bound here, not inherited: perfbench/tracing.py wraps each class's own.
+    __add__, __neg__, __sub__, scale = (
+        SparseTerms.__add__, SparseTerms.__neg__, SparseTerms.__sub__, SparseTerms.scale)
+
     def __repr__(self):
         from .parser import format_tensor
 
         return f"<{format_tensor(self)}>"
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            acc = out.get(p)
-            out[p] = c if acc is None else acc + c
-        return TensorElement(self.ctx, out)
-
-    def __neg__(self):
-        return TensorElement(self.ctx, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return TensorElement.zero(self.ctx)
-        return TensorElement(self.ctx, {p: c * v for p, v in self.terms.items()})
-
     def __mul__(self, other):
         return tensor_mul(self, other)
 
 
+def _legwise_parts(n, p, q):
+    """``_mono_mul_parts`` on each leg of two key pairs: (the summed omega
+    exponent mod n, the pair of products), or None when a leg vanishes."""
+    left = _mono_mul_parts(n, p[0], q[0])
+    right = None if left is None else _mono_mul_parts(n, p[1], q[1])
+    if right is None:
+        return None
+    return (left[0] + right[0]) % n, (left[1], right[1])
+
+
 def tensor_mul(t1, t2):
     """Componentwise product (a (x) b)(c (x) d) = ac (x) bd, no braiding."""
-    t1._check(t2)
-    ctx = t1.ctx
-    n = ctx.n
-    out = {}
-    for (a, b), c1 in t1.terms.items():
-        for (c, d), c2 in t2.terms.items():
-            left = _mono_mul_parts(n, a, c)
-            if left is None:
-                continue
-            right = _mono_mul_parts(n, b, d)
-            if right is None:
-                continue
-            e1, ml = left
-            e2, mr = right
-            coeff = c1 * c2
-            e = (e1 + e2) % n
-            if e:
-                coeff = coeff * ctx.omega_pow(e)
-            key = (ml, mr)
-            acc = out.get(key)
-            out[key] = coeff if acc is None else acc + coeff
-    return TensorElement(ctx, out)
+    return t1._product(t2, _legwise_parts)
 
 
 def tensor_of(e1, e2):
@@ -143,12 +117,9 @@ def tensor_map(t, f_left, f_right):
     convention needed for checks like D(h^*) = (* (x) *) D(h).
     """
     ctx = t.ctx
-    acc = TensorElement.zero(ctx)
-    for (a, b), c in t.terms.items():
-        le = f_left(Element(ctx, {a: c}))
-        re = f_right(Element(ctx, {b: ctx.one}))
-        acc = acc + tensor_of(le, re)
-    return acc
+    return TensorElement.sum_of(ctx, (
+        tensor_of(f_left(Element(ctx, {a: c})), f_right(Element(ctx, {b: ctx.one})))
+        for (a, b), c in t.terms.items()))
 
 
 def _qbinom_row(ctx, k, sign):
@@ -193,11 +164,10 @@ def delta_closed(ctx, mono):
 
 def delta(e):
     """The coproduct: the linear extension of :func:`delta_closed`."""
-    acc = TensorElement.zero(e.ctx)
-    for mono, c in e.terms.items():
-        d = delta_closed(e.ctx, mono)
-        acc = acc + (d if c == 1 else d.scale(c))
-    return acc
+    ctx = e.ctx
+    return TensorElement.sum_of(ctx, (
+        delta_closed(ctx, mono) if c == 1 else delta_closed(ctx, mono).scale(c)
+        for mono, c in e.terms.items()))
 
 
 def delta_coords(e):
@@ -219,11 +189,7 @@ def counit(e):
     and 0 otherwise, so e is the multiplicative extension of its
     generator values by construction.
     """
-    acc = e.ctx.zero
-    for mono, c in e.terms.items():
-        if mono.r == 0 and mono.s == 0:
-            acc = acc + c
-    return acc
+    return sum((c for (r, s, _), c in e.terms.items() if r == s == 0), e.ctx.zero)
 
 
 def antipode(e):
@@ -278,25 +244,20 @@ def antipode_order(ctx):
 
 
 def triple_delta_sides(e):
-    """The two triple coproducts ((D (x) id)D, (id (x) D)D) of an element.
+    """The two triple coproducts ((D (x) id)D, (id (x) D)D) of an element,
+    as ``SparseTerms`` over monomial triples, for coassociativity checks.
 
-    Returned as dicts over monomial triples, for coassociativity checks.
+    The inner coproducts go through the name ``delta``, as the outer one.
     """
     ctx = e.ctx
-    lhs = {}
-    rhs = {}
-    for (a, b), c in delta(e).terms.items():
-        for (u, v), c2 in delta(Element(ctx, {a: ctx.one})).terms.items():
-            key = (u, v, b)
-            coeff = c * c2
-            acc = lhs.get(key)
-            lhs[key] = coeff if acc is None else acc + coeff
-        for (u, v), c2 in delta(Element(ctx, {b: ctx.one})).terms.items():
-            key = (a, u, v)
-            coeff = c * c2
-            acc = rhs.get(key)
-            rhs[key] = coeff if acc is None else acc + coeff
+    outer = delta(e).terms.items()
+
+    def inner(mono):
+        return delta(Element(ctx, {mono: ctx.one})).terms.items()
+
     return (
-        {k: v for k, v in lhs.items() if v},
-        {k: v for k, v in rhs.items() if v},
+        SparseTerms.collect(ctx, (((u, v, b), c * c2)
+                                  for (a, b), c in outer for (u, v), c2 in inner(a))),
+        SparseTerms.collect(ctx, (((a, u, v), c * c2)
+                                  for (a, b), c in outer for (u, v), c2 in inner(b))),
     )

@@ -180,10 +180,10 @@ def _value_to_json(v):
         return {"type": "element", "value": element_to_json(v)}
     if isinstance(v, coalgebra.TensorElement):
         return {"type": "tensor", "value": tensor_to_json(v)}
-    # Else a triple-tensor dict, from the coassociativity check.
+    # Else a SparseTerms over monomial triples, from the coassociativity check.
     terms = [{"first": _mono_to_json(a), "second": _mono_to_json(b),
               "third": _mono_to_json(c), "coeff": scalar_to_json(coeff)}
-             for (a, b, c), coeff in sorted(v.items())]
+             for (a, b, c), coeff in v.sorted_terms()]
     return {"type": "triple_tensor", "value": {"terms": terms}}
 
 

@@ -100,10 +100,9 @@ class GeneratorMap:
 
 def apply_map(f, e):
     """f(e): ``of_monomial`` extended linearly, conjugate-linearly for a star."""
-    acc = Element.zero(f.ctx)
-    for mono, c in e.terms.items():
-        acc = acc + f.of_monomial(mono).scale(c.conjugate() if f.is_star else c)
-    return acc
+    return Element.sum_of(f.ctx, (
+        f.of_monomial(mono).scale(c.conjugate() if f.is_star else c)
+        for mono, c in e.terms.items()))
 
 
 def _mix_defect(ctx, a, images):
@@ -250,11 +249,10 @@ def _convolution_law(ctx, f, target):
 
     def check(mono):
         eb = Element.monomial(ctx, *mono)
-        left = right = Element.zero(ctx)
-        for (u, v), c in delta(eb).terms.items():
-            eu, ev = Element(ctx, {u: c}), Element(ctx, {v: ctx.one})
-            left = left + f(eu) * ev
-            right = right + eu * f(ev)
+        legs = [(Element(ctx, {u: c}), Element(ctx, {v: ctx.one}))
+                for (u, v), c in delta(eb).terms.items()]
+        left = Element.sum_of(ctx, (f(eu) * ev for eu, ev in legs))
+        right = Element.sum_of(ctx, (eu * f(ev) for eu, ev in legs))
         want = target(eb)
         return None if left == want and right == want else (left, right)
 

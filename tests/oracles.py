@@ -22,7 +22,9 @@ where the kernel accepts only a single term g^l.  The Hopf oracle takes
 any coproduct and builds its triple coproducts from it.  The map oracle
 applies a star or an automorphism by multiplying its generator images
 letter by letter along each basis word, where the kernel multiplies
-powers of them.  The Hopf map oracle checks through it that a map
+powers of them.  The star and Hopf map oracles take its n^3 basis images
+once and extend them linearly (conjugate-linearly for a star) to every
+basis pair.  The Hopf map oracle checks through it that a map
 is multiplicative and commutes with D on the whole basis, where the
 kernel admits an automorphism by its matrix alone.  The relation pair
 oracle checks a product law on the six relation pairs by the plain
@@ -36,7 +38,9 @@ checks only g, x, y and the relation pairs), ``FieldMatrix`` and
 which no kernel path calls), ``word_of_monomial`` for the rewriting
 oracle, report lookups by check name, ``x_primitive_delta`` and
 ``inject_coproduct`` for negative fixtures, ``count_calls`` for spies,
-``tensor_from_json`` for round trips, and ``load_schema``.
+``tensor_from_json`` for round trips, ``load_schema``, and
+``verify_equivalence`` (the kernel's check that a given automorphism
+carries one star to another, which no command runs).
 """
 
 from fractions import Fraction
@@ -45,6 +49,7 @@ from typing import NamedTuple
 
 from radford.algebra import GENERATOR_MONOMIALS, Counterexample, Element, Monomial, \
     relation_pairs
+from radford.classify import _carries, _require_automorphism
 from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map, \
     tensor_mul, tensor_of
 from radford.errors import KernelError
@@ -52,7 +57,7 @@ from radford.jsonio import _mono_from_json, _term_objects, context_from_json, \
     context_to_json, scalar_from_json, scalar_to_json, star_to_json
 from radford.scalars import _poly_divmod
 from radford.solver import _nullspace_from_rows
-from radford.star import GeneratorMap, verify_star_axioms
+from radford.star import GeneratorMap, require_star, verify_star_axioms
 
 
 def cyclotomic_division_oracle(m, _cache={}):
@@ -203,12 +208,26 @@ def map_oracle(f, e):
     return acc
 
 
+def _basis_map_oracle(f):
+    """e -> f(e), from ``map_oracle`` on each basis monomial once, extended
+    linearly, conjugate-linearly for a star: a law on all n^6 basis pairs
+    reuses n^3 images."""
+    ctx = f.ctx
+    images = {b: map_oracle(f, _unit(ctx, b)) for b in basis(ctx)}
+
+    def apply(e):
+        acc = Element.zero(ctx)
+        for mono, c in e.terms.items():
+            acc = acc + images[mono].scale(c.conjugate() if f.is_star else c)
+        return acc
+
+    return apply
+
+
 def star_oracle(st):
     """Pass/fail per star check name, over the whole basis and all pairs."""
     ctx = st.ctx
-
-    def star(e):
-        return map_oracle(st, e)
+    star = _basis_map_oracle(st)
 
     return {
         "involution": _all_monomials(ctx, lambda e: star(star(e)) == e),
@@ -227,12 +246,26 @@ def hopf_map_oracle(phi):
     """phi(ab) = phi(a) phi(b) on every basis pair, and D phi = (phi (x) phi) D
     on every basis monomial."""
     ctx = phi.ctx
-
-    def f(e):
-        return map_oracle(phi, e)
-
+    f = _basis_map_oracle(phi)
     return (_all_pairs(ctx, lambda a, b: f(a * b) == f(a) * f(b))
             and _all_monomials(ctx, lambda e: delta(f(e)) == tensor_map(delta(e), f, f)))
+
+
+def verify_equivalence(phi, st_a, st_b):
+    """Whether phi carries st_a to st_b: phi(h^{*A}) = phi(h)^{*B} for all h.
+
+    The kernel's own check, ``classify._carries``, behind its two gates:
+    phi must be some psi_L (``classify.make_automorphism``), and a star
+    outside the paper's family must pass ``verify_star_axioms``
+    (``star.require_star``).  So both sides are conjugate-linear
+    anti-homomorphisms, which agree everywhere once they agree on g, x
+    and y.  No command checks a given automorphism, so the check lives
+    here, for tests of the witnesses and of the gates.
+    """
+    _require_automorphism(phi)
+    require_star(st_a)
+    require_star(st_b)
+    return _carries(phi, st_a, st_b)
 
 
 def equivalence_oracle(phi, st_a, st_b):

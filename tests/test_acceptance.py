@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 from oracles import FieldMatrix, basis, delta_oracle, failed_names, field_nullspace, \
-    generators, load_schema, named_check, star_json, word_of_monomial
+    generators, load_schema, named_check, star_json, verify_equivalence, word_of_monomial
 from radford import jsonio
 from radford.algebra import (
     Element,
@@ -25,7 +25,6 @@ from radford.algebra import (
 from radford.classify import (
     equivalence_witness,
     make_automorphism,
-    verify_equivalence,
 )
 from radford.coalgebra import antipode, antipode_order, delta_closed
 from radford.parser import format_element, parse_element

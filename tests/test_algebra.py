@@ -80,6 +80,11 @@ class TestElementOps:
         g, x, y = generators(ctx)
         e = x + y.scale(ctx.omega())
         assert (e - e).terms == {}
+        # (1 - g)(1 + g + ... + g^(n-1)) = 1 - g^n = 0: every term cancels.
+        powers = Element.one(ctx)
+        for k in range(1, ctx.n):
+            powers = powers + g ** k
+        assert ((Element.one(ctx) - g) * powers).terms == {}
 
     def test_unit_law(self, ctx):
         one = Element.one(ctx)

@@ -22,14 +22,13 @@ import pytest
 
 from oracles import antipode_order_oracle, basis, delta_oracle, equivalence_oracle, \
     failed_names, generators, hopf_oracle, inject_coproduct, map_oracle, named_check, \
-    relation_pair_oracle, star_json, star_oracle, x_primitive_delta
+    relation_pair_oracle, star_json, star_oracle, verify_equivalence, x_primitive_delta
 from radford import algebra, coalgebra, jsonio
 from radford.algebra import Element, Monomial
 from radford.classify import (
     equivalence_witness,
     make_automorphism,
     scan_star_candidates,
-    verify_equivalence,
 )
 from radford.coalgebra import TensorElement, antipode, antipode_order, counit, delta, \
     tensor_mul

@@ -17,7 +17,6 @@ from radford.classify import (
     equivalence_witness,
     make_automorphism,
     scan_star_candidates,
-    verify_equivalence,
 )
 from radford.cli import main
 from radford.errors import ContextMismatchError, InvalidAutomorphismError, \
@@ -28,7 +27,8 @@ from radford.star import GeneratorMap, apply_map, family_defect, make_star_diag,
     make_star_matrix
 
 from oracles import _invertible_point, basis, equivalence_oracle, generators, \
-    hopf_map_oracle, n2_polarization_oracle, n2_search_oracle, scan_oracle
+    hopf_map_oracle, n2_polarization_oracle, n2_search_oracle, scan_oracle, \
+    verify_equivalence
 
 
 def diag_map(ctx, l1, l2):

@@ -9,17 +9,17 @@ import jsonschema
 import pytest
 
 from oracles import generators, load_schema, n2_polarization_oracle, n2_search_oracle, \
-    star_json, tensor_from_json
+    star_json, tensor_from_json, verify_equivalence
 from radford import jsonio
 from radford.algebra import Element, Monomial
-from radford.classify import make_automorphism, verify_equivalence
+from radford.classify import make_automorphism
 from radford.cli import main
-from radford.coalgebra import delta, delta_coords
+from radford.coalgebra import antipode, delta, delta_coords, tensor_map
 from radford.errors import ContextMismatchError
 from radford.parser import parse_element
 from radford.scalars import MAX_COORDS, MAX_SCAN_COST, MAX_STAR_COST, make_context
 from radford.star import GeneratorMap, make_star_diag, make_star_matrix, \
-    verify_star_axioms
+    verify_hopf_axioms, verify_star_axioms
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -98,7 +98,7 @@ class TestJsonRoundTrips:
             with pytest.raises(ContextMismatchError):
                 jsonio.star_from_json(obj, other)
 
-    def test_report_with_counterexample(self):
+    def test_report_with_counterexample(self, monkeypatch):
         ctx = make_context(3)
         st = GeneratorMap(
             ctx,
@@ -111,6 +111,22 @@ class TestJsonRoundTrips:
         validate(obj, "verification_report")
         failed = [c for c in obj["checks"] if not c["pass"]]
         assert failed and failed[0]["counterexample"] is not None
+        # (id (x) S)D, read only by the triple coproducts, breaks
+        # coassociativity at g: the sides g (x) g^2 (x) g^2 and g (x) g^2 (x) g
+        # are written as triple tensors.
+        monkeypatch.setattr("radford.coalgebra.delta",
+                            lambda e: tensor_map(delta(e), lambda u: u, antipode))
+        obj = jsonio.report_to_json(verify_hopf_axioms(ctx))
+        validate(obj, "verification_report")
+        ce = obj["checks"][0]["counterexample"]
+        assert (obj["checks"][0]["name"], ce["monomial"]) == ("coassociativity",
+                                                              {"r": 0, "s": 0, "l": 1})
+        g, g2 = ({"r": 0, "s": 0, "l": k} for k in (1, 2))
+        one = jsonio.scalar_to_json(ctx.one)
+        assert ce["lhs"] == {"type": "triple_tensor", "value": {"terms": [
+            {"first": g, "second": g2, "third": g2, "coeff": one}]}}
+        assert ce["rhs"] == {"type": "triple_tensor", "value": {"terms": [
+            {"first": g, "second": g2, "third": g, "coeff": one}]}}
 
     def test_malformed_scalar_rejected(self):
         ctx = make_context(3)

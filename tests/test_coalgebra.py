@@ -1,11 +1,17 @@
 """Coproduct, counit, antipode, and the closed coproduct formula."""
 
+from fractions import Fraction
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from oracles import antipode_oracle, basis, count_calls, delta_oracle, generators, \
     qbinom_pascal_oracle
 from radford import coalgebra, star
-from radford.algebra import Element, Monomial
+from radford.algebra import Element, Monomial, SparseTerms
+from radford.classify import make_automorphism
 from radford.coalgebra import (
     TensorElement,
     _qbinom_row,
@@ -21,6 +27,8 @@ from radford.coalgebra import (
 )
 from radford.errors import KernelError
 from radford.scalars import make_context
+from radford.star import apply_map, make_star_diag, make_star_matrix, \
+    verify_hopf_axioms, verify_star_axioms
 
 
 class TestQBinom:
@@ -310,3 +318,120 @@ class TestHopfLaws:
                 eb = Element(ctx, {b: ctx.one})
                 assert delta(ea * eb) == tensor_mul(da, delta(eb))
                 assert counit(ea * eb) == counit(ea) * counit(eb)
+
+
+def _fold(zero, pieces):
+    """A sum one term at a time with ``+``: the reference for the one sum."""
+    acc = zero
+    for piece in pieces:
+        acc = acc + piece
+    return acc
+
+
+def _sum_maps(ctx):
+    """A star and an automorphism; at n = 2 both mix x and y, so the images
+    of distinct monomials share monomials."""
+    if ctx.n == 2:
+        q = [ctx.from_fraction(Fraction(k, 5)) for k in (3, 4, 4, -3)]
+        return make_star_matrix(ctx, q), make_automorphism(
+            ctx, (ctx.one, ctx.one, ctx.zero, ctx.one))
+    return (make_star_diag(ctx, ctx.zeta(1), ctx.zeta(-1)),
+            make_automorphism(ctx, (ctx.zeta(1), ctx.zero, ctx.zero, ctx.from_int(2))))
+
+
+@hst.composite
+def sum_cases(draw):
+    """(ctx, a, b, h, kill) at n = 2..5.  Products of random elements
+    collide on keys; with ``kill``, a = p (1 - g) and b = (1 + g + ... +
+    g^(n-1)) q, so that all of a b cancels."""
+    n = draw(hst.integers(2, 5))
+    ctx = make_context(n)
+    exps = hst.integers(0, n - 1)
+    coeffs = hst.tuples(hst.sampled_from((-2, -1, 1, 2)), hst.integers(0, ctx.m - 1))
+
+    def element(size):
+        terms = draw(hst.lists(hst.tuples(exps, exps, exps, coeffs),
+                               min_size=1, max_size=size))
+        return Element(ctx, {Monomial(r, s, l): ctx.from_int(v) * ctx.zeta(k)
+                             for r, s, l, (v, k) in terms})
+
+    a, b, h = element(3), element(3), element(2)
+    kill = draw(hst.booleans())
+    if kill:
+        g = Element.monomial(ctx, 0, 0, 1)
+        a = a * (Element.one(ctx) - g)
+        b = _fold(Element.zero(ctx), (g ** k for k in range(n))) * b
+    return ctx, a, b, h, kill
+
+
+def _terms_of(ctx, v, cls):
+    """v term by term, each term a value of ``cls``."""
+    return [cls(ctx, {k: c}) for k, c in v.terms.items()]
+
+
+class TestOneSum:
+    """Each map that sums sparse terms equals the fold of its values on the
+    single terms of its input, stores no zero coefficient, and is zero
+    where its terms cancel."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(sum_cases())
+    def test_products_match_the_fold(self, case):
+        ctx, a, b, h, kill = case
+        got = a * b
+        want = _fold(Element.zero(ctx), (u * v for u in _terms_of(ctx, a, Element)
+                                         for v in _terms_of(ctx, b, Element)))
+        assert got == want and all(got.terms.values())
+        assert got.is_zero or not kill
+        t1, t2 = tensor_of(a, h), tensor_of(b, h)
+        got = tensor_mul(t1, t2)
+        want = _fold(TensorElement.zero(ctx), (
+            tensor_mul(u, v) for u in _terms_of(ctx, t1, TensorElement)
+            for v in _terms_of(ctx, t2, TensorElement)))
+        assert got == want and all(got.terms.values())
+        assert got.is_zero or not kill
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(sum_cases())
+    def test_linear_maps_match_the_fold(self, case):
+        ctx, a, b, _, _ = case
+        e = a + b
+        singles = _terms_of(ctx, e, Element)
+        st, phi = _sum_maps(ctx)
+        star_map = partial(apply_map, st)
+        d = delta(e)
+        cases = [
+            (d, _fold(TensorElement.zero(ctx), map(delta, singles))),
+            (apply_map(st, e), _fold(Element.zero(ctx), map(star_map, singles))),
+            (apply_map(phi, e), _fold(Element.zero(ctx),
+                                      (apply_map(phi, u) for u in singles))),
+            (tensor_map(d, star_map, star_map), _fold(TensorElement.zero(ctx), (
+                tensor_map(t, star_map, star_map)
+                for t in _terms_of(ctx, d, TensorElement)))),
+        ]
+        sides = [triple_delta_sides(u) for u in singles]
+        for i, side in enumerate(triple_delta_sides(e)):
+            cases.append((side, _fold(SparseTerms.zero(ctx), (s[i] for s in sides))))
+        for got, want in cases:
+            assert got == want and all(got.terms.values())
+
+
+def test_no_fold_over_terms(monkeypatch):
+    # With + refused on elements and tensors, every map and verifier still
+    # returns: each sums its terms in one ``SparseTerms.collect``.
+    def refuse(self, other):
+        raise AssertionError("a sum term by term")
+
+    monkeypatch.setattr(Element, "__add__", refuse)
+    monkeypatch.setattr(TensorElement, "__add__", refuse)
+    ctx = make_context(4)
+    e = Element(ctx, {Monomial(r, s, l): ctx.zeta(r + 2 * s + l)
+                      for r, s, l in ((0, 0, 0), (1, 2, 3), (3, 3, 1), (2, 0, 1))})
+    st = make_star_diag(ctx, ctx.zeta(1), ctx.zeta(3))
+    phi = make_automorphism(ctx, (ctx.zeta(1), ctx.zero, ctx.zero, ctx.one))
+    star_map = partial(apply_map, st)
+    assert not tensor_map(delta(e), star_map, star_map).is_zero
+    assert not apply_map(phi, e).is_zero
+    assert not triple_delta_sides(e)[0].is_zero
+    assert verify_star_axioms(st).all_passed
+    assert verify_hopf_axioms(ctx).all_passed
