@@ -114,28 +114,32 @@ def equivalence_witness(st_a, st_b):
     return phi
 
 
-def _star_matrices(grid):
-    """The grid matrices with conj(A) A = I, in product(grid, repeat=4) order.
+def _star_matrices(grid, off):
+    """(u, matrices): the u units (gap 1 - conj(c) c = 0, each found once) and
+    the matrices with conj(A) A = I and a12, a21 in ``off``, in
+    product(grid, repeat=4) order, each row solved by lookup among the
+    conj(b) c (README, "Why scan lists the paper's family").  When a12 != 0
+    the first row fixes a21 and a22, judged by ``family_defect``; when
+    a12 = 0, a11 and a22 are units and conj(a21) a22 = -a21 conj(a11)."""
+    bar = {c: c.conjugate() for c in grid}
+    gap = {c: 1 - bar[c] * c for c in grid}
+    units = dict.fromkeys(c for c in grid if not gap[c])
 
-    Each row of conj(A) A = I is solved by lookup among the conj(b) c
-    (README, "Why scan lists the paper's family").  When a12 != 0 the
-    first row fixes a21 and a22.  When a12 = 0 it asks for a unit a11, and
-    the second row for a unit a22 with conj(a21) a22 = -a21 conj(a11):
-    every unit when a21 = 0, else at most one.
-    """
-    units = dict.fromkeys(c for c in grid if c.is_norm_one())
-    scaled = {b: {b.conjugate() * c: c for c in grid} for b in grid if b}
-    for a11, a12 in product(grid, repeat=2):
-        if a12:
-            a21 = scaled[a12].get(1 - a11.conjugate() * a11)
-            a22 = scaled[a12].get(-(a11.conjugate() * a12))
-            if a21 is not None and a22 is not None \
-                    and family_defect(a11.ctx, (a11, a12, a21, a22)) is None:
-                yield a11, a12, a21, a22
-        elif a11 in units:
-            for a21 in grid:
-                row = units if not a21 else [scaled[a21].get(-(a21 * a11.conjugate()))]
-                yield from ((a11, a12, a21, a22) for a22 in row if a22 in units)
+    def matrices():
+        scaled = {b: {bar[b] * c: c for c in grid} for b in off if b}
+        for a11, a12 in product(grid, off):
+            if a12:
+                a21 = scaled[a12].get(gap[a11])
+                a22 = scaled[a12].get(-(bar[a11] * a12))
+                if a21 is not None and a22 is not None \
+                        and family_defect(a11.ctx, (a11, a12, a21, a22)) is None:
+                    yield a11, a12, a21, a22
+            elif a11 in units:
+                for a21 in off:
+                    row = units if not a21 else [scaled[a21].get(-(a21 * bar[a11]))]
+                    yield from ((a11, a12, a21, a22) for a22 in row if a22 in units)
+
+    return len(units), matrices()
 
 
 def scan_star_candidates(ctx, grid=None):
@@ -144,18 +148,11 @@ def scan_star_candidates(ctx, grid=None):
     Candidates: g -> g^w for 1 <= w < n, with x and y images among the
     grid combinations of x, y, 1 - g at w = 1, or of 1 - g^w at w > 1.
     Only the paper's family can pass, and each member is a star (README,
-    "Why scan lists the paper's family"), so it is listed, in the order
-    of the x-image by y-image product, with no verifier call.
-    The cost (``_check_scan_cost``) is checked once the norm-one grid
-    values are counted, before any other work, and at n = 2 again once
-    the matrices are listed, before any structure is built.
-    """
+    "Why scan lists the paper's family"), so ``_star_matrices`` lists it,
+    with no verifier call; x and y mix only at n = 2 (``_mix_defect``).
+    ``_check_scan_cost`` prices the listing before and after it runs."""
     if grid is None:
         grid = [ctx.zeta(k) for k in range(ctx.m)] + [ctx.zero]
-    k = len(grid)
-    units = [c for c in grid if c.is_norm_one()]
-    lookups = k * (k + len(units)) if ctx.n == 2 else 0
-    _check_scan_cost(ctx, k, lookups, 0 if ctx.n == 2 else len(units) ** 2)
     first = {}
     for j, c in enumerate(grid, 1):
         if (i := first.setdefault(c, j)) != j:
@@ -163,19 +160,20 @@ def scan_star_candidates(ctx, grid=None):
                               "are equal; list each value once")
     if ctx.zero not in grid:
         return []
-    if ctx.n == 2:
-        listed = list(_star_matrices(grid))
-        _check_scan_cost(ctx, k, lookups, len(listed))
-    else:
-        listed = [(a, ctx.zero, ctx.zero, d) for a in units for d in units]
+    k = len(grid)
+    off = grid if ctx.n == 2 else [ctx.zero]
+    u, matrices = _star_matrices(grid, off)
+    lookups = (k + u) * (len(off) - 1)
+    _check_scan_cost(ctx, k, lookups, u * u)
+    listed = list(matrices)
+    _check_scan_cost(ctx, k, lookups, len(listed))
     return [GeneratorMap.from_matrix(ctx, a) for a in listed]
 
 
 def _check_scan_cost(ctx, k, lookups, structures):
     """Refuse a scan whose matrix lookups and listed structures cost more
     than ``MAX_SCAN_COST`` (its comment gives the weights)."""
-    per_structure = 36 if ctx.n == 2 else 30
-    cost = (6 * lookups + per_structure * structures) * (ctx.degree + 36)
+    cost = (6 * lookups + 30 * structures) * (ctx.degree + 36)
     if cost > MAX_SCAN_COST:
         raise KernelError(
             f"scan of {k} grid values at n={ctx.n}, m={ctx.m} costs {cost} "

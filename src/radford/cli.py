@@ -5,13 +5,14 @@ answers "equivalent"); 1 when a verification fails; 2 on usage, parse,
 or malformed-input errors, including a conductor above
 ``scalars.MAX_CONDUCTOR``, an input number or expression that can
 exceed ``scalars.MAX_INPUT_DIGITS`` digits, an expression's products
-or a coproduct that would compute more than ``scalars.MAX_COORDS``
-field coordinates, a scan that costs more than ``scalars.MAX_SCAN_COST``
-units, a star file above ``scalars.MAX_STAR_COST`` units or, given to
-``star-apply`` or ``equiv``, failing ``verify star``, and a coordinate
-too long to print.  A value that starts with '-' is written
-``--beta=-i`` after an option and after ``--`` as a positional
-(``normalize -- -x``), as argparse reads ``-x`` as an option.
+(``mul``'s product, a grid's norm tests) or a coproduct that would
+compute more than ``scalars.MAX_COORDS`` field coordinates, a scan that
+costs more than ``scalars.MAX_SCAN_COST`` units, a star file above
+``scalars.MAX_STAR_COST`` units or, given to ``star-apply`` or ``equiv``,
+failing ``verify star``, and a coordinate too long to print.  A value
+that starts with '-' is written ``--beta=-i`` after an option and after
+``--`` as a positional (``normalize -- -x``), as argparse reads ``-x`` as
+an option.
 """
 
 from __future__ import annotations
@@ -101,8 +102,7 @@ def _cmd_normalize(args, ctx):
 
 
 def _cmd_mul(args, ctx):
-    lhs, rhs = (parser.parse_element(text, ctx) for text in (args.lhs, args.rhs))
-    return _emit_element(args, lhs * rhs)
+    return _emit_element(args, parser.parse_product([args.lhs, args.rhs], ctx))
 
 
 def _cmd_delta(args, ctx):

@@ -234,6 +234,12 @@ def _digits(a, k):
     return float(len(str(p)) + (len(str(q)) + 1 if q != 1 else 0))
 
 
+def _digit_bound(node):
+    """Most digits of a coordinate p/q of the value: literals add their
+    digits, sums and products add, a power multiplies by its exponent."""
+    return _fold(node, _digits, lambda acc, v, sign: acc + v, operator.add, 0.0, 0.0)
+
+
 def parse(text):
     """Parse expression text into a tree within the input budget.
 
@@ -243,8 +249,7 @@ def parse(text):
     expr = parser.parse_expr()
     if parser.cur.tag != "END":
         parser._fail(f"unexpected {parser.cur.text!r}")
-    digits = _fold(expr, _digits, lambda acc, v, sign: acc + v, operator.add, 0.0, 0.0)
-    if digits > MAX_INPUT_DIGITS:
+    if _digit_bound(expr) > MAX_INPUT_DIGITS:
         raise KernelError(
             f"expression exceeds the input budget of {MAX_INPUT_DIGITS} digits")
     return expr
@@ -304,11 +309,11 @@ def evaluate(node, ctx):
     return _fold(node, leaf, add, operator.mul, Element.zero(ctx), Element.one(ctx))
 
 
-def _evaluate_within_budget(trees, ctx, what):
+def _evaluate_within_budget(trees, ctx, what, extra=0):
     """Evaluate the trees, refusing first, before any is evaluated, trees
-    whose products together expand past MAX_COORDS."""
+    whose products together, and ``extra`` coordinates, pass MAX_COORDS."""
     pairs = sum(_expansion_bound(tree, ctx.n)[1] for tree in trees)
-    coords = pairs * ctx.degree
+    coords = pairs * ctx.degree + extra
     if coords > MAX_COORDS:
         raise KernelError(f"{what} to {coords} field coordinates of products, "
                           f"above the limit {MAX_COORDS}")
@@ -320,17 +325,27 @@ def parse_element(text, ctx):
     return _evaluate_within_budget([parse(text)], ctx, "expression expands")[0]
 
 
+def parse_product(texts, ctx):
+    """The product of the expressions, in order, each parsed on its own so
+    that a syntax error points into its text, and budgeted and evaluated
+    as the one tree "(A)*(B)"."""
+    tree = Expr(Term(False, tuple(map(parse, texts))), ())
+    return _evaluate_within_budget([tree], ctx, "expression expands")[0]
+
+
 def parse_scalar(text, ctx):
     """Parse an expression that must evaluate to a multiple of 1."""
     return _scalar_of(text, parse_element(text, ctx))
 
 
 def parse_scalars(texts, ctx):
-    """``parse_scalar`` of each text under one budget for them all; an error
-    in one value names its 1-based position.  A literal or a power of an
-    atom takes no product, and costs nothing."""
+    """``parse_scalar`` of each text under one budget for them all and the
+    norm test ``scan`` runs on each (``scalars.MAX_COORDS``); an error in
+    one value names its 1-based position."""
     trees = [_grid_value(k, parse, text) for k, text in enumerate(texts, 1)]
-    values = _evaluate_within_budget(trees, ctx, "grid values expand")
+    norm_tests = sum((ctx.degree * _digit_bound(tree)) ** 2 for tree in trees)
+    values = _evaluate_within_budget(trees, ctx, "grid values and their norm "
+                                     "tests expand", int(norm_tests / 1_600_000))
     return [_grid_value(k, _scalar_of, text, e)
             for k, (text, e) in enumerate(zip(texts, values), 1)]
 

@@ -52,50 +52,29 @@ MAX_INPUT_DIGITS = 1000
 MAX_STAR_COST = 500_000
 
 # Most work ``classify.scan_star_candidates`` takes on, in cost units
-# counted before the work is done: 6 (phi(m) + 36) per lookup of the
-# n = 2 matrix listing, and 30 (phi(m) + 36) per listed structure, built
-# and printed but not verified, whatever n is; 36 (phi(m) + 36) at n = 2,
-# where the lookup that found the matrix also ran ``family_defect``.  Of
-# k grid values, the u of norm one list u^2 structures for n > 2; at
-# n = 2 the k (k + u) lookups are counted first, and the matrices once
-# listed.  Measured per structure over scans of 0 and k - 1 roots of
-# unity, in-process in fresh processes, best of three (Python 3.11, 2-core
-# shared VM); per lookup as the slope between n = 2 listings of the
-# integers 0..k-1, the range of four slopes, two end to end and two
-# in-process:
+# counted before the work is done, at every n:
 #
-#        n     m  phi(m)    k  us/structure     units  us/unit
-#                              --json   text           --json
-#        3    12     4     13     47     26     1 200   0.039
-#        5    20     8     21     33     18     1 320   0.025
-#        3   120    32    121     74     30     2 040   0.036
-#        3   180    48    101     90     32     2 520   0.036
-#       51   204    64    101     97     37     3 000   0.032
-#       12  1020   256     61    247     98     8 760   0.028
-#     1020  1020   256     61    240     97     8 760   0.027
-#        4  1024   512     41    440    178    16 440   0.027
-#     1024  1024   512     41    460    182    16 440   0.028
-#        2    24     8     25     43     26     1 584   0.027
-#        2   100    40    101    104     50     2 736   0.038
-#        2  1024   512     31    496    194    19 728   0.025
+#     (6 lookups + 30 structures) (phi(m) + 36)
 #
-#        n     m  phi(m)  k             us/lookup  units  us/unit
-#        2     4     2   150, 290         18-27     228   0.08-0.12
-#        2   120    32   100, 200         38-46     408   0.09-0.11
-#        2  1024   512   45-50, 90-100   309-407   3 288   0.09-0.12
+# For k grid values of which u have norm one, a lookup is a pair of the
+# listing that takes a product, (k + u)(|off| - 1) of them, |off| = k at
+# n = 2 and 1 (0 alone) above: one scalar product and two table probes.
+# A structure is listed, built and printed, not verified: two images,
+# and their entries printed at phi(m) coordinates each, five lookups'
+# worth.  phi(m) counts the coordinates a product or a printed entry
+# takes, and 36 the fixed cost of each step.  The u^2 diagonal members,
+# which every listing contains, are priced before the listing, and the
+# listed matrices again before any structure is built.  One row per
+# weight, near the limit, end to end, best of three fresh processes,
+# --json (Python 3.11, 2-core shared VM):
 #
-# Per unit, a structure runs at about a third of a lookup's rate
-# in-process: its weight also covers the norm tests, the listing and the
-# output, so that no admitted scan runs longer end to end than the
-# slowest the limit admitted while scan verified each member (21 values
-# at n = m = 1020 and 418 integers at n = 2, both 2.8 s; best of three
-# fresh processes, --json).  Nearest the limit in structures: `--n 3
-# --m 132 scan` (39.7M units, 2.1 s), `--n 2 --m 68 scan` (38.0M, 2.0 s)
-# and 0 and 48 roots at n = 4, m = 1024 (39.4M, 1.4 s); 418 integers at
-# n = 2 (39.9M, all but 2 structures lookups) still take 2.8 s.  The
-# limit refuses 419 integers at n = 2 (40.1M) and `--n 3 --m 144 scan`
-# (52.3M) up front, and `--n 2 --m 76 scan` (50.2M) once its matrices
-# are listed.
+#     lookups     418 integers at n = 2          39.8M units  1.4 s
+#     structures  `--n 3 --m 132 scan`, 17 424   39.7M units  1.7 s
+#
+# Both stay below the 2.8 s the slowest admitted scan took while scan
+# verified each member.  The limit refuses 419 integers at n = 2 (40.0M)
+# and `--n 3 --m 144 scan` (52.3M) up front, and `--n 2 --m 76 scan`
+# (42.6M) once its matrices are listed.
 MAX_SCAN_COST = 40_000_000
 
 # Most field coordinates a call may compute in one of two places, each
@@ -111,7 +90,13 @@ MAX_SCAN_COST = 40_000_000
 # * the products of an expression, counted by ``parser._expansion_bound``:
 #   the term pairs ``parser.evaluate`` multiplies, phi(m) coordinates each,
 #   exact while every value is one term (a scalar) and a bound otherwise.
-#   At m = 1020 a pair of dense coefficients costs about 2 ms.
+#   At m = 1020 a pair of dense coefficients costs about 2 ms.  A
+#   ``scan`` grid adds the norm test of each value, phi(m)^2 products of
+#   coordinates of at most D digits, D the digit bound ``parser.parse``
+#   folds: (phi(m) D)^2 / 1 600 000 coordinates.  At m = 1020 that
+#   prices (100000001+z^7)^100 (D = 1000, 0.3-0.4 s) at 40 960, its cost
+#   at the rate of a dense pair, and (t+z)^200 (D = 400-600, 13-57 ms) at
+#   6 554-14 746, two to four times its cost, as D bounds the digits.
 MAX_COORDS = 100_000
 
 

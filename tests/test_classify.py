@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 import radford.algebra
+import radford.classify
 import radford.star
 from radford import jsonio
 from radford.algebra import Element, Monomial
@@ -22,13 +23,22 @@ from radford.cli import main
 from radford.errors import ContextMismatchError, InvalidAutomorphismError, \
     InvalidStarStructureError, KernelError
 from radford.parser import parse_scalar
-from radford.scalars import MAX_SCAN_COST, make_context
+from radford.scalars import MAX_SCAN_COST, CyclotomicScalar, make_context
 from radford.star import GeneratorMap, apply_map, family_defect, make_star_diag, \
     make_star_matrix
 
 from oracles import _invertible_point, basis, equivalence_oracle, generators, \
     hopf_map_oracle, n2_polarization_oracle, n2_search_oracle, scan_oracle, \
     verify_equivalence
+
+
+def assert_listing_is_the_k4_filter(ctx, grid, off):
+    """``_star_matrices`` lists the grid matrices that ``family_defect``
+    admits, in product(grid, repeat=4) order, and counts the units."""
+    want = [a for a in product(grid, repeat=4) if family_defect(ctx, a) is None]
+    u, matrices = _star_matrices(grid, off)
+    assert list(matrices) == want
+    assert u == sum(c.is_norm_one() for c in grid)
 
 
 def diag_map(ctx, l1, l2):
@@ -582,25 +592,71 @@ class TestScan:
             grid = [ctx.zeta(k) for k in range(m)] + [ctx.zero]
         else:
             grid = [parse_scalar(t, ctx) for t in grid.split(",")]
-        want = [a for a in product(grid, repeat=4) if family_defect(ctx, a) is None]
-        assert list(_star_matrices(grid)) == want
+        assert_listing_is_the_k4_filter(ctx, grid, grid)
 
-    # k (k + 1) listing lookups of 6 * 38 units at n = 2 on the integers,
-    # where 1 is the only norm-one value, and at n = 3 one structure of
-    # 30 * 40 units per pair of norm-one values, here the Cayley
-    # transforms (1 + t i)/(1 - t i): 419 and 183 values are the smallest
-    # such grids above the limit.  (The n = 2 size was 294 while a lookup
-    # was priced at 8 * 58 units, about twice its measured cost.)
+    # Above n = 2 the off-diagonal entries are 0 alone: the listing is the
+    # units times the units, which a grid without 0 does not reach.
+    @pytest.mark.parametrize("n, grid", [
+        (3, None),
+        (4, None),
+        (5, None),
+        (3, "0,3/5,4/5,-3/5,-4/5,i,1"),
+        (4, "0,1,z,3/5-4/5*i,2,-i,1/2"),
+        (5, "0,i,1+i,-4/5+3/5*i,w,w^2"),
+        (5, "1,2,-3,i,-i,3/5+4/5*i"),
+    ])
+    def test_listing_above_n2_matches_the_k4_filter(self, n, grid):
+        ctx = make_context(n)
+        if grid is None:
+            grid = [ctx.zeta(k) for k in range(ctx.m)] + [ctx.zero]
+        else:
+            grid = [parse_scalar(t, ctx) for t in grid.split(",")]
+        assert_listing_is_the_k4_filter(ctx, grid, [c for c in grid if not c])
+
+    # Each grid value is conjugated once, and its gap 1 - conj(c) c and its
+    # scaled row conj(c) c' taken once; then each pair (a11, a12), a12 != 0,
+    # takes one product, and so does each unit a11 with a21 != 0.  The
+    # one candidate family_defect judges, the swap, is counted apart.
+    def test_n2_listing_conjugates_each_value_once(self, monkeypatch):
+        ctx = make_context(2)
+        k = 60
+        grid = [ctx.from_int(t) for t in range(k)]
+        counts, judging = {"conjugate": 0, "__mul__": 0}, []
+        for name in counts:
+            def counted(*args, _f=getattr(CyclotomicScalar, name), _name=name):
+                counts[_name] += not judging
+                return _f(*args)
+            monkeypatch.setattr(CyclotomicScalar, name, counted)
+
+        def judge(*args, _f=radford.classify.family_defect):
+            judging.append(args)
+            try:
+                return _f(*args)
+            finally:
+                judging.pop()
+
+        monkeypatch.setattr(radford.classify, "family_defect", judge)
+        assert len(scan_star_candidates(ctx, grid=grid)) == 2
+        assert counts["conjugate"] == k
+        assert counts["__mul__"] <= 2 * k * k + 2 * k
+
+    # (k + 1)(k - 1) listing lookups of 6 * 38 units at n = 2 on the
+    # integers, where 1 is the only norm-one value, plus its one diagonal
+    # structure of 30 * 38; and at n = 3 one structure of 30 * 40 units
+    # per pair of norm-one values, here 0 and the Cayley transforms
+    # (1 + t i)/(1 - t i): 419 and 183 are the smallest such grids above
+    # the limit.
     @pytest.mark.parametrize("n, size", [(2, 419), (3, 183)])
     def test_oversized_grid_is_refused_before_screening(self, n, size):
         def cost(k):
-            return k * (k + 1) * 6 * 38 if n == 2 else k * k * 30 * 40
+            return ((k + 1) * (k - 1) * 6 + 30) * 38 if n == 2 else k * k * 30 * 40
 
         assert cost(size - 1) <= MAX_SCAN_COST < cost(size)
         ctx = make_context(n)
         grid = [ctx.from_int(t) for t in range(size)]
         if n == 3:
-            grid = [(ctx.one + t * ctx.i()) / (ctx.one - t * ctx.i()) for t in grid]
+            grid = [ctx.zero] + [(ctx.one + t * ctx.i()) / (ctx.one - t * ctx.i())
+                                 for t in grid]
         assert sum(c.is_norm_one() for c in grid) == (1 if n == 2 else size)
         with pytest.raises(KernelError, match=f"costs {cost(size)} units"):
             scan_star_candidates(ctx, grid=grid)
@@ -612,12 +668,12 @@ class TestScan:
         _check_scan_cost(make_context(n, 1020), 21, 0, 400)
 
     def test_listed_n2_structures_count_before_verification(self):
-        # The listed structures are counted before any is built: 77
-        # (77 + 76) listing lookups fit (5.1M units), but with the 17 404
-        # matrices with conj(A) A = I among 0 and the 76th roots of unity
-        # they do not.
+        # The listed structures are counted before any is built: the
+        # (77 + 76) 76 listing lookups and the 76^2 diagonal structures fit
+        # (17.5M units), but with the 17 404 matrices with conj(A) A = I
+        # among 0 and the 76th roots of unity they do not.
         ctx = make_context(2, 76)
-        cost = (6 * 77 * (77 + 76) + 36 * 17404) * 72
+        cost = (6 * (77 + 76) * 76 + 30 * 17404) * 72
         with pytest.raises(KernelError, match=f"costs {cost} units"):
             scan_star_candidates(ctx)
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import jsonschema
@@ -703,16 +704,15 @@ class TestCommands:
     # 145 values at n = 3 (144^2 structures of 30 * 84 units, one per
     # pair of norm-one values), 0, 1 and 67 more roots at n = 102, m = 1020
     # (68^2 structures of 30 * 292 units), and 419 at n = 2, where the
-    # 419 * 420 listing lookups alone cost 6 * 38 units each (1 is the only
-    # norm-one value).  The n = 2 row was 294 integers at 8 * 58 units per
-    # lookup, priced at about twice the measured cost
-    # (``scalars.MAX_SCAN_COST``).
+    # 420 * 418 listing lookups cost 6 * 38 units each and the one diagonal
+    # structure 30 * 38 (1 is the only norm-one value;
+    # ``scalars.MAX_SCAN_COST``).
     @pytest.mark.parametrize("args, size, m, cost", [
         (("--n", "3", "--m", "144", "scan"), 145, 144, 52254720),
         (("--n", "102", "--m", "1020", "scan", "--grid=" + ",".join(
             ["0", "1"] + [f"z^{k}" for k in range(1, 68)])), 69, 1020, 40506240),
         (("--n", "2", "scan", "--grid", ",".join(str(k) for k in range(419))),
-         419, 4, 40123440),
+         419, 4, 40028820),
     ])
     def test_oversized_scan_exit_2(self, args, size, m, cost):
         p = run_cli(*args, timeout=3)
@@ -723,19 +723,37 @@ class TestCommands:
             f"{cost} units, above the limit {MAX_SCAN_COST}; "
             "pass a smaller --grid\n")
 
-    # Each value passes the budget of its own products, but the norm test
-    # of each dense power costs about 54 ms at m = 1020: the grid as a
-    # whole gets one budget, counted before any value is evaluated, of the
-    # 9 term pairs each value takes.  Literals and powers of atoms take no
-    # product and cost nothing: 391 integers and 30 roots are admitted.
+    # Each value passes the budget of its own products, but the grid as a
+    # whole gets one budget, counted before any value is evaluated: the 9
+    # term pairs each value takes, and its norm test, (256 D)^2 / 1 600 000
+    # coordinates for its digit bound D = 200 (1 + the digits of t).
+    # Literals and powers of atoms take no product and their norm tests
+    # cost little: 391 integers and 30 roots are admitted.
     def test_oversized_grid_exit_2(self):
         grid = ",".join(["0"] + [f"({t}+z)^200" for t in range(2, 302)])
         p = run_cli("--n", "3", "--m", "1020", "scan", "--grid", grid, timeout=3)
+        norm_tests = (256 * 200) ** 2 * (8 * 2 ** 2 + 90 * 3 ** 2 + 202 * 4 ** 2)
         assert p.returncode == 2
         assert p.stdout == ""
         assert p.stderr == (
-            f"error: grid values expand to {300 * 9 * 256} field "
+            "error: grid values and their norm tests expand to "
+            f"{300 * 9 * 256 + norm_tests // 1_600_000} field "
             f"coordinates of products, above the limit {MAX_COORDS}\n")
+
+    # (100000001+z^7)^100, ..., (100000048+z^7)^100 at m = 1020: each takes
+    # about 20 ms to evaluate and 0.3-0.4 s to test for norm one (256 dense
+    # coordinates of about 800 digits), 19 s in all, but the digit bound
+    # of 1000 prices each norm test at 40 960 coordinates.
+    def test_norm_heavy_grid_exit_2(self):
+        grid = ",".join(["0"] + [f"({t}+z^7)^100" for t in range(100000001, 100000049)])
+        start = time.perf_counter()
+        p = run_cli("--n", "3", "--m", "1020", "scan", "--grid", grid, timeout=10)
+        assert time.perf_counter() - start < 1
+        assert p.returncode == 2
+        assert p.stderr == (
+            "error: grid values and their norm tests expand to "
+            f"{48 * (8 * 256 + 40960)} field coordinates of products, above "
+            f"the limit {MAX_COORDS}\n")
 
     @pytest.mark.parametrize("grid, survivors", [
         (["0"] + [f"z^{k}" for k in range(990, 1020)], 900),
@@ -804,6 +822,21 @@ class TestCommands:
         assert p.returncode == 2
         assert p.stdout == ""
         assert p.stderr.count("\n") == 1
+        assert f"above the limit {MAX_COORDS}" in p.stderr
+
+    # mul A B is budgeted as normalize "(A)*(B)": at n = 64 A admits its
+    # own 2744 term pairs (94 080 coordinates), but A * A asks 2744^2 more,
+    # and the 512-monomial E at n = 8 squared asks 512^2 more.
+    @pytest.mark.parametrize("n, k", [(64, 14), (8, 8)])
+    def test_mul_is_budgeted_as_one_product(self, n, k):
+        a = "*".join("(" + "+".join(["1"] + [f"{v}^{e}" for e in range(1, k)]) + ")"
+                     for v in "yxg")
+        start = time.perf_counter()
+        p = run_cli("--n", str(n), "mul", a, a, timeout=10)
+        assert time.perf_counter() - start < 1
+        assert p.returncode == 2
+        assert p.stdout == ""
+        assert p.stderr == run_cli("--n", str(n), "normalize", f"({a})*({a})").stderr
         assert f"above the limit {MAX_COORDS}" in p.stderr
 
     def test_closed_top_row_delta_is_admitted(self):

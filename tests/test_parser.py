@@ -15,6 +15,7 @@ from radford.parser import (
     MAX_EXPR_DEPTH,
     Atom,
     Pow,
+    _digit_bound,
     _expansion_bound,
     evaluate,
     format_element,
@@ -217,21 +218,25 @@ class TestInputBudget:
                 parse_element(text, ctx)
 
     def test_grid_values_share_one_budget(self, monkeypatch):
-        # (2+z)^200 takes 9 term pairs of 256 coordinates: 43 such values
-        # fit the budget and 44 do not, refused before any is evaluated.
-        # Literals and powers of atoms cost nothing.
+        # (2+z)^200 takes 9 term pairs of 256 coordinates, and its norm test
+        # (256 * 400)^2 / 1 600 000 for its digit bound of 400: 11 such
+        # values fit the budget and 12 do not, refused before any is
+        # evaluated.  Literals and powers of atoms take no product, and
+        # little for the test.
         ctx = make_context(3, 1020)
         text = "(2+z)^200"
         assert _expansion_bound(parse(text), 3)[1] == 9
-        assert parse_scalars([text] * 43 + ["-i"], ctx)[43] == -ctx.i()
+        assert _digit_bound(parse(text)) == 400
+        assert parse_scalars([text] * 11 + ["-i"], ctx)[11] == -ctx.i()
         assert parse_scalars([f"z^{k}" for k in range(990, 1020)], ctx) \
             == [ctx.zeta(k) for k in range(990, 1020)]
         assert len(parse_scalars([str(k) for k in range(1000)], ctx)) == 1000
         monkeypatch.setattr(parser, "evaluate", None)
         with pytest.raises(KernelError, match=(
-                f"grid values expand to {44 * 9 * 256} field coordinates of "
-                f"products, above the limit {MAX_COORDS}")):
-            parse_scalars([text] * 44, ctx)
+                "grid values and their norm tests expand to "
+                f"{12 * 9 * 256 + 12 * (256 * 400) ** 2 // 1_600_000} field "
+                f"coordinates of products, above the limit {MAX_COORDS}")):
+            parse_scalars([text] * 12, ctx)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_powers_of_atoms_take_no_product(self, n, monkeypatch):
