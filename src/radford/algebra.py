@@ -27,7 +27,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import ContextMismatchError, KernelError
-from .scalars import _power
+from .scalars import _meter, _power
 
 
 class Monomial(NamedTuple):
@@ -179,6 +179,8 @@ class SparseTerms:
     @classmethod
     def collect(cls, ctx, items):
         """The sum of (key, coefficient) items: equal keys add, zeros drop."""
+        items = list(items)
+        _meter.charge(3 * len(items))
         out = {}
         for k, c in items:
             acc = out.get(k)
@@ -234,6 +236,8 @@ class SparseTerms:
         self._check(other)
         ctx = self.ctx
         n = ctx.n
+        # Every pair is examined, vanishing or not (scalars.MAX_WORK).
+        _meter.charge(60 + 20 * len(self.terms) * len(other.terms))
         items = []
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():

@@ -31,7 +31,7 @@ from itertools import product
 
 from .algebra import _map_law, _on_generators
 from .errors import InvalidAutomorphismError, KernelError
-from .scalars import MAX_SCAN_COST
+from .scalars import _meter
 from .star import GeneratorMap, _mix_defect, apply_map, family_defect, require_star
 
 
@@ -115,31 +115,28 @@ def equivalence_witness(st_a, st_b):
 
 
 def _star_matrices(grid, off):
-    """(u, matrices): the u units (gap 1 - conj(c) c = 0, each found once) and
-    the matrices with conj(A) A = I and a12, a21 in ``off``, in
+    """The matrices with conj(A) A = I and a12, a21 in ``off``, in
     product(grid, repeat=4) order, each row solved by lookup among the
     conj(b) c (README, "Why scan lists the paper's family").  When a12 != 0
     the first row fixes a21 and a22, judged by ``family_defect``; when
-    a12 = 0, a11 and a22 are units and conj(a21) a22 = -a21 conj(a11)."""
+    a12 = 0, a11 and a22 are units (gap 1 - conj(c) c = 0) and
+    conj(a21) a22 = -a21 conj(a11)."""
     bar = {c: c.conjugate() for c in grid}
     gap = {c: 1 - bar[c] * c for c in grid}
     units = dict.fromkeys(c for c in grid if not gap[c])
-
-    def matrices():
-        scaled = {b: {bar[b] * c: c for c in grid} for b in off if b}
-        for a11, a12 in product(grid, off):
-            if a12:
-                a21 = scaled[a12].get(gap[a11])
-                a22 = scaled[a12].get(-(bar[a11] * a12))
-                if a21 is not None and a22 is not None \
-                        and family_defect(a11.ctx, (a11, a12, a21, a22)) is None:
-                    yield a11, a12, a21, a22
-            elif a11 in units:
-                for a21 in off:
-                    row = units if not a21 else [scaled[a21].get(-(a21 * bar[a11]))]
-                    yield from ((a11, a12, a21, a22) for a22 in row if a22 in units)
-
-    return len(units), matrices()
+    scaled = {b: {bar[b] * c: c for c in grid} for b in off if b}
+    for a11, a12 in product(grid, off):
+        _meter.charge(60)  # the lookups and hashes, which no scalar product counts
+        if a12:
+            a21 = scaled[a12].get(gap[a11])
+            a22 = scaled[a12].get(-(bar[a11] * a12))
+            if a21 is not None and a22 is not None \
+                    and family_defect(a11.ctx, (a11, a12, a21, a22)) is None:
+                yield a11, a12, a21, a22
+        elif a11 in units:
+            for a21 in off:
+                row = units if not a21 else [scaled[a21].get(-(a21 * bar[a11]))]
+                yield from ((a11, a12, a21, a22) for a22 in row if a22 in units)
 
 
 def scan_star_candidates(ctx, grid=None):
@@ -149,8 +146,7 @@ def scan_star_candidates(ctx, grid=None):
     grid combinations of x, y, 1 - g at w = 1, or of 1 - g^w at w > 1.
     Only the paper's family can pass, and each member is a star (README,
     "Why scan lists the paper's family"), so ``_star_matrices`` lists it,
-    with no verifier call; x and y mix only at n = 2 (``_mix_defect``).
-    ``_check_scan_cost`` prices the listing before and after it runs."""
+    with no verifier call; x and y mix only at n = 2 (``_mix_defect``)."""
     if grid is None:
         grid = [ctx.zeta(k) for k in range(ctx.m)] + [ctx.zero]
     first = {}
@@ -160,21 +156,9 @@ def scan_star_candidates(ctx, grid=None):
                               "are equal; list each value once")
     if ctx.zero not in grid:
         return []
-    k = len(grid)
-    off = grid if ctx.n == 2 else [ctx.zero]
-    u, matrices = _star_matrices(grid, off)
-    lookups = (k + u) * (len(off) - 1)
-    _check_scan_cost(ctx, k, lookups, u * u)
-    listed = list(matrices)
-    _check_scan_cost(ctx, k, lookups, len(listed))
-    return [GeneratorMap.from_matrix(ctx, a) for a in listed]
-
-
-def _check_scan_cost(ctx, k, lookups, structures):
-    """Refuse a scan whose matrix lookups and listed structures cost more
-    than ``MAX_SCAN_COST`` (its comment gives the weights)."""
-    cost = (6 * lookups + 30 * structures) * (ctx.degree + 36)
-    if cost > MAX_SCAN_COST:
-        raise KernelError(
-            f"scan of {k} grid values at n={ctx.n}, m={ctx.m} costs {cost} "
-            f"units, above the limit {MAX_SCAN_COST}; pass a smaller --grid")
+    survivors = []
+    for a in _star_matrices(grid, grid if ctx.n == 2 else [ctx.zero]):
+        # A member's images are built with no scalar work, which is metered.
+        _meter.charge(100)
+        survivors.append(GeneratorMap.from_matrix(ctx, a))
+    return survivors

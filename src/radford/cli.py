@@ -3,13 +3,13 @@
 Exit codes: 0 on success / all checks passing (every equivalence query
 answers "equivalent"); 1 when a verification fails; 2 on usage, parse,
 or malformed-input errors, including a conductor above
-``scalars.MAX_CONDUCTOR``, an input number or expression that can
-exceed ``scalars.MAX_INPUT_DIGITS`` digits, an expression's products
-(``mul``'s product, a grid's norm tests) or a coproduct that would
-compute more than ``scalars.MAX_COORDS`` field coordinates, a scan that
-costs more than ``scalars.MAX_SCAN_COST`` units, a star file above
-``scalars.MAX_STAR_COST`` units or, given to ``star-apply`` or ``equiv``,
-failing ``verify star``, and a coordinate too long to print.  A value
+``scalars.MAX_CONDUCTOR``, an input number longer than
+``scalars.MAX_INPUT_DIGITS`` digits, a star file that, given to
+``star-apply`` or ``equiv``, fails ``verify star``, a coordinate too long
+to print, and a call that does more than ``scalars.MAX_WORK`` units of
+work.  ``main`` arms the meter of ``scalars`` with that budget afresh
+for every call, so such a refusal comes after at most the budget's work,
+about a second, whatever the input.  A value
 that starts with '-' is written ``--beta=-i`` after an option and after
 ``--`` as a positional (``normalize -- -x``), as argparse reads ``-x`` as
 an option.
@@ -106,12 +106,7 @@ def _cmd_mul(args, ctx):
 
 
 def _cmd_delta(args, ctx):
-    e = parser.parse_element(args.expr, ctx)
-    size = coalgebra.delta_coords(e)
-    if size > scalars.MAX_COORDS:
-        raise KernelError(f"the coproduct needs {size} field coordinates, "
-                          f"above the limit {scalars.MAX_COORDS}")
-    t = coalgebra.delta(e)
+    t = coalgebra.delta(parser.parse_element(args.expr, ctx))
     _emit(args, lambda: jsonio.tensor_to_json(t), lambda: parser.format_tensor(t))
     return 0
 
@@ -328,6 +323,8 @@ def main(argv=None):
     except KernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # Every call gets the whole budget of work, and only the call does.
+    scalars._meter.arm(scalars.MAX_WORK)
     try:
         rc = args.func(args, ctx)
         sys.stdout.flush()
@@ -343,6 +340,8 @@ def main(argv=None):
     except KernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        scalars._meter.disarm()
 
 
 if __name__ == "__main__":

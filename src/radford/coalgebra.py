@@ -170,18 +170,6 @@ def delta(e):
         for mono, c in e.terms.items()))
 
 
-def delta_coords(e):
-    """How many field coordinates :func:`delta` computes for ``e``.
-
-    Per monomial y^r x^s g^l: the (r+1)(s+1) terms and the entries
-    ``_qbinom_row`` builds for rows r and s, phi(m) coordinates each: k(k+1)/2
-    for a q-Pascal row k, and k + 1 for the closed top row k = n - 1.
-    """
-    rows = [k * (k + 1) // 2 for k in range(e.ctx.n - 1)] + [e.ctx.n]
-    entries = sum((r + 1) * (s + 1) + rows[r] + rows[s] for r, s, _ in e.terms)
-    return entries * e.ctx.degree
-
-
 def counit(e):
     """e(y^r x^s g^l) = e(y)^r e(x)^s e(g)^l, extended linearly.
 

@@ -18,7 +18,7 @@ import re
 from . import coalgebra, star
 from .algebra import Element, Monomial
 from .errors import KernelError
-from .scalars import MAX_INPUT_DIGITS, MAX_STAR_COST, CyclotomicScalar, make_context
+from .scalars import MAX_INPUT_DIGITS, CyclotomicScalar, _meter, make_context
 
 
 def context_to_json(ctx):
@@ -41,6 +41,8 @@ def context_from_json(obj):
 
 
 def scalar_to_json(c):
+    # Every coordinate is written, zeros too, and each is a JSON string.
+    _meter.charge(20 + 3 * c.ctx.degree)
     return c.coord_texts()
 
 
@@ -135,8 +137,7 @@ def star_from_json(obj, ctx):
     """Decode a star structure into ``ctx``.
 
     Each value is read in the object's own context and embedded in
-    ``ctx``, whose conductor must be a multiple of the object's.  Scalars
-    past ``MAX_STAR_COST`` are refused before any product is taken.
+    ``ctx``, whose conductor must be a multiple of the object's.
     """
     own = star_context(obj)
     try:
@@ -159,19 +160,11 @@ def star_from_json(obj, ctx):
                 raise KernelError("matrix star needs a list of exactly 4 entries")
             values = tuple(scalar(c) for c in entries)
         elif kind == "raw":
-            images = tuple(element(obj[key]) for key in _IMAGES)
-            values = [c for e in images for c in e.terms.values()]
+            return star.GeneratorMap(ctx, *(element(obj[key]) for key in _IMAGES))
         else:
             raise KernelError(f"unknown star kind {kind!r}")
     except KeyError as exc:
         raise KernelError(f"{kind} star is missing {exc}") from exc
-    texts = [t for c in values for t in c.coord_texts() if t != "0"]
-    cost = ctx.n * sum(len(t) + 1 for t in texts)
-    if cost > MAX_STAR_COST:
-        raise KernelError(f"star of {len(texts)} nonzero coordinates at n={ctx.n} "
-                          f"costs {cost} units, above the limit {MAX_STAR_COST}")
-    if kind == "raw":
-        return star.GeneratorMap(ctx, *images)
     return star.make_star_matrix(ctx, values)
 
 

@@ -13,13 +13,10 @@ Grammar (explicit '*', no juxtaposition; '^' binds tighter than '*',
 is zeta^(m/4).  Formatting sorts terms by (r, s, l) and prints scalars
 in the power basis over 'z', so parse(format(e)) evaluates back to e.
 
-``parse`` enforces the input budget before anything is evaluated: at
-most ``scalars.MAX_INPUT_DIGITS`` digits and MAX_EXPR_DEPTH nested
-parentheses.  ``parse_element`` also bounds the products the tree asks
-for in its context (``_expansion_bound``), and ``parse_scalars`` those
-of a list of trees together.  ``evaluate`` and both budgets are one walk
-of the tree, ``_fold``, under three sets of operations, so a budget
-counts the products evaluation takes.
+``parse`` checks the input alone: at most ``scalars.MAX_INPUT_DIGITS``
+digits in a number and MAX_EXPR_DEPTH nested parentheses.  The work
+evaluation then does is counted, and under ``radford`` bounded, by the
+meter of ``scalars`` (``MAX_WORK``).
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from typing import NamedTuple
 
 from .algebra import Element
 from .errors import ExprSyntaxError, KernelError
-from .scalars import MAX_COORDS, MAX_INPUT_DIGITS, _power
+from .scalars import MAX_INPUT_DIGITS, _power
 
 # Deepest parenthesis nesting; well inside the recursion limit.
 MAX_EXPR_DEPTH = 100
@@ -196,101 +193,30 @@ class _Parser:
         self._fail(f"unexpected {tok.text!r}")
 
 
-def _fold(node, leaf, add, mul, zero, one):
-    """The value of a parse tree under the given operations: the one walk
-    of the tree, shared by ``evaluate`` and both input budgets.
-
-    A sum is ``add(acc, term, sign)`` from ``zero``, sign -1 for a
-    subtracted or negated term; a term is ``mul`` of its factors in order,
-    with no product by 1; a power of a compound base is ``scalars._power``
-    under ``mul`` and ``one``; and ``leaf(a, k)`` is a literal a (k = 1)
-    or the atom a to the power k, built with no product.
-    """
-    def walk(node):
-        if isinstance(node, Expr):
-            acc = zero
-            for sign, term in ((1, node.first), *node.rest):
-                value = reduce(mul, map(walk, term.factors))
-                acc = add(acc, value, -sign if term.negated else sign)
-            return acc
-        if isinstance(node, Pow) and isinstance(node.base, Atom):
-            return leaf(node.base, node.exponent)
-        if isinstance(node, Pow):
-            return _power(walk(node.base), node.exponent, mul, one)
-        if isinstance(node, (Num, Atom)):
-            return leaf(node, 1)
-        raise TypeError(f"not a parse node: {node!r}")
-
-    return walk(node)
-
-
-def _digits(a, k):
-    """Digits of p/q for a literal, 1 for a power of an atom: a monomial or
-    a root of unity.  Floats, exact far past the budget, so that nested
-    powers with long exponents stay one machine word."""
-    if isinstance(a, Atom):
-        return 1.0
-    p, q = a
-    return float(len(str(p)) + (len(str(q)) + 1 if q != 1 else 0))
-
-
-def _digit_bound(node):
-    """Most digits of a coordinate p/q of the value: literals add their
-    digits, sums and products add, a power multiplies by its exponent."""
-    return _fold(node, _digits, lambda acc, v, sign: acc + v, operator.add, 0.0, 0.0)
-
-
 def parse(text):
-    """Parse expression text into a tree within the input budget.
+    """Parse expression text into a tree.
 
-    Raises ExprSyntaxError on bad syntax and KernelError past the budget.
+    Raises ExprSyntaxError on bad syntax, a number longer than
+    ``scalars.MAX_INPUT_DIGITS`` digits or more than MAX_EXPR_DEPTH nested
+    parentheses.
     """
     parser = _Parser(_tokenize(text))
     expr = parser.parse_expr()
     if parser.cur.tag != "END":
         parser._fail(f"unexpected {parser.cur.text!r}")
-    if _digit_bound(expr) > MAX_INPUT_DIGITS:
-        raise KernelError(
-            f"expression exceeds the input budget of {MAX_INPUT_DIGITS} digits")
     return expr
 
 
 _EXPONENTS = {"y": (1, 0, 0), "x": (0, 1, 0), "g": (0, 0, 1)}
 
 
-def _expansion_bound(node, n):
-    """(bound, pairs): how large the value of ``node`` in H_n can get, and
-    how many term pairs ``evaluate`` multiplies on the way.
-
-    bound = (terms, r, s, l) caps the term count and the exponents of y,
-    x and g.  A product has at most the product of its factors' term
-    counts, and no value more than the (r+1)(s+1)(l+1) <= n^3 monomials
-    its exponents allow, so a scalar is one term however it is written.
-    The products are those of ``evaluate``, as both are ``_fold``s.
-    """
-    pairs = 0
-
-    def box(terms, r, s, l):
-        return min(terms, (r + 1) * (s + 1) * (l + 1)), r, s, l
-
-    def leaf(a, k):
-        exps = _EXPONENTS.get(getattr(a, "name", None), (0, 0, 0))
-        return box(1, *(min(n - 1, k * e) for e in exps))
-
-    def add(a, b, sign):
-        return box(a[0] + b[0], *map(max, a[1:], b[1:]))
-
-    def mul(a, b):
-        nonlocal pairs
-        pairs += a[0] * b[0]
-        return box(a[0] * b[0], *(min(n - 1, u + v) for u, v in zip(a[1:], b[1:])))
-
-    bound = _fold(node, leaf, add, mul, (0, 0, 0, 0), (1, 0, 0, 0))
-    return bound, pairs
-
-
 def evaluate(node, ctx):
-    """Evaluate a parse tree to an Element of H_n over the given context."""
+    """Evaluate a parse tree to an Element of H_n over the given context.
+
+    A term is the product of its factors in order, with no product by 1; a
+    power of a compound base is ``scalars._power``; a power of an atom is a
+    monomial or a root of unity, built with no product.
+    """
 
     def leaf(a, k):
         if isinstance(a, Num):
@@ -303,34 +229,34 @@ def evaluate(node, ctx):
             return Element.zero(ctx)
         return Element.monomial(ctx, r, s, l % ctx.n)
 
-    def add(acc, value, sign):
-        return acc + value if sign > 0 else acc - value
+    def walk(node):
+        if isinstance(node, Expr):
+            acc = Element.zero(ctx)
+            for sign, term in ((1, node.first), *node.rest):
+                value = reduce(operator.mul, map(walk, term.factors))
+                acc = acc - value if term.negated != (sign < 0) else acc + value
+            return acc
+        if isinstance(node, Pow) and isinstance(node.base, Atom):
+            return leaf(node.base, node.exponent)
+        if isinstance(node, Pow):
+            return _power(walk(node.base), node.exponent, operator.mul, Element.one(ctx))
+        if isinstance(node, (Num, Atom)):
+            return leaf(node, 1)
+        raise TypeError(f"not a parse node: {node!r}")
 
-    return _fold(node, leaf, add, operator.mul, Element.zero(ctx), Element.one(ctx))
-
-
-def _evaluate_within_budget(trees, ctx, what, extra=0):
-    """Evaluate the trees, refusing first, before any is evaluated, trees
-    whose products together, and ``extra`` coordinates, pass MAX_COORDS."""
-    pairs = sum(_expansion_bound(tree, ctx.n)[1] for tree in trees)
-    coords = pairs * ctx.degree + extra
-    if coords > MAX_COORDS:
-        raise KernelError(f"{what} to {coords} field coordinates of products, "
-                          f"above the limit {MAX_COORDS}")
-    return [evaluate(tree, ctx) for tree in trees]
+    return walk(node)
 
 
 def parse_element(text, ctx):
-    """Parse and evaluate, refusing first what expands past MAX_COORDS."""
-    return _evaluate_within_budget([parse(text)], ctx, "expression expands")[0]
+    """Parse and evaluate an expression."""
+    return evaluate(parse(text), ctx)
 
 
 def parse_product(texts, ctx):
     """The product of the expressions, in order, each parsed on its own so
-    that a syntax error points into its text, and budgeted and evaluated
-    as the one tree "(A)*(B)"."""
-    tree = Expr(Term(False, tuple(map(parse, texts))), ())
-    return _evaluate_within_budget([tree], ctx, "expression expands")[0]
+    that a syntax error points into its text, and evaluated as the one tree
+    "(A)*(B)"."""
+    return evaluate(Expr(Term(False, tuple(map(parse, texts))), ()), ctx)
 
 
 def parse_scalar(text, ctx):
@@ -339,15 +265,11 @@ def parse_scalar(text, ctx):
 
 
 def parse_scalars(texts, ctx):
-    """``parse_scalar`` of each text under one budget for them all and the
-    norm test ``scan`` runs on each (``scalars.MAX_COORDS``); an error in
-    one value names its 1-based position."""
+    """``parse_scalar`` of each text; an error in one value names its
+    1-based position."""
     trees = [_grid_value(k, parse, text) for k, text in enumerate(texts, 1)]
-    norm_tests = sum((ctx.degree * _digit_bound(tree)) ** 2 for tree in trees)
-    values = _evaluate_within_budget(trees, ctx, "grid values and their norm "
-                                     "tests expand", int(norm_tests / 1_600_000))
-    return [_grid_value(k, _scalar_of, text, e)
-            for k, (text, e) in enumerate(zip(texts, values), 1)]
+    return [_grid_value(k, _scalar_of, text, evaluate(tree, ctx))
+            for k, (text, tree) in enumerate(zip(texts, trees), 1)]
 
 
 def _grid_value(k, f, *args):

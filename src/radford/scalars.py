@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import compress
 
 from .errors import ContextMismatchError, KernelError
 
@@ -34,70 +35,73 @@ from .errors import ContextMismatchError, KernelError
 # so an oversized --n or --m is refused up front instead of hanging.
 MAX_CONDUCTOR = 1024
 
-# Most digits an input number may take, written as a fraction p/q: a
-# rational coordinate of a JSON file, and the bound ``parser.parse`` puts
-# on everything an expression can evaluate to.  It sits far below
-# Python's 4300-digit limit on int <-> str conversion, so the product of
-# two inputs still prints, and it refuses (1+z)^100000 before its
-# integers grow.
+# Most digits an input number may take, written as a fraction p/q: an
+# integer literal of an expression or a rational coordinate of a JSON file.
+# A check on the input text alone, run before any arithmetic.
 MAX_INPUT_DIGITS = 1000
 
-# Most work a star file may ask for, in units counted as it is decoded:
-# n times its scalars' nonzero coordinates, each weighing its length as
-# written plus one; ``star-apply`` raises the images to powers up to
-# n - 1.  x* = a x, y* = a y with a = ((3 + 4i)/5)^700 (251K units) takes
-# 0.94 s on y^127 x^127 at n = 128 (in-process, Python 3.11, 2-core
-# shared VM).  ``verify star`` raises none that the q-binomial theorem
-# settles (``algebra._nilpotent``).
-MAX_STAR_COST = 500_000
+# Most work one call of ``cli.main`` may do, in units of roughly 50-100 ns,
+# about one product of two word-sized coordinates.  ``_meter`` counts the
+# work where it happens, before it runs, and a charge past the budget
+# raises KernelError (exit 2): a refusal comes after at most about a second
+# of work (whole commands measured 30-170 ns per unit), whatever the input.
+# A scalar's size s is 1 + the whole 128-bit words of its largest integer:
+# a pair of coordinates costs (s1 s2)^0.79 units, as Python multiplies
+# long integers by Karatsuba, and a gcd or a printed coordinate about s^2.
+# Each charge, and one measured row, in-process, best of five, Python
+# 3.11, 2-core shared VM:
+#
+#   FieldContext._mul_nums: 60 + 3 phi(m) + (pairs + folds) (s1 s2)^0.79,
+#     and 4 s1 s2 per coordinate over a denominator
+#     dense x dense, phi(m) = 256              71 386 units   5.4 ms   75 ns
+#   CyclotomicScalar.__add__: 40 + phi(m) + s per nonzero coordinate,
+#     4 s^2 over a denominator
+#     dense + dense, phi(m) = 256                 552 units    53 us   97 ns
+#   CyclotomicScalar.conjugate: 20 + phi(m) per nonzero coordinate, and
+#     4 s^2 per one over a denominator
+#     zeta^7, phi(m) = 48                          68 units   7.6 us  111 ns
+#   CyclotomicScalar.coord_texts: 40 + 6 phi(m) + s^2 / 2 per nonzero
+#     coordinate, and 20 + 3 phi(m) more in ``jsonio.scalar_to_json``
+#     `--n 3 --m 132 scan`, 17 424 printed    11 524 811 units   0.52 s   45 ns
+#   algebra.SparseTerms.collect: 3 per item
+#     1000 items on 1000 keys                   3 000 units  0.35 ms  118 ns
+#   algebra.SparseTerms._product: 60 + 20 per term pair
+#     1 x 1, phi(m) = 4                           156 units    10 us   64 ns
+#   classify.scan_star_candidates: 60 per candidate, 100 per member
+#     0 and the 144th roots, n = 3          2 137 523 units   0.22 s  101 ns
+MAX_WORK = 12_000_000
 
-# Most work ``classify.scan_star_candidates`` takes on, in cost units
-# counted before the work is done, at every n:
-#
-#     (6 lookups + 30 structures) (phi(m) + 36)
-#
-# For k grid values of which u have norm one, a lookup is a pair of the
-# listing that takes a product, (k + u)(|off| - 1) of them, |off| = k at
-# n = 2 and 1 (0 alone) above: one scalar product and two table probes.
-# A structure is listed, built and printed, not verified: two images,
-# and their entries printed at phi(m) coordinates each, five lookups'
-# worth.  phi(m) counts the coordinates a product or a printed entry
-# takes, and 36 the fixed cost of each step.  The u^2 diagonal members,
-# which every listing contains, are priced before the listing, and the
-# listed matrices again before any structure is built.  One row per
-# weight, near the limit, end to end, best of three fresh processes,
-# --json (Python 3.11, 2-core shared VM):
-#
-#     lookups     418 integers at n = 2          39.8M units  1.4 s
-#     structures  `--n 3 --m 132 scan`, 17 424   39.7M units  1.7 s
-#
-# Both stay below the 2.8 s the slowest admitted scan took while scan
-# verified each member.  The limit refuses 419 integers at n = 2 (40.0M)
-# and `--n 3 --m 144 scan` (52.3M) up front, and `--n 2 --m 76 scan`
-# (42.6M) once its matrices are listed.
-MAX_SCAN_COST = 40_000_000
 
-# Most field coordinates a call may compute in one of two places, each
-# counted before the work is done:
-#
-# * ``radford delta``, counted by ``coalgebra.delta_coords``: the
-#   (r + 1)(s + 1) terms of D(y^r x^s g^l) and the entries of the q-Pascal
-#   rows r and s behind their coefficients, phi(m) coordinates each.  The
-#   rows count because y^200 x alone has 402 terms but 20 100 row entries;
-#   the closed top row n - 1 counts its n entries, so `--n 128 delta
-#   "y^127*x"` is admitted.  At m = 1020 the largest admitted inputs, such
-#   as y^13 x^13 g, take under a second.
-# * the products of an expression, counted by ``parser._expansion_bound``:
-#   the term pairs ``parser.evaluate`` multiplies, phi(m) coordinates each,
-#   exact while every value is one term (a scalar) and a bound otherwise.
-#   At m = 1020 a pair of dense coefficients costs about 2 ms.  A
-#   ``scan`` grid adds the norm test of each value, phi(m)^2 products of
-#   coordinates of at most D digits, D the digit bound ``parser.parse``
-#   folds: (phi(m) D)^2 / 1 600 000 coordinates.  At m = 1020 that
-#   prices (100000001+z^7)^100 (D = 1000, 0.3-0.4 s) at 40 960, its cost
-#   at the rate of a dense pair, and (t+z)^200 (D = 400-600, 13-57 ms) at
-#   6 554-14 746, two to four times its cost, as D bounds the digits.
-MAX_COORDS = 100_000
+class _Meter:
+    """The work done since ``cli.main`` last armed the meter, in MAX_WORK
+    units.  Unarmed, as for library callers, it counts and refuses nothing."""
+
+    __slots__ = ("spent", "budget")
+
+    def __init__(self):
+        self.spent, self.budget = 0, None
+
+    def arm(self, budget):
+        """Count from 0, and refuse a charge that passes ``budget``."""
+        self.spent, self.budget = 0, budget
+
+    def disarm(self):
+        """Keep counting, and refuse nothing."""
+        self.budget = None
+
+    def charge(self, units):
+        self.spent += int(units)
+        if self.budget is not None and self.spent > self.budget:
+            raise KernelError(f"the call needs more than {self.budget} units of "
+                              "work, the limit for one call")
+
+
+_meter = _Meter()
+
+
+def _size(num, den):
+    """1 + the whole 128-bit words of the largest of den and |v| for v in num."""
+    return 1 + (max(den, max(map(abs, num), default=0)).bit_length() >> 7)
 
 
 def _poly_trim(coeffs):
@@ -203,12 +207,17 @@ class FieldContext:
                         row[j] += carry * top[j]
                 pows[k] = row
         self._zeta_pow = tuple(tuple(row) for row in pows)
+        # The nonzero coordinates of zeta^k, d <= k <= 2d - 2: what a
+        # product's coefficient of zeta^k folds into the power basis.
+        self._folds = tuple(tuple((j, v) for j, v in enumerate(row) if v)
+                            for row in pows[d:2 * d - 1])
+        self._fold_sizes = tuple(map(len, self._folds))
         if self._zeta_pow[m] != self._zeta_pow[0]:
             raise AssertionError(f"zeta^{m} != 1 in context m={m}")
         self._zeta_index = None
         self._omega_pows = None
         # i^2 = -1 and omega has order exactly n; cheap one-time checks.
-        if (self.i(1) * self.i(1)) != self.from_int(-1):
+        if self.zeta(2 * self.i_exponent) != self.from_int(-1):
             raise AssertionError(f"zeta^{self.i_exponent} does not square to -1")
         for k in range(1, n):
             if self.zeta(self.omega_exponent * k) == self.one:
@@ -277,21 +286,27 @@ class FieldContext:
 
     def _mul_nums(self, n1, d1, n2, d2):
         d = self.degree
+        a = [(i, v) for i, v in enumerate(n1) if v]
+        b = [(j, v) for j, v in enumerate(n2) if v]
+        # Charged as MAX_WORK says: each nonzero pair, then each fold of a
+        # coefficient past zeta^(d-1), weighs a product of the factors'
+        # integers, and each coordinate over a denominator its gcd.
+        s = _size([v for _, v in a], d1) * _size([v for _, v in b], d2)
+        w = s ** 0.79 if s > 1 else 1
+        _meter.charge(60 + 3 * d + len(a) * len(b) * w)
         conv = [0] * (2 * d - 1)
-        for i, a in enumerate(n1):
-            if a:
-                for j, b in enumerate(n2):
-                    if b:
-                        conv[i + j] += a * b
-        out = conv[:d]
-        pows = self._zeta_pow
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
+        for i, x in a:
+            for j, y in b:
+                conv[i + j] += x * y
+        out, high = conv[:d], conv[d:]
+        folds = sum(compress(self._fold_sizes, high))
+        gcds = 4 * min(d, d - out.count(0) + folds) * s if d1 * d2 != 1 else 0
+        if folds or gcds:
+            _meter.charge(folds * w + gcds)
+        for c, fold in zip(high, self._folds):
             if c:
-                row = pows[k]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
+                for j, v in fold:
+                    out[j] += c * v
         return _normalize(out, d1 * d2)
 
 
@@ -312,7 +327,7 @@ def _normalize(num, den):
 def _power(base, k, mul, one):
     """base^k for k >= 0 by square-and-multiply under ``mul``: no product
     by ``one`` and no squaring past the top bit of k.  The one power of
-    scalars, algebra elements and the parser's input budgets."""
+    scalars and algebra elements."""
     acc = None
     while True:
         if k & 1:
@@ -372,9 +387,15 @@ class CyclotomicScalar:
 
     def coord_texts(self):
         """Each coordinate in lowest terms, as ``p`` or ``p/q``."""
+        num, den = self.num, self.den
+        # int -> str takes time quadratic in the length (MAX_WORK).
+        s = _size(num, den)
+        _meter.charge(40 + 6 * len(num) + (len(num) - num.count(0)) * s * s / 2)
         try:
-            return [str(v // g) if (g := math.gcd(v, self.den)) == self.den
-                    else f"{v // g}/{self.den // g}" for v in self.num]
+            if den == 1:
+                return [str(v) for v in num]
+            return [str(v // g) if (g := math.gcd(v, den)) == den
+                    else f"{v // g}/{den // g}" for v in num]
         except ValueError as exc:
             raise KernelError("a scalar coordinate has too many digits to print") from exc
 
@@ -397,6 +418,11 @@ class CyclotomicScalar:
         if other is None:
             return NotImplemented
         d1, d2 = self.den, other.den
+        # Linear in the integers' length, but a denominator's gcds are not.
+        d = self.ctx.degree
+        nonzero = min(d, 2 * d - self.num.count(0) - other.num.count(0))
+        s = max(_size(self.num, d1), _size(other.num, d2))
+        _meter.charge(40 + d + nonzero * (s if d1 == d2 == 1 else 4 * s * s))
         if d1 == d2:
             num = [a + b for a, b in zip(self.num, other.num)]
             return CyclotomicScalar(self.ctx, num, d1)
@@ -475,6 +501,10 @@ class CyclotomicScalar:
         ctx = self.ctx
         d = ctx.degree
         m = ctx.m
+        # A row of d coordinates per nonzero one, and a denominator's gcds.
+        nonzero = d - self.num.count(0)
+        _meter.charge(20 + d * nonzero
+                      + (self.den != 1) * 4 * nonzero * _size(self.num, self.den) ** 2)
         out = [0] * d
         for j, v in enumerate(self.num):
             if v:

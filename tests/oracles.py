@@ -38,11 +38,13 @@ checks only g, x, y and the relation pairs), ``FieldMatrix`` and
 which no kernel path calls), ``word_of_monomial`` for the rewriting
 oracle, report lookups by check name, ``x_primitive_delta`` and
 ``inject_coproduct`` for negative fixtures, ``count_calls`` for spies,
+``metered`` to run library code under the work budget of one call,
 ``tensor_from_json`` for round trips, ``load_schema``, and
 ``verify_equivalence`` (the kernel's check that a given automorphism
 carries one star to another, which no command runs).
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import NamedTuple
@@ -55,7 +57,7 @@ from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map
 from radford.errors import KernelError
 from radford.jsonio import _mono_from_json, _term_objects, context_from_json, \
     context_to_json, scalar_from_json, scalar_to_json, star_to_json
-from radford.scalars import _poly_divmod
+from radford.scalars import MAX_WORK, _meter, _poly_divmod
 from radford.solver import _nullspace_from_rows
 from radford.star import GeneratorMap, require_star, verify_star_axioms
 
@@ -595,10 +597,9 @@ def x_primitive_delta(e):
 
 
 def inject_coproduct(monkeypatch, d):
-    """Make the verifiers read D as ``d``: ``star`` takes the certificate
-    and the convolutions through its name, ``coalgebra`` the triple
-    coproducts."""
-    monkeypatch.setattr("radford.star.delta", d)
+    """Make the verifiers read D as ``d``: ``star`` takes the certificate,
+    the convolutions and, through ``coalgebra``, the triple coproducts by
+    the name ``coalgebra.delta``."""
     monkeypatch.setattr("radford.coalgebra.delta", d)
 
 
@@ -614,6 +615,17 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return lambda: len(calls)
+
+
+@contextmanager
+def metered(budget=MAX_WORK):
+    """Run the body under a fresh budget of work, as ``cli.main`` runs a
+    call; yields the meter, whose ``spent`` is the work done so far."""
+    _meter.arm(budget)
+    try:
+        yield _meter
+    finally:
+        _meter.disarm()
 
 
 def tensor_from_json(obj, ctx=None):

@@ -202,7 +202,7 @@ def test_unsigned_antipode_fails_the_antipode_law_at_x(n, monkeypatch):
     # x -> -x, y -> -y: antimultiplicative, so it passes the certificate,
     # but (S * id)(x) = 2x != e(x).
     ctx = make_context(n)
-    monkeypatch.setattr("radford.star.antipode", unsigned_antipode)
+    monkeypatch.setattr("radford.coalgebra.antipode", unsigned_antipode)
     report = verify_hopf_axioms(ctx)
     assert failed_names(report) == ["antipode_law"]
     ce = named_check(report, "antipode_law").counterexample

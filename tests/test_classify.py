@@ -13,7 +13,6 @@ from radford.algebra import Element, Monomial
 from radford.coalgebra import delta, tensor_of
 from radford.classify import (
     _cayley_matrix,
-    _check_scan_cost,
     _star_matrices,
     equivalence_witness,
     make_automorphism,
@@ -23,22 +22,20 @@ from radford.cli import main
 from radford.errors import ContextMismatchError, InvalidAutomorphismError, \
     InvalidStarStructureError, KernelError
 from radford.parser import parse_scalar
-from radford.scalars import MAX_SCAN_COST, CyclotomicScalar, make_context
+from radford.scalars import CyclotomicScalar, make_context
 from radford.star import GeneratorMap, apply_map, family_defect, make_star_diag, \
     make_star_matrix
 
 from oracles import _invertible_point, basis, equivalence_oracle, generators, \
-    hopf_map_oracle, n2_polarization_oracle, n2_search_oracle, scan_oracle, \
+    hopf_map_oracle, metered, n2_polarization_oracle, n2_search_oracle, scan_oracle, \
     verify_equivalence
 
 
 def assert_listing_is_the_k4_filter(ctx, grid, off):
     """``_star_matrices`` lists the grid matrices that ``family_defect``
-    admits, in product(grid, repeat=4) order, and counts the units."""
+    admits, in product(grid, repeat=4) order."""
     want = [a for a in product(grid, repeat=4) if family_defect(ctx, a) is None]
-    u, matrices = _star_matrices(grid, off)
-    assert list(matrices) == want
-    assert u == sum(c.is_norm_one() for c in grid)
+    assert list(_star_matrices(grid, off)) == want
 
 
 def diag_map(ctx, l1, l2):
@@ -616,15 +613,17 @@ class TestScan:
     # Each grid value is conjugated once, and its gap 1 - conj(c) c and its
     # scaled row conj(c) c' taken once; then each pair (a11, a12), a12 != 0,
     # takes one product, and so does each unit a11 with a21 != 0.  The
-    # one candidate family_defect judges, the swap, is counted apart.
+    # one candidate family_defect judges, the swap, is counted apart: it
+    # conjugates its four entries once each.
     def test_n2_listing_conjugates_each_value_once(self, monkeypatch):
         ctx = make_context(2)
         k = 60
         grid = [ctx.from_int(t) for t in range(k)]
-        counts, judging = {"conjugate": 0, "__mul__": 0}, []
+        counts, judged, judging = {"conjugate": 0, "__mul__": 0}, [0], []
         for name in counts:
             def counted(*args, _f=getattr(CyclotomicScalar, name), _name=name):
                 counts[_name] += not judging
+                judged[0] += bool(judging) and _name == "conjugate"
                 return _f(*args)
             monkeypatch.setattr(CyclotomicScalar, name, counted)
 
@@ -638,44 +637,37 @@ class TestScan:
         monkeypatch.setattr(radford.classify, "family_defect", judge)
         assert len(scan_star_candidates(ctx, grid=grid)) == 2
         assert counts["conjugate"] == k
+        assert judged[0] == 4
         assert counts["__mul__"] <= 2 * k * k + 2 * k
 
-    # (k + 1)(k - 1) listing lookups of 6 * 38 units at n = 2 on the
-    # integers, where 1 is the only norm-one value, plus its one diagonal
-    # structure of 30 * 38; and at n = 3 one structure of 30 * 40 units
-    # per pair of norm-one values, here 0 and the Cayley transforms
-    # (1 + t i)/(1 - t i): 419 and 183 are the smallest such grids above
-    # the limit.
-    @pytest.mark.parametrize("n, size", [(2, 419), (3, 183)])
+    # Under one call's budget of work: at n = 2 the k^2 listing lookups
+    # on the integers, where 1 is the only norm-one value, and at n = 3 the
+    # k^2 members on 0 and the Cayley transforms (1 + t i)/(1 - t i).
+    @pytest.mark.parametrize("n, size", [(2, 419), (3, 400)])
     def test_oversized_grid_is_refused_before_screening(self, n, size):
-        def cost(k):
-            return ((k + 1) * (k - 1) * 6 + 30) * 38 if n == 2 else k * k * 30 * 40
-
-        assert cost(size - 1) <= MAX_SCAN_COST < cost(size)
         ctx = make_context(n)
         grid = [ctx.from_int(t) for t in range(size)]
         if n == 3:
             grid = [ctx.zero] + [(ctx.one + t * ctx.i()) / (ctx.one - t * ctx.i())
                                  for t in grid]
         assert sum(c.is_norm_one() for c in grid) == (1 if n == 2 else size)
-        with pytest.raises(KernelError, match=f"costs {cost(size)} units"):
+        with metered(), pytest.raises(KernelError, match="units of work"):
             scan_star_candidates(ctx, grid=grid)
 
     @pytest.mark.parametrize("n", [12, 102, 1020])
-    def test_400_structures_at_m_1020_are_admitted(self, n):
-        # Built and printed in 0.05 s, 0.15 s with --json, at each of these
-        # n, they are priced at 30 (256 + 36) units each: 3.5M units.
-        _check_scan_cost(make_context(n, 1020), 21, 0, 400)
+    def test_400_structures_at_m_1020_are_admitted(self, n, capsys):
+        # Built and printed in about 0.1 s, and 0.2 s with --json.
+        grid = ",".join(["0"] + [f"z^{k}" for k in range(1000, 1020)])
+        for flags in ([], ["--json"]):
+            assert main(["--n", str(n), "--m", "1020", *flags, "scan", "--grid", grid]) == 0
+        assert capsys.readouterr().out.startswith("survivors 400\n")
 
     def test_listed_n2_structures_count_before_verification(self):
-        # The listed structures are counted before any is built: the
-        # (77 + 76) 76 listing lookups and the 76^2 diagonal structures fit
-        # (17.5M units), but with the 17 404 matrices with conj(A) A = I
-        # among 0 and the 76th roots of unity they do not.
-        ctx = make_context(2, 76)
-        cost = (6 * (77 + 76) * 76 + 30 * 17404) * 72
-        with pytest.raises(KernelError, match=f"costs {cost} units"):
-            scan_star_candidates(ctx)
+        # 0 and the 76th roots of unity: the 77^2 listing lookups and the
+        # 17 404 matrices with conj(A) A = I they find take more than one
+        # call's budget of work.
+        with metered(), pytest.raises(KernelError, match="units of work"):
+            scan_star_candidates(make_context(2, 76))
 
     # The same field element twice, written alike or differently (z^6 = -1
     # at m = 12, z = i at m = 4): every repeat multiplies the survivors.

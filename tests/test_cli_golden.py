@@ -17,6 +17,7 @@ otherwise rewrites ``golden_cli.json``, whose diff you then review.
 import io
 import json
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -66,8 +67,11 @@ def star_dir(tmp_path_factory):
 def test_cli_matches_golden(case, star_dir, monkeypatch):
     # argparse wraps usage to the terminal width.
     monkeypatch.setenv("COLUMNS", "80")
+    start = time.perf_counter()
     got = run_case(case["argv"], star_dir)
     assert got == {k: case[k] for k in ("stdout", "stderr", "exit")}
+    # A refusal comes after at most one call's budget of work.
+    assert case["exit"] != 2 or time.perf_counter() - start < 3
 
 
 def regenerate():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import generators
+from oracles import generators, metered
 from radford.algebra import Element, Monomial
 from radford import parser
 from radford.errors import ExprSyntaxError, KernelError
@@ -15,8 +15,6 @@ from radford.parser import (
     MAX_EXPR_DEPTH,
     Atom,
     Pow,
-    _digit_bound,
-    _expansion_bound,
     evaluate,
     format_element,
     format_scalar,
@@ -25,7 +23,7 @@ from radford.parser import (
     parse_scalar,
     parse_scalars,
 )
-from radford.scalars import MAX_COORDS, MAX_INPUT_DIGITS, make_context
+from radford.scalars import MAX_INPUT_DIGITS, FieldContext, make_context
 
 CTX3 = make_context(3)
 
@@ -174,16 +172,21 @@ class TestFormatting:
 
 
 class TestInputBudget:
+    # The input checks look at the text alone.  A long exponent is no
+    # input of that kind: 2^1001 and (1+z)^501 are a few squarings, well
+    # within one call's budget of work.
     @pytest.mark.parametrize("text", [
         "2^1000", "(1+z)^500", "1" * MAX_INPUT_DIGITS, "g^1000000001",
         "(" * MAX_EXPR_DEPTH + "x" + ")" * MAX_EXPR_DEPTH,
+        "2^1001", "(1+z)^501", "(g)^1001",
     ])
     def test_within_budget(self, text):
-        parse(text)
+        with metered():
+            parse_element(text, CTX3)
 
     @pytest.mark.parametrize("text", [
-        "2^1001", "(1+z)^501", "1" * (MAX_INPUT_DIGITS + 1),
-        "x^" + "9" * (MAX_INPUT_DIGITS + 1), "(g)^1001",
+        "1" * (MAX_INPUT_DIGITS + 1),
+        "x^" + "9" * (MAX_INPUT_DIGITS + 1),
         "(" * (MAX_EXPR_DEPTH + 1) + "x" + ")" * (MAX_EXPR_DEPTH + 1),
     ])
     def test_over_budget(self, text):
@@ -191,52 +194,48 @@ class TestInputBudget:
             parse(text)
 
     def test_nested_long_exponents_are_refused(self):
-        # The digit count of 100 nested powers of 1000-digit exponents
-        # runs far past 2^1024; the budget refuses it without building it.
+        # 100 nested powers of 1 with 1000-digit exponents parse, and each
+        # level takes some 5 000 products of 1 by 1: the work runs past one
+        # call's budget long before the last level.
         power = ")^" + "9" * MAX_INPUT_DIGITS
-        text = "(" * MAX_EXPR_DEPTH + "1" + power * MAX_EXPR_DEPTH
-        with pytest.raises(KernelError, match="input budget"):
-            parse(text)
+        tree = parse("(" * MAX_EXPR_DEPTH + "1" + power * MAX_EXPR_DEPTH)
+        with metered(), pytest.raises(KernelError, match="units of work"):
+            evaluate(tree, CTX3)
 
     def test_powers_of_atoms_stay_small(self):
         assert parse_element("g^1000000001", CTX3) \
             == Element.monomial(CTX3, 0, 0, 1000000001 % 3)
 
-    # The largest powers admitted at n = 255 (m = 1020, phi(m) = 256), the
-    # next ones up, and one below; the bound counts the term pairs
-    # square-and-multiply takes, phi(m) coordinates each.
+    # Powers at n = 255 (m = 1020, phi(m) = 256) on either side of one
+    # call's budget of work.
     @pytest.mark.parametrize("text, admitted", [
-        ("(x+y)^7", True), ("(x+y)^8", True), ("(x+y)^9", False),
-        ("(x+y+g)^4", True), ("(x+y+g)^5", True), ("(x+y+g)^6", False),
+        ("(x+y)^7", True), ("(x+y)^8", True), ("(x+y)^9", True),
+        ("(x+y)^50", True), ("(x+y)^51", False),
+        ("(x+y+g)^4", True), ("(x+y+g)^5", True), ("(x+y+g)^6", True),
+        ("(x+y+g)^13", True), ("(x+y+g)^14", False),
     ])
     def test_expansion_budget_at_the_cap(self, text, admitted):
         ctx = make_context(255)
-        if admitted:
-            assert parse_element(text, ctx).terms
-        else:
-            with pytest.raises(KernelError, match=f"above the limit {MAX_COORDS}"):
-                parse_element(text, ctx)
+        with metered():
+            if admitted:
+                assert parse_element(text, ctx).terms
+            else:
+                with pytest.raises(KernelError, match="units of work"):
+                    parse_element(text, ctx)
 
-    def test_grid_values_share_one_budget(self, monkeypatch):
-        # (2+z)^200 takes 9 term pairs of 256 coordinates, and its norm test
-        # (256 * 400)^2 / 1 600 000 for its digit bound of 400: 11 such
-        # values fit the budget and 12 do not, refused before any is
-        # evaluated.  Literals and powers of atoms take no product, and
-        # little for the test.
+    def test_grid_values_share_one_budget(self):
+        # Each (t+z)^200 at m = 1020 takes 9 products of up to 201
+        # coordinates: 12 of them fit one call's budget, and 400 do not.
         ctx = make_context(3, 1020)
-        text = "(2+z)^200"
-        assert _expansion_bound(parse(text), 3)[1] == 9
-        assert _digit_bound(parse(text)) == 400
-        assert parse_scalars([text] * 11 + ["-i"], ctx)[11] == -ctx.i()
-        assert parse_scalars([f"z^{k}" for k in range(990, 1020)], ctx) \
-            == [ctx.zeta(k) for k in range(990, 1020)]
-        assert len(parse_scalars([str(k) for k in range(1000)], ctx)) == 1000
-        monkeypatch.setattr(parser, "evaluate", None)
-        with pytest.raises(KernelError, match=(
-                "grid values and their norm tests expand to "
-                f"{12 * 9 * 256 + 12 * (256 * 400) ** 2 // 1_600_000} field "
-                f"coordinates of products, above the limit {MAX_COORDS}")):
-            parse_scalars([text] * 12, ctx)
+        with metered():
+            values = parse_scalars([f"({t}+z)^200" for t in range(2, 14)] + ["-i"], ctx)
+        assert values[0] == (2 + ctx.zeta()) ** 200 and values[12] == -ctx.i()
+        with metered():
+            assert parse_scalars([f"z^{k}" for k in range(990, 1020)], ctx) \
+                == [ctx.zeta(k) for k in range(990, 1020)]
+            assert len(parse_scalars([str(k) for k in range(1000)], ctx)) == 1000
+        with metered(), pytest.raises(KernelError, match="units of work"):
+            parse_scalars([f"({t}+z)^200" for t in range(2, 402)], ctx)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_powers_of_atoms_take_no_product(self, n, monkeypatch):
@@ -252,20 +251,6 @@ class TestInputBudget:
         monkeypatch.setattr(type(ctx), "_mul_nums", None)
         for (a, k), value in want.items():
             assert evaluate(Pow(Atom(a), k), ctx) == value
-            assert _expansion_bound(parse(f"{a}^{k}"), n)[1] == 0
-
-    def test_expansion_bound_counts_terms_and_exponents(self):
-        # (terms, r, s, l): a scalar is one term however it is written;
-        # (x+y)^k has at most 2^k terms and at most (r+1)(s+1), and y^n = 0
-        # caps each exponent at n - 1.
-        def bound(text, n):
-            return _expansion_bound(parse(text), n)[0]
-
-        assert bound("(1+z+z^2)^9", 3) == (1, 0, 0, 0)
-        assert bound("(x+y)^2", 5) == (4, 2, 2, 0)
-        assert bound("(x+y)^4", 5) == (16, 4, 4, 0)
-        assert bound("(x+y)^8", 5) == (25, 4, 4, 0)
-        assert bound("y^7*g*x", 3) == (1, 2, 1, 1)
 
 
 @contextmanager
@@ -342,26 +327,39 @@ def sums(draw, ctx, depth):
 
 
 class TestEvaluation:
-    # Values that stay one nonzero term on the way, so the bound's term
-    # counts are exact and it charges exactly the pairs evaluate takes.
+    # Each scalar product is charged its fixed part, 36 + 3 phi(m) units,
+    # and at least one unit per pair of nonzero coordinates it multiplies;
+    # the same evaluation is charged the same again.
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("text", [
         "(2+z)^200", "-(1+i)^5*(3-w)^2 + z", "((1+z)^3 - z)^4*(1/2 - w)^0",
         "2*(i - 3/4*z)^13 - w^2*(1+z)^2",
     ])
-    def test_budget_charges_the_pairs_taken_on_scalars(self, n, text):
+    def test_budget_charges_the_pairs_taken_on_scalars(self, n, text, monkeypatch):
         ctx = make_context(n)
-        with counted_pairs() as taken:
-            parse_element(text, ctx)
-        assert _expansion_bound(parse(text), n)[1] == taken[0]
+        pairs, mul_nums = [], FieldContext._mul_nums
 
+        def counting(self, n1, d1, n2, d2):
+            pairs.append((len(n1) - n1.count(0)) * (len(n2) - n2.count(0)))
+            return mul_nums(self, n1, d1, n2, d2)
+
+        monkeypatch.setattr(FieldContext, "_mul_nums", counting)
+        with metered() as meter:
+            parse_element(text, ctx)
+        spent = meter.spent
+        assert spent >= sum(36 + 3 * ctx.degree + p for p in pairs)
+        with metered() as meter:
+            parse_element(text, ctx)
+        assert meter.spent == spent
+
+    # An element product is charged 20 units per term pair, vanishing or not.
     @pytest.mark.parametrize("text", [
         "(x+y+g)^4", "(1+x)^3*(y-g)^2", "x*y*g - (g+1)^5", "(x - 2*y^2)^3*g^2",
     ])
     def test_budget_covers_the_pairs_taken_on_elements(self, text):
-        with counted_pairs() as taken:
+        with counted_pairs() as taken, metered() as meter:
             parse_element(text, CTX3)
-        assert _expansion_bound(parse(text), 3)[1] >= taken[0] > 0
+        assert meter.spent >= 20 * taken[0] > 0
 
     # Random trees against a value multiplied out on the test side, with
     # no square-and-multiply and no shared tree walk.
@@ -371,6 +369,4 @@ class TestEvaluation:
     def test_evaluate_matches_naive_products(self, n, data):
         ctx = make_context(n)
         text, value = data.draw(sums(ctx, 1))
-        with counted_pairs() as taken:
-            assert parse_element(text, ctx) == value, text
-        assert _expansion_bound(parse(text), n)[1] >= taken[0]
+        assert parse_element(text, ctx) == value, text

@@ -57,11 +57,11 @@ def test_cli_import_skips_heavy_modules_and_loads_every_layer():
     (["--n", "3", "--json", "normalize", "x"],
      {"coalgebra", "star", "solver", "classify"}),
     (["--n", "5", "verify", "hopf"], {"solver", "classify", "parser", "jsonio"}),
-    (["--n", "3", "scan", "--grid", "0,1"], {"solver", "jsonio"}),
+    (["--n", "3", "scan", "--grid", "0,1"], {"coalgebra", "solver", "jsonio"}),
     (["--n", "4", "antipode-order"],
      {"star", "solver", "classify", "parser", "jsonio"}),
     (["--n", "4", "equiv", "diag", "--alpha", "w", "--beta", "-1"],
-     {"solver", "jsonio"}),
+     {"coalgebra", "solver", "jsonio"}),
 ])
 def test_command_runs_only_the_layers_it_reaches(argv, untouched):
     code = ("import sys\n"
