@@ -43,6 +43,8 @@ class Token(NamedTuple):
 
 _NAMES = set("gxyiwz")
 _OPS = set("+-*^()/")
+# ASCII only: str.isdigit also holds for superscripts and other scripts' digits.
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text):
@@ -60,10 +62,10 @@ def _tokenize(text):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
             startcol = col
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i] in _DIGITS:
                 i += 1
                 col += 1
             if i - start > MAX_INPUT_DIGITS:

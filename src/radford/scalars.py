@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import compress
 
 from .errors import ContextMismatchError, KernelError
 
-# Largest conductor make_context accepts.  A context holds a table of
-# about m * phi(m) integers and every product costs phi(m)^2 operations,
-# so an oversized --n or --m is refused up front instead of hanging.
+# Largest conductor make_context accepts.  A context holds the nonzero
+# coordinates of zeta^k for k < m (at most 16 952 of them, at m = 924) and
+# every product costs phi(m)^2 operations, so an oversized --n or --m is
+# refused up front instead of hanging.
 MAX_CONDUCTOR = 1024
 
 # Most digits an input number may take, written as a fraction p/q: an
@@ -52,14 +52,18 @@ MAX_INPUT_DIGITS = 1000
 # 3.11, 2-core shared VM:
 #
 #   FieldContext._mul_nums: 60 + 3 phi(m) + (pairs + folds) (s1 s2)^0.79,
+#     a fold being a nonzero of a row zeta^k walked (``FieldContext._walk``),
 #     and 4 s1 s2 per coordinate over a denominator
 #     dense x dense, phi(m) = 256              71 386 units   5.4 ms   75 ns
 #   CyclotomicScalar.__add__: 40 + phi(m) + s per nonzero coordinate,
 #     4 s^2 over a denominator
 #     dense + dense, phi(m) = 256                 552 units    53 us   97 ns
-#   CyclotomicScalar.conjugate: 20 + phi(m) per nonzero coordinate, and
-#     4 s^2 per one over a denominator
-#     zeta^7, phi(m) = 48                          68 units   7.6 us  111 ns
+#   CyclotomicScalar.conjugate and .embed: 20 + phi(m) + the image's phi(m),
+#     4 s^2 per nonzero coordinate over a denominator, and s per nonzero of
+#     the rows zeta^k walked
+#     conjugate zeta^7, phi(m) = 48               118 units   5.5 us   47 ns
+#     conjugate dense, phi(m) = 256             6 456 units  0.32 ms   49 ns
+#     embed dense, m = 12 into m = 1020           284 units   5.1 us   18 ns
 #   CyclotomicScalar.coord_texts: 40 + 6 phi(m) + s^2 / 2 per nonzero
 #     coordinate, and 20 + 3 phi(m) more in ``jsonio.scalar_to_json``
 #     `--n 3 --m 132 scan`, 17 424 printed    11 524 811 units   0.52 s   45 ns
@@ -191,36 +195,29 @@ class FieldContext:
         self.omega_exponent = m // n
         self.i_exponent = m // 4
         d = self.degree
-        # zeta^k in the power basis for 0 <= k <= max(2d-2, m); integer
-        # coordinates because Phi_m is monic over Z.
-        top = [-c for c in self.phi_m[:d]]
-        pows = [[0] * d for _ in range(max(2 * d - 1, m + 1))]
-        for k in range(len(pows)):
-            if k < d:
-                pows[k][k] = 1
-            else:
-                prev = pows[k - 1]
-                carry = prev[d - 1]
-                row = [0] + prev[: d - 1]
-                if carry:
-                    for j in range(d):
-                        row[j] += carry * top[j]
-                pows[k] = row
-        self._zeta_pow = tuple(tuple(row) for row in pows)
-        # The nonzero coordinates of zeta^k, d <= k <= 2d - 2: what a
-        # product's coefficient of zeta^k folds into the power basis.
-        self._folds = tuple(tuple((j, v) for j, v in enumerate(row) if v)
-                            for row in pows[d:2 * d - 1])
-        self._fold_sizes = tuple(map(len, self._folds))
-        if self._zeta_pow[m] != self._zeta_pow[0]:
+        # zeta^k for 0 <= k < m as its nonzero coordinates (j, v) in the
+        # power basis: each row is zeta times the one before, its coefficient
+        # of zeta^d folded back by zeta^d = X^d - Phi_m.  Integral because
+        # Phi_m is monic; the rows cover a product's powers, 2d - 2 < m.
+        top = [(j, -c) for j, c in enumerate(self.phi_m[:d]) if c]
+        rows = [((k, 1),) for k in range(d)]
+        while len(rows) <= m:
+            row = {j + 1: v for j, v in rows[-1]}
+            carry = row.pop(d, 0)
+            if carry:
+                for j, t in top:
+                    row[j] = row.get(j, 0) + carry * t
+            rows.append(tuple((j, v) for j, v in row.items() if v))
+        if rows.pop() != rows[0]:
             raise AssertionError(f"zeta^{m} != 1 in context m={m}")
+        self._rows = tuple(rows)
         self._zeta_index = None
         self._omega_pows = None
         # i^2 = -1 and omega has order exactly n; cheap one-time checks.
-        if self.zeta(2 * self.i_exponent) != self.from_int(-1):
+        if rows[2 * self.i_exponent] != ((0, -1),):
             raise AssertionError(f"zeta^{self.i_exponent} does not square to -1")
         for k in range(1, n):
-            if self.zeta(self.omega_exponent * k) == self.one:
+            if rows[self.omega_exponent * k] == rows[0]:
                 raise AssertionError(f"omega has order below n={n}")
 
     def __repr__(self):
@@ -235,11 +232,13 @@ class FieldContext:
 
     @property
     def one(self):
-        return self.zeta(0)
+        return self.from_int(1)
 
     def zeta(self, k=1):
         """zeta_m^k as a scalar."""
-        return CyclotomicScalar(self, self._zeta_pow[k % self.m], 1)
+        out = [0] * self.degree
+        self._walk(out, ((k % self.m, 1),))
+        return CyclotomicScalar(self, out)
 
     def omega(self, k=1):
         """omega^k where omega = zeta^(m/n) has multiplicative order n."""
@@ -281,16 +280,32 @@ class FieldContext:
         if a.den != 1:
             return None
         if self._zeta_index is None:
-            self._zeta_index = {self._zeta_pow[k]: k for k in range(self.m)}
+            self._zeta_index = {self.zeta(k).num: k for k in range(self.m)}
         return self._zeta_index.get(a.num)
+
+    def _walk(self, out, terms, weight=0):
+        """Add v zeta^k into the coordinate list ``out`` for each pair (k, v)
+        of ``terms``, -m <= k < m, through the nonzeros of the rows zeta^k,
+        each charged ``weight``; return how many it walked.  The one loop
+        over the rows."""
+        rows, walked = self._rows, 0
+        for k, _ in terms:
+            walked += len(rows[k])
+        if weight and walked:
+            _meter.charge(weight * walked)
+        for k, v in terms:
+            for j, c in rows[k]:
+                out[j] += v * c
+        return walked
 
     def _mul_nums(self, n1, d1, n2, d2):
         d = self.degree
         a = [(i, v) for i, v in enumerate(n1) if v]
         b = [(j, v) for j, v in enumerate(n2) if v]
-        # Charged as MAX_WORK says: each nonzero pair, then each fold of a
-        # coefficient past zeta^(d-1), weighs a product of the factors'
-        # integers, and each coordinate over a denominator its gcd.
+        # Charged as MAX_WORK says: each nonzero pair, then each nonzero of
+        # the rows a coefficient past zeta^(d-1) folds through, weighs a
+        # product of the factors' integers, and each coordinate over a
+        # denominator its gcd.
         s = _size([v for _, v in a], d1) * _size([v for _, v in b], d2)
         w = s ** 0.79 if s > 1 else 1
         _meter.charge(60 + 3 * d + len(a) * len(b) * w)
@@ -298,30 +313,12 @@ class FieldContext:
         for i, x in a:
             for j, y in b:
                 conv[i + j] += x * y
-        out, high = conv[:d], conv[d:]
-        folds = sum(compress(self._fold_sizes, high))
-        gcds = 4 * min(d, d - out.count(0) + folds) * s if d1 * d2 != 1 else 0
-        if folds or gcds:
-            _meter.charge(folds * w + gcds)
-        for c, fold in zip(high, self._folds):
-            if c:
-                for j, v in fold:
-                    out[j] += c * v
-        return _normalize(out, d1 * d2)
-
-
-def _normalize(num, den):
-    if den < 0:
-        den = -den
-        num = [-v for v in num]
-    g = den
-    for v in num:
-        if v:
-            g = math.gcd(g, v)
-    if g > 1:
-        den //= g
-        num = [v // g for v in num]
-    return tuple(num), den
+        out, den = conv[:d], d1 * d2
+        nonzero = d - out.count(0) if den != 1 else 0
+        folds = self._walk(out, [(k, c) for k, c in enumerate(conv[d:], d) if c], w)
+        if den != 1:
+            _meter.charge(4 * min(d, nonzero + folds) * s)
+        return out, den
 
 
 def _power(base, k, mul, one):
@@ -344,14 +341,16 @@ class CyclotomicScalar:
     __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx, num, den=1):
-        # num entries are ints; with den = 1 the vector is already canonical.
+        # num entries are ints; with den = 1 the vector is already canonical,
+        # else it is brought to lowest terms over a positive denominator.
         if den != 1:
-            num, den = _normalize(list(num), den)
-        else:
-            num = tuple(num)
-        self.ctx = ctx
-        self.num = num
-        self.den = den
+            if den < 0:
+                den, num = -den, [-v for v in num]
+            g = math.gcd(den, *num)
+            if g > 1:
+                den //= g
+                num = [v // g for v in num]
+        self.ctx, self.num, self.den = ctx, tuple(num), den
 
     # -- value protocol ----------------------------------------------------
 
@@ -449,10 +448,8 @@ class CyclotomicScalar:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        num, den = self.ctx._mul_nums(self.num, self.den, other.num, other.den)
-        s = CyclotomicScalar.__new__(CyclotomicScalar)
-        s.ctx, s.num, s.den = self.ctx, num, den
-        return s
+        return CyclotomicScalar(
+            self.ctx, *self.ctx._mul_nums(self.num, self.den, other.num, other.den))
 
     __rmul__ = __mul__
 
@@ -481,11 +478,10 @@ class CyclotomicScalar:
             r0, r1 = r1, r
         if not r1:
             raise ZeroDivisionError("scalar shares a factor with Phi_m")
-        g = r1[0]
-        inv = [c / g for c in u1]
-        _, rem = _poly_divmod(inv, phi)
-        rem = rem + [0] * (self.ctx.degree - len(rem))
-        return self.ctx.from_coords(rem)
+        # No reduction mod Phi_m: deg u1 = phi(m) - deg r0, and r0, the
+        # remainder before the constant r1, is not constant.
+        inv = [c / r1[0] for c in u1]
+        return self.ctx.from_coords(inv + [0] * (self.ctx.degree - len(inv)))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -498,21 +494,7 @@ class CyclotomicScalar:
 
     def conjugate(self):
         """Complex conjugation, the field automorphism zeta -> zeta^(m-1)."""
-        ctx = self.ctx
-        d = ctx.degree
-        m = ctx.m
-        # A row of d coordinates per nonzero one, and a denominator's gcds.
-        nonzero = d - self.num.count(0)
-        _meter.charge(20 + d * nonzero
-                      + (self.den != 1) * 4 * nonzero * _size(self.num, self.den) ** 2)
-        out = [0] * d
-        for j, v in enumerate(self.num):
-            if v:
-                row = ctx._zeta_pow[(m - j) % m]
-                for t in range(d):
-                    if row[t]:
-                        out[t] += v * row[t]
-        return CyclotomicScalar(ctx, out, self.den)
+        return self._substitute(self.ctx, -1)
 
     def is_norm_one(self):
         """Whether a * conj(a) = 1, the exact form of |a| = 1."""
@@ -527,15 +509,20 @@ class CyclotomicScalar:
             raise ContextMismatchError(
                 f"cannot embed m={ctx.m} scalars into {big_ctx}"
             )
-        step = big_ctx.m // ctx.m
-        out = [0] * big_ctx.degree
-        for j, v in enumerate(self.num):
-            if v:
-                row = big_ctx._zeta_pow[j * step]
-                for t in range(big_ctx.degree):
-                    if row[t]:
-                        out[t] += v * row[t]
-        return CyclotomicScalar(big_ctx, out, self.den)
+        return self._substitute(big_ctx, big_ctx.m // ctx.m)
+
+    def _substitute(self, ctx, step):
+        """The sum of v zeta^(step j) in ``ctx`` over this scalar's
+        coordinates v of zeta^j: its image under zeta -> zeta^step."""
+        num, den = self.num, self.den
+        s = _size(num, den)
+        terms = [(j * step, v) for j, v in enumerate(num) if v]
+        # A pass over the coordinates, one over the image's, a denominator's
+        # gcds, then the nonzeros walked, each weighed by the coordinates' size.
+        _meter.charge(20 + len(num) + ctx.degree + (den != 1) * 4 * len(terms) * s * s)
+        out = [0] * ctx.degree
+        ctx._walk(out, terms, s)
+        return CyclotomicScalar(ctx, out, den)
 
 
 def _poly_divmod(num, den):

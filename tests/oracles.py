@@ -15,7 +15,9 @@ kernel's closed formulas.  The scan oracle runs a prescreen and the
 verifier on every grid⁶ candidate pair, where the kernel lists only the
 paper's family among them.  The cyclotomic polynomial oracle divides
 X^m - 1 by Phi_d for every proper divisor d of m, where the kernel takes
-the Moebius product.  The q-binomial oracle builds the top row
+the Moebius product.  The power oracle reduces each X^k mod Phi_m by
+that division, where the kernel keeps the nonzeros of zeta^k in a
+sparse table.  The q-binomial oracle builds the top row
 C(n-1, .)_q from the q-Pascal recurrence, where the kernel writes it in
 closed form.  The group-like oracle expands D(e) = e (x) e for any e,
 where the kernel accepts only a single term g^l.  The Hopf oracle takes
@@ -72,6 +74,18 @@ def cyclotomic_division_oracle(m, _cache={}):
                 assert not rem, f"Phi_{d} does not divide X^{m} - 1"
         _cache[m] = tuple(poly)
     return _cache[m]
+
+
+def power_oracle(m):
+    """X^k mod Phi_m for 0 <= k < m, each as phi(m) ascending integers: the
+    remainder of X times the one before by long division with Phi_m."""
+    phi = cyclotomic_division_oracle(m)
+    d = len(phi) - 1
+    rows, rem = [], [1]
+    for _ in range(m):
+        rows.append(tuple(rem) + (0,) * (d - len(rem)))
+        _, rem = _poly_divmod([0] + rem, phi)
+    return rows
 
 
 def basis(ctx):

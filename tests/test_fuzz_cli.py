@@ -50,7 +50,7 @@ grammar_exprs = st.recursive(atoms, lambda inner: st.one_of(
     .map(lambda t: f"{t[0]}^{t[1]}"),
     inner.map(lambda e: f"-{e}"),
 ), max_leaves=8)
-junk_exprs = st.text(alphabet="gxyiwz0123456789+-*^()/ .q", max_size=20)
+junk_exprs = st.text(alphabet="gxyiwz0123456789+-*^()/ .q\u00b2\u0663\uff11", max_size=20)
 exprs = st.one_of(grammar_exprs, junk_exprs)
 
 contexts = st.one_of(

@@ -59,9 +59,13 @@ class TestGrammar:
             parse("1/0")
 
     def test_unknown_character_with_position(self):
-        with pytest.raises(ExprSyntaxError) as err:
-            parse("x + q")
-        assert err.value.column == 5
+        # Digits are ASCII: a superscript, an Arabic-Indic or a fullwidth
+        # digit is an unknown character, not a number.
+        for text, column in (("x + q", 5), ("x^\u00b2", 3), ("x + \u00b9", 5),
+                             ("\u0663*x", 1), ("1\uff11", 2)):
+            with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+                parse(text)
+            assert err.value.column == column
 
     def test_nilpotent_power_evaluates_to_zero(self):
         assert parse_element("x^3", CTX3).is_zero

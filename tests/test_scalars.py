@@ -10,7 +10,7 @@ from radford.errors import ContextMismatchError, KernelError
 from radford.scalars import MAX_CONDUCTOR, FieldContext, \
     _cyclotomic_poly, make_context
 
-from oracles import cyclotomic_division_oracle
+from oracles import cyclotomic_division_oracle, power_oracle
 
 
 def small_fractions():
@@ -64,6 +64,25 @@ class TestContext:
         assert len(ctx._zeta_index) == 12
         assert ctx.zeta_log(ctx.from_int(2)) is None
         assert ctx.zeta_log(ctx.one + ctx.i()) is None
+
+    # The table of zeta^k, read through zeta, the product's fold, conjugate
+    # and embed, at every k < m, up to the largest conductors.
+    @pytest.mark.parametrize("n, m", [(3, 12), (5, 20), (3, 132), (3, 1020), (4, 1024)])
+    def test_zeta_powers_match_long_division(self, n, m):
+        ctx = make_context(n, m)
+        for k, row in enumerate(power_oracle(m)):
+            z = ctx.zeta(k)
+            assert (z.num, z.den) == (row, 1)
+            assert z.conjugate() == ctx.zeta(-k)
+        # Products of two powers below phi(m) fold X^(a+b) back to the basis.
+        d = ctx.degree
+        assert all(ctx.zeta(a) * ctx.zeta(b) == ctx.zeta(a + b)
+                   for a in (0, 1, d // 2, d - 1) for b in (d // 2 + 1, d - 1))
+
+    def test_table_at_1024_holds_one_entry_per_power(self):
+        # Phi_1024 = X^512 + 1, so each zeta^k is plus or minus one basis vector.
+        ctx = make_context(4, 1024)
+        assert sum(map(len, ctx._rows)) == 1024
 
     def test_rejects_small_n(self):
         with pytest.raises(KernelError):
@@ -245,6 +264,10 @@ class TestEmbedding:
     def test_embedding_preserves_zeta(self):
         big = make_context(3, 24)
         assert CTX3.zeta(1).embed(big) == big.zeta(2)
+        big = make_context(3, 1020)
+        for k in range(12):
+            assert CTX3.zeta(k).embed(big) == big.zeta(85 * k)
+            assert (CTX3.zeta(k) / 2).embed(big) == big.zeta(85 * k) / 2
 
     def test_embed_rejects_non_multiple(self):
         with pytest.raises(ContextMismatchError):
