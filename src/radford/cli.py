@@ -235,9 +235,9 @@ def _leaf(func, *options):
         leaf = argparse.ArgumentParser(prog=prog)
         leaf.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                           help="emit JSON instead of text")
-        leaf.add_argument("--n", type=int, default=argparse.SUPPRESS,
+        leaf.add_argument("--n", type=_integer, default=argparse.SUPPRESS,
                           help="order of the root of unity (required)")
-        leaf.add_argument("--m", type=int, default=argparse.SUPPRESS,
+        leaf.add_argument("--m", type=_integer, default=argparse.SUPPRESS,
                           help="conductor, a multiple of lcm(4, n)")
         leaf.set_defaults(func=func)
         for args, kwargs in options:
@@ -259,13 +259,25 @@ def _opt(*args, **kwargs):
     return args, kwargs
 
 
+def _integer(text):
+    """The int spelled by ``text``: ASCII digits after an optional '-'.
+    int() alone also reads other Unicode digits, '_', '+' and spaces."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's limit on digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="radford",
         description="Exact kernel for the Radford Hopf algebra H_n",
     )
-    top.add_argument("--n", type=int, help="order of the root of unity (required)")
-    top.add_argument("--m", type=int, default=None,
+    top.add_argument("--n", type=_integer, help="order of the root of unity (required)")
+    top.add_argument("--m", type=_integer, default=None,
                      help="conductor, a multiple of lcm(4, n)")
     top.add_argument("--json", action="store_true", default=False,
                      help="emit JSON instead of text")
@@ -290,7 +302,7 @@ def build_parser():
         }),
         "solve": _group({
             "skew": _leaf(_cmd_solve_skew, _opt(
-                "--w", type=int, required=True,
+                "--w", type=_integer, required=True,
                 help="group-like exponent in D(h) = h(x)g^w + 1(x)h")),
         }),
         "grouplike": _leaf(_cmd_grouplike, expr),

@@ -17,9 +17,8 @@ denominator (Phi_m is monic over Z, so reduction never leaves that form).
 Rationals cross the boundary as integers: a scalar compares and combines
 with ints, is built from anything with ``numerator`` and ``denominator``
 (an int, a Fraction, a parsed literal), and prints its coordinates as
-``p`` or ``p/q`` (``coord_texts``).  Only ``inverse`` of an irrational
-scalar and the ``coords`` view use ``fractions``, which loads ``decimal``
-and ``numbers`` with it.
+``p`` or ``p/q`` (``coord_texts``).  Only the ``coords`` view uses
+``fractions``, which loads ``decimal`` and ``numbers`` with it.
 """
 
 from __future__ import annotations
@@ -64,6 +63,8 @@ MAX_INPUT_DIGITS = 1000
 #     conjugate zeta^7, phi(m) = 48               118 units   5.5 us   47 ns
 #     conjugate dense, phi(m) = 256             6 456 units  0.32 ms   49 ns
 #     embed dense, m = 12 into m = 1020           284 units   5.1 us   18 ns
+#   CyclotomicScalar.inverse: its conjugates and products, as above
+#     inverse dense, phi(m) = 96              837 627 units   56 ms    66 ns
 #   CyclotomicScalar.coord_texts: 40 + 6 phi(m) + s^2 / 2 per nonzero
 #     coordinate, and 20 + 3 phi(m) more in ``jsonio.scalar_to_json``
 #     `--n 3 --m 132 scan`, 17 424 printed    11 524 811 units   0.52 s   45 ns
@@ -106,13 +107,6 @@ _meter = _Meter()
 def _size(num, den):
     """1 + the whole 128-bit words of the largest of den and |v| for v in num."""
     return 1 + (max(den, max(map(abs, num), default=0)).bit_length() >> 7)
-
-
-def _poly_trim(coeffs):
-    i = len(coeffs)
-    while i > 0 and coeffs[i - 1] == 0:
-        i -= 1
-    return coeffs[:i]
 
 
 def _mobius(k):
@@ -285,7 +279,7 @@ class FieldContext:
 
     def _walk(self, out, terms, weight=0):
         """Add v zeta^k into the coordinate list ``out`` for each pair (k, v)
-        of ``terms``, -m <= k < m, through the nonzeros of the rows zeta^k,
+        of ``terms``, 0 <= k < m, through the nonzeros of the rows zeta^k,
         each charged ``weight``; return how many it walked.  The one loop
         over the rows."""
         rows, walked = self._rows, 0
@@ -459,29 +453,23 @@ class CyclotomicScalar:
         return _power(self, k, operator.mul, self.ctx.one)
 
     def inverse(self):
-        """Multiplicative inverse: q/p of a rational p/q, else via the
-        extended gcd with Phi_m."""
+        """Multiplicative inverse: q/p of a rational p/q, else c / N(a), where
+        c is the product of the conjugates sigma_k(a), zeta -> zeta^k, over
+        1 < k < m coprime to m, and the norm N(a) = a c is a nonzero
+        rational (Washington, Introduction to Cyclotomic Fields, Ch. 2).
+        sigma_k and sigma_-k pair up: c = conj(a) times the sigma_k(b), 1 < k
+        < m/2, of the real b = a conj(a)."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero scalar")
         if not any(self.num[1:]):
             return CyclotomicScalar(self.ctx, (self.den,) + self.num[1:], self.num[0])
-        from fractions import Fraction
-
-        phi = [Fraction(c) for c in self.ctx.phi_m]
-        a = [Fraction(v, self.den) for v in self.num]
-        # Extended Euclid tracking the cofactor of a only: u*a = g mod Phi_m.
-        r0, r1 = phi, _poly_trim(a)
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            u0, u1 = u1, _poly_sub_frac(u0, _poly_mul_frac(q, u1))
-            r0, r1 = r1, r
-        if not r1:
-            raise ZeroDivisionError("scalar shares a factor with Phi_m")
-        # No reduction mod Phi_m: deg u1 = phi(m) - deg r0, and r0, the
-        # remainder before the constant r1, is not constant.
-        inv = [c / r1[0] for c in u1]
-        return self.ctx.from_coords(inv + [0] * (self.ctx.degree - len(inv)))
+        ctx, c = self.ctx, self.conjugate()
+        b = self * c
+        for k in range(3, ctx.m // 2, 2):
+            if math.gcd(k, ctx.m) == 1:
+                c *= b._substitute(ctx, k)
+        norm = self * c
+        return c * CyclotomicScalar(ctx, (norm.den,) + norm.num[1:], norm.num[0])
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -516,7 +504,7 @@ class CyclotomicScalar:
         coordinates v of zeta^j: its image under zeta -> zeta^step."""
         num, den = self.num, self.den
         s = _size(num, den)
-        terms = [(j * step, v) for j, v in enumerate(num) if v]
+        terms = [(j * step % ctx.m, v) for j, v in enumerate(num) if v]
         # A pass over the coordinates, one over the image's, a denominator's
         # gcds, then the nonzeros walked, each weighed by the coordinates' size.
         _meter.charge(20 + len(num) + ctx.degree + (den != 1) * 4 * len(terms) * s * s)
@@ -524,35 +512,3 @@ class CyclotomicScalar:
         ctx._walk(out, terms, s)
         return CyclotomicScalar(ctx, out, den)
 
-
-def _poly_divmod(num, den):
-    """(quotient, remainder); integer polynomials stay integral when den is monic."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[dd]
-    q = [0] * max(len(num) - dd, 1)
-    for k in range(len(num) - 1, dd - 1, -1):
-        if num[k]:
-            c = num[k] if lead == 1 else num[k] / lead
-            q[k - dd] = c
-            for j in range(dd + 1):
-                num[k - dd + j] -= c * den[j]
-    return _poly_trim(q), _poly_trim(num)
-
-
-def _poly_mul_frac(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub_frac(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _poly_trim(out)

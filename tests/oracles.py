@@ -41,11 +41,13 @@ which no kernel path calls), ``word_of_monomial`` for the rewriting
 oracle, report lookups by check name, ``x_primitive_delta`` and
 ``inject_coproduct`` for negative fixtures, ``count_calls`` for spies,
 ``metered`` to run library code under the work budget of one call,
-``tensor_from_json`` for round trips, ``load_schema``, and
+``tensor_from_json`` for round trips, ``load_schema``, ``dense_scalar``
+for seeded scalars with every coordinate nonzero, and
 ``verify_equivalence`` (the kernel's check that a given automorphism
 carries one star to another, which no command runs).
 """
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -59,9 +61,31 @@ from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map
 from radford.errors import KernelError
 from radford.jsonio import _mono_from_json, _term_objects, context_from_json, \
     context_to_json, scalar_from_json, scalar_to_json, star_to_json
-from radford.scalars import MAX_WORK, _meter, _poly_divmod
+from radford.scalars import MAX_WORK, _meter
 from radford.solver import _nullspace_from_rows
 from radford.star import GeneratorMap, require_star, verify_star_axioms
+
+
+def _poly_divmod(num, den):
+    """(quotient, remainder) of integer polynomials, ascending, by a monic
+    ``den``; ``num`` has no trailing zeros, and neither has the remainder."""
+    assert den[-1] == 1
+    num, dd = list(num), len(den) - 1
+    q = [0] * max(len(num) - dd, 0)
+    for k in range(len(num) - 1, dd - 1, -1):
+        c = q[k - dd] = num[k]
+        for j in range(dd + 1):
+            num[k - dd + j] -= c * den[j]
+    rem = num[:dd]
+    while rem and not rem[-1]:
+        rem.pop()
+    return q, rem
+
+
+def dense_scalar(ctx, seed):
+    """A scalar whose phi(m) coordinates are each 1 or -1, drawn from ``seed``."""
+    rng = random.Random(seed)
+    return ctx.from_coords([rng.choice((-1, 1)) for _ in range(ctx.degree)])
 
 
 def cyclotomic_division_oracle(m, _cache={}):

@@ -9,8 +9,8 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from oracles import generators, load_schema, n2_polarization_oracle, n2_search_oracle, \
-    star_json, tensor_from_json, verify_equivalence
+from oracles import dense_scalar, generators, load_schema, n2_polarization_oracle, \
+    n2_search_oracle, star_json, tensor_from_json, verify_equivalence
 from radford import coalgebra, jsonio
 from radford.algebra import Element, Monomial
 from radford.classify import make_automorphism
@@ -536,6 +536,33 @@ class TestCommands:
         assert n2_search_oracle(st_a, st_b)
         assert n2_polarization_oracle(st_a, st_b)
 
+    # diag(u, u) with u = w / conj(w) for a dense w is a star of the family,
+    # and its witness inverts det L_B, a dense scalar of the whole field:
+    # within the budget at m = 420, past it at m = 1020.
+    @pytest.mark.parametrize("m, rc, seconds", [(420, 0, 5), (1020, 2, 3)])
+    def test_equiv_n2_dense_star(self, m, rc, seconds, tmp_path):
+        ctx = make_context(2, m)
+        w = dense_scalar(ctx, m)
+        u = w * w.conjugate().inverse()
+        stars = (make_star_diag(ctx, ctx.one, ctx.one), make_star_matrix(
+            ctx, (u, ctx.zero, ctx.zero, u)))
+        paths = [tmp_path / f"{name}.json" for name in "ab"]
+        for path, st in zip(paths, stars):
+            path.write_text(json.dumps(star_json(st, "matrix2")))
+        start = time.perf_counter()
+        p = run_cli("--n", "2", "--m", str(m), "--json", "equiv", "n2",
+                    "--a", str(paths[0]), "--b", str(paths[1]), timeout=60)
+        assert time.perf_counter() - start < seconds
+        assert p.returncode == rc, p.stderr
+        if rc:
+            assert (p.stdout, p.stderr) == ("", WORK_REFUSAL)
+            return
+        obj = json.loads(p.stdout)
+        validate(obj, "equivalence_result")
+        phi = make_automorphism(ctx, tuple(
+            jsonio.scalar_from_json(ctx, c) for c in obj["witness"]["lambda"]))
+        assert verify_equivalence(phi, *stars)
+
     def test_equiv_n2_at_n3(self, star_files):
         # Any two star files at any n; x* = 2x is no star and is refused.
         diag3, bad_raw = (str(star_files / name) for name in ("diag3.json", "bad_raw.json"))
@@ -896,6 +923,19 @@ USAGE_CASES = [
      "radford verify: error: the following arguments are required: subcommand\n"),
     (["--n", "3", "--m", "x", "normalize", "x"], 2, "",
      TOP_USAGE + "radford: error: argument --m: invalid int value: 'x'\n"),
+    # Only ASCII digits after an optional '-', where int() reads other
+    # Unicode digits, '_' and spaces too.
+    (["--n", "٣", "--m", "١٢", "normalize", "x"], 2, "",
+     TOP_USAGE + "radford: error: argument --n: invalid int value: '٣'\n"),
+    (["--n", "1_0", "normalize", "x"], 2, "",
+     TOP_USAGE + "radford: error: argument --n: invalid int value: '1_0'\n"),
+    (["--n", " 3 ", "normalize", "x"], 2, "",
+     TOP_USAGE + "radford: error: argument --n: invalid int value: ' 3 '\n"),
+    (["--n", "3", "--m", "+12", "normalize", "x"], 2, "",
+     TOP_USAGE + "radford: error: argument --m: invalid int value: '+12'\n"),
+    (["--n", "3", "solve", "skew", "--w", "١"], 2, "",
+     "usage: radford solve skew [-h] [--json] [--n N] [--m M] --w W\n"
+     "radford solve skew: error: argument --w: invalid int value: '١'\n"),
     (["-h"], 0, TOP_USAGE + """
 Exact kernel for the Radford Hopf algebra H_n
 

@@ -10,7 +10,7 @@ from radford.errors import ContextMismatchError, KernelError
 from radford.scalars import MAX_CONDUCTOR, FieldContext, \
     _cyclotomic_poly, make_context
 
-from oracles import cyclotomic_division_oracle, power_oracle
+from oracles import cyclotomic_division_oracle, dense_scalar, power_oracle
 
 
 def small_fractions():
@@ -141,7 +141,7 @@ class TestArithmetic:
         assert a * inv == 1
         assert inv == (ctx.one - ctx.i()) * ctx.from_fraction(Fraction(1, 2))
 
-    # A rational is inverted as q/p; times zeta it goes through Euclid.
+    # A rational is inverted as q/p; times zeta it goes through the norm.
     @pytest.mark.parametrize("p, q", [(1, 1), (-1, 1), (4, 1), (-4, 1), (3, 5),
                                       (-3, 5), (1, 6), (-7, 2)])
     def test_rational_inverse_matches_euclid(self, p, q):
@@ -150,6 +150,18 @@ class TestArithmetic:
             z = ctx.zeta()
             assert a.inverse() == (a * z).inverse() * z == ctx.from_fraction(Fraction(q, p))
             assert a.inverse().den > 0
+
+    # Through the norm, a product of phi(m)/2 conjugates: a dense scalar w,
+    # the unit u = w / conj(w), and 1 + u, whose coordinates have hundreds of
+    # bits at m = 420.
+    @pytest.mark.parametrize("m", [132, 420])
+    def test_dense_inverse(self, m):
+        ctx = make_context(2, m)
+        w = dense_scalar(ctx, m)
+        u = w * w.conjugate().inverse()
+        assert u.is_norm_one()
+        for a in (w, u, 1 + u):
+            assert a * a.inverse() == 1
 
     def test_inverse_of_zero_reported(self):
         with pytest.raises(ZeroDivisionError):

@@ -72,14 +72,37 @@ def test_command_runs_only_the_layers_it_reaches(argv, untouched):
     assert not ran & untouched, sorted(ran & untouched)
 
 
+# Stars at n = 2, m = 4 as the coordinates of their matrices, row-major.
+N2_STARS = {"ident": [["1", "0"], ["0", "0"], ["0", "0"], ["1", "0"]],
+            "swap": [["0", "0"], ["0", "1"], ["0", "1"], ["0", "0"]],
+            "diag_i_1": [["0", "1"], ["0", "0"], ["0", "0"], ["1", "0"]]}
+
+
+def n2_star_files(tmp_path, argv):
+    """``argv`` with each name of N2_STARS replaced by the path of a
+    matrix2 file of that star."""
+    out = []
+    for arg in argv:
+        if arg in N2_STARS:
+            path = tmp_path / f"{arg}.json"
+            path.write_text(json.dumps(
+                {"kind": "matrix2", "context": {"n": 2, "m": 4}, "a": N2_STARS[arg]}))
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
 # Rationals cross the kernel's boundaries as integers, so these calls never
-# import `fractions`, which brings `decimal` and `numbers` with it.
+# import `fractions`, which brings `decimal` and `numbers` with it.  The
+# witness of the last inverts det L_B = 2 (1 - i), for B = diag(i, 1).
 @pytest.mark.parametrize("argv", [
     ["--n", "5", "verify", "hopf"],
     ["--n", "3", "--json", "normalize", "x"],
     ["--n", "3", "--json", "equiv", "diag", "--alpha", "w", "--beta", "-1"],
+    ["--n", "2", "equiv", "n2", "--a", "ident", "--b", "diag_i_1"],
 ])
-def test_command_leaves_fractions_unloaded(argv):
+def test_command_leaves_fractions_unloaded(argv, tmp_path):
+    argv = n2_star_files(tmp_path, argv)
     code = ("import sys\n"
             "import radford.cli\n"
             f"assert radford.cli.main({argv!r}) == 0\n"
@@ -90,14 +113,8 @@ def test_command_leaves_fractions_unloaded(argv):
 
 def test_equiv_n2_runs_no_solver(tmp_path):
     # The n = 2 witness is a closed form: no linear system is solved.
-    paths = []
-    for name, a in (("a", [["1", "0"], ["0", "0"], ["0", "0"], ["1", "0"]]),
-                    ("b", [["0", "0"], ["0", "1"], ["0", "1"], ["0", "0"]])):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(
-            {"kind": "matrix2", "context": {"n": 2, "m": 4}, "a": a}))
-        paths.append(str(path))
-    argv = ["--n", "2", "equiv", "n2", "--a", paths[0], "--b", paths[1]]
+    argv = n2_star_files(tmp_path, ["--n", "2", "equiv", "n2", "--a", "ident",
+                                    "--b", "swap"])
     code = ("import sys\n"
             "import radford.cli\n"
             f"assert radford.cli.main({argv!r}) == 0\n" + RAN)
