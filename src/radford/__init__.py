@@ -7,7 +7,8 @@ H_n exactly over Q(zeta_m), verifies every Hopf and star-structure
 axiom, writes down and re-verifies the structural answers (group-likes,
 skew-primitives), and decides equivalence of star structures exactly:
 every verified star is g* = g, (x*, y*) = A (x, y) with conj(A) A = I,
-and one square-root-free witness L_A L_B^-1 carries A to B at every n.
+and one witness L_A conj(L_B) / 4, which takes no square root and
+divides by no scalar, carries A to B at every n.
 
 The package re-exports nothing and importing it runs no layer.  Import
 names from the layer modules (``radford.scalars``, ``radford.algebra``,

@@ -9,13 +9,14 @@ Covers three jobs:
   is admitted by the matrix read off its images, with no relation check.
 * The witness, Hilbert's Theorem 90 for GL_2: for every A with
   conj(A) A = I some L_c = c I + conj(c) conj(A), c in (1, i, 1 + i), is
-  invertible and has A L_c = conj(L_c), so L_A L_B^-1 carries A to B.
-  Every star that passes the verifier has such an A, read off its images,
-  so all of them are equivalent, however their files spell them.  For a
-  diagonal A = diag(alpha, beta) this is the Cayley form
+  invertible, has A L_c = conj(L_c) and commutes with A, so
+  L_A conj(L_B) / 4 carries A to B.  Every star that passes the verifier
+  has such an A, read off its images, so all of them are equivalent,
+  however their files spell them.  L_I / 2 = I, and for a diagonal
+  A = diag(alpha, beta) against I this is the Cayley form
   l(a) = (1 + conj(a))/2, L_A / 2 = diag(l(alpha), l(beta)) when neither
-  is -1.  The witness lives in the input's own field and needs no square
-  root.
+  is -1.  The witness lives in the input's own field and takes no square
+  root and no inverse.
 * ``scan``: the star structures among lemma-shaped candidates on a
   grid, the grid points of the paper's family, listed and not verified
   (README, "Why scan lists the paper's family").
@@ -31,7 +32,7 @@ from itertools import product
 
 from .algebra import _map_law, _on_generators
 from .errors import InvalidAutomorphismError, KernelError
-from .scalars import _meter
+from .scalars import CyclotomicScalar, _meter
 from .star import GeneratorMap, _mix_defect, apply_map, family_defect, require_star
 
 
@@ -71,9 +72,10 @@ def _det(m):
 def _cayley_matrix(ctx, a):
     """Invertible L = c I + conj(c) conj(A) with A L = conj(L), for conj(A) A = I.
 
-    conj(A) A = I gives A conj(A) = I, so A L = c A + conj(c) I = conj(L).
-    L is singular only when -c/conj(c) is an eigenvalue of conj(A), and
-    c = 1, i, 1 + i give the three values -1, 1, -i.
+    conj(A) A = I gives A conj(A) = I, so A L = c A + conj(c) I = conj(L),
+    and L commutes with A, as conj(A) = A^-1 does.  L is singular only
+    when -c/conj(c) is an eigenvalue of conj(A), and c = 1, i, 1 + i give
+    the three values -1, 1, -i.
     """
     a_bar = [v.conjugate() for v in a]
     for c in (ctx.one, ctx.i(), ctx.one + ctx.i()):
@@ -91,10 +93,10 @@ def equivalence_witness(st_a, st_b):
 
     Both pass ``require_star``, and then each has g* = g and x*, y* in
     span(x, y) (README, "Why scan lists the paper's family"), so its matrix
-    A, read off the images, has conj(A) A = I.  Lambda = L_A L_B^-1 of
-    ``_cayley_matrix`` solves A Lambda = conj(Lambda) B, because
-    conj(L_B) = B L_B (README, "Why equivalence needs no square roots and
-    no search").
+    A, read off the images, has conj(A) A = I.  Lambda = L_A conj(L_B) / 4
+    of ``_cayley_matrix`` solves A Lambda = conj(Lambda) B, because
+    conj(L_B) = B L_B and L_B commutes with B (README, "Why equivalence
+    needs no square roots and no search"); it divides by no scalar.
     """
     require_star(st_a)
     require_star(st_b)
@@ -103,10 +105,9 @@ def equivalence_witness(st_a, st_b):
         raise KernelError("a verified star has g* != g or x*, y* outside span(x, y)")
     ctx = st_a.ctx
     p = _cayley_matrix(ctx, a)
-    q = _cayley_matrix(ctx, b)
-    inv = _det(q).inverse()
-    q_inv = (q[3] * inv, -q[1] * inv, -q[2] * inv, q[0] * inv)
-    lam = tuple(p[2 * i] * q_inv[j] + p[2 * i + 1] * q_inv[2 + j]
+    q = [v.conjugate() for v in _cayley_matrix(ctx, b)]
+    quarter = CyclotomicScalar(ctx, ctx.one.num, 4)
+    lam = tuple((p[2 * i] * q[j] + p[2 * i + 1] * q[2 + j]) * quarter
                 for i in range(2) for j in range(2))
     phi = make_automorphism(ctx, lam)
     if not _carries(phi, st_a, st_b):

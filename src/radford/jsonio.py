@@ -34,6 +34,8 @@ def _schema_int(obj, key):
 
 
 def context_from_json(obj):
+    if not isinstance(obj, dict):
+        raise KernelError("bad context header: it must be a JSON object")
     try:
         return make_context(_schema_int(obj, "n"), _schema_int(obj, "m"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -127,9 +129,11 @@ def star_to_json(st):
 
 def star_context(obj):
     """The context a star-structure object declares in its header."""
+    if not isinstance(obj, dict):
+        raise KernelError("bad star structure: it must be a JSON object")
     try:
         return context_from_json(obj["context"])
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise KernelError(f"bad star structure: {exc}") from exc
 
 

@@ -268,14 +268,16 @@ class FieldContext:
         return CyclotomicScalar(self, num, den)
 
     def zeta_log(self, a):
-        """Return k with a = zeta^k, or None; the table is built on first use."""
+        """Return k with a = zeta^k, or None.  The table, of each k keyed by
+        the nonzero coordinates (j, v) of its row zeta^k in order of j, is
+        built on first use."""
         if a.ctx is not self:
             raise ContextMismatchError("scalar from another context")
         if a.den != 1:
             return None
         if self._zeta_index is None:
-            self._zeta_index = {self.zeta(k).num: k for k in range(self.m)}
-        return self._zeta_index.get(a.num)
+            self._zeta_index = {tuple(sorted(row)): k for k, row in enumerate(self._rows)}
+        return self._zeta_index.get(tuple((j, v) for j, v in enumerate(a.num) if v))
 
     def _walk(self, out, terms, weight=0):
         """Add v zeta^k into the coordinate list ``out`` for each pair (k, v)
@@ -458,7 +460,13 @@ class CyclotomicScalar:
         1 < k < m coprime to m, and the norm N(a) = a c is a nonzero
         rational (Washington, Introduction to Cyclotomic Fields, Ch. 2).
         sigma_k and sigma_-k pair up: c = conj(a) times the sigma_k(b), 1 < k
-        < m/2, of the real b = a conj(a)."""
+        < m/2, of the real b = a conj(a).
+
+        No command inverts a scalar: the witness of ``classify`` divides by
+        none.  The callers left are ``/``, a negative power, the
+        elimination in ``solver`` that the test oracles solve with, and
+        library users; the benchmark's tracer (``perfbench/tracing.py``)
+        wraps this method and ``/`` by name, so they stay while it does."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero scalar")
         if not any(self.num[1:]):

@@ -82,10 +82,12 @@ def _poly_divmod(num, den):
     return q, rem
 
 
-def dense_scalar(ctx, seed):
-    """A scalar whose phi(m) coordinates are each 1 or -1, drawn from ``seed``."""
+def dense_scalar(ctx, seed, bound=1):
+    """A scalar whose phi(m) coordinates are each a nonzero integer in
+    [-bound, bound], drawn from ``seed``."""
     rng = random.Random(seed)
-    return ctx.from_coords([rng.choice((-1, 1)) for _ in range(ctx.degree)])
+    values = [v for v in range(-bound, bound + 1) if v]
+    return ctx.from_coords([rng.choice(values) for _ in range(ctx.degree)])
 
 
 def cyclotomic_division_oracle(m, _cache={}):

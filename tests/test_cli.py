@@ -9,8 +9,9 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from oracles import dense_scalar, generators, load_schema, n2_polarization_oracle, \
-    n2_search_oracle, star_json, tensor_from_json, verify_equivalence
+from oracles import count_calls, dense_scalar, generators, load_schema, \
+    n2_polarization_oracle, n2_search_oracle, star_json, tensor_from_json, \
+    verify_equivalence
 from radford import coalgebra, jsonio
 from radford.algebra import Element, Monomial
 from radford.classify import make_automorphism
@@ -216,6 +217,11 @@ def star_files(tmp_path_factory):
     diag_i.write_text(json.dumps(star_json(
         make_star_matrix(ctx2, (ctx2.i(), ctx2.zero, ctx2.zero, -ctx2.i())), "matrix2"
     )))
+    for name, matrix in (("diag_i_1.json", (ctx2.i(), ctx2.zero, ctx2.zero, ctx2.one)),
+                         ("swap.json", (ctx2.zero, ctx2.one, ctx2.one, ctx2.zero)),
+                         ("shear.json", (ctx2.one, ctx2.zero, ctx2.i(), ctx2.one))):
+        (root / name).write_text(json.dumps(star_json(make_star_matrix(ctx2, matrix),
+                                                      "matrix2")))
     swapscaled = root / "swapscaled.json"
     swapscaled.write_text(json.dumps(star_json(
         make_star_matrix(ctx2, (ctx2.zero, ctx2.from_int(2),
@@ -232,6 +238,9 @@ def star_files(tmp_path_factory):
     diag3.write_text(json.dumps(star_json(
         make_star_diag(ctx3, ctx3.omega(), ctx3.one), "diag"
     )))
+    ctx24 = make_context(3, 24)
+    (root / "diag3_m24.json").write_text(json.dumps(star_json(
+        make_star_diag(ctx24, ctx24.zeta(2), ctx24.one), "diag")))
     bad_raw = root / "bad_raw.json"
     bad_raw.write_text(json.dumps(jsonio.star_to_json(
         GeneratorMap(ctx3,
@@ -246,6 +255,9 @@ def star_files(tmp_path_factory):
     (root / "x_pow7.json").write_text(json.dumps(raw_obj))
     raw_obj["x_img"] = [1]
     (root / "list_img.json").write_text(json.dumps(raw_obj))
+    (root / "list_star.json").write_text(json.dumps([raw_obj]))
+    raw_obj["context"] = []
+    (root / "list_context.json").write_text(json.dumps(raw_obj))
     corrupt = root / "corrupt.json"
     corrupt.write_text('{"kind": "diag", "context": {')
     invalid = root / "invalid.json"
@@ -536,13 +548,33 @@ class TestCommands:
         assert n2_search_oracle(st_a, st_b)
         assert n2_polarization_oracle(st_a, st_b)
 
-    # diag(u, u) with u = w / conj(w) for a dense w is a star of the family,
-    # and its witness inverts det L_B, a dense scalar of the whole field:
-    # within the budget at m = 420, past it at m = 1020.
-    @pytest.mark.parametrize("m, rc, seconds", [(420, 0, 5), (1020, 2, 3)])
-    def test_equiv_n2_dense_star(self, m, rc, seconds, tmp_path):
+    # No command divides in Q(zeta_m): the witness L_A conj(L_B) / 4 inverts
+    # no scalar, for a norm-one parameter that is no root of unity, for a
+    # nondiagonal pair, and for two files in two conductors.
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3", "equiv", "diag", "--alpha", "3/5 + 4/5*i", "--beta", "1"],
+        ["--n", "2", "equiv", "n2", "--a", "ident.json", "--b", "diag_i_1.json"],
+        ["--n", "2", "equiv", "n2", "--a", "swap.json", "--b", "shear.json"],
+        ["--n", "3", "--json", "equiv", "n2", "--a", "diag3.json", "--b", "diag3_m24.json"],
+    ])
+    def test_equiv_inverts_no_scalar(self, star_files, monkeypatch, capsys, argv):
+        inverses = count_calls(monkeypatch, scalars.CyclotomicScalar, "inverse")
+        argv = [str(star_files / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(("equivalent\n", '{"equivalent": true'))
+        assert inverses() == 0
+
+    # diag(u, u) with u = w / conj(w) for a w whose coordinates are nonzero
+    # integers in [-bound, bound] is a star of the family, dense in the whole
+    # field.  Its witness inverts no scalar: it answers at m = 420, and is
+    # refused at m = 1020, where deciding that the files lie in the family
+    # (``family_defect``) takes most of the work.
+    @pytest.mark.parametrize("m, bound, rc, seconds",
+                             [(420, 1, 0, 5), (420, 9, 0, 5), (1020, 1, 2, 3)],
+                             ids=["420-0-5", "420-0-5-bound9", "1020-2-3"])
+    def test_equiv_n2_dense_star(self, m, bound, rc, seconds, tmp_path):
         ctx = make_context(2, m)
-        w = dense_scalar(ctx, m)
+        w = dense_scalar(ctx, m, bound)
         u = w * w.conjugate().inverse()
         stars = (make_star_diag(ctx, ctx.one, ctx.one), make_star_matrix(
             ctx, (u, ctx.zero, ctx.zero, u)))
@@ -611,6 +643,8 @@ class TestCommands:
     @pytest.mark.parametrize("name, message", [
         ("x_pow7.json", "outside [0, 3)"),
         ("list_img.json", "expected a JSON object"),
+        ("list_star.json", "bad star structure: it must be a JSON object"),
+        ("list_context.json", "bad context header: it must be a JSON object"),
     ])
     def test_malformed_raw_image_exit_2(self, star_files, name, message):
         p = run_cli("--n", "3", "star-apply", "--star", str(star_files / name),

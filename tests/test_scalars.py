@@ -65,6 +65,18 @@ class TestContext:
         assert ctx.zeta_log(ctx.from_int(2)) is None
         assert ctx.zeta_log(ctx.one + ctx.i()) is None
 
+    # The table, keyed by the rows, against a scan of the m powers for the
+    # first equal one, up to the largest conductors.
+    @pytest.mark.parametrize("n, m", [(3, 12), (5, 20), (3, 420), (3, 1020), (4, 1024)])
+    def test_zeta_log_matches_a_scan(self, n, m):
+        ctx = make_context(n, m)
+        powers = [ctx.zeta(k) for k in range(m)]
+        nums = [z.num for z in powers]
+        assert [ctx.zeta_log(z) for z in powers] == [nums.index(z.num) for z in powers]
+        half = ctx.from_fraction(Fraction(1, 2))
+        for a in (ctx.from_int(2), ctx.one + ctx.zeta(), ctx.zeta() * half):
+            assert ctx.zeta_log(a) is None
+
     # The table of zeta^k, read through zeta, the product's fold, conjugate
     # and embed, at every k < m, up to the largest conductors.
     @pytest.mark.parametrize("n, m", [(3, 12), (5, 20), (3, 132), (3, 1020), (4, 1024)])

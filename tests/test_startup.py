@@ -94,7 +94,8 @@ def n2_star_files(tmp_path, argv):
 
 # Rationals cross the kernel's boundaries as integers, so these calls never
 # import `fractions`, which brings `decimal` and `numbers` with it.  The
-# witness of the last inverts det L_B = 2 (1 - i), for B = diag(i, 1).
+# witnesses of the last two, L_A conj(L_B) / 4, build their 1/4 as an integer
+# numerator over the denominator 4.
 @pytest.mark.parametrize("argv", [
     ["--n", "5", "verify", "hopf"],
     ["--n", "3", "--json", "normalize", "x"],
