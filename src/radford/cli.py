@@ -4,15 +4,17 @@ Exit codes: 0 on success / all checks passing (every equivalence query
 answers "equivalent"); 1 when a verification fails; 2 on usage, parse,
 or malformed-input errors, including a conductor above
 ``scalars.MAX_CONDUCTOR``, an input number longer than
-``scalars.MAX_INPUT_DIGITS`` digits, a star file that, given to
-``star-apply`` or ``equiv``, fails ``verify star``, a coordinate too long
+``scalars.MAX_INPUT_DIGITS`` digits, a star that ``star-apply`` or
+``equiv`` uses and that fails ``verify star`` (a star file of any
+spelling, or ``equiv diag``'s --alpha and --beta), a coordinate too long
 to print, and a call that does more than ``scalars.MAX_WORK`` units of
-work.  ``main`` arms the meter of ``scalars`` with that budget afresh
-for every call, so such a refusal comes after at most the budget's work,
-about a second, whatever the input.  A value
-that starts with '-' is written ``--beta=-i`` after an option and after
-``--`` as a positional (``normalize -- -x``), as argparse reads ``-x`` as
-an option.
+work.  ``verify star`` reports on a star file of any spelling that
+decodes, and exits 1 for one that fails.  ``main`` arms the meter of
+``scalars`` with that budget afresh for every call, so such a refusal
+comes after at most the budget's work, about a second, whatever the
+input.  A value that starts with '-' is written ``--beta=-i`` after an
+option and after ``--`` as a positional (``normalize -- -x``), as
+argparse reads ``-x`` as an option.
 """
 
 from __future__ import annotations
@@ -173,9 +175,10 @@ def _emit_equivalence(args, phi):
 
 
 def _cmd_equiv_diag(args, ctx):
-    st = star.make_star_diag(ctx, parser.parse_scalar(args.alpha, ctx),
-                             parser.parse_scalar(args.beta, ctx))
-    trivial = star.make_star_diag(ctx, ctx.one, ctx.one)
+    alpha, beta = (parser.parse_scalar(v, ctx) for v in (args.alpha, args.beta))
+    zero, one = ctx.zero, ctx.one
+    st = star.GeneratorMap.from_matrix(ctx, (alpha, zero, zero, beta))
+    trivial = star.GeneratorMap.from_matrix(ctx, (one, zero, zero, one))
     return _emit_equivalence(args, classify.equivalence_witness(st, trivial))
 
 

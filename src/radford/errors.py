@@ -10,7 +10,8 @@ class ContextMismatchError(KernelError):
 
 
 class InvalidStarStructureError(KernelError):
-    """A candidate star structure violates its construction precondition."""
+    """A map used as a star is no star: it lies outside the paper's family
+    and fails a check of the star verifier (``star.require_star``)."""
 
 
 class InvalidAutomorphismError(KernelError):

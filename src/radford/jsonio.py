@@ -4,10 +4,12 @@ A scalar travels as an array of phi(m) canonical rational strings, each
 ``p`` or ``p/q`` in lowest terms: exactly the strings of the schemas'
 pattern ^-?[0-9]+(/[0-9]+)?$ are read back.  Every aggregate carries a
 context header {"n": ..., "m": ...}.  Decoders rebuild values through
-the ordinary constructors, so a ``diag`` or ``matrix2`` star must lie in
-the paper's family; n, m, r, s, l are integers as the schemas read them
-and no element lists a monomial twice, else KernelError, a usage error
-to the CLI.  A star is written as its images, read from any spelling.
+the ordinary constructors: n, m, r, s, l are integers as the schemas
+read them and no element lists a monomial twice, else KernelError, a
+usage error to the CLI.  A star is written as its images, and read from
+any spelling (``diag``, ``matrix2`` or ``raw``) into its images, judged
+by nothing here: a command that uses it passes it through
+``star.require_star``, so every spelling of one star is answered alike.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def star_context(obj):
 
 
 def star_from_json(obj, ctx):
-    """Decode a star structure into ``ctx``.
+    """Decode a star structure into ``ctx``, as its images, unjudged.
 
     Each value is read in the object's own context and embedded in
     ``ctx``, whose conductor must be a multiple of the object's.
@@ -169,7 +171,7 @@ def star_from_json(obj, ctx):
             raise KernelError(f"unknown star kind {kind!r}")
     except KeyError as exc:
         raise KernelError(f"{kind} star is missing {exc}") from exc
-    return star.make_star_matrix(ctx, values)
+    return star.GeneratorMap.from_matrix(ctx, values)
 
 
 def _value_to_json(v):

@@ -10,12 +10,13 @@ canonical words y^r x^s g^l:
   y^r x^s g^l -> phi(y)^r phi(x)^s g^l.
 
 A map is its role (star or automorphism) and its three images; its 2x2
-``matrix`` is read off them.  ``make_star_matrix`` and ``make_star_diag``
-build members of the paper's family, which ``family_defect`` decides;
-other images are candidates, so that impossibility arguments become
-executable negative tests.  Members are stars, which ``scan`` lists
-unverified; a caller that uses a star passes it through one gate,
-``require_star``: a star outside the family must pass ``verify_star_axioms``.
+``matrix`` is read off them.  Any images may be given, so that
+impossibility arguments become executable negative tests; whether they
+make a star is judged only where a star is used.  ``family_defect``
+decides the paper's family, whose members are stars, which ``scan``
+lists unverified.  A caller that uses a star passes it through one gate,
+``require_star``, which judges it once: a member is admitted, and any
+other star must pass ``verify_star_axioms``.
 
 ``verify_star_axioms`` decides the five defining conditions for all of
 H_n by checking them on the six relation pairs and on g, x, y, and
@@ -118,19 +119,6 @@ def family_defect(ctx, a):
         if entry != int(i == j):
             return f"conj(A)A differs from I2 at entry ({i + 1},{j + 1})"
     return None
-
-
-def make_star_matrix(ctx, a):
-    """The star g* = g, (x*, y*) = A (x, y) of the paper's family, ``a``
-    row-major; any other A is refused with its ``family_defect``."""
-    if (defect := family_defect(ctx, a)) is not None:
-        raise InvalidStarStructureError(defect)
-    return GeneratorMap.from_matrix(ctx, a)
-
-
-def make_star_diag(ctx, alpha, beta):
-    """The star g* = g, x* = alpha x, y* = beta y of the paper's family."""
-    return make_star_matrix(ctx, (alpha, ctx.zero, ctx.zero, beta))
 
 
 class CheckResult(NamedTuple):

@@ -42,7 +42,11 @@ oracle, report lookups by check name, ``x_primitive_delta`` and
 ``inject_coproduct`` for negative fixtures, ``count_calls`` for spies,
 ``metered`` to run library code under the work budget of one call,
 ``tensor_from_json`` for round trips, ``load_schema``, ``dense_scalar``
-for seeded scalars with every coordinate nonzero, and
+for seeded scalars with every coordinate nonzero, ``make_star_matrix``
+and ``make_star_diag`` for members of the paper's family, judged by
+``family_defect`` as they are built (the kernel judges a star only where
+a command uses it, in ``require_star``), ``star_json`` to spell a star
+as a file, and
 ``verify_equivalence`` (the kernel's check that a given automorphism
 carries one star to another, which no command runs).
 """
@@ -58,12 +62,12 @@ from radford.algebra import GENERATOR_MONOMIALS, Counterexample, Element, Monomi
 from radford.classify import _carries, _require_automorphism
 from radford.coalgebra import TensorElement, antipode, counit, delta, tensor_map, \
     tensor_mul, tensor_of
-from radford.errors import KernelError
+from radford.errors import InvalidStarStructureError, KernelError
 from radford.jsonio import _mono_from_json, _term_objects, context_from_json, \
     context_to_json, scalar_from_json, scalar_to_json, star_to_json
 from radford.scalars import MAX_WORK, _meter
 from radford.solver import _nullspace_from_rows
-from radford.star import GeneratorMap, require_star, verify_star_axioms
+from radford.star import GeneratorMap, family_defect, require_star, verify_star_axioms
 
 
 def _poly_divmod(num, den):
@@ -688,6 +692,19 @@ def load_schema(name):
 
     text = resources.files("radford").joinpath(f"schemas/{name}.json").read_text()
     return json.loads(text)
+
+
+def make_star_matrix(ctx, a):
+    """The star g* = g, (x*, y*) = A (x, y) of the paper's family, ``a``
+    row-major; any other A is refused with its ``family_defect``."""
+    if (defect := family_defect(ctx, a)) is not None:
+        raise InvalidStarStructureError(defect)
+    return GeneratorMap.from_matrix(ctx, a)
+
+
+def make_star_diag(ctx, alpha, beta):
+    """The star g* = g, x* = alpha x, y* = beta y of the paper's family."""
+    return make_star_matrix(ctx, (alpha, ctx.zero, ctx.zero, beta))
 
 
 def star_json(st, kind):

@@ -15,7 +15,8 @@ import jsonschema
 import pytest
 
 from oracles import FieldMatrix, basis, delta_oracle, failed_names, field_nullspace, \
-    generators, load_schema, named_check, star_json, verify_equivalence, word_of_monomial
+    generators, load_schema, make_star_diag, make_star_matrix, named_check, star_json, \
+    verify_equivalence, word_of_monomial
 from radford import jsonio
 from radford.algebra import (
     Element,
@@ -32,8 +33,6 @@ from radford.scalars import make_context
 from radford.solver import is_grouplike, skew_primitive_space
 from radford.star import (
     GeneratorMap,
-    make_star_diag,
-    make_star_matrix,
     verify_hopf_axioms,
     verify_star_axioms,
 )

@@ -21,8 +21,9 @@ from operator import mul
 import pytest
 
 from oracles import antipode_order_oracle, basis, delta_oracle, equivalence_oracle, \
-    failed_names, generators, hopf_oracle, inject_coproduct, map_oracle, named_check, \
-    relation_pair_oracle, star_json, star_oracle, verify_equivalence, x_primitive_delta
+    failed_names, generators, hopf_oracle, inject_coproduct, make_star_diag, \
+    make_star_matrix, map_oracle, named_check, relation_pair_oracle, star_json, \
+    star_oracle, verify_equivalence, x_primitive_delta
 from radford import algebra, coalgebra, jsonio
 from radford.algebra import Element, Monomial
 from radford.classify import (
@@ -38,8 +39,6 @@ from radford.star import (
     GeneratorMap,
     _scalar_map,
     apply_map,
-    make_star_diag,
-    make_star_matrix,
     verify_hopf_axioms,
     verify_star_axioms,
 )

@@ -23,12 +23,11 @@ from radford.errors import ContextMismatchError, InvalidAutomorphismError, \
     InvalidStarStructureError, KernelError
 from radford.parser import parse_scalar
 from radford.scalars import CyclotomicScalar, make_context
-from radford.star import GeneratorMap, apply_map, family_defect, make_star_diag, \
-    make_star_matrix
+from radford.star import GeneratorMap, apply_map, family_defect
 
 from oracles import _invertible_point, basis, equivalence_oracle, generators, \
-    hopf_map_oracle, metered, n2_polarization_oracle, n2_search_oracle, scan_oracle, \
-    verify_equivalence
+    hopf_map_oracle, make_star_diag, make_star_matrix, metered, n2_polarization_oracle, \
+    n2_search_oracle, scan_oracle, verify_equivalence
 
 
 def assert_listing_is_the_k4_filter(ctx, grid, off):

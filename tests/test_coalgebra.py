@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from oracles import antipode_oracle, basis, count_calls, delta_oracle, generators, \
-    qbinom_pascal_oracle
+    make_star_diag, make_star_matrix, qbinom_pascal_oracle
 from radford import coalgebra, star
 from radford.algebra import Element, Monomial, SparseTerms
 from radford.classify import make_automorphism
@@ -27,8 +27,7 @@ from radford.coalgebra import (
 )
 from radford.errors import KernelError
 from radford.scalars import make_context
-from radford.star import apply_map, make_star_diag, make_star_matrix, \
-    verify_hopf_axioms, verify_star_axioms
+from radford.star import apply_map, verify_hopf_axioms, verify_star_axioms
 
 
 class TestQBinom:

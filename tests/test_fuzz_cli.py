@@ -13,11 +13,11 @@ import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import star_json
+from oracles import make_star_diag, make_star_matrix, star_json
 from radford.algebra import Element
 from radford.cli import main
 from radford.scalars import make_context
-from radford.star import GeneratorMap, make_star_diag, make_star_matrix
+from radford.star import GeneratorMap
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])

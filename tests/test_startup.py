@@ -62,8 +62,15 @@ def test_cli_import_skips_heavy_modules_and_loads_every_layer():
      {"star", "solver", "classify", "parser", "jsonio"}),
     (["--n", "4", "equiv", "diag", "--alpha", "w", "--beta", "-1"],
      {"coalgebra", "solver", "jsonio"}),
+    (["--n", "2", "verify", "star", "--star", "diag_i"],
+     {"solver", "classify", "parser"}),
+    # The gate admits a member of the paper's family without the verifier,
+    # which would run coalgebra.
+    (["--n", "2", "star-apply", "--star", "diag_i", "x"],
+     {"coalgebra", "solver", "classify"}),
 ])
-def test_command_runs_only_the_layers_it_reaches(argv, untouched):
+def test_command_runs_only_the_layers_it_reaches(argv, untouched, tmp_path):
+    argv = n2_star_files(tmp_path, argv)
     code = ("import sys\n"
             "import radford.cli\n"
             f"assert radford.cli.main({argv!r}) == 0\n" + RAN)
@@ -72,21 +79,25 @@ def test_command_runs_only_the_layers_it_reaches(argv, untouched):
     assert not ran & untouched, sorted(ran & untouched)
 
 
-# Stars at n = 2, m = 4 as the coordinates of their matrices, row-major.
-N2_STARS = {"ident": [["1", "0"], ["0", "0"], ["0", "0"], ["1", "0"]],
-            "swap": [["0", "0"], ["0", "1"], ["0", "1"], ["0", "0"]],
-            "diag_i_1": [["0", "1"], ["0", "0"], ["0", "0"], ["1", "0"]]}
+# Star files at n = 2, m = 4, but for their context: three matrix2 files,
+# each a matrix row-major, and diag(i, -1).
+N2_STARS = {"ident": {"kind": "matrix2",
+                      "a": [["1", "0"], ["0", "0"], ["0", "0"], ["1", "0"]]},
+            "swap": {"kind": "matrix2",
+                     "a": [["0", "0"], ["0", "1"], ["0", "1"], ["0", "0"]]},
+            "diag_i_1": {"kind": "matrix2",
+                         "a": [["0", "1"], ["0", "0"], ["0", "0"], ["1", "0"]]},
+            "diag_i": {"kind": "diag", "alpha": ["0", "1"], "beta": ["-1", "0"]}}
 
 
 def n2_star_files(tmp_path, argv):
-    """``argv`` with each name of N2_STARS replaced by the path of a
-    matrix2 file of that star."""
+    """``argv`` with each name of N2_STARS replaced by the path of the
+    file of that star."""
     out = []
     for arg in argv:
         if arg in N2_STARS:
             path = tmp_path / f"{arg}.json"
-            path.write_text(json.dumps(
-                {"kind": "matrix2", "context": {"n": 2, "m": 4}, "a": N2_STARS[arg]}))
+            path.write_text(json.dumps({"context": {"n": 2, "m": 4}, **N2_STARS[arg]}))
             arg = str(path)
         out.append(arg)
     return out
