@@ -208,9 +208,7 @@ class SparseTerms:
         return hash(frozenset(self.terms.items()))
 
     def _check(self, other):
-        if self.ctx is not other.ctx and (
-            self.ctx.n != other.ctx.n or self.ctx.m != other.ctx.m
-        ):
+        if self.ctx is not other.ctx:
             raise ContextMismatchError(
                 f"{type(self).__name__}s from different contexts")
 
@@ -245,7 +243,7 @@ class SparseTerms:
                 if parts is not None:
                     e, key = parts
                     c = c1 * c2
-                    items.append((key, c * ctx.omega_pow(e) if e else c))
+                    items.append((key, c * ctx.omega(e) if e else c))
         return self.collect(ctx, items)
 
 
@@ -350,5 +348,5 @@ def rewrite_word(ctx, word):
     coeff = word.coefficient if word.coefficient is not None else ctx.one
     if r >= n or s >= n:
         return Element.zero(ctx)
-    coeff = coeff * ctx.omega_pow(exp % n)
+    coeff = coeff * ctx.omega(exp)
     return Element.monomial(ctx, r, s, l % n, coeff)

@@ -131,11 +131,11 @@ def _qbinom_row(ctx, k, sign):
     """
     one = ctx.one
     if k == ctx.n - 1:
-        row = [ctx.omega_pow(-sign * t * (t + 1) // 2) for t in range(k + 1)]
+        row = [ctx.omega(-sign * t * (t + 1) // 2) for t in range(k + 1)]
         return [-c if t % 2 else c for t, c in enumerate(row)]
     row = [one]
     for i in range(1, k + 1):
-        row = [one] + [row[t - 1] + ctx.omega_pow(sign * t) * row[t]
+        row = [one] + [row[t - 1] + ctx.omega(sign * t) * row[t]
                        for t in range(1, i)] + [one]
     return row
 
@@ -155,7 +155,7 @@ def delta_closed(ctx, mono):
             coeff = ci * cj
             e = -(r - i) * j % n
             if e:
-                coeff = coeff * ctx.omega_pow(e)
+                coeff = coeff * ctx.omega(e)
             left = Monomial(r - i, s - j, l)
             right = Monomial(i, j, (l + r - i + s - j) % n)
             out[(left, right)] = coeff
@@ -205,7 +205,7 @@ def antipode(e):
     n = ctx.n
     out = {}
     for (r, s, l), c in e.terms.items():
-        c = c * ctx.omega_pow(s * (s - 1) // 2 - r * (r - 1) // 2 + l * (s - r))
+        c = c * ctx.omega(s * (s - 1) // 2 - r * (r - 1) // 2 + l * (s - r))
         out[Monomial(r, s, -(l + r + s) % n)] = -c if (r + s) % 2 else c
     return Element(ctx, out)
 

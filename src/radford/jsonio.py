@@ -86,7 +86,7 @@ def _mono_from_json(ctx, obj):
 
 
 def _term_objects(obj):
-    terms = obj.get("terms", []) if isinstance(obj, dict) else None
+    terms = obj.get("terms") if isinstance(obj, dict) else None
     if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
         raise KernelError("expected a JSON object with a list of term objects")
     return terms

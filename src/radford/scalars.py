@@ -10,7 +10,11 @@ conjugation and norm-one tests are exact and decidable.
 The conductor m must be divisible by both n (so omega = zeta^(m/n) has
 order exactly n) and 4 (so i = zeta^(m/4) squares to -1); the default is
 lcm(4, n).  Phi_m is computed by the Moebius product over the divisors
-of m, not from tables, so any valid conductor works.
+of m, not from tables, so any valid conductor works.  ``make_context``
+interns one ``FieldContext`` per (n, m), and contexts are compared by
+identity.  A context's one table is its rows, the nonzero coordinates of
+each zeta^k, k < m; a power of zeta, omega or i is read from its row
+when asked for, and kept nowhere.
 
 Internally a scalar stores an integer numerator vector plus one positive
 denominator (Phi_m is monic over Z, so reduction never leaves that form).
@@ -176,10 +180,12 @@ def make_context(n, m=None):
 
 
 class FieldContext:
-    """Shared, immutable data for Q(zeta_m) plus the distinguished elements.
+    """Q(zeta_m) with omega of order n and i.  Interned: :func:`make_context`
+    returns one context per (n, m), so contexts compare by identity alone.
+    Immutable: every field is set here and never later.  Its one table is
+    ``_rows``, the nonzero coordinates of each zeta^k, k < m."""
 
-    Use :func:`make_context`; constructing directly bypasses interning.
-    """
+    __slots__ = ("n", "m", "phi_m", "degree", "omega_exponent", "i_exponent", "_rows")
 
     def __init__(self, n, m):
         self.n = n
@@ -190,9 +196,10 @@ class FieldContext:
         self.i_exponent = m // 4
         d = self.degree
         # zeta^k for 0 <= k < m as its nonzero coordinates (j, v) in the
-        # power basis: each row is zeta times the one before, its coefficient
-        # of zeta^d folded back by zeta^d = X^d - Phi_m.  Integral because
-        # Phi_m is monic; the rows cover a product's powers, 2d - 2 < m.
+        # power basis, in order of j: each row is zeta times the one before,
+        # its coefficient of zeta^d folded back by zeta^d = X^d - Phi_m.
+        # Integral because Phi_m is monic; the rows cover a product's
+        # powers, 2d - 2 < m.
         top = [(j, -c) for j, c in enumerate(self.phi_m[:d]) if c]
         rows = [((k, 1),) for k in range(d)]
         while len(rows) <= m:
@@ -201,12 +208,10 @@ class FieldContext:
             if carry:
                 for j, t in top:
                     row[j] = row.get(j, 0) + carry * t
-            rows.append(tuple((j, v) for j, v in row.items() if v))
+            rows.append(tuple(sorted((j, v) for j, v in row.items() if v)))
         if rows.pop() != rows[0]:
             raise AssertionError(f"zeta^{m} != 1 in context m={m}")
         self._rows = tuple(rows)
-        self._zeta_index = None
-        self._omega_pows = None
         # i^2 = -1 and omega has order exactly n; cheap one-time checks.
         if rows[2 * self.i_exponent] != ((0, -1),):
             raise AssertionError(f"zeta^{self.i_exponent} does not square to -1")
@@ -216,9 +221,6 @@ class FieldContext:
 
     def __repr__(self):
         return f"FieldContext(n={self.n}, m={self.m})"
-
-    # Contexts are interned; identity comparison is deliberate.
-    __hash__ = object.__hash__
 
     @property
     def zero(self):
@@ -242,12 +244,6 @@ class FieldContext:
         """i^k where i = zeta^(m/4)."""
         return self.zeta(self.i_exponent * (k % 4))
 
-    def omega_pow(self, k):
-        """Cached table of omega powers; the hot loops index it by exponent."""
-        if self._omega_pows is None:
-            self._omega_pows = tuple(self.omega(j) for j in range(self.n))
-        return self._omega_pows[k % self.n]
-
     def from_int(self, v):
         return CyclotomicScalar(self, [v] + [0] * (self.degree - 1))
 
@@ -268,22 +264,23 @@ class FieldContext:
         return CyclotomicScalar(self, num, den)
 
     def zeta_log(self, a):
-        """Return k with a = zeta^k, or None.  The table, of each k keyed by
-        the nonzero coordinates (j, v) of its row zeta^k in order of j, is
-        built on first use."""
+        """Return the k < m with a = zeta^k, or None: the first row zeta^k
+        that equals a's nonzero coordinates (j, v), both in order of j."""
         if a.ctx is not self:
             raise ContextMismatchError("scalar from another context")
         if a.den != 1:
             return None
-        if self._zeta_index is None:
-            self._zeta_index = {tuple(sorted(row)): k for k, row in enumerate(self._rows)}
-        return self._zeta_index.get(tuple((j, v) for j, v in enumerate(a.num) if v))
+        try:
+            return self._rows.index(tuple((j, v) for j, v in enumerate(a.num) if v))
+        except ValueError:
+            return None
 
     def _walk(self, out, terms, weight=0):
         """Add v zeta^k into the coordinate list ``out`` for each pair (k, v)
         of ``terms``, 0 <= k < m, through the nonzeros of the rows zeta^k,
         each charged ``weight``; return how many it walked.  The one loop
-        over the rows."""
+        through the rows' entries, for ``zeta``, a product's fold and
+        ``_substitute``; ``zeta_log`` only compares whole rows."""
         rows, walked = self._rows, 0
         for k, _ in terms:
             walked += len(rows[k])
@@ -352,11 +349,7 @@ class CyclotomicScalar:
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicScalar):
-            if self.ctx is not other.ctx and (
-                self.ctx.n != other.ctx.n or self.ctx.m != other.ctx.m
-            ):
-                return False
-            return self.num == other.num and self.den == other.den
+            return self.ctx is other.ctx and self.num == other.num and self.den == other.den
         if isinstance(other, int):
             return self.den == 1 and self.num[0] == other and not any(self.num[1:])
         return NotImplemented

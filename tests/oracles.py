@@ -578,7 +578,7 @@ def qbinom_pascal_oracle(ctx, k, sign):
     """
     row = [ctx.one]
     for i in range(1, k + 1):
-        row = [ctx.one] + [row[t - 1] + ctx.omega_pow(sign * t) * row[t]
+        row = [ctx.one] + [row[t - 1] + ctx.omega(sign * t) * row[t]
                            for t in range(1, i)] + [ctx.one]
     return row
 

@@ -195,7 +195,7 @@ class TestJsonRoundTrips:
         with pytest.raises(KernelError):
             jsonio.star_from_json(json.loads(text), make_context(3))
 
-    @pytest.mark.parametrize("obj", [[1], "x", {"terms": [1]}, {"terms": {}}])
+    @pytest.mark.parametrize("obj", [[1], "x", {"terms": [1]}, {"terms": {}}, {}, {"term": []}])
     def test_non_object_element_rejected(self, obj):
         ctx = make_context(3)
         from radford.errors import KernelError
@@ -250,6 +250,8 @@ def star_files(tmp_path_factory):
     raw_obj = jsonio.star_to_json(GeneratorMap(
         ctx3, *(Element.monomial(ctx3, *mono) for mono in
                 ((0, 0, 1), (0, 1, 0), (1, 0, 0)))))
+    # The schemas require "terms": an image {} is refused, not read as 0.
+    (root / "no_terms_img.json").write_text(json.dumps(dict(raw_obj, g_img={})))
     raw_obj["x_img"]["terms"][0]["s"] = 7
     (root / "x_pow7.json").write_text(json.dumps(raw_obj))
     raw_obj["x_img"] = [1]
@@ -651,6 +653,7 @@ class TestCommands:
     @pytest.mark.parametrize("name, message", [
         ("x_pow7.json", "outside [0, 3)"),
         ("list_img.json", "expected a JSON object"),
+        ("no_terms_img.json", "expected a JSON object with a list of term objects"),
         ("list_star.json", "bad star structure: it must be a JSON object"),
         ("list_context.json", "bad context header: it must be a JSON object"),
     ])
